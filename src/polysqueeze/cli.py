@@ -4,6 +4,10 @@ Exit codes are a stable contract: 0 success, 2 usage or parse error,
 3 domain violation (a point outside its domain), 4 verification failure.
 CSV output uses '.' decimals, 17 significant digits (lossless for doubles)
 and always emits a header row.
+
+``--samples`` (and ``SQUEEZE_SAMPLES``) and ``search --budget`` are parsed and
+validated for compatibility but change no value: no reported value depends
+on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .hyperbolic import MobiusAut
-from .search import FamilySpec, SearchOptions, search_lower_bound
+from .search import FamilySpec, search_lower_bound
 from .squeezing import (
     BoundsOptions,
     annulus_clearance_bound,
@@ -39,6 +43,7 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 DEFAULT_SAMPLES = 4096
+MAX_STEPS = 1_000_000
 
 
 class UsageError(SqueezeError):
@@ -61,12 +66,22 @@ def _default_samples() -> int:
 
 # ---------------------------------------------------------------- spec files
 
+def _spec_real(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise UsageError(f"{where}: {e}") from e
+
+
 def load_domain_spec(path: str) -> ProductDomain:
     """Parse a JSON domain-spec file into a ProductDomain.
 
     Schema: {"factors": [{"kind": "disk"} | {"kind": "punctured_disk",
     "punctures": [[re, im], ...]} | {"kind": "annulus", "r": x} |
-    {"kind": "ball", "n": k}, ...]}.
+    {"kind": "ball", "n": k}, ...]}, where x, re and im are JSON numbers and
+    k is a JSON integer.
     """
     try:
         with open(path) as fh:
@@ -97,16 +112,20 @@ def load_domain_spec(path: str) -> ProductDomain:
                 for j, p in enumerate(ps):
                     if not (isinstance(p, list) and len(p) == 2):
                         raise UsageError(f"{where}.punctures[{j}]: expected [re, im]")
-                    pts.append(complex(float(p[0]), float(p[1])))
+                    pts.append(complex(_spec_real(p[0], f"{where}.punctures[{j}][0]"),
+                                       _spec_real(p[1], f"{where}.punctures[{j}][1]")))
                 factors.append(PuncturedDisk(tuple(pts)))
             elif kind == "annulus":
                 if "r" not in item:
                     raise UsageError(f"{where}.r: missing inner radius")
-                factors.append(Annulus(float(item["r"])))
+                factors.append(Annulus(_spec_real(item["r"], f"{where}.r")))
             elif kind == "ball":
                 if "n" not in item:
                     raise UsageError(f"{where}.n: missing dimension")
-                factors.append(BallFactor(int(item["n"])))
+                n = item["n"]
+                if isinstance(n, bool) or not isinstance(n, int):
+                    raise UsageError(f"{where}.n: expected an integer, got {n!r}")
+                factors.append(BallFactor(n))
             else:
                 raise UsageError(f"{where}.kind: unknown kind {kind!r}")
         except DomainError as e:
@@ -210,12 +229,8 @@ def _writer(out):
 def cmd_eval(args, out) -> int:
     domain = load_domain_spec(args.spec)
     z = parse_point(args.point, domain)
-    search_opts = SearchOptions(samples=args.samples)
     family = FamilySpec.named(domain, args.family) if args.family else None
-    rep = squeeze_bounds(
-        domain, z,
-        BoundsOptions(search=not args.no_search, family=family, search_options=search_opts),
-    )
+    rep = squeeze_bounds(domain, z, BoundsOptions(search=not args.no_search, family=family))
     w = _writer(out)
     w.writerow(["lower", "upper", "exact", "methods", "witness"])
     w.writerow([
@@ -239,8 +254,6 @@ def cmd_profile(args, out) -> int:
         lo, hi = (float(v) for v in args.range.split(":"))
     except ValueError as e:
         raise UsageError(f"range must be 'lo:hi', got {args.range!r}") from e
-    if args.steps < 1:
-        raise UsageError("steps must be positive")
     params = [lo] if args.steps == 1 else [
         lo + k * (hi - lo) / (args.steps - 1) for k in range(args.steps)
     ]
@@ -288,8 +301,6 @@ def cmd_limit(args, out) -> int:
         raise UsageError(f"inner radius must lie in (0, 1), got {args.r}")
     if args.side not in ("outer", "inner"):
         raise UsageError(f"side must be 'outer' or 'inner', got {args.side!r}")
-    if args.steps < 1:
-        raise UsageError("steps must be positive")
     path = default_limit_path(args.r, args.side, args.steps)
     profile = boundary_limit_profile(args.r, path, include_exact=False)
     w = _writer(out)
@@ -304,12 +315,7 @@ def cmd_search(args, out) -> int:
         raise UsageError(f"search budget must be positive, got {args.budget}")
     domain = load_domain_spec(args.spec)
     z = parse_point(args.point, domain)
-    family = FamilySpec.named(domain, args.family)
-    seeds = max(2, min(64, args.budget // 2))
-    iters = max(0, args.budget - seeds)
-    sr = search_lower_bound(
-        domain, z, family, SearchOptions(seeds=seeds, iters=iters, samples=args.samples)
-    )
+    sr = search_lower_bound(domain, z, FamilySpec.named(domain, args.family))
     exact = None
     try:
         exact = exact_squeeze(domain, z).exact
@@ -344,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--point", required=True, help="point as 're,im;re,im;...'")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--samples", type=int, default=_default_samples(),
-                        help="boundary samples per circle (env SQUEEZE_SAMPLES overrides default)")
+                        help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
+                             "the default); no effect on values, which are closed-form")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     sp = sub.add_parser("eval", help="bounds and exact value at one point")
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, spec=True, point=True)
     sp.add_argument("--axis", type=int, default=0, help="factor index to sweep")
     sp.add_argument("--range", required=True, help="modulus range 'lo:hi'")
-    sp.add_argument("--steps", type=int, default=256)
+    sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
     sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -370,14 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--r", type=float, required=True, help="annulus inner radius")
     sp.add_argument("--side", default="outer", help="'outer' or 'inner'")
-    sp.add_argument("--steps", type=int, default=256)
+    sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("search", help="witness-family lower bound at one point")
     add_common(sp, spec=True, point=True)
     sp.add_argument("--family", default="auto", choices=["auto", "inclusion", "reflection"])
     sp.add_argument("--budget", type=int, default=124,
-                    help="objective evaluations per 1-D search")
+                    help="accepted and validated (positive); no effect on values, since "
+                         "each branch is scored once in closed form")
     sp.set_defaults(func=cmd_search)
     return p
 
@@ -391,6 +399,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE if e.code else EXIT_OK
         if getattr(args, "samples", None) is not None and args.samples < 8:
             raise UsageError(f"--samples must be at least 8, got {args.samples}")
+        steps = getattr(args, "steps", None)
+        if steps is not None and not 1 <= steps <= MAX_STEPS:
+            raise UsageError(f"--steps must lie in [1, {MAX_STEPS}], got {steps}")
         with _open_out(args.out) as out:
             return args.func(args, out)
     except UsageError as e:

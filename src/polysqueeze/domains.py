@@ -34,7 +34,7 @@ class PuncturedDisk:
         if not ps:
             raise DomainError("PuncturedDisk requires at least one puncture")
         for p in ps:
-            if not abs(p) < 1:
+            if not _modulus(p) < 1:
                 raise DomainError(f"puncture {p} not inside the unit disk")
         if len(set(ps)) != len(ps):
             raise DomainError("punctures must be pairwise distinct")
@@ -79,6 +79,14 @@ def factor_dim(f: Factor) -> int:
     return f.n if isinstance(f, BallFactor) else 1
 
 
+def _modulus(z: complex) -> float:
+    """|z|, or inf where the modulus overflows a double."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def membership(f: Factor, coord: Coordinate) -> bool:
     """True iff ``coord`` lies in the open set ``f``.
 
@@ -88,18 +96,25 @@ def membership(f: Factor, coord: Coordinate) -> bool:
     if isinstance(f, BallFactor):
         if not isinstance(coord, tuple) or len(coord) != f.n:
             raise DomainError(f"ball coordinate must be a tuple of {f.n} complex numbers")
-        return sum(abs(complex(c)) ** 2 for c in coord) < 1.0
+        # m * m rather than m ** 2, which raises OverflowError on huge moduli
+        return sum(m * m for m in (_modulus(complex(c)) for c in coord)) < 1.0
     z = complex(coord)
     if isinstance(f, UnitDisk):
-        return abs(z) < 1.0
+        return _modulus(z) < 1.0
     if isinstance(f, PuncturedDisk):
-        return abs(z) < 1.0 and all(z != p for p in f.punctures)
+        return _modulus(z) < 1.0 and all(z != p for p in f.punctures)
     if isinstance(f, Annulus):
-        return f.r < abs(z) < 1.0
+        return f.r < _modulus(z) < 1.0
     raise DomainError(f"unknown factor kind {type(f).__name__}")
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
+def _unit_circle(m: int) -> np.ndarray:
+    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    circle.setflags(write=False)
+    return circle
+
+
 def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
     """``m`` equally-angle-spaced points per non-singleton boundary circle.
 
@@ -107,15 +122,16 @@ def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
     0 and increase counterclockwise.  Points are nudged radially by a few ulps
     off the open set (outward on the outer circle, inward on the inner one) so
     that no sample ever passes membership.  Punctures are not sampled here;
-    they are reported by :func:`punctures`.  The returned array is read-only
-    (cached).
+    they are reported by :func:`punctures`.  The returned array is read-only.
+    Only the unit circle is cached, once per ``m``: an array per factor would
+    hold 2 MB for each annulus sampled at 65536 points.
     """
     if isinstance(f, BallFactor):
         raise DomainError("boundary sampling is defined for planar factors only")
     if not isinstance(m, int) or m < 4:
         raise DomainError(f"sample count must be an integer >= 4, got {m}")
     nudge = 4.0 * np.finfo(float).eps
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    circle = _unit_circle(m)
     if isinstance(f, Annulus):
         out = np.concatenate([(1.0 + nudge) * circle, (1.0 - nudge) * f.r * circle])
     else:

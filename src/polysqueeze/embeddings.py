@@ -159,6 +159,13 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     return best
 
 
+def require_base_to_zero(e: MapExpr, z: complex, i: int = 0) -> None:
+    """Raise unless component ``i`` sends its base coordinate ``z`` to 0 (tolerance 1e-12)."""
+    img = complex(map_eval(e, z))
+    if abs(img) > 1e-12:
+        raise DomainError(f"component {i} sends its base point to {img}, not 0")
+
+
 def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int = 4096) -> float:
     """Image inradius of a product map: the factorwise minimum.
 
@@ -170,10 +177,8 @@ def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int =
         raise DomainError("product maps are defined for planar factors only")
     if len(pm.components) != d.arity:
         raise DomainError(f"{len(pm.components)} component maps for {d.arity} factors")
-    for i, (e, f) in enumerate(zip(pm.components, d.factors)):
-        img = complex(map_eval(e, z.planar(i)))
-        if abs(img) > 1e-12:
-            raise DomainError(f"component {i} sends its base point to {img}, not 0")
+    for i, e in enumerate(pm.components):
+        require_base_to_zero(e, z.planar(i), i)
     return min(
         image_inradius_at_zero(e, f, m) for e, f in zip(pm.components, d.factors)
     )

@@ -22,6 +22,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import PlanarFactor, PuncturedDisk, membership, punctures
 from .errors import DomainError, UnsupportedGeometryError
 
@@ -106,9 +108,18 @@ class MobiusAut:
 
 def mobius_eval(m: MobiusAut, zeta):
     """Evaluate the automorphism at ``zeta`` (scalar or ndarray, |zeta| <= 1)."""
-    w = (zeta - m.a) / (1.0 - m.a.conjugate() * zeta)
+    if not isinstance(zeta, np.ndarray):
+        w = (zeta - m.a) / (1.0 - m.a.conjugate() * zeta)
+        if m.theta != 0.0:
+            w = complex(math.cos(m.theta), math.sin(m.theta)) * w
+        return w
+    # The same operations in place: two temporaries of the input's size, not three.
+    den = m.a.conjugate() * zeta
+    np.subtract(1.0, den, out=den)
+    w = zeta - m.a
+    w /= den
     if m.theta != 0.0:
-        w = complex(math.cos(m.theta), math.sin(m.theta)) * w
+        np.multiply(complex(math.cos(m.theta), math.sin(m.theta)), w, out=w)
     return w
 
 

@@ -1,52 +1,41 @@
-"""Derivative-free search over explicit embedding families.
+"""Lower bounds from explicit embedding families, scored analytically.
 
-The families compose an optional annulus reflection with automorphisms and a
-final base-point normalizer, so every tried map is injective and sends the
-base coordinate to 0: each objective value is a certified-by-construction
-lower bound for the squeezing value.  Factors decouple (the product value is
-the min of independent factor values), so each factor is optimized on its own
-with a deterministic seeded golden-section search over the real automorphism
-parameter; rotational symmetry of the catalog factors makes a complex
-parameter redundant.
+The families compose an optional annulus reflection with a final base-point
+normalizer, so every witness is injective and sends the base coordinate to 0.
+A further automorphism before the normalizer would change nothing: two
+automorphisms that both send z to 0 differ by a rotation, which keeps the
+inradius at 0.  So each branch is built once, at the automorphism parameter
+a = 0, and scored with the closed-form image inradius of
+:func:`~polysqueeze.embeddings.image_inradius_analytic`; the value is a lower
+bound certified by its witness.  Factors decouple (the product value is the
+min of independent factor values), so each factor keeps its best branch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .domains import Annulus, BallFactor, PlanarFactor, ProductDomain, ProductPoint
-from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, image_inradius_at_zero, product_inradius
+from .embeddings import (
+    Inclusion,
+    MapExpr,
+    ProductMap,
+    Reflection,
+    image_inradius_analytic,
+    require_base_to_zero,
+)
 from .errors import DomainError
 from .hyperbolic import MobiusAut, mobius_eval
 
 INCLUSION = "inclusion"
 REFLECTION = "reflection"
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Budget and sampling knobs; defaults give a cheap search and a tight certificate."""
-
-    seeds: int = 64
-    iters: int = 60
-    xtol: float = 1e-10
-    samples: int = 4096
-    final_samples: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.seeds < 2 or self.iters < 0:
-            raise DomainError("search budget must allow at least 2 seeds")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Per-factor tuple of family branches plus the shared |a| range."""
+    """Per-factor tuple of family branches."""
 
     branches: tuple[tuple[str, ...], ...]
-    a_range: tuple[float, float] = (0.0, 0.995)
 
     @staticmethod
     def auto(d: ProductDomain) -> "FamilySpec":
@@ -81,7 +70,11 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best value found, its witness, and how the search behaved."""
+    """Best family value, its witness, and the number of branches scored.
+
+    ``converged`` is always true: scoring is closed-form, with nothing to
+    iterate.
+    """
 
     value: float
     witness: ProductMap
@@ -117,90 +110,25 @@ def build_factor_witness(f: PlanarFactor, z: complex, branch: str, a: complex) -
     return MapExpr(tuple(steps))
 
 
-def _golden_max(objective, lo: float, hi: float, iters: int, xtol: float):
-    """Golden-section maximization on [lo, hi]; returns (x, v, evals, converged)."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    evals = 2
-    converged = b - a <= xtol
-    for _ in range(iters):
-        if b - a <= xtol:
-            converged = True
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-            x, v = d, fd
-        evals += 1
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    return best_x, best_v, evals, converged
-
-
-def _optimize_1d(objective, interval, seeds: int, iters: int, xtol: float):
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    step = (hi - lo) / (seeds - 1)
-    xs = [lo + k * step for k in range(seeds)]
-    xs[-1] = hi
-    vals = [objective(x) for x in xs]
-    evals = seeds
-    best_i = max(range(seeds), key=lambda i: (vals[i], -xs[i]))
-    best_x, best_v = xs[best_i], vals[best_i]
-    ga = xs[max(best_i - 1, 0)]
-    gb = xs[min(best_i + 1, seeds - 1)]
-    if gb > ga:
-        x, v, n, converged = _golden_max(objective, ga, gb, iters, xtol)
-        evals += n
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    else:
-        converged = True
-    return best_x, best_v, evals, converged
-
-
-def optimize_1d(objective, interval, seeds: int = 64, iters: int = 60, xtol: float = 1e-10):
-    """Deterministic 1-D maximization: seeded bracketing grid plus golden section.
-
-    Returns ``(argmax, max)``.  Ties resolve to the lowest parameter, so a
-    constant objective returns the left endpoint.
-    """
-    x, v, _, _ = _optimize_1d(objective, interval, seeds, iters, xtol)
-    return x, v
-
-
 def search_lower_bound(
     d: ProductDomain,
     z: ProductPoint,
     fam: FamilySpec | None = None,
-    opt: SearchOptions | None = None,
 ) -> SearchResult:
     """Best certified lower bound over the family, with its witness.
 
-    Factors are searched independently (the product objective is the min of
-    factor objectives); each branch of each factor runs the 1-D search at the
-    cheap sample count, the best branch wins (earlier branch on ties), and the
-    assembled witness is re-scored at the final sample count.
+    Each branch of each factor is built at a = 0 and scored analytically;
+    the best branch of a factor wins (the earlier branch on ties), and the
+    value is the min over factors.
     """
     if any(isinstance(f, BallFactor) for f in d.factors):
         raise DomainError("the embedding search is defined for planar factors only")
     fam = fam or FamilySpec.auto(d)
-    opt = opt or SearchOptions()
     if len(fam.branches) != d.arity:
         raise DomainError(f"{len(fam.branches)} branch tuples for {d.arity} factors")
 
     evaluations = 0
-    all_converged = True
+    values: list[float] = []
     components: list[MapExpr] = []
     for i, f in enumerate(d.factors):
         zi = z.planar(i)
@@ -208,28 +136,13 @@ def search_lower_bound(
             raise DomainError(f"factor {i} has no family branch")
         best = None
         for branch in fam.branches[i]:
-            def objective(t: float, _branch=branch) -> float:
-                return image_inradius_at_zero(
-                    build_factor_witness(f, zi, _branch, complex(t)), f, opt.samples
-                )
-
-            x, v, n, converged = _optimize_1d(
-                objective, fam.a_range, opt.seeds, opt.iters, opt.xtol
-            )
-            evaluations += n
-            all_converged = all_converged and converged
-            # Flat objectives (the normalizer absorbs the parameter on the
-            # circular catalog factors) leave the argmax to float noise;
-            # prefer the canonical low-end parameter when it is equivalent,
-            # so forced witnesses come out in simplest form.
-            v0 = objective(fam.a_range[0])
+            e = build_factor_witness(f, zi, branch, 0j)
+            require_base_to_zero(e, zi, i)
+            v = image_inradius_analytic(e, f)
             evaluations += 1
-            if v0 >= v - 1e-12:
-                x, v = fam.a_range[0], v0
             if best is None or v > best[0]:
-                best = (v, branch, x)
-        components.append(build_factor_witness(f, zi, best[1], complex(best[2])))
+                best = (v, e)
+        values.append(best[0])
+        components.append(best[1])
 
-    witness = ProductMap(tuple(components))
-    value = product_inradius(witness, d, z, opt.final_samples)
-    return SearchResult(value, witness, evaluations, all_converged)
+    return SearchResult(min(values), ProductMap(tuple(components)), evaluations, True)

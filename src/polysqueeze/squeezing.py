@@ -180,13 +180,14 @@ def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
     factor with that puncture restored: exact (disk distance) for a single
     puncture, otherwise the subdomain-disk upper estimate.  Each admissible
     pair bounds the squeezing value on its own, so the min over pairs is
-    valid even when some factors are not punctured.
+    valid even when some factors are not punctured, and ball factors, which
+    have no punctures, are skipped.
     """
-    if not d.is_planar():
-        raise DomainError("the puncture bound is defined for planar products only")
     candidates: list[float] = []
     saw_puncture = False
     for i, f in enumerate(d.factors):
+        if isinstance(f, BallFactor):
+            continue
         ps = punctures(f)
         if not ps:
             continue
@@ -207,9 +208,22 @@ def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
     return min(candidates)
 
 
+def single_factor_lower(f, coord) -> float:
+    """Certified lower bound for one factor: its closed form where one exists.
+
+    A punctured disk with several punctures has none; the automorphism
+    sending ``coord`` to 0 maps it onto the unit disk minus the images of the
+    punctures, which certifies the least modulus among those images.
+    """
+    if isinstance(f, PuncturedDisk) and len(f.punctures) > 1:
+        phi = MobiusAut(complex(coord))
+        return min(abs(complex(mobius_eval(phi, p))) for p in f.punctures)
+    return single_factor_exact(f, coord)
+
+
 def product_lower_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Factorwise lower bound: min over factors of the single-factor value."""
-    return min(single_factor_exact(f, c) for f, c in zip(d.factors, z.coords))
+    """Factorwise lower bound: min over factors of the single-factor lower value."""
+    return min(single_factor_lower(f, c) for f, c in zip(d.factors, z.coords))
 
 
 def annulus_clearance_bound(r: float, z1: complex) -> float:
@@ -235,7 +249,6 @@ class BoundsOptions:
 
     search: bool = True
     family: "FamilySpec | None" = None
-    search_options: "SearchOptions | None" = None
     gap_tol: float = 1e-6
 
 
@@ -283,7 +296,7 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, options: BoundsOptions | N
         methods.append(CLEARANCE_LOWER)
 
     if opt.search and d.is_planar():
-        sr = search_lower_bound(d, z, opt.family, opt.search_options)
+        sr = search_lower_bound(d, z, opt.family)
         lowers.append(sr.value)
         methods.append(SEARCH)
         witnesses.append(sr.witness)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
-from .embeddings import product_inradius
+from .embeddings import ProductMap, image_inradius_analytic, product_inradius
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval, poincare_distance, sigma, sigma_inv
-from .search import FamilySpec, SearchOptions, search_lower_bound
+from .search import INCLUSION, REFLECTION, FamilySpec, build_factor_witness, search_lower_bound
 from .squeezing import (
     FAMILY_GAP,
     SEARCH,
@@ -250,9 +250,36 @@ def suite_hhr(seed: int = 0) -> list[Check]:
     ]
 
 
+def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]:
+    """Sampled (65536 points a circle) against analytic inradius of family witnesses at a = 0.
+
+    Ten seeded points per annulus r in {0.04, 0.25, 0.64}, moduli 2 % of the
+    width off either circle, each on both branches, plus the witness at
+    0.1+0.2i of the disk punctured at {0, 0.5, -0.5i}.  Returns the worst
+    |sampled - analytic|, the worst analytic - sampled, and the witness count.
+    """
+    cases = []
+    for r in (0.04, 0.25, 0.64):
+        f = Annulus(r)
+        margin = 0.02 * (1.0 - r)
+        for zc in _random_disk_points(rng, 10, r + margin, 1.0 - margin):
+            cases += [(f, complex(zc), INCLUSION), (f, complex(zc), REFLECTION)]
+    cases.append((PuncturedDisk((0j, 0.5 + 0j, -0.5j)), 0.1 + 0.2j, INCLUSION))
+    worst_err, worst_below = 0.0, -math.inf
+    for f, zc, branch in cases:
+        d = ProductDomain((f,))
+        e = build_factor_witness(f, zc, branch, 0j)
+        analytic = image_inradius_analytic(e, f)
+        sampled = product_inradius(ProductMap((e,)), d, d.point([zc]), 65536)
+        worst_err = max(worst_err, abs(sampled - analytic))
+        worst_below = max(worst_below, analytic - sampled)
+    return worst_err, worst_below, len(cases)
+
+
 def suite_family_gap(seed: int = 0) -> list[Check]:
     """Family honesty on the annulus: the catalog family cannot reach the
-    closed form at |z1| = sqrt(r) and the report says so."""
+    closed form at |z1| = sqrt(r) and the report says so.  The analytic
+    witness score the search uses is checked against the sampled oracle."""
     r = 0.25
     d = ProductDomain((Annulus(r), UnitDisk()))
     z = d.point([0.5, 0j])
@@ -265,6 +292,7 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
     exact = exact_squeeze(d, z).exact
     rep = squeeze_bounds(d, z, BoundsOptions(search=True))
     gap = exact - sr.value
+    worst_err, worst_below, count = _witness_oracle_errors(np.random.default_rng(seed))
     return [
         _check("family_gap.inclusion_branch_analytic", abs(got_incl - outer) <= 1e-6,
                f"search={got_incl:.9f} analytic={outer:.9f}"),
@@ -274,6 +302,9 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
                f"exact={exact} search={sr.value:.9f} gap={gap:.4f} floor=0.05"),
         _check("family_gap.report_tagged", FAMILY_GAP in rep.methods and SEARCH in rep.methods,
                f"methods={','.join(rep.methods)}"),
+        _check("family_gap.witness_sampled_vs_analytic", worst_err <= 1e-4 and worst_below <= 1e-12,
+               f"max_err={worst_err:.3e} tol=1e-4 max_below={worst_below:.3e} floor=1e-12 "
+               f"witnesses={count} samples=65536"),
     ]
 
 

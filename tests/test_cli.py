@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysqueeze import exact_squeeze, verify
 from polysqueeze.cli import (
+    MAX_STEPS,
     format_product_map,
     load_domain_spec,
     main,
@@ -60,6 +64,92 @@ def test_eval_annulus_product(capsys, annulus):
     assert float(dict(zip(rows[0], rows[1]))["exact"]) == 0.625
 
 
+def test_eval_multi_puncture_lower_without_search(capsys, tmp_path):
+    spec = tmp_path / "three.json"
+    spec.write_text(json.dumps({"factors": [
+        {"kind": "punctured_disk", "punctures": [[0, 0], [0.5, 0], [0, -0.5]]},
+        {"kind": "disk"},
+    ]}))
+    code, rows, _ = run(capsys, ["eval", "--spec", str(spec), "--point", "0.1,0.2;0.3,0",
+                                 "--no-search"])
+    assert code == 0
+    row = dict(zip(rows[0], rows[1]))
+    # |phi_z(0)| = |z| = sqrt(0.05) is the least puncture image
+    assert float(row["lower"]) == pytest.approx(0.223606797749979, abs=1e-15)
+    assert float(row["lower"]) <= float(row["upper"])
+    assert "ProductLower" in row["methods"]
+
+
+@pytest.mark.parametrize("factor", [
+    {"kind": "annulus", "r": "abc"},
+    {"kind": "annulus", "r": None},
+    {"kind": "punctured_disk", "punctures": [["x", 0]]},
+    {"kind": "ball", "n": 2.7},
+    {"kind": "punctured_disk", "punctures": [[1.3e308, 1.3e308]]},  # |p| overflows
+    {"kind": "annulus", "r": 10 ** 400},  # no double holds it
+])
+def test_malformed_spec_values_exit_2(capsys, tmp_path, factor):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"factors": [factor]}))
+    # the point fits a 2-ball, so only the spec value itself can fail
+    assert main(["eval", "--spec", str(spec), "--point", "0.1,0;0.2,0"]) == 2
+    assert "factors[0]" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_COORD = st.floats(-1.5, 1.5) | st.sampled_from([0.0, 0.5, -0.5, 1.0]) | st.floats()
+_VALID_FACTOR = st.one_of(
+    st.just({"kind": "disk"}),
+    st.lists(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2), min_size=1, max_size=3)
+    .map(lambda ps: {"kind": "punctured_disk", "punctures": ps}),
+    st.floats(0.01, 0.99).map(lambda r: {"kind": "annulus", "r": r}),
+    st.integers(1, 2).map(lambda n: {"kind": "ball", "n": n}),
+)
+_FACTOR = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["disk", "punctured_disk", "annulus", "ball"]) | _JSON},
+    optional={"r": _COORD | _JSON, "n": st.integers(-1, 3) | _JSON,
+              "punctures": st.lists(st.lists(_COORD, min_size=2, max_size=2), max_size=3) | _JSON},
+) | _JSON
+
+
+def _dim(f) -> int:
+    n = f.get("n") if isinstance(f, dict) and f.get("kind") == "ball" else None
+    return n if type(n) is int and 1 <= n <= 3 else 1
+
+
+@st.composite
+def _cli_input(draw):
+    """A spec object and a point string, sized to match the spec most of the time."""
+    factors = draw(st.lists(_VALID_FACTOR | _FACTOR, min_size=1, max_size=3))
+    spec = draw(st.just({"factors": factors}) | _JSON)
+    size = sum(_dim(f) for f in factors)
+    pairs = st.tuples(_COORD, _COORD)
+    point = draw(
+        st.lists(pairs, min_size=size, max_size=size).map(
+            lambda ps: ";".join(f"{a!r},{b!r}" for a, b in ps))
+        | st.text(alphabet="0123456789.,;-+einfa ", max_size=24)
+        | st.text(max_size=12)
+    )
+    return spec, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cli_input(),
+       command=st.sampled_from([("eval",), ("eval", "--no-search"), ("search",)]))
+def test_main_exit_contract_on_arbitrary_input(tmp_path_factory, case, command):
+    spec, point = case
+    path = tmp_path_factory.getbasetemp() / "arbitrary_spec.json"
+    path.write_text(json.dumps(spec))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main([*command, "--spec", str(path), "--point=" + point])
+    assert code in (0, 2, 3)
+
+
 def test_eval_exit_codes(capsys, tmp_path, punct2):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -69,6 +159,8 @@ def test_eval_exit_codes(capsys, tmp_path, punct2):
     assert main(["eval", "--spec", str(unknown), "--point", "0,0"]) == 2
     # out-of-domain point: second coordinate sits on the puncture
     assert main(["eval", "--spec", punct2, "--point", "0.5,0;0,0"]) == 3
+    # a coordinate whose modulus overflows is outside the domain too
+    assert main(["eval", "--spec", punct2, "--point", "0.5,0;1.3e308,1.3e308"]) == 3
     # wrong coordinate count is a usage error
     assert main(["eval", "--spec", punct2, "--point", "0.5,0"]) == 2
     # missing required flag
@@ -205,6 +297,21 @@ def test_limit_usage_errors(capsys):
     assert main(["limit", "--r", "0.25", "--steps", "0"]) == 2
 
 
+def test_steps_cap_fails_before_any_work(capsys, monkeypatch, annulus):
+    from polysqueeze import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran past argument validation")
+
+    for name in ("load_domain_spec", "default_limit_path", "boundary_limit_profile"):
+        monkeypatch.setattr(cli, name, no_work)
+    over = str(MAX_STEPS + 1)
+    assert main(["limit", "--r", "0.25", "--steps", over]) == 2
+    assert main(["profile", "--spec", annulus, "--point", "0.5,0;0,0",
+                 "--range", "0.3:0.9", "--steps", over]) == 2
+    assert f"[1, {MAX_STEPS}]" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- search
 
 def test_search_punctured(capsys, tmp_path):
@@ -225,10 +332,22 @@ def test_search_annulus_gap(capsys, annulus):
     assert float(row["value"]) < 0.5
     assert float(row["exact"]) == 0.5
     assert float(row["gap"]) >= 0.05
+    assert row["evaluations"] == "3"  # branches scored: two on the annulus, one on the disk
+    assert row["converged"] == "true"
 
 
 def test_search_zero_budget(capsys, annulus):
     assert main(["search", "--spec", annulus, "--point", "0.5,0;0,0", "--budget", "0"]) == 2
+
+
+def test_search_budget_and_samples_change_no_value(capsys, annulus):
+    base = ["search", "--spec", annulus, "--point", "0.6,0.1;0.2,0"]
+    outs = []
+    for extra in ([], ["--budget", "1"], ["--budget", "5000"], ["--samples", "8"]):
+        code, _, out = run(capsys, base + extra)
+        assert code == 0
+        outs.append(out)
+    assert outs.count(outs[0]) == len(outs)
 
 
 # ------------------------------------------------------------------- plumbing

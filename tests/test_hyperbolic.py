@@ -138,6 +138,18 @@ def test_mobius_inverse_roundtrip(a, z, theta):
     assert abs(back - z) < 1e-12
 
 
+def test_mobius_array_in_place_matches_expression_bitwise():
+    # the array path works in place; it must repeat the out-of-place arithmetic exactly
+    rng = np.random.default_rng(4)
+    zs = 0.99 * rng.uniform(0, 1, 257) * np.exp(2j * np.pi * rng.uniform(0, 1, 257))
+    zs.setflags(write=False)  # the input is never written
+    for m in (MobiusAut(0.3 - 0.4j), MobiusAut(-0.7j, 2.1), MobiusAut(0.0)):
+        want = (zs - m.a) / (1.0 - m.a.conjugate() * zs)
+        if m.theta != 0.0:
+            want = complex(math.cos(m.theta), math.sin(m.theta)) * want
+        assert np.array_equal(mobius_eval(m, zs), want)
+
+
 # ----------------------------------------------------------- Poincare metric
 
 def test_poincare_log3():

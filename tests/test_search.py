@@ -10,50 +10,19 @@ from polysqueeze import (
     FamilySpec,
     MobiusAut,
     ProductDomain,
+    ProductMap,
     PuncturedDisk,
-    SearchOptions,
     UnitDisk,
     build_factor_witness,
     exact_squeeze,
+    image_inradius_analytic,
     image_inradius_at_zero,
-    optimize_1d,
+    product_inradius,
     search_lower_bound,
 )
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
 ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))
-
-
-# ------------------------------------------------------------------ optimizer
-
-def test_optimize_quadratic():
-    x, v = optimize_1d(lambda t: -(t - 0.3) ** 2, (0.0, 1.0))
-    assert x == pytest.approx(0.3, abs=1e-9)
-    assert v == pytest.approx(0.0, abs=1e-15)
-
-
-def test_optimize_two_bumps_finds_global():
-    def f(t):
-        return math.exp(-200 * (t - 0.21) ** 2) + 1.25 * math.exp(-150 * (t - 0.77) ** 2)
-
-    # brute-force oracle on a million-point grid
-    grid = np.linspace(0.0, 1.0, 1_000_001)
-    vals = np.exp(-200 * (grid - 0.21) ** 2) + 1.25 * np.exp(-150 * (grid - 0.77) ** 2)
-    bi = int(vals.argmax())
-    x, v = optimize_1d(f, (0.0, 1.0))
-    assert abs(x - grid[bi]) <= 1e-6
-    assert v >= float(vals[bi]) - 1e-9
-
-
-def test_optimize_constant_objective():
-    x, v = optimize_1d(lambda t: 2.5, (0.2, 0.9))
-    assert v == 2.5
-    assert x == 0.2  # lowest-parameter tie-break
-
-
-def test_optimize_empty_interval():
-    with pytest.raises(DomainError):
-        optimize_1d(lambda t: t, (0.5, 0.5))
 
 
 # ------------------------------------------------------------ witness builder
@@ -138,7 +107,7 @@ def test_search_never_beats_exact():
     for _ in range(10):
         coords = rng.uniform(0.1, 0.9, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = d.point(list(coords))
-        sr = search_lower_bound(d, z, opt=SearchOptions(seeds=8, iters=12))
+        sr = search_lower_bound(d, z)
         exact = exact_squeeze(d, z).exact
         assert sr.value <= exact + 1e-6
         assert sr.value >= exact - 1e-6  # family suffices on punctured products
@@ -168,6 +137,32 @@ def test_family_spec_validation():
         search_lower_bound(PUNCT, PUNCT.point([0.5]), FamilySpec(((), ())))
 
 
-def test_search_options_validation():
-    with pytest.raises(DomainError):
-        SearchOptions(seeds=1)
+def test_search_scores_each_branch_once():
+    z = ANNULUS_DISK.point([0.6, 0.2j])
+    sr = search_lower_bound(ANNULUS_DISK, z)
+    assert sr.evaluations == 3  # two annulus branches, one disk branch
+    assert sr.converged
+
+
+def test_search_tie_keeps_earlier_branch():
+    # at |z| = sqrt(r) both annulus branches score the same
+    z = ANNULUS_DISK.point([0.5, 0j])
+    sr = search_lower_bound(ANNULUS_DISK, z)
+    assert sr.witness.components[0].steps == (MobiusAut(0.5 + 0j),)
+
+
+def test_witness_sampled_matches_analytic():
+    # the sampled oracle may overshoot the analytic inradius, never undershoot it
+    rng = np.random.default_rng(11)
+    cases = [(PuncturedDisk((0j, 0.5 + 0j, -0.5j)), 0.1 + 0.2j, "inclusion")]
+    for r in (0.04, 0.25, 0.64):
+        moduli = rng.uniform(r + 0.02 * (1 - r), 1 - 0.02 * (1 - r), 4)
+        for zc in moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)):
+            cases += [(Annulus(r), complex(zc), b) for b in ("inclusion", "reflection")]
+    for f, zc, branch in cases:
+        d = ProductDomain((f,))
+        e = build_factor_witness(f, zc, branch, 0j)
+        analytic = image_inradius_analytic(e, f)
+        sampled = product_inradius(ProductMap((e,)), d, d.point([zc]), 65536)
+        assert abs(sampled - analytic) <= 1e-4
+        assert sampled >= analytic - 1e-12

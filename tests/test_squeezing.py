@@ -12,6 +12,7 @@ from polysqueeze import (
     DomainError,
     LimitProfile,
     ProductDomain,
+    ProductPoint,
     PuncturedDisk,
     SqueezeError,
     UnitDisk,
@@ -172,10 +173,21 @@ def test_upper_inapplicable_without_punctures():
 
 
 def test_upper_rejects_ball_factors():
-    d = ProductDomain((BallFactor(2), PuncturedDisk((0j,))))
-    z = d.point([(0.1, 0j), 0.5])
+    # a ball factor has no puncture, so balls and disks alone give no bound
+    d = ProductDomain((BallFactor(2), UnitDisk()))
     with pytest.raises(DomainError):
-        puncture_upper_bound(d, z)
+        puncture_upper_bound(d, d.point([(0.1, 0j), 0.5]))
+
+
+def test_upper_skips_ball_factors():
+    # the filled-puncture bound is factorwise: the ball factor is skipped
+    d = ProductDomain((BallFactor(2), PuncturedDisk((0j,))))
+    z = d.point([(0.1, 0.2), 0.3])
+    assert puncture_upper_bound(d, z) == pytest.approx(0.3, abs=1e-12)
+    rep = squeeze_bounds(d, z)
+    assert rep.upper == pytest.approx(0.3, abs=1e-12)
+    assert rep.lower <= rep.upper
+    assert PUNCTURE_UPPER in rep.methods
 
 
 def test_upper_multi_puncture_subdomain():
@@ -209,9 +221,25 @@ def test_lower_examples():
 
 
 def test_lower_rejects_unsupported_factor():
-    d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j)),))
+    class Slab:  # a factor kind the library does not know
+        pass
+
+    d = ProductDomain((Slab(),))
     with pytest.raises(UnsupportedGeometryError):
-        product_lower_bound(d, d.point([0.3j]))
+        product_lower_bound(d, ProductPoint((0.3j,)))
+
+
+def test_lower_multi_puncture_min_modulus():
+    # the witness sending z to 0 certifies min_p |phi_z(p)| on a multi-puncture factor
+    d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)), UnitDisk()))
+    z = d.point([0.1 + 0.2j, 0.3])
+    want = min(abs((p - z.coords[0]) / (1 - z.coords[0].conjugate() * p))
+               for p in (0j, 0.5 + 0j, -0.5j))
+    assert want == pytest.approx(math.sqrt(0.05), abs=1e-15)
+    assert product_lower_bound(d, z) == pytest.approx(want, abs=1e-15)
+    rep = squeeze_bounds(d, z, BoundsOptions(search=False))
+    assert rep.lower == pytest.approx(want, abs=1e-15)
+    assert PRODUCT_LOWER in rep.methods
 
 
 def test_sandwich_on_punctured_products():
@@ -274,7 +302,9 @@ def test_bounds_two_puncture_sandwich():
     assert rep.exact is None
     assert 0 < rep.lower <= rep.upper < 1
     assert PUNCTURE_UPPER in rep.methods and SEARCH in rep.methods
-    assert PRODUCT_LOWER not in rep.methods
+    assert PRODUCT_LOWER in rep.methods
+    # both lower bounds come from the same witness, the automorphism at 0.1
+    assert rep.lower == pytest.approx(product_lower_bound(d, d.point([0.1])), abs=1e-15)
 
 
 def test_bounds_polydisk():
@@ -295,8 +325,8 @@ def test_bounds_ball_mix_degrades_gracefully():
     z = d.point([(0.1, 0j), 0.5])
     rep = squeeze_bounds(d, z)
     assert rep.lower == pytest.approx(0.5, abs=1e-15)  # product lower
-    assert rep.upper == 1.0
-    assert PUNCTURE_UPPER not in rep.methods and SEARCH not in rep.methods
+    assert rep.upper == pytest.approx(0.5, abs=1e-12)  # puncture bound, ball skipped
+    assert PUNCTURE_UPPER in rep.methods and SEARCH not in rep.methods
 
 
 def test_bound_report_validation():
