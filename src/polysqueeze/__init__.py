@@ -4,6 +4,11 @@ Exact catalog evaluators, certified upper and lower bounds, explicit witness
 embeddings with a boundary-sampling inradius oracle, and lower bounds from
 witness families scored in closed form.  Everything is pure and
 immutable; any function may be called concurrently.
+
+Importing the package does not load numpy.  The closed forms and bounds run
+on Python floats and complex numbers; the functions that build arrays (the
+boundary-sampling oracle, the injectivity spot check, the limit path and
+the verification suites) import numpy when they are called.
 """
 
 from .domains import (

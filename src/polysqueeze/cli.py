@@ -8,12 +8,18 @@ and always emits a header row.
 ``--samples`` (and ``SQUEEZE_SAMPLES``) and ``search --budget`` are parsed and
 validated for compatibility but change no value: no reported value depends
 on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
+
+The parser is built once per process and reused by every :func:`main` call;
+``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
+``eval``, ``profile`` and ``search`` run on closed forms and never import
+numpy; ``limit`` and ``verify`` load it when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -84,11 +90,15 @@ def load_domain_spec(path: str) -> ProductDomain:
     k is a JSON integer.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read spec file {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer literal past the digit limit, or
+        # nesting past the recursion limit
         raise UsageError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(data, dict) or "factors" not in data:
         raise UsageError(f"{path}: top level must be an object with a 'factors' list")
@@ -217,9 +227,13 @@ def parse_product_map(text: str) -> ProductMap:
 def _open_out(path: str | None):
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as e:
+        raise UsageError(f"cannot open output file {path}: {e}") from e
+    with fh:
+        yield fh
 
 
 def _writer(out):
@@ -336,7 +350,14 @@ def cmd_search(args, out) -> int:
 
 # -------------------------------------------------------------------- driver
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every default is a constant, so parsing leaves the parser unchanged and
+    one instance serves every :func:`main` call.  The ``--samples`` default
+    is None; :func:`main` fills it from ``SQUEEZE_SAMPLES`` on each call.
+    """
     p = argparse.ArgumentParser(
         prog="polysqueeze",
         description="Squeezing values of product domains relative to the polydisk.",
@@ -349,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         if point:
             sp.add_argument("--point", required=True, help="point as 're,im;re,im;...'")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--samples", type=int, default=_default_samples(),
+        sp.add_argument("--samples", type=int, default=None,
                         help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
                              "the default); no effect on values, which are closed-form")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
@@ -392,12 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
+        samples = _default_samples()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code else EXIT_OK
-        if getattr(args, "samples", None) is not None and args.samples < 8:
+        if args.samples is None:
+            args.samples = samples
+        if args.samples < 8:
             raise UsageError(f"--samples must be at least 8, got {args.samples}")
         steps = getattr(args, "steps", None)
         if steps is not None and not 1 <= steps <= MAX_STEPS:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ def membership(f: Factor, coord: Coordinate) -> bool:
 
 @lru_cache(maxsize=8)
 def _unit_circle(m: int) -> np.ndarray:
+    import numpy as np
+
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     circle.setflags(write=False)
     return circle
@@ -130,6 +133,8 @@ def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
         raise DomainError("boundary sampling is defined for planar factors only")
     if not isinstance(m, int) or m < 4:
         raise DomainError(f"sample count must be an integer >= 4, got {m}")
+    import numpy as np
+
     nudge = 4.0 * np.finfo(float).eps
     circle = _unit_circle(m)
     if isinstance(f, Annulus):

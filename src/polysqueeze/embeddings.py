@@ -11,14 +11,16 @@ squeezing value of one explicit embedding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .domains import Annulus, PlanarFactor, ProductDomain, ProductPoint, boundary_samples, membership, punctures
 from .errors import DomainError
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,11 @@ def map_eval(e: MapExpr, zeta):
 
     A reflection step has a pole at 0; scalar evaluation there raises.
     """
+    # Without numpy loaded, zeta cannot be a numpy array or scalar.
+    np = sys.modules.get("numpy")
     z = zeta
     for step in e.steps:
-        if isinstance(step, Reflection) and np.isscalar(z) and complex(z) == 0:
+        if isinstance(step, Reflection) and (np is None or np.isscalar(z)) and complex(z) == 0:
             raise DomainError("reflection has a pole at 0")
         z = _apply(step, z)
     return z
@@ -111,6 +115,8 @@ def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int = 4096) -> float:
     """
     if not isinstance(m, int) or m < 8:
         raise DomainError(f"sample count must be an integer >= 8, got {m}")
+    import numpy as np
+
     vals = np.abs(map_eval(e, boundary_samples(f, m)))
     best = float(vals.min())
     for p in punctures(f):
@@ -185,6 +191,8 @@ def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int =
 
 
 def _interior_grid(f: PlanarFactor, g: int) -> np.ndarray:
+    import numpy as np
+
     if isinstance(f, Annulus):
         radii = np.linspace(f.r + 0.02 * (1 - f.r), 1 - 0.02 * (1 - f.r), g)
         angles = np.exp(2j * np.pi * np.arange(g) / g)
@@ -196,6 +204,8 @@ def _interior_grid(f: PlanarFactor, g: int) -> np.ndarray:
 
 
 def _all_distinct(values: np.ndarray, tol: float) -> bool:
+    import numpy as np
+
     diff = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(diff, np.inf)
     return bool(diff.min() > tol)
@@ -207,5 +217,7 @@ def injectivity_spot_check(e: MapExpr, f: PlanarFactor, g: int = 16) -> bool:
     Catalog primitives are injective by construction, so this should only
     trip on a degenerate hand-built composition.
     """
+    import numpy as np
+
     pts = _interior_grid(f, g)
     return _all_distinct(np.asarray(map_eval(e, pts)), 1e-14)

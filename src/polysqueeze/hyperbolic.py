@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains import PlanarFactor, PuncturedDisk, membership, punctures
 from .errors import DomainError, UnsupportedGeometryError
 
@@ -108,7 +106,10 @@ class MobiusAut:
 
 def mobius_eval(m: MobiusAut, zeta):
     """Evaluate the automorphism at ``zeta`` (scalar or ndarray, |zeta| <= 1)."""
-    if not isinstance(zeta, np.ndarray):
+    # numpy is imported only where arrays are built: if it was never loaded,
+    # zeta cannot be an ndarray.
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(zeta, np.ndarray):
         w = (zeta - m.a) / (1.0 - m.a.conjugate() * zeta)
         if m.theta != 0.0:
             w = complex(math.cos(m.theta), math.sin(m.theta)) * w

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .domains import (
     Annulus,
     BallFactor,
@@ -406,6 +404,8 @@ def default_limit_path(r: float, side: str, steps: int = 256, end_eps: float = 1
         raise DomainError(f"side must be 'outer' or 'inner', got {side!r}")
     if steps == 1:
         return [to_x(end)]
+    import numpy as np
+
     return [to_x(float(delta)) for delta in np.geomspace(start, end, steps)]
 
 

@@ -3,7 +3,9 @@
 Each suite exercises one quantitative claim of the library at a pinned
 tolerance and returns :class:`Check` records; the CLI ``verify`` command and
 the acceptance tests both run these.  All randomness flows through one seeded
-generator per suite, so results are reproducible bit for bit.
+generator per suite, so results are reproducible bit for bit.  Suites that
+build arrays import numpy when they run, so importing this module (and the
+CLI, which lists :data:`SUITES`) does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import ProductMap, image_inradius_analytic, product_inradius
@@ -32,6 +33,9 @@ from .squeezing import (
     squeeze_bounds,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class Check:
@@ -45,6 +49,8 @@ def _check(name: str, passed: bool, detail: str) -> Check:
 
 
 def _random_disk_points(rng: np.random.Generator, count: int, lo: float, hi: float) -> np.ndarray:
+    import numpy as np
+
     moduli = rng.uniform(lo, hi, count)
     angles = rng.uniform(0.0, 2.0 * np.pi, count)
     return moduli * np.exp(1j * angles)
@@ -53,6 +59,8 @@ def _random_disk_points(rng: np.random.Generator, count: int, lo: float, hi: flo
 def suite_pinch(seed: int = 0) -> list[Check]:
     """Punctured-disk products: the puncture upper bound and the family search
     pinch the closed form min|z_i|, within runtime budget."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     worst_upper = 0.0
@@ -79,6 +87,8 @@ def suite_pinch(seed: int = 0) -> list[Check]:
 def suite_mixed(seed: int = 0) -> list[Check]:
     """Disk-times-punctured-disk products: exact value |z2|, matching upper
     bound, and the witness re-scored at 65536 samples."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
     worst_exact = worst_upper = worst_witness = 0.0
@@ -101,6 +111,8 @@ def suite_mixed(seed: int = 0) -> list[Check]:
 
 
 def _annulus_grid(r: float, n: int) -> np.ndarray:
+    import numpy as np
+
     h = (1.0 - r) / (n + 1)
     grid = np.linspace(r + h, 1.0 - h, n - 1)
     return np.sort(np.append(grid, math.sqrt(r)))
@@ -187,6 +199,8 @@ def suite_oracle(seed: int = 0) -> list[Check]:
     where the brute-force sampler itself exceeds the tolerance, so they test
     the sampler, not the formula.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     circle = np.exp(2j * np.pi * np.arange(65536) / 65536)
     worst = 0.0
@@ -211,6 +225,8 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
     ``sigma_inv`` carries: the rounded double tanh(t/2) alone would cost about
     cosh(t/2)^2 * 2^-52 in t (about 2e-8 at t = 20).
     """
+    import numpy as np
+
     ts = np.linspace(0.0, 20.0, 2001)
     worst_t = max(abs(sigma(sigma_inv(t)) - t) for t in ts)
     xs = np.linspace(0.0, 0.999999, 2001)
@@ -280,6 +296,8 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
     """Family honesty on the annulus: the catalog family cannot reach the
     closed form at |z1| = sqrt(r) and the report says so.  The analytic
     witness score the search uses is checked against the sampled oracle."""
+    import numpy as np
+
     r = 0.25
     d = ProductDomain((Annulus(r), UnitDisk()))
     z = d.point([0.5, 0j])

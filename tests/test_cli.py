@@ -3,11 +3,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysqueeze
 from polysqueeze import exact_squeeze, verify
 from polysqueeze.cli import (
     MAX_STEPS,
@@ -80,20 +84,30 @@ def test_eval_multi_puncture_lower_without_search(capsys, tmp_path):
     assert "ProductLower" in row["methods"]
 
 
-@pytest.mark.parametrize("factor", [
-    {"kind": "annulus", "r": "abc"},
-    {"kind": "annulus", "r": None},
-    {"kind": "punctured_disk", "punctures": [["x", 0]]},
-    {"kind": "ball", "n": 2.7},
-    {"kind": "punctured_disk", "punctures": [[1.3e308, 1.3e308]]},  # |p| overflows
-    {"kind": "annulus", "r": 10 ** 400},  # no double holds it
-])
-def test_malformed_spec_values_exit_2(capsys, tmp_path, factor):
+def _one_factor(factor) -> bytes:
+    return json.dumps({"factors": [factor]}).encode()
+
+
+@pytest.mark.parametrize("content, message", [
+    (_one_factor({"kind": "annulus", "r": "abc"}), "factors[0]"),
+    (_one_factor({"kind": "annulus", "r": None}), "factors[0]"),
+    (_one_factor({"kind": "punctured_disk", "punctures": [["x", 0]]}), "factors[0]"),
+    (_one_factor({"kind": "ball", "n": 2.7}), "factors[0]"),
+    (_one_factor({"kind": "punctured_disk", "punctures": [[1.3e308, 1.3e308]]}),  # |p| overflows
+     "factors[0]"),
+    (_one_factor({"kind": "annulus", "r": 10 ** 400}), "factors[0]"),  # no double holds it
+    # UTF-16 with its byte-order mark, not UTF-8
+    (b"\xff\xfe" + _one_factor({"kind": "disk"}).decode().encode("utf-16-le"), "not UTF-8"),
+    (b"[" * 100000, "invalid JSON"),  # nested past the recursion limit
+    (b'{"factors": [{"kind": "ball", "n": ' + b"1" * 5000 + b"}]}", "invalid JSON"),  # digit limit
+], ids=[*(f"factor{i}" for i in range(6)), "utf16", "deep_nesting", "int_digit_limit"])
+def test_malformed_spec_values_exit_2(capsys, tmp_path, content, message):
     spec = tmp_path / "bad.json"
-    spec.write_text(json.dumps({"factors": [factor]}))
-    # the point fits a 2-ball, so only the spec value itself can fail
+    spec.write_bytes(content)
+    # the point fits a 2-ball, so only the spec itself can fail
     assert main(["eval", "--spec", str(spec), "--point", "0.1,0;0.2,0"]) == 2
-    assert "factors[0]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 _JSON = st.recursive(
@@ -139,11 +153,13 @@ def _cli_input(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_cli_input(),
+       raw=st.none() | st.binary(max_size=64),
        command=st.sampled_from([("eval",), ("eval", "--no-search"), ("search",)]))
-def test_main_exit_contract_on_arbitrary_input(tmp_path_factory, case, command):
+def test_main_exit_contract_on_arbitrary_input(tmp_path_factory, case, raw, command):
     spec, point = case
     path = tmp_path_factory.getbasetemp() / "arbitrary_spec.json"
-    path.write_text(json.dumps(spec))
+    # the spec object as JSON, or arbitrary bytes in its place
+    path.write_bytes(json.dumps(spec).encode() if raw is None else raw)
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main([*command, "--spec", str(path), "--point=" + point])
@@ -361,6 +377,15 @@ def test_out_flag_writes_file(tmp_path, annulus):
     assert float(dict(zip(rows[0], rows[1]))["exact"]) == 0.625
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_out_unopenable_exits_2(capsys, tmp_path, annulus, where):
+    target = tmp_path / "no" / "such" / "x.csv" if where == "missing_dir" else tmp_path
+    assert main(["eval", "--spec", annulus, "--point", "0.4,0;0,0", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot open output file")
+
+
 def test_samples_env_override(capsys, monkeypatch, punct2):
     monkeypatch.setenv("SQUEEZE_SAMPLES", "512")
     assert main(["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"]) == 0
@@ -381,3 +406,101 @@ def test_ball_point_parsing(tmp_path, capsys):
     row = dict(zip(rows[0], rows[1]))
     assert row["exact"] == ""  # outside the closed-form catalog
     assert float(row["lower"]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+
+def test_closed_form_commands_never_import_numpy(tmp_path):
+    # eval, search and profile run on closed forms; numpy loads only for the
+    # commands that build arrays (limit, and verify suites that sample)
+    planar = [{"kind": "annulus", "r": 0.25},
+              {"kind": "punctured_disk", "punctures": [[0, 0], [0.5, 0]]}]
+    specs = []
+    for name, factors in (("planar", planar), ("ball", [*planar, {"kind": "ball", "n": 2}])):
+        specs.append(tmp_path / f"{name}.json")
+        specs[-1].write_text(json.dumps({"factors": factors}))
+    script = """
+import contextlib, io, json, sys
+import polysqueeze, polysqueeze.cli, polysqueeze.verify
+from polysqueeze.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+planar, ball = sys.argv[1:]
+codes = [run("eval", "--spec", planar, "--point", "0.6,0.1;0.2,0"),
+         run("eval", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0"),
+         run("eval", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0", "--no-search"),
+         run("search", "--spec", planar, "--point", "0.3,0;-0.2,0.1"),
+         run("profile", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0",
+             "--range", "0.3:0.9", "--steps", "16")]
+numpy_loaded = "numpy" in sys.modules
+codes += [run("limit", "--r", "0.25", "--steps", "16"), run("verify", "--suite", "hhr")]
+print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded}))
+"""
+    src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, specs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"codes": [0] * 7, "numpy_loaded": False}
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):
+    from polysqueeze import cli
+
+    point = ["--spec", annulus, "--point", "0.6,0.1;0.2,0"]
+    out_file = tmp_path / "row.csv"
+    calls = [
+        (["eval", *point, "--family", "reflection"], None),
+        (["eval", *point], None),
+        (["search", *point, "--budget", "1"], None),
+        (["eval", *point], None),
+        (["eval", *point, "--out", str(out_file)], None),
+        (["eval", *point], "512"),
+        (["eval", *point], "4"),        # below the floor of 8
+        (["eval", *point], None),       # unset again: no default left behind
+        (["eval", *point], "abc"),
+        (["eval", *point, "--samples", "512"], "abc"),  # the variable is still validated
+        (["eval", *point, "--family", "inclusion"], None),
+        (["eval", *point], None),
+    ]
+
+    def outcome(argv, env):
+        out_file.unlink(missing_ok=True)
+        if env is None:
+            monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
+        else:
+            monkeypatch.setenv("SQUEEZE_SAMPLES", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out_file.read_text() if out_file.exists() else None
+
+    alone = []
+    for argv, env in calls:
+        cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(outcome(argv, env))
+    cli.build_parser.cache_clear()
+    reused = [outcome(argv, env) for argv, env in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == alone
+    codes = [r[0] for r in reused]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 0]
+    assert reused[0][1] != reused[1][1]  # the reflection family shows in the witness
+    assert reused[4][1] == "" and reused[4][3] == reused[1][1]
+    assert "SQUEEZE_SAMPLES" in reused[9][2]
+
+
+@pytest.mark.parametrize("command", ["eval", "profile", "verify", "limit", "search"])
+def test_help_unchanged_by_parser_reuse(capsys, monkeypatch, annulus, command):
+    from polysqueeze import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    assert main([command, "--help"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["eval", "--spec", annulus, "--point", "0.6,0.1;0.2,0", "--family", "reflection"]) == 0
+    assert main(["limit", "--r", "0.5", "--steps", "4", "--samples", "64"]) == 0
+    capsys.readouterr()
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert fresh.startswith(f"usage: polysqueeze {command} ")

@@ -23,6 +23,7 @@ from polysqueeze import (
     injectivity_spot_check,
     map_eval,
     mobius_circle_min_modulus,
+    mobius_eval,
     product_inradius,
     removable_extension_at,
     single_factor_exact,
@@ -62,6 +63,35 @@ def test_map_eval_vectorized_matches_scalar():
     zs = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
     vec = map_eval(e, zs)
     assert np.allclose(vec, [map_eval(e, complex(z)) for z in zs], atol=1e-15)
+
+
+def test_scalar_and_array_dispatch_bitwise():
+    # mobius_eval and map_eval pick the scalar or array arithmetic by the
+    # input's type.  The three input kinds round differently in the last bit,
+    # so each must match the expression evaluated in its own type.
+    rng = np.random.default_rng(11)
+    zs = 0.9 * rng.uniform(0.3, 1, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+    for a, theta in ((0.3 - 0.4j, 0.0), (-0.6j, 2.1), (0.45 + 0.2j, -0.8)):
+        m = MobiusAut(a, theta)
+        e = mexpr(Reflection(0.25), m)
+        phase = complex(math.cos(theta), math.sin(theta))
+
+        def mobius(w):
+            w = (w - a) / (1.0 - a.conjugate() * w)
+            return phase * w if theta != 0.0 else w
+
+        assert np.array_equal(mobius_eval(m, zs), mobius(zs))
+        assert np.array_equal(map_eval(e, zs), mobius(0.25 / zs))
+        for z in zs:
+            for kind in (complex, np.complex128):
+                zk = kind(z)
+                got, want = mobius_eval(m, zk), mobius(zk)
+                assert type(got) is kind and got == want
+                got, want = map_eval(e, zk), mobius(0.25 / zk)
+                assert type(got) is kind and got == want
+    for zero in (0j, 0.0, np.complex128(0)):
+        with pytest.raises(DomainError):
+            map_eval(mexpr(Reflection(0.25)), zero)
 
 
 def test_map_expr_validation():
