@@ -21,7 +21,6 @@ from .domains import (
     UnitDisk,
     boundary_samples,
     factor_dim,
-    filled,
     membership,
     punctures,
 )
@@ -42,8 +41,6 @@ from .hyperbolic import (
     HyperbolicValue,
     MobiusAut,
     kob_disk,
-    kob_filled,
-    kob_upper_via_subdomain,
     mobius_circle_min_modulus,
     mobius_eval,
     poincare_distance,
@@ -113,14 +110,11 @@ __all__ = [
     "default_limit_path",
     "exact_squeeze",
     "factor_dim",
-    "filled",
     "hhr_flag",
     "image_inradius_analytic",
     "image_inradius_at_zero",
     "injectivity_spot_check",
     "kob_disk",
-    "kob_filled",
-    "kob_upper_via_subdomain",
     "map_eval",
     "membership",
     "mobius_circle_min_modulus",

@@ -24,8 +24,9 @@ import json
 import math
 import os
 import re
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk, factor_dim
 from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
@@ -223,17 +224,53 @@ def parse_product_map(text: str) -> ProductMap:
 
 # ------------------------------------------------------------------ commands
 
+def _open_file(path: str, name: str, mode: str):
+    try:
+        return open(name, mode, newline="")
+    except OSError as e:
+        raise UsageError(f"cannot open output file {path}: {e}") from e
+
+
 @contextmanager
 def _open_out(path: str | None):
+    """Yield the output stream: stdout, or a file that takes the place of ``path``.
+
+    The rows go to a new file beside ``path``, which is renamed over it when
+    the command returns and removed if the command raises, so a failing
+    command leaves an earlier file at ``path`` as it was.  The new file gets
+    the mode ``open(path, "w")`` would leave: that of the file it replaces,
+    else 0o666 less the umask.  A target that exists and is not a regular
+    file (a device, a pipe, a directory) holds no rows to keep and is opened
+    as given.
+    """
     if path is None:
         yield sys.stdout
         return
+    target = os.path.realpath(path)
     try:
-        fh = open(path, "w", newline="")
-    except OSError as e:
-        raise UsageError(f"cannot open output file {path}: {e}") from e
-    with fh:
-        yield fh
+        old_mode = os.stat(target).st_mode
+    except OSError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with _open_file(path, path, "w") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fh = _open_file(path, tmp, "x")
+    try:
+        with fh:
+            if old_mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(old_mode))
+            yield fh
+        try:
+            os.replace(tmp, target)
+        except OSError as e:
+            raise UsageError(f"cannot write output file {path}: {e}") from e
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _writer(out):

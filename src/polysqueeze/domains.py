@@ -152,19 +152,6 @@ def punctures(f: PlanarFactor) -> tuple[complex, ...]:
     return ()
 
 
-def filled(f: PlanarFactor, idx: int) -> PlanarFactor:
-    """Restore puncture ``idx`` to the domain.
-
-    Filling the last puncture yields the unit disk.
-    """
-    if not isinstance(f, PuncturedDisk):
-        raise DomainError(f"{type(f).__name__} has no puncture to fill")
-    if not (0 <= idx < len(f.punctures)):
-        raise DomainError(f"puncture index {idx} out of range for {len(f.punctures)} punctures")
-    rest = f.punctures[:idx] + f.punctures[idx + 1:]
-    return PuncturedDisk(rest) if rest else UnitDisk()
-
-
 @dataclass(frozen=True)
 class ProductDomain:
     """Ordered product of factor domains."""

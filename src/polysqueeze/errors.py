@@ -12,7 +12,8 @@ class DomainError(SqueezeError, ValueError):
 class UnsupportedGeometryError(SqueezeError):
     """The requested operation has no implementation for this geometry.
 
-    Raised by closed-form evaluators outside their catalog and by the
-    subdomain-disk estimator when no admissible disk exists.  Callers are
-    expected to fall back to bound aggregation.
+    Raised by :func:`~polysqueeze.squeezing.exact_squeeze` on a domain outside
+    the closed-form catalog and by
+    :func:`~polysqueeze.squeezing.single_factor_exact` on an unknown factor
+    kind.  Callers are expected to fall back to bound aggregation.
     """

@@ -2,9 +2,9 @@
 
 The radial distance function is ``sigma(x) = log((1+x)/(1-x))`` with inverse
 ``tanh(t/2)``; ``sigma(|z|)`` is the Poincare distance from 0 to ``z``.  The
-Kobayashi distance coincides with the Poincare distance on the disk, and on a
-subdomain it dominates the ambient one, which is what the upper-estimate
-helpers below exploit.
+Kobayashi distance coincides with the Poincare distance on the disk; the
+puncture upper bound of :mod:`polysqueeze.squeezing` measures it from a point
+to each puncture with every puncture filled, which is the whole disk.
 
 All functions are pure and operate on doubles.  Near the unit circle every
 bit of a radius ``x`` that matters is in ``1 - x``, which a double holding
@@ -22,8 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domains import PlanarFactor, PuncturedDisk, membership, punctures
-from .errors import DomainError, UnsupportedGeometryError
+from .errors import DomainError
 
 # Poincare distances are plain nonnegative finite floats.
 HyperbolicValue = float
@@ -156,50 +155,3 @@ def mobius_circle_min_modulus(a: complex, r: float) -> float:
     if not (0.0 < r < 1.0):
         raise DomainError(f"circle radius must lie in (0, 1), got {r}")
     return abs(abs(a) - r) / (1.0 - r * abs(a))
-
-
-def kob_filled(factor: PlanarFactor, z: complex, puncture_index: int) -> HyperbolicValue:
-    """Kobayashi distance from ``z`` to a puncture, measured in the filled factor.
-
-    Exact only when restoring the selected puncture leaves the unit disk,
-    i.e. for a single-puncture punctured disk.
-    """
-    ps = punctures(factor)
-    if not ps:
-        raise UnsupportedGeometryError(f"{type(factor).__name__} has no puncture to fill")
-    if not (0 <= puncture_index < len(ps)):
-        raise DomainError(f"puncture index {puncture_index} out of range")
-    if len(ps) != 1:
-        raise UnsupportedGeometryError(
-            "filled domain is not the unit disk; use kob_upper_via_subdomain"
-        )
-    z = complex(z)
-    if not membership(factor, z):
-        raise DomainError(f"{z} is not a point of the factor")
-    return kob_disk(z, ps[puncture_index])
-
-
-def kob_upper_via_subdomain(factor: PlanarFactor, z: complex, p: complex) -> HyperbolicValue:
-    """Upper estimate of the Kobayashi distance from ``z`` to ``p`` in the filled factor.
-
-    Uses the largest catalog disk inside the filled domain that contains both
-    points: the whole unit disk when ``p`` is the only puncture, otherwise the
-    disk centered at ``p`` whose radius is limited by the remaining punctures
-    and by the unit circle.  Inclusion of the disk makes the value an upper
-    bound of the true distance.  ``z`` may equal ``p`` (distance 0).
-    """
-    z, p = complex(z), complex(p)
-    ps = punctures(factor)
-    if p not in ps:
-        raise DomainError(f"{p} is not a puncture of the factor")
-    if z != p and not membership(factor, z):
-        raise DomainError(f"{z} is not a point of the factor")
-    others = [q for q in ps if q != p]
-    if not others:
-        return kob_disk(z, p)
-    rho = min(min(abs(q - p) for q in others), 1.0 - abs(p))
-    if abs(z - p) >= rho:
-        raise UnsupportedGeometryError(
-            "no admissible subdomain disk contains both the point and the puncture"
-        )
-    return sigma(abs(z - p) / rho)

@@ -2,10 +2,12 @@
 
 For a point z of a bounded product domain, the squeezing value is the largest
 c such that some injective holomorphic map sending z to 0 fits a polydisk of
-radius c inside its image.  This module evaluates the closed-form catalog
-(punctured-disk products, disk factors, one annulus with disk factors, a
-single ball), the puncture-based upper bound through filled-domain Kobayashi
-distances, the factorwise product lower bound, the boundary-clearance lower
+radius c inside its image.  Each factor kind has one closed form
+(:func:`single_factor_exact`), and the value of a catalog product is the min
+over its factors.  The catalog is products of disks and punctured disks
+(any number of punctures), one annulus with disk factors, and a single ball.
+This module also gives the puncture upper bound, which fills every puncture
+at once, the factorwise product lower bound, the boundary-clearance lower
 bound for the annulus, and aggregates everything into a consistent report.
 """
 
@@ -18,7 +20,6 @@ from typing import Optional
 from .domains import (
     Annulus,
     BallFactor,
-    PlanarFactor,
     ProductDomain,
     ProductPoint,
     PuncturedDisk,
@@ -27,7 +28,7 @@ from .domains import (
 )
 from .embeddings import MapExpr, ProductMap
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut, kob_filled, kob_upper_via_subdomain, mobius_eval, sigma_inv
+from .hyperbolic import MobiusAut, kob_disk, mobius_eval, sigma_inv
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -59,8 +60,12 @@ class BoundReport:
             self.lower - 1e-9 <= self.exact <= self.upper + 1e-9
         ):
             raise SqueezeError(f"exact value {self.exact} escapes [{self.lower}, {self.upper}]")
-        object.__setattr__(self, "lower", min(self.lower, self.upper))
-        object.__setattr__(self, "upper", min(self.upper, 1.0))
+        # min(lower, upper) and min(upper, 1.0), written as tests: most reports
+        # need neither clamp, and the closed-form paths build one per point
+        if self.upper < self.lower:
+            object.__setattr__(self, "lower", self.upper)
+        if 1.0 < self.upper:
+            object.__setattr__(self, "upper", 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,33 +93,35 @@ class LimitProfile:
         return tuple(b for _, b in self.entries)
 
 
+# One formula per column.  ``exact`` and ``lower`` use |phi_p(z)|
+# (:func:`_reduced_modulus`), and ``upper`` uses sigma_inv(kob_disk(z, p)).
+# The two are equal in exact arithmetic but differ in the last bit on about
+# 28 % of (z, p) pairs, and only this split keeps the printed single-puncture
+# values bit for bit stable.
 def _reduced_modulus(p: complex, z: complex) -> float:
     """Modulus of the automorphism image of ``z`` under the map vanishing at ``p``."""
     return abs(complex(mobius_eval(MobiusAut(p), z)))
 
 
 def single_factor_exact(f, coord) -> float:
-    """Squeezing value of a one-factor domain, where a closed form is known.
+    """Squeezing value of a one-factor domain, in closed form.
 
-    Disk: 1.  Punctured disk with one puncture p: modulus of z reduced by the
-    automorphism vanishing at p.  Annulus with inner radius r: max(|z|, r/|z|).
-    Ball of dimension n: 1/sqrt(n).
+    Disk: 1.  Punctured disk: min over its punctures p of the modulus of z
+    reduced by the automorphism vanishing at p.  Annulus with inner radius r:
+    max(|z|, r/|z|).  Ball of dimension n: 1/sqrt(n).
     """
     if isinstance(f, UnitDisk):
         return 1.0
-    if isinstance(f, BallFactor):
-        return 1.0 / math.sqrt(f.n)
     if isinstance(f, PuncturedDisk):
-        if len(f.punctures) != 1:
-            raise UnsupportedGeometryError(
-                "no closed form for a factor with several punctures"
-            )
-        return _reduced_modulus(f.punctures[0], complex(coord))
+        z = complex(coord)
+        return min(_reduced_modulus(p, z) for p in f.punctures)
     if isinstance(f, Annulus):
         x = abs(complex(coord))
         if not (f.r < x < 1.0):
             raise DomainError(f"|z| = {x} outside the annulus ({f.r}, 1)")
         return max(x, f.r / x)
+    if isinstance(f, BallFactor):
+        return 1.0 / math.sqrt(f.n)
     raise UnsupportedGeometryError(f"unknown factor kind {type(f).__name__}")
 
 
@@ -138,90 +145,49 @@ def _mobius_witnesses(d: ProductDomain, z: ProductPoint) -> ProductMap:
 def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
     """Closed-form squeezing value, for domains in the catalog.
 
-    Catalog: products mixing unit disks and single-puncture punctured disks
-    (value: min over punctured factors of the reduced modulus, 1 for a pure
-    polydisk); one annulus with unit-disk cofactors (piecewise value in the
-    annulus coordinate); a single ball.  Anything else raises
-    :class:`UnsupportedGeometryError` and callers fall back to bounds.
+    Catalog: products of unit disks and punctured disks, with any number of
+    punctures per factor; one annulus with unit-disk cofactors; a single
+    ball.  On each the value is the min over factors of
+    :func:`single_factor_exact`.  Disk and punctured-disk products carry the
+    witness that sends each coordinate to 0 by an automorphism.  Anything
+    else raises :class:`UnsupportedGeometryError` and callers fall back to
+    bounds.
     """
-    if len(d.factors) == 1 and isinstance(d.factors[0], BallFactor):
-        v = 1.0 / math.sqrt(d.factors[0].n)
-        return BoundReport(v, v, v, (), (CLOSED_FORM,))
-
-    ann = single_annulus_index(d)
-    if ann is not None:
-        r = d.factors[ann].r
-        x = abs(z.planar(ann))
-        v = max(x, r / x)
-        return BoundReport(v, v, v, (), (CLOSED_FORM,))
-
-    if all(
-        isinstance(f, UnitDisk)
-        or (isinstance(f, PuncturedDisk) and len(f.punctures) == 1)
-        for f in d.factors
-    ):
-        vals = [
-            _reduced_modulus(f.punctures[0], z.planar(i))
-            for i, f in enumerate(d.factors)
-            if isinstance(f, PuncturedDisk)
-        ]
-        v = min(vals) if vals else 1.0
-        return BoundReport(v, v, v, (_mobius_witnesses(d, z),), (CLOSED_FORM,))
-
-    raise UnsupportedGeometryError("domain is outside the closed-form catalog")
+    fs = d.factors
+    if single_annulus_index(d) is not None or (len(fs) == 1 and isinstance(fs[0], BallFactor)):
+        witnesses = ()
+    elif all(isinstance(f, (UnitDisk, PuncturedDisk)) for f in fs):
+        witnesses = (_mobius_witnesses(d, z),)
+    else:
+        raise UnsupportedGeometryError("domain is outside the closed-form catalog")
+    v = product_lower_bound(d, z)
+    return BoundReport(v, v, v, witnesses, (CLOSED_FORM,))
 
 
 def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Upper bound from punctures: min over (factor, puncture) of sigma_inv(K).
+    """Upper bound from punctures: min over factors i and punctures p of sigma_inv(k_D(z_i, p)).
 
-    K is the Kobayashi distance between the coordinate and the puncture in the
-    factor with that puncture restored: exact (disk distance) for a single
-    puncture, otherwise the subdomain-disk upper estimate.  Each admissible
-    pair bounds the squeezing value on its own, so the min over pairs is
-    valid even when some factors are not punctured, and ball factors, which
-    have no punctures, are skipped.
+    An injective map of the product into the polydisk is bounded, so it
+    extends across every puncture at once, and the puncture's image lies
+    outside the image of the domain.  The Kobayashi distance from z to the
+    filled puncture set is the least unit-disk distance k_D(z_i, p) over
+    factors and their punctures, which caps the squeezing value at
+    sigma_inv of it.  Factors without punctures, balls included, add no
+    candidate; a domain with no puncture at all raises :class:`DomainError`.
     """
-    candidates: list[float] = []
-    saw_puncture = False
-    for i, f in enumerate(d.factors):
-        if isinstance(f, BallFactor):
-            continue
-        ps = punctures(f)
-        if not ps:
-            continue
-        saw_puncture = True
-        zi = z.planar(i)
-        if len(ps) == 1:
-            candidates.append(sigma_inv(kob_filled(f, zi, 0)))
-        else:
-            for p in ps:
-                try:
-                    candidates.append(sigma_inv(kob_upper_via_subdomain(f, zi, p)))
-                except UnsupportedGeometryError:
-                    continue
-    if not saw_puncture:
-        raise DomainError("no factor has a puncture; the bound is inapplicable")
+    candidates = [
+        sigma_inv(kob_disk(z.planar(i), p))
+        for i, f in enumerate(d.factors)
+        for p in punctures(f)
+    ]
     if not candidates:
-        raise UnsupportedGeometryError("no admissible subdomain disk for any puncture")
+        raise DomainError("no factor has a puncture; the bound is inapplicable")
     return min(candidates)
 
 
-def single_factor_lower(f, coord) -> float:
-    """Certified lower bound for one factor: its closed form where one exists.
-
-    A punctured disk with several punctures has none; the automorphism
-    sending ``coord`` to 0 maps it onto the unit disk minus the images of the
-    punctures, which certifies the least modulus among those images.
-    """
-    if isinstance(f, PuncturedDisk) and len(f.punctures) > 1:
-        phi = MobiusAut(complex(coord))
-        return min(abs(complex(mobius_eval(phi, p))) for p in f.punctures)
-    return single_factor_exact(f, coord)
-
-
 def product_lower_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Factorwise lower bound: min over factors of the single-factor lower value."""
-    return min(single_factor_lower(f, c) for f, c in zip(d.factors, z.coords))
+    """Factorwise lower bound: min over factors of :func:`single_factor_exact`."""
+    return min(map(single_factor_exact, d.factors, z.coords))
 
 
 def annulus_clearance_bound(r: float, z1: complex) -> float:
@@ -278,7 +244,7 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, options: BoundsOptions | N
     try:
         uppers.append(puncture_upper_bound(d, z))
         methods.append(PUNCTURE_UPPER)
-    except (DomainError, UnsupportedGeometryError):
+    except DomainError:
         pass
 
     lowers = [0.0]

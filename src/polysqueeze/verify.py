@@ -86,7 +86,10 @@ def suite_pinch(seed: int = 0) -> list[Check]:
 
 def suite_mixed(seed: int = 0) -> list[Check]:
     """Disk-times-punctured-disk products: exact value |z2|, matching upper
-    bound, and the witness re-scored at 65536 samples."""
+    bound, and the witness re-scored at 65536 samples.  The same three
+    quantities on the disk punctured at {0, 0.5, -0.5i} times a disk, at 20
+    points kept 0.05 from every puncture: lower, upper and exact all equal
+    min_p |phi_z(p)|, which is evaluated here on its own."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -100,6 +103,22 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         worst_upper = max(worst_upper, abs(puncture_upper_bound(d, z) - abs(z2)))
         scored = product_inradius(rep.witnesses[0], d, z, 65536)
         worst_witness = max(worst_witness, abs(scored - abs(z2)))
+
+    ps = (0j, 0.5 + 0j, -0.5j)
+    d = ProductDomain((PuncturedDisk(ps), UnitDisk()))
+    worst_multi = worst_multi_witness = 0.0
+    for _ in range(20):
+        while True:
+            z1, z2 = (complex(c) for c in _random_disk_points(rng, 2, 0.0, 0.95))
+            if min(abs(z1 - p) for p in ps) >= 0.05:
+                break
+        z = d.point([z1, z2])
+        want = min(abs((z1 - p) / (1.0 - p.conjugate() * z1)) for p in ps)
+        rep = squeeze_bounds(d, z)
+        exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
+        worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
+        scored = product_inradius(rep.witnesses[0], d, z, 65536)
+        worst_multi_witness = max(worst_multi_witness, abs(scored - want))
     return [
         _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,
                f"max_err={worst_exact:.3e} tol=1e-12"),
@@ -107,6 +126,10 @@ def suite_mixed(seed: int = 0) -> list[Check]:
                f"max_err={worst_upper:.3e} tol=1e-12"),
         _check("mixed.witness_inradius", worst_witness <= 1e-4,
                f"max_err={worst_witness:.3e} tol=1e-4 samples=65536"),
+        _check("mixed.multi_puncture_exact", worst_multi <= 1e-12,
+               f"max_err={worst_multi:.3e} tol=1e-12 points=20"),
+        _check("mixed.multi_puncture_witness", worst_multi_witness <= 1e-4,
+               f"max_err={worst_multi_witness:.3e} tol=1e-4 samples=65536 points=20"),
     ]
 
 

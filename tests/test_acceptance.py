@@ -13,7 +13,7 @@ from polysqueeze.verify import run_suite
 
 CRITERIA = [
     ("pinch", "punctured-product pinch: upper bound and search meet min |z_i|"),
-    ("mixed", "disk x punctured-disk: exact |z2|, matching upper, witness inradius"),
+    ("mixed", "disk x punctured-disk, one or three punctures: exact, matching bounds, witness inradius"),
     ("annulus", "annulus x disk piecewise closed form on 1000-point grids"),
     ("limit", "boundary limit: clearance profile climbs to 1 on both sides"),
     ("ball_ratios", "ball products: both fixed-ratio hypotheses fail with margin"),

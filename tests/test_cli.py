@@ -386,6 +386,37 @@ def test_out_unopenable_exits_2(capsys, tmp_path, annulus, where):
     assert captured.err.startswith("error: cannot open output file")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--point", "x,y;0,0"], 2),                  # parse error
+    (["eval", "--point", "2,0;0,0"], 3),                  # outside the domain, before any row
+    (["profile", "--point", "0.5,0;0,0", "--range", "0.3:1.2", "--steps", "5"], 3),  # mid-profile
+], ids=["exit2", "exit3_before_rows", "exit3_mid_profile"])
+def test_out_keeps_old_bytes_on_failure(capsys, tmp_path, annulus, argv, code):
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"old,bytes\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main([argv[0], "--spec", annulus, *argv[1:], "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == b"old,bytes\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file left behind
+
+
+def test_out_file_mode_as_open_gives(tmp_path, annulus):
+    argv = ["eval", "--spec", annulus, "--point", "0.4,0;0,0", "--no-search", "--out"]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w"):
+        pass
+    fresh = tmp_path / "fresh.csv"
+    assert main(argv + [str(fresh)]) == 0
+    assert fresh.stat().st_mode == reference.stat().st_mode
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o600)
+    assert main(argv + [str(kept)]) == 0
+    assert kept.stat().st_mode & 0o777 == 0o600
+    assert kept.read_text().startswith("lower,")
+
+
 def test_samples_env_override(capsys, monkeypatch, punct2):
     monkeypatch.setenv("SQUEEZE_SAMPLES", "512")
     assert main(["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"]) == 0

@@ -12,7 +12,6 @@ from polysqueeze import (
     UnitDisk,
     boundary_samples,
     factor_dim,
-    filled,
     membership,
     punctures,
 )
@@ -95,29 +94,6 @@ def test_punctures_listing():
     assert punctures(PuncturedDisk((0j, 0.5 + 0j))) == (0j, 0.5 + 0j)
     assert punctures(Annulus(0.3)) == ()
     assert punctures(UnitDisk()) == ()
-
-
-def test_filled_single_puncture_gives_disk():
-    assert filled(PuncturedDisk((0j,)), 0) == UnitDisk()
-
-
-def test_filled_removes_one_puncture():
-    assert filled(PuncturedDisk((0j, 0.5 + 0j)), 1) == PuncturedDisk((0j,))
-
-
-def test_filled_errors():
-    with pytest.raises(DomainError):
-        filled(UnitDisk(), 0)
-    with pytest.raises(DomainError):
-        filled(PuncturedDisk((0j,)), 1)
-
-
-def test_filled_strictly_contains():
-    f = PuncturedDisk((0j, 0.5 + 0j))
-    g = filled(f, 0)
-    grid = [complex(x, y) for x in np.linspace(-0.9, 0.9, 21) for y in np.linspace(-0.9, 0.9, 21)]
-    assert all(membership(g, z) for z in grid if membership(f, z))
-    assert membership(g, 0j) and not membership(f, 0j)
 
 
 # ----------------------------------------------------------- factor validation

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from polysqueeze import (
     DomainError,
     MobiusAut,
-    PuncturedDisk,
-    UnsupportedGeometryError,
     kob_disk,
-    kob_filled,
-    kob_upper_via_subdomain,
     mobius_circle_min_modulus,
     mobius_eval,
     poincare_distance,
@@ -166,6 +162,8 @@ def test_poincare_two_point_reduction():
     # closed form for real points: sigma(|b - a| / (1 - a b))
     expected = math.log((1 + 0.4 / 0.79) / (1 - 0.4 / 0.79))
     assert poincare_distance(0.3, 0.7) == pytest.approx(expected, abs=1e-13)
+    # Mobius reduction oracle off the centre: pseudo-hyperbolic distance 0.3/0.9
+    assert kob_disk(0.5, 0.2) == pytest.approx(sigma(0.3 / 0.9), abs=1e-13)
 
 
 def test_poincare_outside_disk():
@@ -257,69 +255,3 @@ def test_circle_min_validation():
         mobius_circle_min_modulus(1.2, 0.5)
     with pytest.raises(DomainError):
         mobius_circle_min_modulus(0.2, 1.0)
-
-
-# ------------------------------------------------- Kobayashi on factor domains
-
-def test_kob_filled_origin_puncture():
-    f = PuncturedDisk((0j,))
-    assert kob_filled(f, 0.4, 0) == pytest.approx(sigma(0.4), abs=1e-15)
-
-
-def test_kob_filled_rejects_point_at_puncture():
-    f = PuncturedDisk((0.2 + 0j,))
-    with pytest.raises(DomainError):
-        kob_filled(f, 0.2, 0)
-
-
-def test_kob_filled_offcenter_puncture():
-    f = PuncturedDisk((0.2 + 0j,))
-    # Mobius reduction oracle: pseudo-hyperbolic distance 0.3/0.9
-    expected = sigma(0.3 / 0.9)
-    assert kob_filled(f, 0.5, 0) == pytest.approx(expected, abs=1e-13)
-    assert kob_filled(f, 0.5, 0) == pytest.approx(kob_disk(0.5, 0.2), abs=1e-15)
-
-
-def test_kob_filled_requires_single_puncture():
-    f = PuncturedDisk((0j, 0.5 + 0j))
-    with pytest.raises(UnsupportedGeometryError):
-        kob_filled(f, 0.3, 0)
-
-
-def test_kob_upper_single_puncture_is_tight():
-    f = PuncturedDisk((0.2 + 0j,))
-    assert kob_upper_via_subdomain(f, 0.5, 0.2) == kob_filled(f, 0.5, 0)
-
-
-def test_kob_upper_two_punctures():
-    f = PuncturedDisk((0j, 0.5 + 0j))
-    got = kob_upper_via_subdomain(f, 0.1, 0j)
-    assert got == pytest.approx(sigma(0.2), abs=1e-15)
-    # upper estimate dominates the ambient-disk lower bound for the distance
-    assert got >= poincare_distance(0.1, 0.0) - 1e-15
-
-
-def test_kob_upper_coincident_points():
-    f = PuncturedDisk((0j, 0.5 + 0j))
-    assert kob_upper_via_subdomain(f, 0j, 0j) == 0.0
-
-
-def test_kob_upper_no_admissible_disk():
-    f = PuncturedDisk((0j, 0.1 + 0j))
-    with pytest.raises(UnsupportedGeometryError):
-        kob_upper_via_subdomain(f, 0.8, 0j)
-
-
-def test_kob_upper_requires_actual_puncture():
-    f = PuncturedDisk((0j,))
-    with pytest.raises(DomainError):
-        kob_upper_via_subdomain(f, 0.5, 0.3)
-
-
-@settings(max_examples=100)
-@given(disk_points(0.8), disk_points(0.8))
-def test_kob_upper_dominates_kob_filled(z, p):
-    if abs(z - p) < 1e-9:
-        z = p + 0.05
-    f = PuncturedDisk((p,))
-    assert kob_upper_via_subdomain(f, z, p) >= kob_filled(f, z, 0) - 1e-12

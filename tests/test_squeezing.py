@@ -62,8 +62,10 @@ def test_single_factor_annulus_branches():
 
 
 def test_single_factor_multi_puncture_unsupported():
-    with pytest.raises(UnsupportedGeometryError):
-        single_factor_exact(PuncturedDisk((0j, 0.5 + 0j)), 0.3)
+    # least reduced modulus over the punctures, written out: |0.3| and
+    # |0.3 - 0.5| / (1 - 0.5 * 0.3)
+    want = min(0.3, 0.2 / 0.85)
+    assert single_factor_exact(PuncturedDisk((0j, 0.5 + 0j)), 0.3) == pytest.approx(want, abs=1e-15)
 
 
 # -------------------------------------------------------------- exact catalog
@@ -112,9 +114,9 @@ def test_exact_outside_catalog():
     z2 = ProductDomain((Annulus(0.2), Annulus(0.3))).point([0.5, 0.6])
     with pytest.raises(UnsupportedGeometryError):
         exact_squeeze(ProductDomain((Annulus(0.2), Annulus(0.3))), z2)
-    d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j)),))
+    d = ProductDomain((BallFactor(2), PuncturedDisk((0j,))))
     with pytest.raises(UnsupportedGeometryError):
-        exact_squeeze(d, d.point([0.3j]))
+        exact_squeeze(d, d.point([(0.1, 0j), 0.3]))
     mixed = ProductDomain((Annulus(0.2), PuncturedDisk((0j,))))
     with pytest.raises(UnsupportedGeometryError):
         exact_squeeze(mixed, mixed.point([0.5, 0.5]))
@@ -193,11 +195,9 @@ def test_upper_skips_ball_factors():
 def test_upper_multi_puncture_subdomain():
     d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j)),))
     z = d.point([0.1])
-    # best admissible pair: fill 0, subdomain disk of radius 0.5, then
-    # fill 0.5, subdomain disk of radius 0.5 around it
-    from polysqueeze import sigma_inv, sigma
-    want = min(sigma_inv(sigma(0.1 / 0.5)), sigma_inv(sigma(0.4 / 0.5)))
-    assert puncture_upper_bound(d, z) == pytest.approx(want, abs=1e-12)
+    # both punctures filled at once: the least pseudo-hyperbolic distance,
+    # min(0.1, 0.4 / 0.95), to the puncture 0
+    assert puncture_upper_bound(d, z) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_upper_pinches_exact_on_catalog():
@@ -299,7 +299,10 @@ def test_bounds_pinched_on_catalog():
 def test_bounds_two_puncture_sandwich():
     d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j)),))
     rep = squeeze_bounds(d, d.point([0.1]))
-    assert rep.exact is None
+    # the closed form min(0.1, 0.4 / 0.95), pinched by both bounds
+    assert rep.exact == pytest.approx(0.1, abs=1e-15)
+    assert CLOSED_FORM in rep.methods
+    assert rep.upper - rep.lower <= 1e-15
     assert 0 < rep.lower <= rep.upper < 1
     assert PUNCTURE_UPPER in rep.methods and SEARCH in rep.methods
     assert PRODUCT_LOWER in rep.methods
