@@ -8,6 +8,7 @@ witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
@@ -118,29 +119,45 @@ def _unit_circle(m: int) -> np.ndarray:
     return circle
 
 
+_NUDGE = 4.0 * sys.float_info.epsilon
+
+
+def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
+    """Radius of each sampled boundary circle, nudged a few ulps off the open set.
+
+    ``1 + 4 eps`` for the outer circle, then ``(1 - 4 eps) r`` for the inner
+    circle of an annulus.  The samples of a circle are this radius times
+    ``_unit_circle(m)``; :func:`boundary_samples` and the blocked sampler of
+    :mod:`polysqueeze.embeddings` both build them from here.
+    """
+    if isinstance(f, BallFactor):
+        raise DomainError("boundary sampling is defined for planar factors only")
+    if isinstance(f, Annulus):
+        return (1.0 + _NUDGE, (1.0 - _NUDGE) * f.r)
+    return (1.0 + _NUDGE,)
+
+
 def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
     """``m`` equally-angle-spaced points per non-singleton boundary circle.
 
     Outer circle first, then the inner circle for an annulus; angles start at
     0 and increase counterclockwise.  Points are nudged radially by a few ulps
-    off the open set (outward on the outer circle, inward on the inner one) so
-    that no sample ever passes membership.  Punctures are not sampled here;
-    they are reported by :func:`punctures`.  The returned array is read-only.
-    Only the unit circle is cached, once per ``m``: an array per factor would
-    hold 2 MB for each annulus sampled at 65536 points.
+    off the open set (outward on the outer circle, inward on the inner one;
+    see :func:`_sample_radii`) so that no sample ever passes membership.
+    Punctures are not sampled here; they are reported by :func:`punctures`.
+    The returned array is read-only and holds every sample at once; the
+    sampled inradius of :mod:`polysqueeze.embeddings` evaluates the same
+    points block by block instead.  Only the unit circle is cached, once per
+    ``m``: an array per factor would hold 2 MB for each annulus sampled at
+    65536 points.
     """
-    if isinstance(f, BallFactor):
-        raise DomainError("boundary sampling is defined for planar factors only")
+    radii = _sample_radii(f)
     if not isinstance(m, int) or m < 4:
         raise DomainError(f"sample count must be an integer >= 4, got {m}")
     import numpy as np
 
-    nudge = 4.0 * np.finfo(float).eps
     circle = _unit_circle(m)
-    if isinstance(f, Annulus):
-        out = np.concatenate([(1.0 + nudge) * circle, (1.0 - nudge) * f.r * circle])
-    else:
-        out = (1.0 + nudge) * circle
+    out = np.concatenate([rho * circle for rho in radii])
     out.setflags(write=False)
     return out
 

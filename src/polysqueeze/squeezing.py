@@ -28,7 +28,7 @@ from .domains import (
 )
 from .embeddings import MapExpr, ProductMap
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut, kob_disk, mobius_eval, sigma_inv
+from .hyperbolic import MobiusAut
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -93,14 +93,17 @@ class LimitProfile:
         return tuple(b for _, b in self.entries)
 
 
-# One formula per column.  ``exact`` and ``lower`` use |phi_p(z)|
-# (:func:`_reduced_modulus`), and ``upper`` uses sigma_inv(kob_disk(z, p)).
-# The two are equal in exact arithmetic but differ in the last bit on about
-# 28 % of (z, p) pairs, and only this split keeps the printed single-puncture
-# values bit for bit stable.
+# One formula for every column.  ``exact``, ``lower`` and ``upper`` all use
+# |phi_p(z)| (:func:`_reduced_modulus`).  The equal value sigma_inv(k_D(z, p))
+# rounds differently in the last bit on about 28 % of (z, p) pairs, and an
+# ``upper`` from it could sit below ``exact`` and drag ``lower`` down with it.
 def _reduced_modulus(p: complex, z: complex) -> float:
-    """Modulus of the automorphism image of ``z`` under the map vanishing at ``p``."""
-    return abs(complex(mobius_eval(MobiusAut(p), z)))
+    """Modulus of the automorphism image of ``z`` under the map vanishing at ``p``.
+
+    The expression of :func:`~polysqueeze.hyperbolic.mobius_eval` with
+    rotation 0, written out: the same double, without building a map.
+    """
+    return abs((z - p) / (1.0 - p.conjugate() * z))
 
 
 def single_factor_exact(f, coord) -> float:
@@ -165,18 +168,21 @@ def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
 
 
 def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Upper bound from punctures: min over factors i and punctures p of sigma_inv(k_D(z_i, p)).
+    """Upper bound from punctures: min over factors i and punctures p of |phi_p(z_i)|.
 
     An injective map of the product into the polydisk is bounded, so it
     extends across every puncture at once, and the puncture's image lies
     outside the image of the domain.  The Kobayashi distance from z to the
     filled puncture set is the least unit-disk distance k_D(z_i, p) over
     factors and their punctures, which caps the squeezing value at
-    sigma_inv of it.  Factors without punctures, balls included, add no
-    candidate; a domain with no puncture at all raises :class:`DomainError`.
+    sigma_inv of it, the pseudo-hyperbolic distance |phi_p(z_i)|.  That is
+    evaluated as :func:`_reduced_modulus`, the double ``exact`` uses, so the
+    bracket holds ``exact`` to the last bit.  Factors without punctures,
+    balls included, add no candidate; a domain with no puncture at all
+    raises :class:`DomainError`.
     """
     candidates = [
-        sigma_inv(kob_disk(z.planar(i), p))
+        _reduced_modulus(p, z.planar(i))
         for i, f in enumerate(d.factors)
         for p in punctures(f)
     ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
-from .embeddings import ProductMap, image_inradius_analytic, product_inradius
+from .embeddings import ProductMap, _sampled_circle_min, image_inradius_analytic, product_inradius
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval, poincare_distance, sigma, sigma_inv
 from .search import INCLUSION, REFLECTION, FamilySpec, build_factor_witness, search_lower_bound
 from .squeezing import (
@@ -225,7 +225,6 @@ def suite_oracle(seed: int = 0) -> list[Check]:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    circle = np.exp(2j * np.pi * np.arange(65536) / 65536)
     worst = 0.0
     for _ in range(1000):
         while True:
@@ -234,10 +233,29 @@ def suite_oracle(seed: int = 0) -> list[Check]:
             if abs(amod - r) >= 0.01:
                 break
         a = amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        brute = float(np.abs(mobius_eval(MobiusAut(a), r * circle)).min())
+        brute = _sampled_circle_min(MobiusAut(a), r, 65536)
         worst = max(worst, abs(brute - mobius_circle_min_modulus(a, r)))
     return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
                    f"max_err={worst:.3e} tol=1e-4 pairs=1000 samples=65536")]
+
+
+def _hyperbolic_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` triples of points with moduli in [0, 0.85), and ``count`` angles in [0, 2 pi).
+
+    One ``rng.random`` call draws every uniform.  Each row maps its seven as
+    ``Generator.uniform`` maps one draw, lo + (hi - lo) u with lo = 0, in the
+    order of the per-triple draws it replaces: three moduli, three angles,
+    then the rotation angle.  The values are those of
+    ``_random_disk_points(rng, 3, 0.0, 0.85)`` followed by
+    ``rng.uniform(0.0, 2 pi)`` per triple, bit for bit, and the points stay
+    ``numpy.complex128``.
+    """
+    import numpy as np
+
+    u = rng.random((count, 7))
+    moduli = 0.85 * u[:, :3]
+    angles = 2.0 * np.pi * u[:, 3:]
+    return moduli * np.exp(1j * angles[:, :3]), angles[:, 3]
 
 
 def suite_hyperbolic(seed: int = 0) -> list[Check]:
@@ -255,11 +273,10 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
     xs = np.linspace(0.0, 0.999999, 2001)
     worst_x = max(abs(sigma_inv(sigma(x)) - x) for x in xs)
 
-    rng = np.random.default_rng(seed)
+    points, thetas = _hyperbolic_draws(np.random.default_rng(seed), 10000)
     worst_inv = 0.0
-    for _ in range(10000):
-        a, b, c = _random_disk_points(rng, 3, 0.0, 0.85)
-        m = MobiusAut(c, rng.uniform(0.0, 2.0 * np.pi))
+    for (a, b, c), theta in zip(points, thetas):
+        m = MobiusAut(c, theta)
         d1 = poincare_distance(a, b)
         d2 = poincare_distance(complex(mobius_eval(m, a)), complex(mobius_eval(m, b)))
         worst_inv = max(worst_inv, abs(d1 - d2))

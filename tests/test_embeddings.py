@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ from polysqueeze import (
     removable_extension_at,
     single_factor_exact,
 )
-from polysqueeze.embeddings import _all_distinct
-from polysqueeze.search import build_factor_witness
+from polysqueeze.domains import _unit_circle, punctures
+from polysqueeze.embeddings import _SAMPLE_BLOCK, _all_distinct, _sampled_circle_min
+from polysqueeze.search import INCLUSION, REFLECTION, build_factor_witness
 
 
 def mexpr(*steps):
@@ -170,6 +173,76 @@ def test_inradius_capped_by_puncture_images():
 def test_inradius_mobius_only_on_disk_is_one(amod, ang, theta):
     e = mexpr(MobiusAut(amod * cmath.exp(1j * ang), theta))
     assert image_inradius_at_zero(e, UnitDisk(), 256) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------------ blocked sampling
+
+# Witnesses of each factor kind on each branch that applies to it (the
+# reflection branch exists on annulus factors only), with and without an
+# extra automorphism before the normalizer.
+BLOCK_CASES = {
+    "disk-inclusion": (UnitDisk(), 0.3 - 0.4j, INCLUSION, 0j),
+    "disk-inclusion-mobius": (UnitDisk(), 0.3 - 0.4j, INCLUSION, 0.2 + 0.1j),
+    "punctured-inclusion": (PuncturedDisk((0j, 0.5 + 0j, -0.5j)), 0.1 + 0.2j, INCLUSION, 0j),
+    "punctured-inclusion-mobius": (PuncturedDisk((0.3 - 0.2j,)), -0.4 + 0.1j, INCLUSION, -0.6j),
+    "annulus-inclusion": (Annulus(0.25), 0.7 + 0.1j, INCLUSION, 0j),
+    "annulus-reflection": (Annulus(0.25), 0.3 - 0.1j, REFLECTION, 0j),
+    "annulus-reflection-mobius": (Annulus(0.64), -0.85j, REFLECTION, 0.5),
+}
+BLOCK_SIZES = (8, 4096, 16384, 16385, 65536, 100000)
+NUDGE = 4.0 * np.finfo(float).eps  # radial offset of the samples off the open set
+
+
+def whole_array_inradius(e, f, m):
+    """The sampled inradius as one array over every boundary sample."""
+    best = float(np.abs(map_eval(e, boundary_samples(f, m))).min())
+    for p in punctures(f):
+        best = min(best, abs(removable_extension_at(e, p)))
+    return best
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_sampling_bitwise_equals_whole_array(case, m):
+    f, z, branch, a = BLOCK_CASES[case]
+    e = build_factor_witness(f, z, branch, a)
+    samples = boundary_samples(f, m)
+    # each circle on its own, then the whole inradius with its punctures
+    radii = (1.0 + NUDGE, (1.0 - NUDGE) * f.r) if isinstance(f, Annulus) else (1.0 + NUDGE,)
+    for k, rho in enumerate(radii):
+        whole = float(np.abs(map_eval(e, samples[k * m:(k + 1) * m])).min())
+        assert _sampled_circle_min(partial(map_eval, e), rho, m) == whole
+    assert image_inradius_at_zero(e, f, m) == whole_array_inradius(e, f, m)
+
+
+def test_blocked_sampling_propagates_nan():
+    # one NaN, in the third block of four: numpy's min over the block minima
+    # keeps it, as .min() over the whole array does
+    m = 4 * _SAMPLE_BLOCK
+    nan_at = 2 * _SAMPLE_BLOCK + 5
+    point = _unit_circle(m)[nan_at]
+
+    def fn(w):
+        return np.where(w == point, np.nan, w)
+
+    assert math.isnan(float(np.abs(fn(_unit_circle(m))).min()))
+    assert math.isnan(_sampled_circle_min(fn, 1.0, m))
+
+
+def test_blocked_sampling_memory_stays_within_blocks():
+    # 2**20 points a circle: every whole-circle temporary would be 8-16 MB
+    m = 2 ** 20
+    f = Annulus(0.25)
+    e = build_factor_witness(f, 0.3 - 0.1j, REFLECTION, 0j)
+    _unit_circle(m)  # the cached circle is shared, so it is not counted
+    tracemalloc.start()
+    try:
+        image_inradius_at_zero(e, f, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _unit_circle.cache_clear()
+    assert peak <= 2 * 2 ** 20, f"peak {peak} bytes above the cached circle"
 
 
 # ------------------------------------------------------------- analytic oracle

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysqueeze import (
     Annulus,
@@ -23,6 +25,7 @@ from polysqueeze import (
     default_limit_path,
     exact_squeeze,
     hhr_flag,
+    membership,
     product_inradius,
     product_lower_bound,
     puncture_upper_bound,
@@ -30,7 +33,15 @@ from polysqueeze import (
     single_factor_exact,
     squeeze_bounds,
 )
-from polysqueeze.squeezing import CLEARANCE_LOWER, CLOSED_FORM, PRODUCT_LOWER, PUNCTURE_UPPER, SEARCH
+from polysqueeze.hyperbolic import MobiusAut, mobius_eval
+from polysqueeze.squeezing import (
+    CLEARANCE_LOWER,
+    CLOSED_FORM,
+    PRODUCT_LOWER,
+    PUNCTURE_UPPER,
+    SEARCH,
+    _reduced_modulus,
+)
 
 PUNCT2 = ProductDomain((PuncturedDisk((0j,)), PuncturedDisk((0j,))))
 MIXED = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
@@ -207,6 +218,38 @@ def test_upper_pinches_exact_on_catalog():
         z = PUNCT2.point(list(coords))
         exact = exact_squeeze(PUNCT2, z).exact
         assert abs(puncture_upper_bound(PUNCT2, z) - exact) <= 1e-12
+
+
+def test_reduced_modulus_is_the_mobius_double():
+    # written out, the expression is mobius_eval's at rotation 0, bit for bit
+    rng = np.random.default_rng(5)
+    ps = rng.uniform(0.0, 0.95, 2000) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2000))
+    zs = rng.uniform(0.0, 0.95, 2000) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2000))
+    for p, z in zip(ps, zs):
+        p, z = complex(p), complex(z)
+        assert _reduced_modulus(p, z) == abs(complex(mobius_eval(MobiusAut(p), z)))
+
+
+BRACKET_DOMAINS = {
+    "disk": ProductDomain((UnitDisk(), UnitDisk())),
+    "punctured": ProductDomain((UnitDisk(), PuncturedDisk((0.3 - 0.2j,)))),
+    "punctured2": PUNCT2,
+    "three_puncture": ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)), UnitDisk())),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_DOMAINS)),
+       st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi),
+       st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi),
+       st.booleans())
+def test_bracket_holds_exact_to_the_last_bit(name, r1, t1, r2, t2, search):
+    # upper and exact are one double, so no tolerance is needed
+    d = BRACKET_DOMAINS[name]
+    coords = [cmath.rect(r1, t1), cmath.rect(r2, t2)]
+    assume(all(map(membership, d.factors, coords)))
+    rep = squeeze_bounds(d, d.point(coords), BoundsOptions(search=search))
+    assert rep.lower <= rep.exact <= rep.upper
 
 
 # ------------------------------------------------------------- product lower
