@@ -332,6 +332,8 @@ def cmd_profile(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         checks = run_suite(args.suite, seed=args.seed)
     except KeyError:
@@ -352,7 +354,11 @@ def cmd_limit(args, out) -> int:
         raise UsageError(f"inner radius must lie in (0, 1), got {args.r}")
     if args.side not in ("outer", "inner"):
         raise UsageError(f"side must be 'outer' or 'inner', got {args.side!r}")
-    path = default_limit_path(args.r, args.side, args.steps)
+    try:
+        path = default_limit_path(args.r, args.side, args.steps)
+    except DomainError as e:
+        # r and side are valid here, so the path itself is too short
+        raise UsageError(f"--steps {args.steps}: {e}") from None
     profile = boundary_limit_profile(args.r, path, include_exact=False)
     w = _writer(out)
     w.writerow(["param", "bound"])

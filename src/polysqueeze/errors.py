@@ -13,7 +13,7 @@ class UnsupportedGeometryError(SqueezeError):
     """The requested operation has no implementation for this geometry.
 
     Raised by :func:`~polysqueeze.squeezing.exact_squeeze` on a domain outside
-    the closed-form catalog and by
-    :func:`~polysqueeze.squeezing.single_factor_exact` on an unknown factor
-    kind.  Callers are expected to fall back to bound aggregation.
+    the closed-form catalog, where callers fall back to bound aggregation,
+    and by every reader of the factor-kind table in
+    :mod:`polysqueeze.squeezing` on a factor kind the table has no row for.
     """

@@ -2,33 +2,28 @@
 
 For a point z of a bounded product domain, the squeezing value is the largest
 c such that some injective holomorphic map sending z to 0 fits a polydisk of
-radius c inside its image.  Each factor kind has one closed form
-(:func:`single_factor_exact`), and the value of a catalog product is the min
-over its factors.  The catalog is products of disks and punctured disks
-(any number of punctures), one annulus with disk factors, and a single ball.
-This module also gives the puncture upper bound, which fills every puncture
-at once, the factorwise product lower bound, the boundary-clearance lower
-bound for the annulus, and aggregates everything into a consistent report.
+radius c inside its image.  A polydisk fits in a product image iff it fits in
+every factor image, so every bound here comes from one table keyed by factor
+kind (``_KINDS``: closed form, puncture cap, family branches and their
+closed-form scores) and one product rule, the min over factors.  The catalog,
+where that min is the value, is products of disks and punctured disks, one
+annulus with disk factors, and a single ball.  :func:`squeeze_bounds` reads
+each row once; the other bounds and :mod:`polysqueeze.search` read the
+columns they need.  Also here: the annulus boundary-clearance bound and its
+limit profiles.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .domains import (
-    Annulus,
-    BallFactor,
-    ProductDomain,
-    ProductPoint,
-    PuncturedDisk,
-    UnitDisk,
-    punctures,
-)
-from .embeddings import MapExpr, ProductMap
+from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
+from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, require_base_to_zero
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut
+from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -37,6 +32,11 @@ PRODUCT_LOWER = "ProductLower"
 CLEARANCE_LOWER = "ClearanceLower"
 SEARCH = "Search"
 FAMILY_GAP = "FamilyGap"
+
+# Witness-family branches: keep the boundary circles where they are, or
+# swap the two circles of an annulus with zeta -> r / zeta first.
+INCLUSION = "inclusion"
+REFLECTION = "reflection"
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,16 @@ class BoundReport:
     methods: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lower <= self.upper + 1e-9 and self.upper <= 1.0 + 1e-9):
-            raise SqueezeError(f"inconsistent bounds: lower={self.lower}, upper={self.upper}")
-        if self.exact is not None and not (
-            self.lower - 1e-9 <= self.exact <= self.upper + 1e-9
-        ):
-            raise SqueezeError(f"exact value {self.exact} escapes [{self.lower}, {self.upper}]")
-        # min(lower, upper) and min(upper, 1.0), written as tests: most reports
-        # need neither clamp, and the closed-form paths build one per point
-        if self.upper < self.lower:
-            object.__setattr__(self, "lower", self.upper)
-        if 1.0 < self.upper:
+        lower, upper, exact = self.lower, self.upper, self.exact
+        if not (0.0 <= lower <= upper + 1e-9 and upper <= 1.0 + 1e-9):
+            raise SqueezeError(f"inconsistent bounds: lower={lower}, upper={upper}")
+        if exact is not None and not (lower - 1e-9 <= exact <= upper + 1e-9):
+            raise SqueezeError(f"exact value {exact} escapes [{lower}, {upper}]")
+        # min(lower, upper) and min(upper, 1.0), written as tests, and the fields
+        # read once: most reports need no clamp, and closed forms make one a point
+        if upper < lower:
+            object.__setattr__(self, "lower", upper)
+        if 1.0 < upper:
             object.__setattr__(self, "upper", 1.0)
 
 
@@ -106,26 +105,62 @@ def _reduced_modulus(p: complex, z: complex) -> float:
     return abs((z - p) / (1.0 - p.conjugate() * z))
 
 
+def _annulus_value(f: Annulus, coord) -> float:
+    x = abs(complex(coord))
+    if not (f.r < x < 1.0):
+        raise DomainError(f"|z| = {x} outside the annulus ({f.r}, 1)")
+    return max(x, f.r / x)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A row of the factor-kind table.
+
+    ``value(f, coord)``: the one-factor closed form; ``punctured``: the value is
+    also a puncture cap; ``branches``: the ``auto`` family; ``score(f, w)``: the
+    inradius of the witness whose branch sends z to ``w``, the least |phi_w| over
+    boundary circles and punctures (a branch maps the factor onto itself).
+    """
+
+    value: Callable[..., float]
+    punctured: bool = False
+    branches: tuple[str, ...] = ()
+    score: Optional[Callable[..., float]] = None
+
+
+_KINDS = {
+    UnitDisk: _Kind(lambda f, coord: 1.0, branches=(INCLUSION,), score=lambda f, w: 1.0),
+    PuncturedDisk: _Kind(
+        lambda f, coord: min([_reduced_modulus(p, complex(coord)) for p in f.punctures]),
+        punctured=True, branches=(INCLUSION,),
+        score=lambda f, w: min(1.0, *(_reduced_modulus(w, p) for p in f.punctures)),
+    ),
+    Annulus: _Kind(
+        _annulus_value, branches=(INCLUSION, REFLECTION),
+        score=lambda f, w: min(1.0, mobius_circle_min_modulus(w, f.r)),
+    ),
+    BallFactor: _Kind(lambda f, coord: 1.0 / math.sqrt(f.n)),
+}
+
+
+def _kind(f) -> _Kind:
+    try:
+        return _KINDS[type(f)]
+    except KeyError:
+        raise UnsupportedGeometryError(f"unknown factor kind {type(f).__name__}") from None
+
+
 def single_factor_exact(f, coord) -> float:
     """Squeezing value of a one-factor domain, in closed form.
 
-    Disk: 1.  Punctured disk: min over its punctures p of the modulus of z
-    reduced by the automorphism vanishing at p.  Annulus with inner radius r:
-    max(|z|, r/|z|).  Ball of dimension n: 1/sqrt(n).
+    Disk: 1.  Punctured disk: min over its punctures p of |phi_p(z)|.
+    Annulus with inner radius r: max(|z|, r/|z|).  Ball of dimension n: 1/sqrt(n).
     """
-    if isinstance(f, UnitDisk):
-        return 1.0
-    if isinstance(f, PuncturedDisk):
-        z = complex(coord)
-        return min(_reduced_modulus(p, z) for p in f.punctures)
-    if isinstance(f, Annulus):
-        x = abs(complex(coord))
-        if not (f.r < x < 1.0):
-            raise DomainError(f"|z| = {x} outside the annulus ({f.r}, 1)")
-        return max(x, f.r / x)
-    if isinstance(f, BallFactor):
-        return 1.0 / math.sqrt(f.n)
-    raise UnsupportedGeometryError(f"unknown factor kind {type(f).__name__}")
+    try:  # the lookup of _kind, inlined: a call per factor shows in exact_squeeze
+        kind = _KINDS[type(f)]
+    except KeyError:
+        kind = _kind(f)
+    return kind.value(f, coord)
 
 
 def single_annulus_index(d: ProductDomain) -> Optional[int]:
@@ -141,30 +176,34 @@ def single_annulus_index(d: ProductDomain) -> Optional[int]:
     return idx
 
 
-def _mobius_witnesses(d: ProductDomain, z: ProductPoint) -> ProductMap:
-    return ProductMap(tuple(MapExpr((MobiusAut(z.planar(i)),)) for i in range(d.arity)))
+def _catalog(d: ProductDomain) -> Optional[bool]:
+    """None outside the catalog, else whether it is a disk and punctured-disk product."""
+    fs = d.factors
+    if single_annulus_index(d) is not None or (len(fs) == 1 and type(fs[0]) is BallFactor):
+        return False
+    return True if all(type(f) in (UnitDisk, PuncturedDisk) for f in fs) else None
+
+
+def _automorphisms(coords, family=()) -> ProductMap:
+    """Automorphisms sending each z_i to 0, taken from ``family`` where the same map."""
+    return ProductMap(tuple(
+        family[i] if family and c != 0 else MapExpr((MobiusAut(c),))
+        for i, c in enumerate(coords)
+    ))
 
 
 def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
-    """Closed-form squeezing value, for domains in the catalog.
+    """Closed-form squeezing value on the catalog: the min of :func:`single_factor_exact`.
 
-    Catalog: products of unit disks and punctured disks, with any number of
-    punctures per factor; one annulus with unit-disk cofactors; a single
-    ball.  On each the value is the min over factors of
-    :func:`single_factor_exact`.  Disk and punctured-disk products carry the
-    witness that sends each coordinate to 0 by an automorphism.  Anything
-    else raises :class:`UnsupportedGeometryError` and callers fall back to
-    bounds.
+    Disk and punctured-disk products carry the witness that sends each
+    coordinate to 0 by an automorphism.  A domain outside the catalog raises
+    :class:`UnsupportedGeometryError` and callers fall back to bounds.
     """
-    fs = d.factors
-    if single_annulus_index(d) is not None or (len(fs) == 1 and isinstance(fs[0], BallFactor)):
-        witnesses = ()
-    elif all(isinstance(f, (UnitDisk, PuncturedDisk)) for f in fs):
-        witnesses = (_mobius_witnesses(d, z),)
-    else:
+    witnessed = _catalog(d)
+    if witnessed is None:
         raise UnsupportedGeometryError("domain is outside the closed-form catalog")
     v = product_lower_bound(d, z)
-    return BoundReport(v, v, v, witnesses, (CLOSED_FORM,))
+    return BoundReport(v, v, v, (_automorphisms(z.coords),) if witnessed else (), (CLOSED_FORM,))
 
 
 def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
@@ -173,22 +212,15 @@ def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
     An injective map of the product into the polydisk is bounded, so it
     extends across every puncture at once, and the puncture's image lies
     outside the image of the domain.  The Kobayashi distance from z to the
-    filled puncture set is the least unit-disk distance k_D(z_i, p) over
-    factors and their punctures, which caps the squeezing value at
-    sigma_inv of it, the pseudo-hyperbolic distance |phi_p(z_i)|.  That is
-    evaluated as :func:`_reduced_modulus`, the double ``exact`` uses, so the
-    bracket holds ``exact`` to the last bit.  Factors without punctures,
-    balls included, add no candidate; a domain with no puncture at all
-    raises :class:`DomainError`.
+    filled puncture set, the least k_D(z_i, p), caps the value at its
+    sigma_inv, |phi_p(z_i)|: the value column, so the bracket holds ``exact``
+    to the last bit.  A domain with no puncture raises :class:`DomainError`.
     """
-    candidates = [
-        _reduced_modulus(p, z.planar(i))
-        for i, f in enumerate(d.factors)
-        for p in punctures(f)
-    ]
-    if not candidates:
+    caps = [k.value(f, c) for f, c in zip(d.factors, z.coords)
+            if (k := _kind(f)).punctured]
+    if not caps:
         raise DomainError("no factor has a puncture; the bound is inapplicable")
-    return min(candidates)
+    return min(caps)
 
 
 def product_lower_bound(d: ProductDomain, z: ProductPoint) -> float:
@@ -213,6 +245,53 @@ def annulus_clearance_bound(r: float, z1: complex) -> float:
     return max(outer, reflected)
 
 
+def _branch_image(f, z: complex, branch: str) -> complex:
+    """Image of ``z`` under the steps that ``branch`` puts before the normalizer."""
+    if branch == REFLECTION:
+        if not isinstance(f, Annulus):
+            raise DomainError("the reflection branch applies to annulus factors only")
+        return f.r / z
+    if branch != INCLUSION:
+        raise DomainError(f"unknown family branch {branch!r}")
+    return z
+
+
+def build_factor_witness(f, z: complex, branch: str, a: complex) -> MapExpr:
+    """Witness map for one factor: branch primitive, automorphism at ``a``, normalizer.
+
+    The final automorphism sends the image of ``z`` to 0.  Identity
+    automorphisms arising from a = 0 or an already-normalized image are
+    dropped so forced witnesses serialize in their simplest form.
+    """
+    a = complex(a)
+    w = _branch_image(f, complex(z), branch)
+    steps: list = [Reflection(f.r)] if branch == REFLECTION else []
+    if a != 0:
+        steps.append(MobiusAut(a))
+        w = complex(mobius_eval(steps[-1], w))
+    if w != 0:
+        steps.append(MobiusAut(w))
+    return MapExpr(tuple(steps) or (Inclusion(),))
+
+
+def _family(d: ProductDomain, z: ProductPoint, branches) -> tuple[float, tuple[MapExpr, ...], int]:
+    """Min of the best branch scores, their witnesses (earlier wins ties), branch count."""
+    if len(branches) != d.arity:
+        raise DomainError(f"{len(branches)} branch tuples for {d.arity} factors")
+    scores, witnesses = [], []
+    for i, (f, c, names) in enumerate(zip(d.factors, z.coords, branches)):
+        if not names:
+            raise DomainError(f"factor {i} has no family branch")
+        score = _kind(f).score
+        best, branch = max(((score(f, _branch_image(f, c, b)), b) for b in names),
+                           key=lambda vb: vb[0])
+        e = build_factor_witness(f, c, branch, 0j)
+        require_base_to_zero(e, c, i)
+        scores.append(best)
+        witnesses.append(e)
+    return min(scores), tuple(witnesses), sum(map(len, branches))
+
+
 @dataclass(frozen=True)
 class BoundsOptions:
     """Knobs for :func:`squeeze_bounds`."""
@@ -223,57 +302,44 @@ class BoundsOptions:
 
 
 def squeeze_bounds(d: ProductDomain, z: ProductPoint, options: BoundsOptions | None = None) -> BoundReport:
-    """Aggregate every applicable method into one consistent report.
+    """Every bound of one point, from one pass over the factor table.
 
-    lower = max of applicable lower bounds, upper = min of applicable upper
-    bounds (including the trivial 1), exact filled when the catalog applies.
-    Inapplicable methods are silently omitted from the tag list.  When the
-    witness-family search stays below a known exact value by more than
-    ``gap_tol``, the report carries the FamilyGap tag.
+    ``exact`` is the min of the values on the catalog; lower = max of that min,
+    the annulus clearance and the family value (searching planar factors);
+    upper = min of 1 and the puncture caps.  Applicable methods are tagged,
+    and FamilyGap when the family stays below ``exact`` by over ``gap_tol``.
     """
-    from .search import search_lower_bound
-
     opt = options or BoundsOptions()
-    methods: list[str] = []
-    witnesses: list[ProductMap] = []
-
-    exact: Optional[float] = None
-    try:
-        rep = exact_squeeze(d, z)
-        exact = rep.exact
-        witnesses.extend(rep.witnesses)
-        methods.append(CLOSED_FORM)
-    except UnsupportedGeometryError:
-        pass
-
-    uppers = [1.0]
-    try:
-        uppers.append(puncture_upper_bound(d, z))
+    kinds = [_kind(f) for f in d.factors]
+    values = [k.value(f, c) for k, f, c in zip(kinds, d.factors, z.coords)]
+    caps = [v for k, v in zip(kinds, values) if k.punctured]
+    product = min(values)
+    witnessed = _catalog(d)
+    exact = None if witnessed is None else product
+    methods = [] if exact is None else [CLOSED_FORM]
+    if caps:
         methods.append(PUNCTURE_UPPER)
-    except DomainError:
-        pass
-
-    lowers = [0.0]
-    try:
-        lowers.append(product_lower_bound(d, z))
-        methods.append(PRODUCT_LOWER)
-    except (DomainError, UnsupportedGeometryError):
-        pass
+    methods.append(PRODUCT_LOWER)
+    lowers = [0.0, product]
 
     ann = single_annulus_index(d)
     if ann is not None:
-        lowers.append(annulus_clearance_bound(d.factors[ann].r, z.planar(ann)))
+        lowers.append(annulus_clearance_bound(d.factors[ann].r, z.coords[ann]))
         methods.append(CLEARANCE_LOWER)
 
-    if opt.search and d.is_planar():
-        sr = search_lower_bound(d, z, opt.family)
-        lowers.append(sr.value)
+    family: tuple[MapExpr, ...] = ()
+    if opt.search and all(k.score is not None for k in kinds):
+        branches = opt.family.branches if opt.family else [k.branches for k in kinds]
+        value, family, _ = _family(d, z, branches)
+        lowers.append(value)
         methods.append(SEARCH)
-        witnesses.append(sr.witness)
-        if exact is not None and sr.value < exact - opt.gap_tol:
+        if exact is not None and value < exact - opt.gap_tol:
             methods.append(FAMILY_GAP)
 
-    lower, upper = max(lowers), min(uppers)
+    witnesses = [_automorphisms(z.coords, family)] if witnessed else []
+    if family:
+        witnesses.append(ProductMap(family))
+    lower, upper = max(lowers), min([1.0, *caps])
     if lower > upper + 1e-9:
         raise SqueezeError(f"internal inconsistency: lower {lower} > upper {upper}")
     return BoundReport(min(lower, upper), upper, exact, tuple(witnesses), tuple(methods))
@@ -335,21 +401,15 @@ def boundary_limit_profile(
 
     Each |z1| is paired with the clearance bound, combined with the exact
     catalog value of the annulus-times-disk product when ``include_exact``
-    (the default).  The bound tends to 1 toward either boundary circle.
+    (the default).  The bound tends to 1 toward either boundary circle.  The
+    clearance bound rejects a radius or modulus outside the annulus, and
+    :class:`LimitProfile` an empty or non-monotone path.
     """
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"inner radius must lie in (0, 1), got {r}")
-    xs = [float(x) for x in path]
-    if not xs:
-        raise DomainError("empty path")
-    for x in xs:
-        if not (r < x < 1.0):
-            raise DomainError(f"path value {x} outside the annulus ({r}, 1)")
     entries = []
-    for x in xs:
+    for x in map(float, path):
         b = annulus_clearance_bound(r, x)
         if include_exact:
-            b = max(b, max(x, r / x))
+            b = max(b, _annulus_value(Annulus(r), x))
         entries.append((x, b))
     return LimitProfile(tuple(entries), 1.0)
 
@@ -357,9 +417,11 @@ def boundary_limit_profile(
 def default_limit_path(r: float, side: str, steps: int = 256, end_eps: float = 1e-4):
     """Log-spaced annulus moduli from sqrt(r) toward one boundary circle.
 
-    The distance to the target circle shrinks geometrically; the last point
-    sits at ``end_eps`` (outer side: |z| = 1 - end_eps) or at relative gap
-    ``end_eps`` above r (inner side: |z| = r + end_eps * (1 - r)).
+    The gap to the target circle shrinks geometrically to ``end_eps`` below 1
+    (outer side) or ``end_eps * (1 - r)`` above r (inner side), narrowed to
+    ``5 end_eps (1 - r)`` for r > 0.8 and ``5 end_eps r (1 - r)`` for r < 0.2
+    so that the last clearance bound stays near 1.  A path that cannot hold
+    ``steps`` strictly monotone moduli inside the annulus raises DomainError.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"inner radius must lie in (0, 1), got {r}")
@@ -367,18 +429,25 @@ def default_limit_path(r: float, side: str, steps: int = 256, end_eps: float = 1
         raise DomainError("steps must be positive")
     s = math.sqrt(r)
     if side == "outer":
-        start, end = 1.0 - s, end_eps
-        to_x = lambda delta: 1.0 - delta
+        start, end = 1.0 - s, min(end_eps, 5.0 * end_eps * (1.0 - r))
+        to_x, toward = (lambda delta: 1.0 - delta), operator.lt
     elif side == "inner":
-        start, end = s - r, end_eps * (1.0 - r)
-        to_x = lambda delta: r + delta
+        start, end = s - r, min(end_eps * (1.0 - r), 5.0 * end_eps * r * (1.0 - r))
+        to_x, toward = (lambda delta: r + delta), operator.gt
     else:
         raise DomainError(f"side must be 'outer' or 'inner', got {side!r}")
+    xs = []
     if steps == 1:
-        return [to_x(end)]
-    import numpy as np
+        xs = [to_x(end)]
+    elif start > 0.0 and end > 0.0:
+        import numpy as np
 
-    return [to_x(float(delta)) for delta in np.geomspace(start, end, steps)]
+        xs = [to_x(float(delta)) for delta in np.geomspace(start, end, steps)]
+        if xs[0] == 0.0:
+            xs[0] = s  # 1 - (1 - sqrt(r)) is 0 where sqrt(r) is below half an ulp of 1
+    if not (xs and all(r < x < 1.0 for x in xs) and all(map(toward, xs, xs[1:]))):
+        raise DomainError(f"fewer than {steps} distinct moduli lie on the {side} path at r = {r}")
+    return xs
 
 
 def hhr_flag(d: ProductDomain) -> bool:

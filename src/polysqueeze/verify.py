@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
-from .embeddings import ProductMap, _sampled_circle_min, image_inradius_analytic, product_inradius
+from .embeddings import _sampled_circle_min, product_inradius
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval, poincare_distance, sigma, sigma_inv
-from .search import INCLUSION, REFLECTION, FamilySpec, build_factor_witness, search_lower_bound
+from .search import INCLUSION, REFLECTION, FamilySpec, search_lower_bound
 from .squeezing import (
     FAMILY_GAP,
     SEARCH,
@@ -307,12 +307,12 @@ def suite_hhr(seed: int = 0) -> list[Check]:
 
 
 def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]:
-    """Sampled (65536 points a circle) against analytic inradius of family witnesses at a = 0.
+    """Sampled inradius (65536 points a circle) of family witnesses against their search score.
 
     Ten seeded points per annulus r in {0.04, 0.25, 0.64}, moduli 2 % of the
     width off either circle, each on both branches, plus the witness at
     0.1+0.2i of the disk punctured at {0, 0.5, -0.5i}.  Returns the worst
-    |sampled - analytic|, the worst analytic - sampled, and the witness count.
+    |sampled - score|, the worst score - sampled, and the witness count.
     """
     cases = []
     for r in (0.04, 0.25, 0.64):
@@ -324,11 +324,11 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
     worst_err, worst_below = 0.0, -math.inf
     for f, zc, branch in cases:
         d = ProductDomain((f,))
-        e = build_factor_witness(f, zc, branch, 0j)
-        analytic = image_inradius_analytic(e, f)
-        sampled = product_inradius(ProductMap((e,)), d, d.point([zc]), 65536)
-        worst_err = max(worst_err, abs(sampled - analytic))
-        worst_below = max(worst_below, analytic - sampled)
+        z = d.point([zc])
+        sr = search_lower_bound(d, z, FamilySpec(((branch,),)))
+        sampled = product_inradius(sr.witness, d, z, 65536)
+        worst_err = max(worst_err, abs(sampled - sr.value))
+        worst_below = max(worst_below, sr.value - sampled)
     return worst_err, worst_below, len(cases)
 
 

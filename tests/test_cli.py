@@ -281,6 +281,29 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["pinch", "annulus", "all"])
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551617"])
+def test_verify_negative_seed_exits_2(capsys, suite, seed):
+    # the drawing suites used to exit 1 with numpy's traceback, annulus 0
+    assert main(["verify", "--suite", suite, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", str(10 ** 40)])
+def test_verify_huge_seed_runs(capsys, seed):
+    code, _, out = run(capsys, ["verify", "--suite", "pinch", "--seed", seed])
+    assert code == 0 and "# 3/3 checks passed" in out
+
+
+def test_seed_is_checked_by_verify_only(capsys, punct2):
+    # every command takes --seed; the others draw nothing and ignore it
+    code, _, _ = run(capsys, ["eval", "--spec", punct2, "--point", "0.5,0;0.3,0", "--seed", "-1"])
+    assert code == 0
+    assert main(["limit", "--r", "0.25", "--steps", "4", "--seed", "-1"]) == 0
+
+
 # ---------------------------------------------------------------------- limit
 
 def test_limit_outer(capsys):
@@ -305,6 +328,52 @@ def test_limit_inner(capsys):
     assert float(body[-1][1]) >= 1 - 2e-3
     params = [float(r[0]) for r in body]
     assert params == sorted(params, reverse=True)
+
+
+def _limit(r, side, steps):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["limit", "--r", repr(r), "--side", side, "--steps", str(steps)])
+    return code, out, err
+
+
+@pytest.mark.parametrize("r, side, code", [
+    (0.9999, "outer", 0),       # ended on r itself: exit 3
+    (0.01, "inner", 0),         # ended with bound 0.99 < 1 - 2e-3
+    (1e-300, "outer", 0),       # 1 - (1 - sqrt(r)) rounds to 0
+    (1 - 1e-12, "outer", 2),    # too few doubles between sqrt(r) and 1
+    (1 - 1e-12, "inner", 2),
+    (5e-324, "inner", 2),       # the last gap, 5e-4 r (1 - r), underflows
+])
+def test_limit_path_edges(r, side, code):
+    got, out, _ = _limit(r, side, 256)
+    assert got == code
+    if code == 0:
+        assert float(out.getvalue().splitlines()[-1].split(",")[1]) >= 1.0 - 2e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       side=st.sampled_from(["outer", "inner"]),
+       steps=st.sampled_from([1, 2, 256]))
+def test_limit_never_exits_3_near_a_circle(r, side, steps):
+    # near r = 1 the outer path used to end on or past the annulus (exit 3),
+    # and a path too short for --steps distinct doubles also exited 3
+    code, out, err = _limit(r, side, steps)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith(f"error: --steps {steps}: ")
+        return
+    rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    params = [float(p) for p, _ in rows]
+    bounds = [float(b) for _, b in rows]
+    assert len(params) == steps
+    assert all(r < x < 1.0 for x in params)
+    toward = (lambda a, b: a < b) if side == "outer" else (lambda a, b: a > b)
+    assert all(map(toward, params, params[1:]))
+    if steps > 1:  # the path starts at sqrt(r), to an ulp of 1 on the outer side
+        assert abs(params[0] - math.sqrt(r)) <= max(4e-16 * math.sqrt(r), 2.3e-16)
+    assert bounds[-1] >= 1.0 - 2e-3
 
 
 def test_limit_usage_errors(capsys):

@@ -1,0 +1,193 @@
+"""CLI output pinned byte for byte against a captured fixture.
+
+``golden_cli.json`` holds the exit code, stdout and stderr of ``eval``
+(default, ``--no-search`` and each ``--family``), ``search`` (each family),
+a short ``profile`` and ``limit`` on seeded points of eleven domains: the
+five benchmark shapes, a ball alone, and products outside the closed-form
+catalog.  It was captured before the factor-kind table replaced the
+per-bound dispatch in ``squeezing`` and ``search``, so it pins that every
+reported double, method tag and witness stayed the same.
+
+Regenerate it only for a deliberate change of output, and say so where the
+change is recorded:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import cmath
+import contextlib
+import io
+import json
+import math
+import os
+import random
+
+import pytest
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+P0 = {"kind": "punctured_disk", "punctures": [[0.0, 0.0]]}
+DISK = {"kind": "disk"}
+SPECS = {
+    "punctured2": [P0, P0],
+    "punctured3": [P0, P0, P0],
+    "disk_punctured": [DISK, {"kind": "punctured_disk", "punctures": [[0.3, -0.2]]}],
+    "annulus_disk": [{"kind": "annulus", "r": 0.25}, DISK],
+    "three_puncture_disk": [
+        {"kind": "punctured_disk", "punctures": [[0.0, 0.0], [0.5, 0.0], [0.0, -0.5]]}, DISK],
+    "polydisk": [DISK, DISK],
+    "ball": [{"kind": "ball", "n": 2}],
+    "ball_punctured": [{"kind": "ball", "n": 2}, P0],
+    "annulus_annulus": [{"kind": "annulus", "r": 0.2}, {"kind": "annulus", "r": 0.3}],
+    "annulus_punctured": [{"kind": "annulus", "r": 0.25},
+                          {"kind": "punctured_disk", "punctures": [[0.0, 0.1]]}],
+    "disk_annulus_ball": [DISK, {"kind": "annulus", "r": 0.5}, {"kind": "ball", "n": 1}],
+}
+POINTS_PER_DOMAIN = 4
+PROFILE_STEPS = 9
+LIMIT_RADII = (0.21, 0.25, 0.5, 0.64, 0.79)  # where the limit path rule is unchanged
+LIMIT_STEPS = 24
+
+
+def _load():
+    with open(FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _run(argv):
+    from polysqueeze.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(case, spec_paths):
+    argv = list(case["argv"])
+    if case["spec"] is not None:
+        argv[1:1] = ["--spec", spec_paths[case["spec"]]]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    data = _load()
+    root = tmp_path_factory.mktemp("golden_specs")
+    paths = {}
+    for name, factors in data["specs"].items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({"factors": factors}))
+        paths[name] = str(path)
+    return data["cases"], paths
+
+
+def test_fixture_covers_every_command_and_domain():
+    data = _load()
+    assert set(data["specs"]) == set(SPECS)
+    seen = {(c["spec"], tuple(a for a in c["argv"] if not a.startswith("--point="))[:3])
+            for c in data["cases"]}
+    for name in SPECS:
+        for cmd in (("eval",), ("eval", "--no-search"), ("eval", "--family", "auto"),
+                    ("eval", "--family", "inclusion"), ("eval", "--family", "reflection"),
+                    ("search", "--family", "auto"), ("search", "--family", "inclusion"),
+                    ("search", "--family", "reflection")):
+            assert (name, cmd) in seen, (name, cmd)
+    assert any(c["argv"][0] == "profile" for c in data["cases"])
+    assert any(c["argv"][0] == "limit" for c in data["cases"])
+
+
+def test_cli_output_matches_fixture_byte_for_byte(golden):
+    cases, paths = golden
+    mismatches = []
+    for case in cases:
+        got = _run(_argv(case, paths))
+        err = case["stderr"].replace("{spec}", paths.get(case["spec"], ""))
+        want = (case["code"], case["stdout"], err)
+        if got != want:
+            mismatches.append((case["argv"], want, got))
+    assert not mismatches, f"{len(mismatches)} of {len(cases)} calls differ; first: {mismatches[0]}"
+
+
+# ------------------------------------------------------------------ capture
+
+def _inside(factor, z) -> bool:
+    if factor["kind"] == "disk":
+        return abs(z) < 1
+    if factor["kind"] == "punctured_disk":
+        return abs(z) < 1 and all(abs(z - complex(*p)) >= 0.05 for p in factor["punctures"])
+    r = factor["r"]
+    return r + 0.02 < abs(z) < 0.98
+
+
+def _coords(rng: random.Random, factor, k: int):
+    """Complex coordinates of one factor: n for a ball, else one; zero where it is inside."""
+    if factor["kind"] == "ball":
+        n = factor["n"]
+        scale = rng.uniform(0.0, 0.9) / math.sqrt(n)
+        return [cmath.rect(scale, rng.uniform(0.0, 2 * math.pi)) for _ in range(n)]
+    if k == 0 and _inside(factor, 0j):
+        return [0j]
+    while True:
+        z = cmath.rect(0.97 * math.sqrt(rng.random()), rng.uniform(0.0, 2 * math.pi))
+        if _inside(factor, z):
+            return [z]
+
+
+def _point(coords) -> str:
+    return ";".join(f"{c.real!r},{c.imag!r}" for c in coords)
+
+
+def _cases(rng: random.Random):
+    cases = []
+    for name, factors in SPECS.items():
+        for k in range(POINTS_PER_DOMAIN):
+            point = "--point=" + _point([c for f in factors for c in _coords(rng, f, k)])
+            families = ("auto", "inclusion", "reflection")
+            for cmd in (["eval"], ["eval", "--no-search"],
+                        *(["eval", "--family", fam] for fam in families),
+                        *(["search", "--family", fam] for fam in families)):
+                cases.append({"spec": name, "argv": [*cmd, point]})
+        # the first punctured or annulus factor, else the first factor (a ball
+        # axis is a usage error, pinned too)
+        axis = next((i for i, f in enumerate(factors) if f["kind"] not in ("disk", "ball")), 0)
+        if factors[axis]["kind"] == "annulus":
+            lo, hi = factors[axis]["r"] + 0.02, 0.98
+        else:
+            lo, hi = 0.05, 0.95
+        base = [c for f in factors for c in _coords(rng, f, 1)]
+        cases.append({"spec": name, "argv": [
+            "profile", "--point=" + _point(base), "--axis", str(axis),
+            "--range", f"{lo!r}:{hi!r}", "--steps", str(PROFILE_STEPS)]})
+    for r in LIMIT_RADII:
+        for side in ("outer", "inner"):
+            cases.append({"spec": None, "argv": [
+                "limit", "--r", repr(r), "--side", side, "--steps", str(LIMIT_STEPS)]})
+    return cases
+
+
+def capture() -> dict:
+    """Run every case against the importable program and return the fixture."""
+    import tempfile
+
+    cases = _cases(random.Random("polysqueeze golden cli"))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, factors in SPECS.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump({"factors": factors}, fh)
+        for case in cases:
+            code, out, err = _run(_argv(case, paths))
+            if case["spec"] is not None:
+                err = err.replace(paths[case["spec"]], "{spec}")
+            case.update(code=code, stdout=out, stderr=err)
+    return {"specs": SPECS, "cases": cases}
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(capture(), fh, indent=0)
+        fh.write("\n")

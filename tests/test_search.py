@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysqueeze import (
     Annulus,
@@ -17,9 +19,11 @@ from polysqueeze import (
     exact_squeeze,
     image_inradius_analytic,
     image_inradius_at_zero,
+    membership,
     product_inradius,
     search_lower_bound,
 )
+from polysqueeze.squeezing import _KINDS, _branch_image
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
 ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))
@@ -166,3 +170,19 @@ def test_witness_sampled_matches_analytic():
         sampled = product_inradius(ProductMap((e,)), d, d.point([zc]), 65536)
         assert abs(sampled - analytic) <= 1e-4
         assert sampled >= analytic - 1e-12
+
+
+SCORED_FACTORS = [UnitDisk(), PuncturedDisk((0j,)), PuncturedDisk((0.3 - 0.2j,)),
+                  PuncturedDisk((0j, 0.5 + 0j, -0.5j)), Annulus(0.04), Annulus(0.25), Annulus(0.64)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SCORED_FACTORS), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi),
+       st.sampled_from(["inclusion", "reflection"]))
+def test_table_score_is_the_analytic_inradius(f, modulus, angle, branch):
+    # the generic closed-form inradius of the built witness is the reference
+    # for the table's score column, bit for bit, zero coordinates included
+    z = cmath.rect(modulus, angle) if modulus else 0j
+    assume(membership(f, z) and (branch == "inclusion" or isinstance(f, Annulus)))
+    score = _KINDS[type(f)].score(f, _branch_image(f, z, branch))
+    assert score == image_inradius_analytic(build_factor_witness(f, z, branch, 0j), f)

@@ -270,6 +270,10 @@ def test_lower_rejects_unsupported_factor():
     d = ProductDomain((Slab(),))
     with pytest.raises(UnsupportedGeometryError):
         product_lower_bound(d, ProductPoint((0.3j,)))
+    # the factor-kind table has no row for it, so no bound reads one
+    for bound in (squeeze_bounds, puncture_upper_bound):
+        with pytest.raises(UnsupportedGeometryError, match="unknown factor kind Slab"):
+            bound(d, ProductPoint((0.3j,)))
 
 
 def test_lower_multi_puncture_min_modulus():
