@@ -11,6 +11,13 @@ on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
 
 The parser is built once per process and reused by every :func:`main` call;
 ``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
+When the first argument names a command exactly, that command's own parser
+reads the rest, which is all the top-level parser would do with it;
+leftover arguments are still reported by the top-level parser.  Any other
+argument list goes through the top-level parser.  Each spec file is opened
+and decoded on every call, and its text is looked up in a memo of the last
+``SPEC_MEMO_SIZE`` texts that parsed: keyed on the content, it never serves
+a rewritten file stale, and a spec that fails is parsed, and fails, again.
 ``eval``, ``profile`` and ``search`` run on closed forms and never import
 numpy; ``limit`` and ``verify`` load it when they run.
 """
@@ -51,6 +58,7 @@ EXIT_VERIFY = 4
 
 DEFAULT_SAMPLES = 4096
 MAX_STEPS = 1_000_000
+SPEC_MEMO_SIZE = 16
 
 
 class UsageError(SqueezeError):
@@ -89,26 +97,48 @@ def load_domain_spec(path: str) -> ProductDomain:
     "punctures": [[re, im], ...]} | {"kind": "annulus", "r": x} |
     {"kind": "ball", "n": k}, ...]}, where x, re and im are JSON numbers and
     k is a JSON integer.
+
+    The file is read on every call; its text is parsed once while it stays
+    among the last ``SPEC_MEMO_SIZE`` distinct texts that parsed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read spec file {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise UsageError(f"{path}: not UTF-8: {e}") from e
+    except ValueError as e:
+        # a path with a NUL byte; reported as the JSON errors below always were
+        raise UsageError(f"{path}: invalid JSON: {e}") from e
+    try:
+        return _spec_domain(text)
+    except UsageError as e:
+        raise UsageError(f"{path}: {e}") from e
+
+
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def _spec_domain(text: str) -> ProductDomain:
+    """The domain of a spec file's text; errors name the part, not the file.
+
+    Keyed on the text itself, so a rewritten file is never served stale;
+    a text that fails raises again on every call.  Domains are frozen, so
+    callers may share one.
+    """
+    try:
+        data = json.loads(text)
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer literal past the digit limit, or
         # nesting past the recursion limit
-        raise UsageError(f"{path}: invalid JSON: {e}") from e
+        raise UsageError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict) or "factors" not in data:
-        raise UsageError(f"{path}: top level must be an object with a 'factors' list")
+        raise UsageError("top level must be an object with a 'factors' list")
     raw = data["factors"]
     if not isinstance(raw, list) or not raw:
-        raise UsageError(f"{path}: 'factors' must be a nonempty list")
+        raise UsageError("'factors' must be a nonempty list")
     factors = []
     for i, item in enumerate(raw):
-        where = f"{path}: factors[{i}]"
+        where = f"factors[{i}]"
         if not isinstance(item, dict) or "kind" not in item:
             raise UsageError(f"{where}: each factor needs a 'kind'")
         kind = item["kind"]
@@ -309,6 +339,10 @@ def cmd_profile(args, out) -> int:
         lo + k * (hi - lo) / (args.steps - 1) for k in range(args.steps)
     ]
     c0 = base.planar(args.axis)
+    if abs(c0) < sys.float_info.min:
+        # abs of a subnormal keeps too few bits for a unit direction; a power
+        # of two lifts c0 into the normal range exactly
+        c0 *= 2.0 ** 600
     direction = c0 / abs(c0) if c0 != 0 else complex(1.0)
     ann = single_annulus_index(domain)
     w = _writer(out)
@@ -400,14 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     Every default is a constant, so parsing leaves the parser unchanged and
     one instance serves every :func:`main` call.  The ``--samples`` default
     is None; :func:`main` fills it from ``SQUEEZE_SAMPLES`` on each call.
+    ``commands`` maps each command name to its own parser.
     """
     p = argparse.ArgumentParser(
         prog="polysqueeze",
         description="Squeezing values of product domains relative to the polydisk.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = {}
 
-    def add_common(sp, spec=False, point=False):
+    def add_command(name, help, spec=False, point=False):
+        sp = p.commands[name] = sub.add_parser(name, help=help)
         if spec:
             sp.add_argument("--spec", required=True, help="domain spec JSON file")
         if point:
@@ -417,35 +454,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
                              "the default); no effect on values, which are closed-form")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+        return sp
 
-    sp = sub.add_parser("eval", help="bounds and exact value at one point")
-    add_common(sp, spec=True, point=True)
+    sp = add_command("eval", "bounds and exact value at one point", spec=True, point=True)
     sp.add_argument("--family", default=None, choices=["auto", "inclusion", "reflection"])
     sp.add_argument("--no-search", action="store_true", help="skip the witness-family search")
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("profile", help="sweep one coordinate modulus, CSV table")
-    add_common(sp, spec=True, point=True)
+    sp = add_command("profile", "sweep one coordinate modulus, CSV table", spec=True, point=True)
     sp.add_argument("--axis", type=int, default=0, help="factor index to sweep")
     sp.add_argument("--range", required=True, help="modulus range 'lo:hi'")
     sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
     sp.set_defaults(func=cmd_profile)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
-    add_common(sp)
+    sp = add_command("verify", "run a verification suite")
     sp.add_argument("--suite", default="all",
                     help=f"suite name: {', '.join(sorted(SUITES))}, or all")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("limit", help="boundary-limit profile for an annulus product")
-    add_common(sp)
+    sp = add_command("limit", "boundary-limit profile for an annulus product")
     sp.add_argument("--r", type=float, required=True, help="annulus inner radius")
     sp.add_argument("--side", default="outer", help="'outer' or 'inner'")
     sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
     sp.set_defaults(func=cmd_limit)
 
-    sp = sub.add_parser("search", help="witness-family lower bound at one point")
-    add_common(sp, spec=True, point=True)
+    sp = add_command("search", "witness-family lower bound at one point", spec=True, point=True)
     sp.add_argument("--family", default="auto", choices=["auto", "inclusion", "reflection"])
     sp.add_argument("--budget", type=int, default=124,
                     help="accepted and validated (positive); no effect on values, since "
@@ -454,11 +487,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: same namespace, output and exit.
+
+    The top level hands everything after a command name to that command's
+    parser, so calling it directly skips only the top level's own pass over
+    every argument and the copy of the command's namespace.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
         samples = _default_samples()
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code else EXIT_OK
         if args.samples is None:

@@ -195,6 +195,43 @@ def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     assert format_product_map(pm) == row["witness"]
 
 
+def test_spec_rewritten_in_place_is_read_anew(tmp_path):
+    # same size and mtime: only the text tells the two files apart
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ANNULUS_SPEC))
+    before = os.stat(spec)
+    assert load_domain_spec(str(spec)).factors[0].r == 0.25
+    spec.write_text(json.dumps(ANNULUS_SPEC).replace("0.25", "0.35"))
+    os.utime(spec, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(spec).st_size == before.st_size
+    assert os.stat(spec).st_mtime_ns == before.st_mtime_ns
+    assert load_domain_spec(str(spec)).factors[0].r == 0.35
+
+
+def test_invalid_spec_fails_alike_on_every_call(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"factors": [{"kind": "pretzel"}]}))
+    also = tmp_path / "also_bad.json"
+    also.write_text(bad.read_text())
+    for path in (bad, also, bad):
+        assert main(["eval", "--spec", str(path), "--point", "0,0"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: factors[0].kind: unknown kind 'pretzel'\n"
+
+
+def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):
+    from polysqueeze import cli
+
+    texts = [json.dumps({"factors": [{"kind": "annulus", "r": (k + 1) / 100}]})
+             for k in range(cli.SPEC_MEMO_SIZE + 5)]
+    for k, text in enumerate(texts):
+        for copy in ("a", "b"):  # the same text at two paths
+            path = tmp_path / f"{copy}{k}.json"
+            path.write_text(text)
+            assert load_domain_spec(str(path)).factors[0].r == (k + 1) / 100
+        assert cli._spec_domain.cache_info().currsize <= cli.SPEC_MEMO_SIZE
+    assert cli._spec_domain.cache_info().maxsize == cli.SPEC_MEMO_SIZE
+
+
 # -------------------------------------------------------------------- profile
 
 def test_profile_annulus_v_shape(capsys, annulus):
@@ -236,6 +273,29 @@ def test_profile_single_step(capsys, annulus):
     assert code == 0
     assert len(rows) == 2
     assert float(rows[1][0]) == 0.4
+
+
+@pytest.mark.parametrize("c0", ["5e-324,5e-324", "1e-320,1e-320"])
+def test_profile_sweeps_its_ray_from_a_subnormal_base(capsys, monkeypatch, tmp_path, c0):
+    # abs of a subnormal coordinate is too coarse to normalise it by
+    from polysqueeze import cli
+
+    spec = tmp_path / "disk2.json"
+    spec.write_text(json.dumps({"factors": [{"kind": "disk"}, {"kind": "disk"}]}))
+    moduli = []
+    squeeze_bounds = cli.squeeze_bounds
+
+    def recording(domain, z, options):
+        moduli.append(abs(z.planar(0)))
+        return squeeze_bounds(domain, z, options)
+
+    monkeypatch.setattr(cli, "squeeze_bounds", recording)
+    code, rows, _ = run(capsys, ["profile", "--spec", str(spec), "--point", f"{c0};0.1,0",
+                                 "--axis", "0", "--range", "0.1:0.9", "--steps", "3"])
+    assert code == 0
+    params = [float(r[0]) for r in rows[1:]]
+    assert params == [0.1, 0.5, 0.9]
+    assert moduli == pytest.approx(params, rel=1e-15, abs=0)
 
 
 def test_profile_usage_errors(capsys, annulus):
@@ -528,6 +588,7 @@ def run(*argv):
 
 planar, ball = sys.argv[1:]
 codes = [run("eval", "--spec", planar, "--point", "0.6,0.1;0.2,0"),
+         run("eval", "--spec", planar, "--point", "0.3,0;0.2,0"),  # a memoized spec
          run("eval", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0"),
          run("eval", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0", "--no-search"),
          run("search", "--spec", planar, "--point", "0.3,0;-0.2,0.1"),
@@ -542,7 +603,7 @@ print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded}))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, specs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0] * 7, "numpy_loaded": False}
+    assert result == {"codes": [0] * 8, "numpy_loaded": False}
 
 
 def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):

@@ -8,6 +8,14 @@ catalog.  It was captured before the factor-kind table replaced the
 per-bound dispatch in ``squeezing`` and ``search``, so it pins that every
 reported double, method tag and witness stayed the same.
 
+It also pins the command line's edges (``PARSE_EDGES``): help for the
+program and for every command, argparse's usage errors (unknown command,
+missing or extra arguments, abbreviations, ``--``, an option before the
+command, negative-looking values) and the program's own flag checks.  Every
+case runs with ``COLUMNS`` fixed, since argparse wraps help and usage to the
+terminal width.  These were captured before ``main`` parsed a command's
+arguments with that command's own parser.
+
 Regenerate it only for a deliberate change of output, and say so where the
 change is recorded:
 
@@ -49,6 +57,45 @@ POINTS_PER_DOMAIN = 4
 PROFILE_STEPS = 9
 LIMIT_RADII = (0.21, 0.25, 0.5, 0.64, 0.79)  # where the limit path rule is unchanged
 LIMIT_STEPS = 24
+COLUMNS = "80"
+
+# (spec, argv): with a spec, "--spec <path>" goes in after argv[0], as in
+# every case.  EDGE_POINT is a point of punctured2.
+EDGE_POINT = "--point=0.5,0;0.3,-0.1"
+PARSE_EDGES = [
+    (None, []),
+    (None, ["-h"]),
+    (None, ["--help"]),
+    *((None, [cmd, "--help"]) for cmd in ("eval", "profile", "verify", "limit", "search")),
+    (None, ["evl"]),
+    (None, ["Eval", "--spec", "x.json"]),
+    (None, ["-h", "eval"]),
+    (None, ["--samples", "64", "eval", EDGE_POINT]),
+    (None, ["--", "eval", EDGE_POINT]),
+    (None, ["eval"]),
+    (None, ["eval", "--spec"]),
+    ("punctured2", ["eval", EDGE_POINT, "extra"]),
+    ("punctured2", ["eval", EDGE_POINT, "--bogus", "1", "-x"]),
+    ("punctured2", ["eval", "--poi=0.5,0;0.3,-0.1", "--no-s"]),
+    ("punctured2", ["eval", "--po", "0.5,0;0.3,-0.1", "--fam", "incl"]),
+    ("punctured2", ["eval", "--he"]),
+    ("punctured2", ["eval", "--", EDGE_POINT]),
+    ("punctured2", ["eval", EDGE_POINT, "--"]),
+    ("punctured2", ["eval", EDGE_POINT, "-"]),
+    ("punctured2", ["eval", "--point", "-0.5,0;0.3,-0.1"]),
+    ("punctured2", ["eval", "--point", "0.5,0;0.3,-0.1", "--no-search=yes"]),
+    ("punctured2", ["eval", EDGE_POINT, "--samples", "abc"]),
+    ("punctured2", ["eval", EDGE_POINT, "--samples", "4"]),
+    ("punctured2", ["eval", EDGE_POINT, "--samples"]),
+    ("punctured2", ["eval", EDGE_POINT, "--family", "bogus"]),
+    ("punctured2", ["profile", EDGE_POINT, "--range", "0.1:0.5", "--steps", "3", "--axis", "-1"]),
+    ("punctured2", ["profile", EDGE_POINT, "--range", "-0.1:0.5", "--steps", "-3"]),
+    ("punctured2", ["search", EDGE_POINT, "--budget", "0"]),
+    (None, ["limit", "--r", "-0.5"]),
+    (None, ["limit", "--r", "0.5", "--steps", "3", "--help"]),
+    (None, ["verify", "--suite", "bogus"]),
+    (None, ["verify", "--suite", "pinch", "--seed", "-1"]),
+]
 
 
 def _load():
@@ -63,6 +110,17 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _parse(parse, argv):
+    """(vars of the namespace or the exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def _argv(case, spec_paths):
@@ -99,7 +157,9 @@ def test_fixture_covers_every_command_and_domain():
     assert any(c["argv"][0] == "limit" for c in data["cases"])
 
 
-def test_cli_output_matches_fixture_byte_for_byte(golden):
+def test_cli_output_matches_fixture_byte_for_byte(golden, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
     cases, paths = golden
     mismatches = []
     for case in cases:
@@ -109,6 +169,30 @@ def test_cli_output_matches_fixture_byte_for_byte(golden):
         if got != want:
             mismatches.append((case["argv"], want, got))
     assert not mismatches, f"{len(mismatches)} of {len(cases)} calls differ; first: {mismatches[0]}"
+
+
+@pytest.mark.parametrize("columns", ["80", "120"])
+def test_command_parser_dispatch_matches_top_level_parse(golden, monkeypatch, columns):
+    # main reads a command's arguments with that command's own parser; on
+    # every golden argv, parse edges included, it must parse, print and exit
+    # as the top-level parser's parse_args does
+    from polysqueeze import cli
+
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
+    cases, paths = golden
+    parser = cli.build_parser()
+    mismatches = []
+    for argv in [_argv(case, paths) for case in cases]:
+        parsed = (_parse(cli._parse_args, argv), _run(argv))
+        with monkeypatch.context() as m:
+            m.setattr(parser, "commands", {})  # every argv through the top level
+            plain = (_parse(parser.parse_args, argv), _run(argv))
+        if parsed != plain:
+            mismatches.append((argv, plain, parsed))
+    assert not mismatches, f"{len(mismatches)} of {len(cases)} argv differ; first: {mismatches[0]}"
+    monkeypatch.setattr("sys.argv", ["polysqueeze", "eval", "--help"])
+    assert _parse(cli._parse_args, None) == _parse(parser.parse_args, None)
 
 
 # ------------------------------------------------------------------ capture
@@ -165,6 +249,7 @@ def _cases(rng: random.Random):
         for side in ("outer", "inner"):
             cases.append({"spec": None, "argv": [
                 "limit", "--r", repr(r), "--side", side, "--steps", str(LIMIT_STEPS)]})
+    cases.extend({"spec": spec, "argv": argv} for spec, argv in PARSE_EDGES)
     return cases
 
 
@@ -188,6 +273,8 @@ def capture() -> dict:
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
+    os.environ.pop("SQUEEZE_SAMPLES", None)
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(capture(), fh, indent=0)
         fh.write("\n")
