@@ -47,12 +47,6 @@ from .hyperbolic import (
     sigma,
     sigma_inv,
 )
-from .search import (
-    FamilySpec,
-    SearchResult,
-    build_factor_witness,
-    search_lower_bound,
-)
 from .squeezing import (
     CLEARANCE_LOWER,
     CLOSED_FORM,
@@ -62,16 +56,18 @@ from .squeezing import (
     SEARCH,
     BallProductReport,
     BoundReport,
-    BoundsOptions,
     LimitProfile,
+    SearchResult,
     annulus_clearance_bound,
     ball_product_ratio_check,
     boundary_limit_profile,
+    build_factor_witness,
     default_limit_path,
     exact_squeeze,
     hhr_flag,
     product_lower_bound,
     puncture_upper_bound,
+    search_lower_bound,
     single_annulus_index,
     single_factor_exact,
     squeeze_bounds,
@@ -84,9 +80,7 @@ __all__ = [
     "BallFactor",
     "BallProductReport",
     "BoundReport",
-    "BoundsOptions",
     "DomainError",
-    "FamilySpec",
     "HyperbolicValue",
     "Inclusion",
     "LimitProfile",

@@ -39,13 +39,13 @@ from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .hyperbolic import MobiusAut
-from .search import FamilySpec, search_lower_bound
 from .squeezing import (
-    BoundsOptions,
+    FAMILIES,
     annulus_clearance_bound,
     boundary_limit_profile,
     default_limit_path,
     exact_squeeze,
+    search_lower_bound,
     single_annulus_index,
     squeeze_bounds,
 )
@@ -310,8 +310,7 @@ def _writer(out):
 def cmd_eval(args, out) -> int:
     domain = load_domain_spec(args.spec)
     z = parse_point(args.point, domain)
-    family = FamilySpec.named(domain, args.family) if args.family else None
-    rep = squeeze_bounds(domain, z, BoundsOptions(search=not args.no_search, family=family))
+    rep = squeeze_bounds(domain, z, search=not args.no_search, family=args.family)
     w = _writer(out)
     w.writerow(["lower", "upper", "exact", "methods", "witness"])
     w.writerow([
@@ -351,7 +350,7 @@ def cmd_profile(args, out) -> int:
         coords = list(base.coords)
         coords[args.axis] = param * direction
         z = domain.point(coords)
-        rep = squeeze_bounds(domain, z, BoundsOptions(search=False))
+        rep = squeeze_bounds(domain, z, search=False)
         clearance = ""
         if ann is not None:
             clearance = _fmt(annulus_clearance_bound(domain.factors[ann].r, z.planar(ann)))
@@ -393,7 +392,7 @@ def cmd_limit(args, out) -> int:
     except DomainError as e:
         # r and side are valid here, so the path itself is too short
         raise UsageError(f"--steps {args.steps}: {e}") from None
-    profile = boundary_limit_profile(args.r, path, include_exact=False)
+    profile = boundary_limit_profile(args.r, path)
     w = _writer(out)
     w.writerow(["param", "bound"])
     for param, bound in profile.entries:
@@ -406,7 +405,7 @@ def cmd_search(args, out) -> int:
         raise UsageError(f"search budget must be positive, got {args.budget}")
     domain = load_domain_spec(args.spec)
     z = parse_point(args.point, domain)
-    sr = search_lower_bound(domain, z, FamilySpec.named(domain, args.family))
+    sr = search_lower_bound(domain, z, args.family)
     exact = None
     try:
         exact = exact_squeeze(domain, z).exact
@@ -417,7 +416,7 @@ def cmd_search(args, out) -> int:
     w.writerow([
         _fmt(sr.value),
         str(sr.evaluations),
-        str(sr.converged).lower(),
+        "true",  # converged: scoring is closed-form, with nothing to iterate
         _fmt(exact) if exact is not None else "",
         _fmt(exact - sr.value) if exact is not None else "",
         format_product_map(sr.witness),
@@ -457,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add_command("eval", "bounds and exact value at one point", spec=True, point=True)
-    sp.add_argument("--family", default=None, choices=["auto", "inclusion", "reflection"])
+    sp.add_argument("--family", default="auto", choices=FAMILIES)
     sp.add_argument("--no-search", action="store_true", help="skip the witness-family search")
     sp.set_defaults(func=cmd_eval)
 
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_limit)
 
     sp = add_command("search", "witness-family lower bound at one point", spec=True, point=True)
-    sp.add_argument("--family", default="auto", choices=["auto", "inclusion", "reflection"])
+    sp.add_argument("--family", default="auto", choices=FAMILIES)
     sp.add_argument("--budget", type=int, default=124,
                     help="accepted and validated (positive); no effect on values, since "
                          "each branch is scored once in closed form")

@@ -77,11 +77,24 @@ class ProductMap:
             raise DomainError("a product map needs at least one component")
 
 
+def reflect(r: float, z):
+    """``r / z``, the annulus reflection, for a scalar or an ndarray ``z``.
+
+    A subnormal ``r`` and ``z`` are first lifted by one exact power of two:
+    complex division of subnormal operands keeps too few bits.  At
+    r = 1e-320 and z = -1.5e-323 - 2e-320i the bare quotient has modulus
+    0.50000006 where r/|z| is 0.49999986.
+    """
+    if r < sys.float_info.min:
+        return (r * 2.0 ** 600) / (z * 2.0 ** 600)
+    return r / z
+
+
 def _apply(step: Primitive, z):
     if isinstance(step, MobiusAut):
         return mobius_eval(step, z)
     if isinstance(step, Reflection):
-        return step.r / z
+        return reflect(step.r, z)
     if isinstance(step, Inclusion):
         return z
     raise DomainError(f"unknown primitive {type(step).__name__}")

@@ -109,7 +109,12 @@ def mobius_eval(m: MobiusAut, zeta):
     # zeta cannot be an ndarray.
     np = sys.modules.get("numpy")
     if np is None or not isinstance(zeta, np.ndarray):
-        w = (zeta - m.a) / (1.0 - m.a.conjugate() * zeta)
+        w = zeta - m.a
+        if not w:
+            # the map's own zero, also where 1 - |a|^2 rounds to 0 and the
+            # quotient would be 0/0
+            return w
+        w = w / (1.0 - m.a.conjugate() * zeta)
         if m.theta != 0.0:
             w = complex(math.cos(m.theta), math.sin(m.theta)) * w
         return w

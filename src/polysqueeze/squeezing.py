@@ -8,22 +8,28 @@ kind (``_KINDS``: closed form, puncture cap, family branches and their
 closed-form scores) and one product rule, the min over factors.  The catalog,
 where that min is the value, is products of disks and punctured disks, one
 annulus with disk factors, and a single ball.  :func:`squeeze_bounds` reads
-each row once; the other bounds and :mod:`polysqueeze.search` read the
-columns they need.  Also here: the annulus boundary-clearance bound and its
-limit profiles.
+each row once; the other bounds read the columns they need.
+
+The witness family is the branch column.  A family is a name: ``auto`` takes
+every branch of each factor's row, ``inclusion`` or ``reflection`` that one
+branch where the row has it and inclusion elsewhere.
+:func:`search_lower_bound` scores the family, keeps each factor's best
+branch and builds its witness with :func:`build_factor_witness`.  Also here:
+the annulus boundary-clearance bound and its limit profiles.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
-from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, require_base_to_zero
+from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, reflect, require_base_to_zero
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval
+from .hyperbolic import MobiusAut, mobius_circle_min_modulus
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -37,6 +43,15 @@ FAMILY_GAP = "FamilyGap"
 # swap the two circles of an annulus with zeta -> r / zeta first.
 INCLUSION = "inclusion"
 REFLECTION = "reflection"
+# Family names: every branch of the table's column, or one branch by name.
+AUTO = "auto"
+FAMILIES = (AUTO, INCLUSION, REFLECTION)
+
+# Below the least normal double, abs(z) keeps too few bits for r/|z|.
+_TINY = sys.float_info.min
+
+# The default limit path ends this far below 1, or this times 1 - r above r.
+_LIMIT_END = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,9 @@ def _annulus_value(f: Annulus, coord) -> float:
     x = abs(complex(coord))
     if not (f.r < x < 1.0):
         raise DomainError(f"|z| = {x} outside the annulus ({f.r}, 1)")
-    return max(x, f.r / x)
+    # a subnormal |z| is below sqrt(r), so the value is r/|z|, the modulus of
+    # the reflected point, which :func:`reflect` computes to the last bits
+    return max(x, f.r / x) if x >= _TINY else abs(reflect(f.r, coord))
 
 
 @dataclass(frozen=True)
@@ -241,75 +258,102 @@ def annulus_clearance_bound(r: float, z1: complex) -> float:
     if not (r < x < 1.0):
         raise DomainError(f"|z1| = {x} outside the annulus ({r}, 1)")
     outer = (x - r) / (1.0 - r * x)
-    reflected = r * (1.0 - x) / (x - r * r)
+    # at a subnormal |z| the reflected bound is r/|z|, as in the closed form
+    reflected = r * (1.0 - x) / (x - r * r) if x >= _TINY else abs(reflect(r, z1))
     return max(outer, reflected)
 
 
-def _branch_image(f, z: complex, branch: str) -> complex:
-    """Image of ``z`` under the steps that ``branch`` puts before the normalizer."""
+def _branch_image(f, z: complex, branch: str) -> Optional[complex]:
+    """Image of ``z`` under the steps that ``branch`` puts before the normalizer.
+
+    None where that image has modulus 1 in floating point, so that no
+    automorphism of the disk vanishes there: the reflected image of a point
+    within a few ulps of the inner circle can round onto the unit circle.
+    """
     if branch == REFLECTION:
         if not isinstance(f, Annulus):
             raise DomainError("the reflection branch applies to annulus factors only")
-        return f.r / z
+        w = reflect(f.r, z)
+        return w if abs(w) < 1.0 else None
     if branch != INCLUSION:
         raise DomainError(f"unknown family branch {branch!r}")
     return z
 
 
-def build_factor_witness(f, z: complex, branch: str, a: complex) -> MapExpr:
-    """Witness map for one factor: branch primitive, automorphism at ``a``, normalizer.
+def build_factor_witness(f, z: complex, branch: str) -> MapExpr:
+    """Witness map for one factor: the branch's steps, then the normalizer.
 
-    The final automorphism sends the image of ``z`` to 0.  Identity
-    automorphisms arising from a = 0 or an already-normalized image are
-    dropped so forced witnesses serialize in their simplest form.
+    The normalizer is the automorphism sending the image of ``z`` to 0; it is
+    dropped where the image is already 0, so forced witnesses serialize in
+    their simplest form.  A branch with no normalizer at ``z`` raises
+    :class:`DomainError`.
     """
-    a = complex(a)
     w = _branch_image(f, complex(z), branch)
+    if w is None:
+        raise DomainError(f"the {branch} branch sends {z} onto the unit circle")
     steps: list = [Reflection(f.r)] if branch == REFLECTION else []
-    if a != 0:
-        steps.append(MobiusAut(a))
-        w = complex(mobius_eval(steps[-1], w))
     if w != 0:
         steps.append(MobiusAut(w))
     return MapExpr(tuple(steps) or (Inclusion(),))
 
 
-def _family(d: ProductDomain, z: ProductPoint, branches) -> tuple[float, tuple[MapExpr, ...], int]:
-    """Min of the best branch scores, their witnesses (earlier wins ties), branch count."""
-    if len(branches) != d.arity:
-        raise DomainError(f"{len(branches)} branch tuples for {d.arity} factors")
-    scores, witnesses = [], []
-    for i, (f, c, names) in enumerate(zip(d.factors, z.coords, branches)):
-        if not names:
-            raise DomainError(f"factor {i} has no family branch")
-        score = _kind(f).score
-        best, branch = max(((score(f, _branch_image(f, c, b)), b) for b in names),
-                           key=lambda vb: vb[0])
-        e = build_factor_witness(f, c, branch, 0j)
+def _family(d: ProductDomain, z: ProductPoint, family: str) -> tuple[float, tuple[MapExpr, ...], int]:
+    """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
+
+    A branch with no normalizer at the point is skipped, and a factor left
+    with none keeps inclusion, which always has one: the point lies in the disk.
+    """
+    scores, witnesses, evaluations = [], [], 0
+    for i, (f, c) in enumerate(zip(d.factors, z.coords)):
+        kind = _kind(f)
+        names = (kind.branches if family == AUTO
+                 else (family,) if family in kind.branches else (INCLUSION,))
+        images = ([(b, w) for b in names if (w := _branch_image(f, c, b)) is not None]
+                  or [(INCLUSION, c)])
+        best, branch = max(((kind.score(f, w), b) for b, w in images), key=lambda vb: vb[0])
+        e = build_factor_witness(f, c, branch)
         require_base_to_zero(e, c, i)
         scores.append(best)
         witnesses.append(e)
-    return min(scores), tuple(witnesses), sum(map(len, branches))
+        evaluations += len(images)
+    return min(scores), tuple(witnesses), evaluations
 
 
 @dataclass(frozen=True)
-class BoundsOptions:
-    """Knobs for :func:`squeeze_bounds`."""
+class SearchResult:
+    """Best family value, its witness, and the number of branches scored."""
 
-    search: bool = True
-    family: "FamilySpec | None" = None
-    gap_tol: float = 1e-6
+    value: float
+    witness: ProductMap
+    evaluations: int
 
 
-def squeeze_bounds(d: ProductDomain, z: ProductPoint, options: BoundsOptions | None = None) -> BoundReport:
+def _require_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family name {family!r}; known: {', '.join(FAMILIES)}")
+
+
+def search_lower_bound(d: ProductDomain, z: ProductPoint, family: str = AUTO) -> SearchResult:
+    """Best certified lower bound over the named family, with its witness: the best
+    branch of each factor by the table's score (the earlier on ties), min over factors."""
+    _require_family(family)
+    if not d.is_planar():
+        raise DomainError("the embedding search is defined for planar factors only")
+    value, witnesses, evaluations = _family(d, z, family)
+    return SearchResult(value, ProductMap(witnesses), evaluations)
+
+
+def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
+                   family: str = AUTO) -> BoundReport:
     """Every bound of one point, from one pass over the factor table.
 
     ``exact`` is the min of the values on the catalog; lower = max of that min,
-    the annulus clearance and the family value (searching planar factors);
-    upper = min of 1 and the puncture caps.  Applicable methods are tagged,
-    and FamilyGap when the family stays below ``exact`` by over ``gap_tol``.
+    the annulus clearance and, with ``search``, the value of the named
+    ``family`` (on planar factors); upper = min of 1 and the puncture caps.
+    Applicable methods are tagged, and FamilyGap when the family stays below
+    ``exact`` by over 1e-6.  An unknown family name raises DomainError.
     """
-    opt = options or BoundsOptions()
+    _require_family(family)
     kinds = [_kind(f) for f in d.factors]
     values = [k.value(f, c) for k, f, c in zip(kinds, d.factors, z.coords)]
     caps = [v for k, v in zip(kinds, values) if k.punctured]
@@ -327,22 +371,18 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, options: BoundsOptions | N
         lowers.append(annulus_clearance_bound(d.factors[ann].r, z.coords[ann]))
         methods.append(CLEARANCE_LOWER)
 
-    family: tuple[MapExpr, ...] = ()
-    if opt.search and all(k.score is not None for k in kinds):
-        branches = opt.family.branches if opt.family else [k.branches for k in kinds]
-        value, family, _ = _family(d, z, branches)
+    found: tuple[MapExpr, ...] = ()
+    if search and all(k.score is not None for k in kinds):
+        value, found, _ = _family(d, z, family)
         lowers.append(value)
         methods.append(SEARCH)
-        if exact is not None and value < exact - opt.gap_tol:
+        if exact is not None and value < exact - 1e-6:
             methods.append(FAMILY_GAP)
 
-    witnesses = [_automorphisms(z.coords, family)] if witnessed else []
-    if family:
-        witnesses.append(ProductMap(family))
-    lower, upper = max(lowers), min([1.0, *caps])
-    if lower > upper + 1e-9:
-        raise SqueezeError(f"internal inconsistency: lower {lower} > upper {upper}")
-    return BoundReport(min(lower, upper), upper, exact, tuple(witnesses), tuple(methods))
+    witnesses = [_automorphisms(z.coords, found)] if witnessed else []
+    if found:
+        witnesses.append(ProductMap(found))
+    return BoundReport(max(lowers), min([1.0, *caps]), exact, tuple(witnesses), tuple(methods))
 
 
 @dataclass(frozen=True)
@@ -394,45 +434,36 @@ def ball_product_ratio_check(n: int) -> BallProductReport:
     )
 
 
-def boundary_limit_profile(
-    r: float, path, include_exact: bool = True
-) -> LimitProfile:
-    """Lower-bound profile along a monotone path of annulus moduli.
+def boundary_limit_profile(r: float, path) -> LimitProfile:
+    """Clearance-bound profile along a monotone path of annulus moduli.
 
-    Each |z1| is paired with the clearance bound, combined with the exact
-    catalog value of the annulus-times-disk product when ``include_exact``
-    (the default).  The bound tends to 1 toward either boundary circle.  The
-    clearance bound rejects a radius or modulus outside the annulus, and
-    :class:`LimitProfile` an empty or non-monotone path.
+    Each |z1| is paired with :func:`annulus_clearance_bound`, which tends to 1
+    toward either boundary circle.  The clearance bound rejects a radius or
+    modulus outside the annulus, and :class:`LimitProfile` an empty or
+    non-monotone path.
     """
-    entries = []
-    for x in map(float, path):
-        b = annulus_clearance_bound(r, x)
-        if include_exact:
-            b = max(b, _annulus_value(Annulus(r), x))
-        entries.append((x, b))
-    return LimitProfile(tuple(entries), 1.0)
+    return LimitProfile(tuple((x, annulus_clearance_bound(r, x)) for x in map(float, path)), 1.0)
 
 
-def default_limit_path(r: float, side: str, steps: int = 256, end_eps: float = 1e-4):
+def default_limit_path(r: float, side: str, steps: int = 256):
     """Log-spaced annulus moduli from sqrt(r) toward one boundary circle.
 
-    The gap to the target circle shrinks geometrically to ``end_eps`` below 1
-    (outer side) or ``end_eps * (1 - r)`` above r (inner side), narrowed to
-    ``5 end_eps (1 - r)`` for r > 0.8 and ``5 end_eps r (1 - r)`` for r < 0.2
-    so that the last clearance bound stays near 1.  A path that cannot hold
+    The gap to the target circle shrinks geometrically to e = 1e-4 below 1
+    (outer side) or ``e (1 - r)`` above r (inner side), narrowed to
+    ``5 e (1 - r)`` for r > 0.8 and ``5 e r (1 - r)`` for r < 0.2 so that
+    the last clearance bound stays near 1.  A path that cannot hold
     ``steps`` strictly monotone moduli inside the annulus raises DomainError.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"inner radius must lie in (0, 1), got {r}")
     if steps < 1:
         raise DomainError("steps must be positive")
-    s = math.sqrt(r)
+    s, e = math.sqrt(r), _LIMIT_END
     if side == "outer":
-        start, end = 1.0 - s, min(end_eps, 5.0 * end_eps * (1.0 - r))
+        start, end = 1.0 - s, min(e, 5.0 * e * (1.0 - r))
         to_x, toward = (lambda delta: 1.0 - delta), operator.lt
     elif side == "inner":
-        start, end = s - r, min(end_eps * (1.0 - r), 5.0 * end_eps * r * (1.0 - r))
+        start, end = s - r, min(e * (1.0 - r), 5.0 * e * r * (1.0 - r))
         to_x, toward = (lambda delta: r + delta), operator.gt
     else:
         raise DomainError(f"side must be 'outer' or 'inner', got {side!r}")

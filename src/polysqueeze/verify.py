@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import _sampled_circle_min, product_inradius
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval, poincare_distance, sigma, sigma_inv
-from .search import INCLUSION, REFLECTION, FamilySpec, search_lower_bound
 from .squeezing import (
     FAMILY_GAP,
+    INCLUSION,
+    REFLECTION,
     SEARCH,
-    BoundsOptions,
     annulus_clearance_bound,
     ball_product_ratio_check,
     boundary_limit_profile,
@@ -30,6 +30,7 @@ from .squeezing import (
     exact_squeeze,
     hhr_flag,
     puncture_upper_bound,
+    search_lower_bound,
     squeeze_bounds,
 )
 
@@ -181,7 +182,7 @@ def suite_limit(seed: int = 0) -> list[Check]:
     checks = []
     for side in ("outer", "inner"):
         path = default_limit_path(r, side, steps=256)
-        profile = boundary_limit_profile(r, path, include_exact=False)
+        profile = boundary_limit_profile(r, path)
         bounds = profile.bounds
         final = bounds[-1]
         k = min(range(len(bounds)), key=lambda i: (bounds[i], i))
@@ -325,7 +326,7 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
     for f, zc, branch in cases:
         d = ProductDomain((f,))
         z = d.point([zc])
-        sr = search_lower_bound(d, z, FamilySpec(((branch,),)))
+        sr = search_lower_bound(d, z, branch)
         sampled = product_inradius(sr.witness, d, z, 65536)
         worst_err = max(worst_err, abs(sampled - sr.value))
         worst_below = max(worst_below, sr.value - sampled)
@@ -344,11 +345,11 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
     x = 0.5
     outer = (x - r) / (1.0 - r * x)           # analytic branch values, the oracle
     reflected = r * (1.0 - x) / (x - r * r)
-    got_incl = search_lower_bound(d, z, FamilySpec.named(d, "inclusion")).value
-    got_refl = search_lower_bound(d, z, FamilySpec.named(d, "reflection")).value
-    sr = search_lower_bound(d, z, FamilySpec.auto(d))
+    got_incl = search_lower_bound(d, z, INCLUSION).value
+    got_refl = search_lower_bound(d, z, REFLECTION).value
+    sr = search_lower_bound(d, z)
     exact = exact_squeeze(d, z).exact
-    rep = squeeze_bounds(d, z, BoundsOptions(search=True))
+    rep = squeeze_bounds(d, z)
     gap = exact - sr.value
     worst_err, worst_below, count = _witness_oracle_errors(np.random.default_rng(seed))
     return [

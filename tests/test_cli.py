@@ -285,9 +285,9 @@ def test_profile_sweeps_its_ray_from_a_subnormal_base(capsys, monkeypatch, tmp_p
     moduli = []
     squeeze_bounds = cli.squeeze_bounds
 
-    def recording(domain, z, options):
+    def recording(domain, z, **options):
         moduli.append(abs(z.planar(0)))
-        return squeeze_bounds(domain, z, options)
+        return squeeze_bounds(domain, z, **options)
 
     monkeypatch.setattr(cli, "squeeze_bounds", recording)
     code, rows, _ = run(capsys, ["profile", "--spec", str(spec), "--point", f"{c0};0.1,0",
@@ -493,6 +493,106 @@ def test_search_budget_and_samples_change_no_value(capsys, annulus):
         assert code == 0
         outs.append(out)
     assert outs.count(outs[0]) == len(outs)
+
+
+# ------------------------------------------------- points an ulp from a circle
+
+FAMILY_COMMANDS = [("search",), ("search", "--family", "inclusion"),
+                   ("search", "--family", "reflection"), ("eval",), ("eval", "--no-search"),
+                   ("eval", "--family", "inclusion"), ("eval", "--family", "reflection")]
+
+# annulus(r) x disk, or x the punctured disk, at valid points where the
+# reflected image r/z used to round onto the unit circle, or 1 - |r/z|^2 to
+# 0, or where the quotient of subnormal operands lost its low bits
+EDGE_CASES = {
+    "image_rounds_to_unit_modulus": (0.04, "disk", "0.03870707637815848,-0.010087727110474709;0,0"),
+    "normalizer_denominator_rounds_to_0": (
+        0.999999999999, "disk", "-0.8273158576780923,0.5617370128737849;0,0"),
+    "subnormal_radius": (1e-320, "disk", "-1.5e-323,-2e-320;0,0"),
+    "subnormal_radius_punctured": (1e-320, "punctured", "-1.5e-323,-2e-320;0.9,0"),
+}
+
+
+def _annulus_spec(tmp_path, r, second):
+    cofactor = ({"kind": "disk"} if second == "disk"
+                else {"kind": "punctured_disk", "punctures": [[0.0, 0.0]]})
+    path = tmp_path / f"annulus_{r!r}_{second}.json"
+    path.write_text(json.dumps({"factors": [{"kind": "annulus", "r": r}, cofactor]}))
+    return str(path)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    return code, dict(zip(*rows)) if len(rows) == 2 else {}, err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_points_next_to_a_circle_keep_the_exit_contract(tmp_path, case):
+    r, second, point = EDGE_CASES[case]
+    spec = _annulus_spec(tmp_path, r, second)
+    for command in FAMILY_COMMANDS:
+        code, row, err = _call([*command, "--spec", spec, "--point=" + point])
+        assert code == 0, (command, err)
+        if row.get("exact"):
+            if command[0] == "eval":
+                assert float(row["lower"]) <= float(row["exact"]), command
+            else:
+                assert float(row["gap"]) >= 0, command
+
+
+def test_subnormal_radius_reports_r_over_modulus(tmp_path):
+    # |z| is 4048.0011 subnormal units and r is 2024, so r/|z| is
+    # 0.49999986; the bare quotient r/z had modulus 0.50000006
+    want = 2024 / math.hypot(3, 4048)
+    r, second, point = EDGE_CASES["subnormal_radius"]
+    code, row, _ = _call(["eval", "--spec", _annulus_spec(tmp_path, r, second), "--point=" + point])
+    assert code == 0
+    assert float(row["exact"]) == pytest.approx(want, rel=1e-15)
+    assert float(row["lower"]) == float(row["exact"])
+    r, second, point = EDGE_CASES["subnormal_radius_punctured"]
+    code, row, _ = _call(["eval", "--spec", _annulus_spec(tmp_path, r, second), "--point=" + point])
+    assert code == 0
+    assert float(row["lower"]) == pytest.approx(want, rel=1e-15)
+
+
+def _ulps_from(x, toward, k):
+    for _ in range(k):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.sampled_from([1e-320, 0.25, 1 - 1e-12]), outer=st.booleans(),
+       k=st.integers(1, 8), angle=st.floats(0.0, 2 * math.pi),
+       second=st.sampled_from(["disk", "punctured"]))
+def test_points_a_few_ulps_from_either_circle_exit_0(tmp_path_factory, r, outer, k, angle,
+                                                     second):
+    # the modulus k ulps inside the circle; the point is kept when its
+    # components, rounded, still pass membership
+    x = _ulps_from(1.0, 0.0, k) if outer else _ulps_from(r, 1.0, k)
+    z = complex(x * math.cos(angle), x * math.sin(angle))
+    if not r < abs(z) < 1.0:
+        return
+    spec = _annulus_spec(tmp_path_factory.getbasetemp(), r, second)
+    point = f"{z.real!r},{z.imag!r};{'0.9,0' if second == 'punctured' else '0,0'}"
+    for command in FAMILY_COMMANDS:
+        code, _, err = _call([*command, "--spec", spec, "--point=" + point])
+        assert code == 0, (command, point, err)
+
+
+def test_polydisk_point_an_ulp_inside_the_circle(tmp_path):
+    # 1 - |z|^2 rounds to 0 here, where the normalizer used to divide 0 by 0
+    z = complex(-0.6381610240979042, 0.769902920712939)
+    assert abs(z) < 1 and 1 - (z.conjugate() * z).real == 0
+    spec = tmp_path / "polydisk.json"
+    spec.write_text(json.dumps({"factors": [{"kind": "disk"}, {"kind": "disk"}]}))
+    for command in FAMILY_COMMANDS[:4]:
+        code, row, err = _call([*command, "--spec", str(spec), f"--point={z.real!r},{z.imag!r};0,0"])
+        assert code == 0, (command, err)
+        assert float(row.get("lower", row.get("value"))) == 1.0
 
 
 # ------------------------------------------------------------------- plumbing

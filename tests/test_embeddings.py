@@ -31,12 +31,24 @@ from polysqueeze import (
     single_factor_exact,
 )
 from polysqueeze.domains import _unit_circle, punctures
-from polysqueeze.embeddings import _SAMPLE_BLOCK, _all_distinct, _sampled_circle_min
-from polysqueeze.search import INCLUSION, REFLECTION, build_factor_witness
+from polysqueeze.embeddings import _SAMPLE_BLOCK, _all_distinct, _sampled_circle_min, reflect
+from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness
 
 
 def mexpr(*steps):
     return MapExpr(tuple(steps))
+
+
+def rotated_witness(f, z, branch, a):
+    """The family witness of ``branch`` at ``z`` with one more automorphism,
+    vanishing at ``a``, before the normalizer: [reflection,] MobiusAut(a),
+    MobiusAut(w_a), where w_a is the image of ``z`` under the steps before it.
+    At a = 0 it is the family's own witness."""
+    if a == 0:
+        return build_factor_witness(f, z, branch)
+    head = (Reflection(f.r),) if branch == REFLECTION else ()
+    w_a = complex(map_eval(mexpr(*head, MobiusAut(a)), z))
+    return mexpr(*head, MobiusAut(a), MobiusAut(w_a))
 
 
 # ------------------------------------------------------------------- map_eval
@@ -59,6 +71,19 @@ def test_map_eval_composition_left_to_right():
 def test_map_eval_reflection_pole():
     with pytest.raises(DomainError):
         map_eval(mexpr(Reflection(0.25)), 0)
+
+
+def test_reflection_of_subnormal_operands_keeps_its_bits():
+    # r and z lifted by 2**600 divide as normal doubles; the bare quotient
+    # has modulus 0.50000006 where r/|z| is 0.49999986
+    r, z = 1e-320, complex(-1.5e-323, -2e-320)
+    lifted = (r * 2.0 ** 600) / (z * 2.0 ** 600)
+    assert abs(r / z) > 0.5
+    assert reflect(r, z) == lifted == map_eval(mexpr(Reflection(r)), z)
+    assert abs(lifted) == pytest.approx(2024 / math.hypot(3, 4048), rel=1e-15)
+    ring = np.array([z, 2 * z])
+    assert np.array_equal(map_eval(mexpr(Reflection(r)), ring), [lifted, lifted / 2])
+    assert reflect(0.25, 0.5 + 0.1j) == 0.25 / (0.5 + 0.1j)  # normal operands: the bare quotient
 
 
 def test_map_eval_vectorized_matches_scalar():
@@ -205,7 +230,7 @@ def whole_array_inradius(e, f, m):
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_blocked_sampling_bitwise_equals_whole_array(case, m):
     f, z, branch, a = BLOCK_CASES[case]
-    e = build_factor_witness(f, z, branch, a)
+    e = rotated_witness(f, z, branch, a)
     samples = boundary_samples(f, m)
     # each circle on its own, then the whole inradius with its punctures
     radii = (1.0 + NUDGE, (1.0 - NUDGE) * f.r) if isinstance(f, Annulus) else (1.0 + NUDGE,)
@@ -233,7 +258,7 @@ def test_blocked_sampling_memory_stays_within_blocks():
     # 2**20 points a circle: every whole-circle temporary would be 8-16 MB
     m = 2 ** 20
     f = Annulus(0.25)
-    e = build_factor_witness(f, 0.3 - 0.1j, REFLECTION, 0j)
+    e = build_factor_witness(f, 0.3 - 0.1j, REFLECTION)
     _unit_circle(m)  # the cached circle is shared, so it is not counted
     tracemalloc.start()
     try:
@@ -267,17 +292,43 @@ def test_analytic_rejects_mobius_before_reflection():
 
 
 def test_witness_never_beats_closed_form():
-    # no family witness exceeds the proven squeezing value of its factor
+    # no family witness, with or without an extra automorphism, exceeds the
+    # proven squeezing value of its factor
     f = PuncturedDisk((0j,))
     z = 0.5
     for a in np.linspace(0.0, 0.9, 10):
-        e = build_factor_witness(f, z, "inclusion", complex(a))
+        e = rotated_witness(f, z, INCLUSION, complex(a))
         assert image_inradius_at_zero(e, f, 2048) <= single_factor_exact(f, z) + 1e-6
     fa = Annulus(0.25)
-    for branch in ("inclusion", "reflection"):
+    for branch in (INCLUSION, REFLECTION):
         for a in np.linspace(0.0, 0.9, 10):
-            e = build_factor_witness(fa, 0.5, branch, complex(a))
+            e = rotated_witness(fa, 0.5, branch, complex(a))
             assert image_inradius_at_zero(e, fa, 2048) <= single_factor_exact(fa, 0.5) + 1e-6
+
+
+def test_witness_always_sends_base_to_zero():
+    # an extra automorphism before the normalizer still sends the base point to 0
+    for a in (0j, 0.3 + 0j, 0.2 - 0.4j):
+        e = rotated_witness(PuncturedDisk((0.1 + 0j,)), 0.5j, INCLUSION, a)
+        assert abs(complex(map_eval(e, 0.5j))) <= 1e-12
+        ea = rotated_witness(Annulus(0.25), 0.4 + 0.2j, REFLECTION, a)
+        assert abs(complex(map_eval(ea, 0.4 + 0.2j))) <= 1e-12
+
+
+def test_rotational_reduction_soundness():
+    # the inradius is independent of arg(a) on the circularly symmetric
+    # factors: two automorphisms with one zero differ by a rotation, so the
+    # family takes a = 0
+    for f, branch, z in (
+        (PuncturedDisk((0j,)), INCLUSION, 0.5 + 0j),
+        (Annulus(0.25), INCLUSION, 0.45 + 0.1j),
+        (Annulus(0.25), REFLECTION, 0.45 + 0.1j),
+    ):
+        vals = []
+        for k in range(8):
+            a = 0.37 * cmath.exp(2j * math.pi * k / 8)
+            vals.append(image_inradius_at_zero(rotated_witness(f, z, branch, a), f, 1024))
+        assert max(vals) - min(vals) <= 1e-10
 
 
 # ------------------------------------------------------------ product inradius

@@ -102,6 +102,13 @@ def test_mobius_zero_of_map():
     assert mobius_eval(MobiusAut(0.3), 0.3) == 0
 
 
+def test_mobius_zero_where_the_denominator_rounds_to_0():
+    # an ulp inside the unit circle 1 - |a|^2 rounds to 0; the map is still 0 at a
+    a = complex(-0.6381610240979042, 0.769902920712939)
+    assert abs(a) < 1 and 1 - (a.conjugate() * a).real == 0
+    assert mobius_eval(MobiusAut(a, 0.4), a) == 0
+
+
 def test_mobius_identity():
     for z in (0.0, 0.5j, -0.2 + 0.7j):
         assert mobius_eval(MobiusAut(0.0), z) == z

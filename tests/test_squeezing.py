@@ -10,7 +10,6 @@ from polysqueeze import (
     Annulus,
     BallFactor,
     BoundReport,
-    BoundsOptions,
     DomainError,
     LimitProfile,
     ProductDomain,
@@ -248,7 +247,7 @@ def test_bracket_holds_exact_to_the_last_bit(name, r1, t1, r2, t2, search):
     d = BRACKET_DOMAINS[name]
     coords = [cmath.rect(r1, t1), cmath.rect(r2, t2)]
     assume(all(map(membership, d.factors, coords)))
-    rep = squeeze_bounds(d, d.point(coords), BoundsOptions(search=search))
+    rep = squeeze_bounds(d, d.point(coords), search=search)
     assert rep.lower <= rep.exact <= rep.upper
 
 
@@ -284,7 +283,7 @@ def test_lower_multi_puncture_min_modulus():
                for p in (0j, 0.5 + 0j, -0.5j))
     assert want == pytest.approx(math.sqrt(0.05), abs=1e-15)
     assert product_lower_bound(d, z) == pytest.approx(want, abs=1e-15)
-    rep = squeeze_bounds(d, z, BoundsOptions(search=False))
+    rep = squeeze_bounds(d, z, search=False)
     assert rep.lower == pytest.approx(want, abs=1e-15)
     assert PRODUCT_LOWER in rep.methods
 
@@ -364,7 +363,7 @@ def test_bounds_polydisk():
 
 
 def test_bounds_annulus_has_clearance_tag():
-    rep = squeeze_bounds(ANNULUS_DISK, ANNULUS_DISK.point([0.7, 0.1]), BoundsOptions(search=False))
+    rep = squeeze_bounds(ANNULUS_DISK, ANNULUS_DISK.point([0.7, 0.1]), search=False)
     assert CLEARANCE_LOWER in rep.methods and SEARCH not in rep.methods
     assert rep.lower == pytest.approx(0.7, abs=1e-15)
     assert rep.upper == 1.0
@@ -407,14 +406,17 @@ def test_ball_ratio_rejects_n1():
 # ---------------------------------------------------------------- limit profile
 
 def test_profile_values_dominate_clearances():
-    profile = boundary_limit_profile(0.25, [0.9, 0.99, 0.999])
+    xs = [0.9, 0.99, 0.999]
+    profile = boundary_limit_profile(0.25, xs)
     assert profile.target == 1.0
-    for bound, floor in zip(profile.bounds, (0.8387, 0.9837, 0.99834)):
+    # the profile is the clearance column itself, with no closed form mixed in
+    assert profile.bounds == tuple(annulus_clearance_bound(0.25, x) for x in xs)
+    for bound, floor in zip(profile.bounds, (0.8387, 0.9833, 0.99833)):
         assert bound >= floor
 
 
 def test_profile_clearance_only_column():
-    profile = boundary_limit_profile(0.25, [0.9], include_exact=False)
+    profile = boundary_limit_profile(0.25, [0.9])
     assert profile.bounds[0] == pytest.approx(0.65 / 0.775, abs=1e-15)
 
 
