@@ -24,7 +24,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
 from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, reflect, require_base_to_zero
@@ -297,14 +297,19 @@ def build_factor_witness(f, z: complex, branch: str) -> MapExpr:
     return MapExpr(tuple(steps) or (Inclusion(),))
 
 
-def _family(d: ProductDomain, z: ProductPoint, family: str) -> tuple[float, tuple[MapExpr, ...], int]:
+def _family(d: ProductDomain, z: ProductPoint, family: str,
+            values: Iterable[float]) -> tuple[float, tuple[MapExpr, ...], int]:
     """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
 
     A branch with no normalizer at the point is skipped, and a factor left
     with none keeps inclusion, which always has one: the point lies in the disk.
+    ``values`` holds each factor's value column at the point.  A witness
+    never beats its factor's squeezing value, but the score and the value are
+    different expressions and can round an ulp apart, so each best score is
+    capped by the value: score <= value bit for bit.
     """
     scores, witnesses, evaluations = [], [], 0
-    for i, (f, c) in enumerate(zip(d.factors, z.coords)):
+    for i, (f, c, value) in enumerate(zip(d.factors, z.coords, values)):
         kind = _kind(f)
         names = (kind.branches if family == AUTO
                  else (family,) if family in kind.branches else (INCLUSION,))
@@ -313,7 +318,7 @@ def _family(d: ProductDomain, z: ProductPoint, family: str) -> tuple[float, tupl
         best, branch = max(((kind.score(f, w), b) for b, w in images), key=lambda vb: vb[0])
         e = build_factor_witness(f, c, branch)
         require_base_to_zero(e, c, i)
-        scores.append(best)
+        scores.append(min(best, value))
         witnesses.append(e)
         evaluations += len(images)
     return min(scores), tuple(witnesses), evaluations
@@ -335,11 +340,13 @@ def _require_family(family: str) -> None:
 
 def search_lower_bound(d: ProductDomain, z: ProductPoint, family: str = AUTO) -> SearchResult:
     """Best certified lower bound over the named family, with its witness: the best
-    branch of each factor by the table's score (the earlier on ties), min over factors."""
+    branch of each factor by the table's score (the earlier on ties), capped by the
+    factor's value, min over factors."""
     _require_family(family)
     if not d.is_planar():
         raise DomainError("the embedding search is defined for planar factors only")
-    value, witnesses, evaluations = _family(d, z, family)
+    values = map(single_factor_exact, d.factors, z.coords)
+    value, witnesses, evaluations = _family(d, z, family, values)
     return SearchResult(value, ProductMap(witnesses), evaluations)
 
 
@@ -373,7 +380,7 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
 
     found: tuple[MapExpr, ...] = ()
     if search and all(k.score is not None for k in kinds):
-        value, found, _ = _family(d, z, family)
+        value, found, _ = _family(d, z, family, values)
         lowers.append(value)
         methods.append(SEARCH)
         if exact is not None and value < exact - 1e-6:

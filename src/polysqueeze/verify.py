@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .domains import Annulus, ProductDomain, PuncturedDisk, UnitDisk
-from .embeddings import _sampled_circle_min, product_inradius
+from .embeddings import MapExpr, _sampled_circle_min, _squared_moduli, product_inradius
 from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval, poincare_distance, sigma, sigma_inv
 from .squeezing import (
     FAMILY_GAP,
@@ -218,10 +219,12 @@ def suite_ball_ratios(seed: int = 0) -> list[Check]:
 def suite_oracle(seed: int = 0) -> list[Check]:
     """Radial circle-minimum formula against a 65536-sample brute-force minimum.
 
-    Pairs are drawn with moduli in [0, 0.95], radii in [0.02, 0.95] and
-    ||a| - r| >= 0.01: closer pairs push the true minimum toward a conical 0
-    where the brute-force sampler itself exceeds the tolerance, so they test
-    the sampler, not the formula.
+    The brute force is the sampler of the witness oracle: the least squared
+    modulus |zeta - a|^2 / |1 - conj(a) zeta|^2 over the circle, taken in
+    blocks, then one square root.  Pairs are drawn with moduli in [0, 0.95],
+    radii in [0.02, 0.95] and ||a| - r| >= 0.01: closer pairs push the true
+    minimum toward a conical 0 where the brute-force sampler itself exceeds
+    the tolerance, so they test the sampler, not the formula.
     """
     import numpy as np
 
@@ -234,7 +237,8 @@ def suite_oracle(seed: int = 0) -> list[Check]:
             if abs(amod - r) >= 0.01:
                 break
         a = amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        brute = _sampled_circle_min(MobiusAut(a), r, 65536)
+        sq = partial(_squared_moduli, MapExpr((MobiusAut(a),)))
+        brute = _sampled_circle_min(sq, r, 65536)
         worst = max(worst, abs(brute - mobius_circle_min_modulus(a, r)))
     return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
                    f"max_err={worst:.3e} tol=1e-4 pairs=1000 samples=65536")]

@@ -31,7 +31,13 @@ from polysqueeze import (
     single_factor_exact,
 )
 from polysqueeze.domains import _unit_circle, punctures
-from polysqueeze.embeddings import _SAMPLE_BLOCK, _all_distinct, _sampled_circle_min, reflect
+from polysqueeze.embeddings import (
+    _SAMPLE_BLOCK,
+    _all_distinct,
+    _sampled_circle_min,
+    _squared_moduli,
+    reflect,
+)
 from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness
 
 
@@ -220,7 +226,7 @@ NUDGE = 4.0 * np.finfo(float).eps  # radial offset of the samples off the open s
 
 def whole_array_inradius(e, f, m):
     """The sampled inradius as one array over every boundary sample."""
-    best = float(np.abs(map_eval(e, boundary_samples(f, m))).min())
+    best = math.sqrt(_squared_moduli(e, boundary_samples(f, m)).min())
     for p in punctures(f):
         best = min(best, abs(removable_extension_at(e, p)))
     return best
@@ -232,11 +238,12 @@ def test_blocked_sampling_bitwise_equals_whole_array(case, m):
     f, z, branch, a = BLOCK_CASES[case]
     e = rotated_witness(f, z, branch, a)
     samples = boundary_samples(f, m)
+    sq = partial(_squared_moduli, e)
     # each circle on its own, then the whole inradius with its punctures
     radii = (1.0 + NUDGE, (1.0 - NUDGE) * f.r) if isinstance(f, Annulus) else (1.0 + NUDGE,)
     for k, rho in enumerate(radii):
-        whole = float(np.abs(map_eval(e, samples[k * m:(k + 1) * m])).min())
-        assert _sampled_circle_min(partial(map_eval, e), rho, m) == whole
+        whole = math.sqrt(sq(samples[k * m:(k + 1) * m]).min())
+        assert _sampled_circle_min(sq, rho, m) == whole
     assert image_inradius_at_zero(e, f, m) == whole_array_inradius(e, f, m)
 
 
@@ -247,11 +254,70 @@ def test_blocked_sampling_propagates_nan():
     nan_at = 2 * _SAMPLE_BLOCK + 5
     point = _unit_circle(m)[nan_at]
 
-    def fn(w):
-        return np.where(w == point, np.nan, w)
+    def sq(w):
+        return np.where(w == point, np.nan, (w * w.conj()).real)
 
-    assert math.isnan(float(np.abs(fn(_unit_circle(m))).min()))
-    assert math.isnan(_sampled_circle_min(fn, 1.0, m))
+    assert math.isnan(float(sq(_unit_circle(m)).min()))
+    assert math.isnan(_sampled_circle_min(sq, 1.0, m))
+
+
+# The old per-sample arithmetic, abs(map_eval(e, sample)): a complex quotient
+# and a hypot.  The squared-modulus path rounds differently, by 3.0 to 3.3
+# eps at most over 300 random witnesses; 8 eps is the bound set for it.
+REFERENCE_RTOL = 8.0 * np.finfo(float).eps
+
+
+def assert_moduli_match_map_eval(e, f, m):
+    samples = boundary_samples(f, m)
+    reference = np.abs(map_eval(e, samples))
+    moduli = np.sqrt(_squared_moduli(e, samples))
+    assert np.all(np.abs(moduli - reference) <= REFERENCE_RTOL * reference)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_squared_moduli_match_map_eval_on_block_cases(case):
+    f, z, branch, a = BLOCK_CASES[case]
+    assert_moduli_match_map_eval(rotated_witness(f, z, branch, a), f, 4096)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((0.04, 0.25, 0.64)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2 * math.pi),
+    st.sampled_from((INCLUSION, REFLECTION)),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_squared_moduli_match_map_eval(r, t, ang, branch, amod, aang, theta):
+    # an annulus point, a branch, and an extra automorphism vanishing at a
+    # before the normalizer, both with rotation theta
+    f = Annulus(r)
+    z = (r + (0.02 + 0.96 * t) * (1.0 - r)) * cmath.exp(1j * ang)
+    head = (Reflection(r),) if branch == REFLECTION else ()
+    extra = MobiusAut(amod * cmath.exp(1j * aang), theta)
+    w = complex(map_eval(mexpr(*head, extra), z))
+    assert_moduli_match_map_eval(mexpr(*head, extra, MobiusAut(w, theta)), f, 1024)
+
+
+@pytest.mark.parametrize("m", (64, 1024, 65536))
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(("disk", "punctured", "annulus")),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 2 * math.pi),
+    st.booleans(),
+)
+def test_sampled_never_below_analytic(m, kind, amod, aang, theta, reflected):
+    # the samples lie on the boundary circles, so their least modulus can only
+    # overshoot the analytic inradius, whatever the sample count
+    f = {"disk": UnitDisk(), "punctured": PuncturedDisk((0.3 - 0.2j,)), "annulus": Annulus(0.25)}[kind]
+    head = (Reflection(0.25),) if reflected and kind == "annulus" else ()
+    e = mexpr(*head, MobiusAut(amod * cmath.exp(1j * aang), theta))
+    analytic = image_inradius_analytic(e, f)
+    assert image_inradius_at_zero(e, f, m) >= analytic - 1e-12
 
 
 def test_blocked_sampling_memory_stays_within_blocks():

@@ -28,6 +28,7 @@ from polysqueeze import (
     product_inradius,
     product_lower_bound,
     puncture_upper_bound,
+    search_lower_bound,
     single_annulus_index,
     single_factor_exact,
     squeeze_bounds,
@@ -249,6 +250,54 @@ def test_bracket_holds_exact_to_the_last_bit(name, r1, t1, r2, t2, search):
     assume(all(map(membership, d.factors, coords)))
     rep = squeeze_bounds(d, d.point(coords), search=search)
     assert rep.lower <= rep.exact <= rep.upper
+
+
+CATALOG = {
+    **BRACKET_DOMAINS,
+    **{f"annulus{r}": ProductDomain((Annulus(r), UnitDisk())) for r in (0.04, 0.25, 0.64)},
+    "ball": ProductDomain((BallFactor(2),)),
+}
+
+
+def _ulps_from(x, toward, k):
+    for _ in range(k):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _near(f, data):
+    """A coordinate of ``f`` anywhere, or 1-8 ulps off one of its circles or punctures."""
+    if isinstance(f, BallFactor):
+        return (0j,) * (f.n - 1) + (data.draw(st.floats(0.0, 0.95)),)
+    k = data.draw(st.integers(1, 8))
+    angle = data.draw(st.floats(0.0, 2 * math.pi))
+    spots = ["anywhere", "outer"] + (["inner"] if isinstance(f, Annulus) else [])
+    spots += list(getattr(f, "punctures", ()))
+    spot = data.draw(st.sampled_from(spots))
+    if spot == "anywhere":
+        return cmath.rect(data.draw(st.floats(0.0, 0.95)), angle)
+    if spot in ("outer", "inner"):
+        x = _ulps_from(1.0, 0.0, k) if spot == "outer" else _ulps_from(f.r, 1.0, k)
+        return complex(x * math.cos(angle), x * math.sin(angle))
+    toward = data.draw(st.sampled_from((-math.inf, math.inf)))
+    if data.draw(st.booleans()):
+        return complex(_ulps_from(spot.real, toward, k), spot.imag)
+    return complex(spot.real, _ulps_from(spot.imag, toward, k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.data())
+def test_catalog_bracket_and_search_need_no_tolerance(name, data):
+    # a family score and its factor's value round apart by an ulp unless the
+    # score is capped by the value: neither the search nor lower may exceed exact
+    d = CATALOG[name]
+    coords = [_near(f, data) for f in d.factors]
+    assume(all(map(membership, d.factors, coords)))
+    z = d.point(coords)
+    rep = squeeze_bounds(d, z)
+    assert rep.lower <= rep.exact <= rep.upper
+    if d.is_planar():
+        assert search_lower_bound(d, z).value <= rep.exact
 
 
 # ------------------------------------------------------------- product lower

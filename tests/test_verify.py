@@ -1,15 +1,19 @@
 """Inputs of the verify suites.
 
 The bulk draw of the hyperbolic suite must reproduce the per-triple draws it
-replaced, value for value and with the generator left in the same state.
+replaced, value for value and with the generator left in the same state.  The
+sampled oracle must keep its workload, circle for circle, so that a faster
+pass cannot come from sampling less.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from polysqueeze.verify import _hyperbolic_draws, _random_disk_points
+from polysqueeze import embeddings, verify
+from polysqueeze.verify import SUITES, _hyperbolic_draws, _random_disk_points, run_suite
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -29,3 +33,28 @@ def test_hyperbolic_draws_reproduce_per_triple_stream(seed):
     assert np.array_equal(points.view(np.int64), np.array(old_points).view(np.int64))
     assert np.array_equal(thetas.view(np.int64), np.array(old_thetas).view(np.int64))
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def test_verify_samples_1361_circles_of_65536_points(monkeypatch):
+    circles = Counter()
+    suite = [None]
+    sampler = embeddings._sampled_circle_min
+
+    def counting(sq, radius, m):
+        circles[suite[0], m] += 1
+        return sampler(sq, radius, m)
+
+    def tagged(name, fn):
+        def run(seed):
+            suite[0] = name
+            return fn(seed)
+        return run
+
+    monkeypatch.setattr(embeddings, "_sampled_circle_min", counting)
+    monkeypatch.setattr(verify, "_sampled_circle_min", counting)
+    for name, fn in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, tagged(name, fn))
+    checks = run_suite("all")
+    assert all(c.passed for c in checks)
+    assert circles == {("oracle", 65536): 1000, ("mixed", 65536): 240,
+                       ("family_gap", 65536): 121}
