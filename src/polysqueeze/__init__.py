@@ -1,59 +1,21 @@
 """Squeezing values of product domains relative to the polydisk.
 
 Exact catalog evaluators, certified upper and lower bounds, explicit witness
-embeddings with a boundary-sampling inradius oracle, and lower bounds from
-witness families scored in closed form.  Everything is pure and
-immutable; any function may be called concurrently.
+embeddings, and lower bounds from witness families scored in closed form.
+Everything is pure and immutable; any function may be called concurrently.
+The names below are the public API; the boundary-sampling oracle that
+cross-checks the closed forms lives in :mod:`polysqueeze.verify`.
 
 Importing the package does not load numpy.  The closed forms and bounds run
-on Python floats and complex numbers; the functions that build arrays (the
-boundary-sampling oracle, the injectivity spot check, the limit path and
-the verification suites) import numpy when they are called.
+on Python floats and complex numbers; the limit path and the verification
+suites import numpy when they are called.
 """
 
-from .domains import (
-    Annulus,
-    BallFactor,
-    PlanarFactor,
-    ProductDomain,
-    ProductPoint,
-    PuncturedDisk,
-    UnitDisk,
-    boundary_samples,
-    factor_dim,
-    membership,
-    punctures,
-)
-from .embeddings import (
-    Inclusion,
-    MapExpr,
-    ProductMap,
-    Reflection,
-    image_inradius_analytic,
-    image_inradius_at_zero,
-    injectivity_spot_check,
-    map_eval,
-    product_inradius,
-    removable_extension_at,
-)
+from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
+from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import (
-    HyperbolicValue,
-    MobiusAut,
-    kob_disk,
-    mobius_circle_min_modulus,
-    mobius_eval,
-    poincare_distance,
-    sigma,
-    sigma_inv,
-)
+from .hyperbolic import MobiusAut
 from .squeezing import (
-    CLEARANCE_LOWER,
-    CLOSED_FORM,
-    FAMILY_GAP,
-    PRODUCT_LOWER,
-    PUNCTURE_UPPER,
-    SEARCH,
     BallProductReport,
     BoundReport,
     LimitProfile,
@@ -61,15 +23,12 @@ from .squeezing import (
     annulus_clearance_bound,
     ball_product_ratio_check,
     boundary_limit_profile,
-    build_factor_witness,
     default_limit_path,
     exact_squeeze,
     hhr_flag,
     product_lower_bound,
     puncture_upper_bound,
     search_lower_bound,
-    single_annulus_index,
-    single_factor_exact,
     squeeze_bounds,
 )
 
@@ -81,12 +40,10 @@ __all__ = [
     "BallProductReport",
     "BoundReport",
     "DomainError",
-    "HyperbolicValue",
     "Inclusion",
     "LimitProfile",
     "MapExpr",
     "MobiusAut",
-    "PlanarFactor",
     "ProductDomain",
     "ProductMap",
     "ProductPoint",
@@ -99,30 +56,11 @@ __all__ = [
     "annulus_clearance_bound",
     "ball_product_ratio_check",
     "boundary_limit_profile",
-    "boundary_samples",
-    "build_factor_witness",
     "default_limit_path",
     "exact_squeeze",
-    "factor_dim",
     "hhr_flag",
-    "image_inradius_analytic",
-    "image_inradius_at_zero",
-    "injectivity_spot_check",
-    "kob_disk",
-    "map_eval",
-    "membership",
-    "mobius_circle_min_modulus",
-    "mobius_eval",
-    "poincare_distance",
-    "product_inradius",
     "product_lower_bound",
-    "punctures",
     "puncture_upper_bound",
-    "removable_extension_at",
     "search_lower_bound",
-    "sigma",
-    "sigma_inv",
-    "single_annulus_index",
-    "single_factor_exact",
     "squeeze_bounds",
 ]

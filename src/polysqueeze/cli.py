@@ -30,7 +30,6 @@ import functools
 import json
 import math
 import os
-import re
 import stat
 import sys
 from contextlib import contextmanager, suppress
@@ -221,35 +220,6 @@ def format_map_expr(e: MapExpr) -> str:
 
 def format_product_map(pm: ProductMap) -> str:
     return ";".join(format_map_expr(e) for e in pm.components)
-
-
-_STEP_RE = re.compile(r"^(mobius|reflect)\(([^)]*)\)$")
-
-
-def parse_map_expr(text: str) -> MapExpr:
-    steps = []
-    for token in text.split("|"):
-        token = token.strip()
-        if token == "include":
-            steps.append(Inclusion())
-            continue
-        m = _STEP_RE.match(token)
-        if m is None:
-            raise UsageError(f"cannot parse map step {token!r}")
-        args = [float(v) for v in m.group(2).split(",")]
-        if m.group(1) == "mobius":
-            if len(args) != 3:
-                raise UsageError(f"mobius step needs 3 numbers, got {token!r}")
-            steps.append(MobiusAut(complex(args[0], args[1]), args[2]))
-        else:
-            if len(args) != 1:
-                raise UsageError(f"reflect step needs 1 number, got {token!r}")
-            steps.append(Reflection(args[0]))
-    return MapExpr(tuple(steps))
-
-
-def parse_product_map(text: str) -> ProductMap:
-    return ProductMap(tuple(parse_map_expr(part) for part in text.split(";")))
 
 
 # ------------------------------------------------------------------ commands

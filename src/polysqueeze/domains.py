@@ -3,20 +3,17 @@
 Planar factors are normalized: outer boundary is the unit circle and the
 annulus is centered at 0.  More general disks are reached through Mobius
 witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
+The boundary samples of a factor belong to the oracle of
+:mod:`polysqueeze.verify`, not to this module.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,65 +107,6 @@ def membership(f: Factor, coord: Coordinate) -> bool:
     raise DomainError(f"unknown factor kind {type(f).__name__}")
 
 
-@lru_cache(maxsize=8)
-def _unit_circle(m: int) -> np.ndarray:
-    import numpy as np
-
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    circle.setflags(write=False)
-    return circle
-
-
-_NUDGE = 4.0 * sys.float_info.epsilon
-
-
-def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
-    """Radius of each sampled boundary circle, nudged a few ulps off the open set.
-
-    ``1 + 4 eps`` for the outer circle, then ``(1 - 4 eps) r`` for the inner
-    circle of an annulus.  The samples of a circle are this radius times
-    ``_unit_circle(m)``; :func:`boundary_samples` and the blocked sampler of
-    :mod:`polysqueeze.embeddings` both build them from here.
-    """
-    if isinstance(f, BallFactor):
-        raise DomainError("boundary sampling is defined for planar factors only")
-    if isinstance(f, Annulus):
-        return (1.0 + _NUDGE, (1.0 - _NUDGE) * f.r)
-    return (1.0 + _NUDGE,)
-
-
-def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
-    """``m`` equally-angle-spaced points per non-singleton boundary circle.
-
-    Outer circle first, then the inner circle for an annulus; angles start at
-    0 and increase counterclockwise.  Points are nudged radially by a few ulps
-    off the open set (outward on the outer circle, inward on the inner one;
-    see :func:`_sample_radii`) so that no sample ever passes membership.
-    Punctures are not sampled here; they are reported by :func:`punctures`.
-    The returned array is read-only and holds every sample at once; the
-    sampled inradius of :mod:`polysqueeze.embeddings` evaluates the same
-    points block by block instead.  Only the unit circle is cached, once per
-    ``m``: an array per factor would hold 2 MB for each annulus sampled at
-    65536 points.
-    """
-    radii = _sample_radii(f)
-    if not isinstance(m, int) or m < 4:
-        raise DomainError(f"sample count must be an integer >= 4, got {m}")
-    import numpy as np
-
-    circle = _unit_circle(m)
-    out = np.concatenate([rho * circle for rho in radii])
-    out.setflags(write=False)
-    return out
-
-
-def punctures(f: PlanarFactor) -> tuple[complex, ...]:
-    """Singleton boundary components of the factor (empty unless punctured)."""
-    if isinstance(f, PuncturedDisk):
-        return f.punctures
-    return ()
-
-
 @dataclass(frozen=True)
 class ProductDomain:
     """Ordered product of factor domains."""
@@ -192,9 +130,6 @@ class ProductDomain:
 
     def is_planar(self) -> bool:
         return all(not isinstance(f, BallFactor) for f in self.factors)
-
-    def punctured_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.factors) if isinstance(f, PuncturedDisk))
 
     def point(self, coords) -> "ProductPoint":
         """Build a validated point of this domain; rejects out-of-domain coordinates."""

@@ -12,15 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysqueeze
-from polysqueeze import exact_squeeze, verify
-from polysqueeze.cli import (
-    MAX_STEPS,
-    format_product_map,
-    load_domain_spec,
-    main,
-    parse_point,
-    parse_product_map,
-)
+from polysqueeze import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection, exact_squeeze, verify
+from polysqueeze.cli import MAX_STEPS, format_product_map, load_domain_spec, main, parse_point
 
 PUNCT2_SPEC = {"factors": [
     {"kind": "punctured_disk", "punctures": [[0.0, 0.0]]},
@@ -183,6 +176,19 @@ def test_eval_exit_codes(capsys, tmp_path, punct2):
     assert main(["eval", "--spec", punct2]) == 2
 
 
+def parse_witness(text):
+    """The witness column read back into maps: ``;`` between factors, ``|`` between steps."""
+    def step(token):
+        if token == "include":
+            return Inclusion()
+        name, args = token.removesuffix(")").split("(")
+        nums = [float(v) for v in args.split(",")]
+        return MobiusAut(complex(nums[0], nums[1]), nums[2]) if name == "mobius" else Reflection(*nums)
+
+    return ProductMap(tuple(MapExpr(tuple(step(t) for t in part.split("|")))
+                            for part in text.split(";")))
+
+
 def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     code, rows, _ = run(capsys, ["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"])
     assert code == 0
@@ -191,7 +197,8 @@ def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     z = parse_point("0.5,0;0.3,0", domain)
     rep = exact_squeeze(domain, z)
     assert float(row["exact"]) == rep.exact
-    pm = parse_product_map(row["witness"])
+    pm = parse_witness(row["witness"])
+    assert pm == rep.witnesses[0]  # every number read back exactly
     assert format_product_map(pm) == row["witness"]
 
 

@@ -10,11 +10,9 @@ from polysqueeze import (
     ProductDomain,
     PuncturedDisk,
     UnitDisk,
-    boundary_samples,
-    factor_dim,
-    membership,
-    punctures,
 )
+from polysqueeze.domains import factor_dim, membership
+from polysqueeze.verify import boundary_samples
 
 
 # ----------------------------------------------------------------- membership
@@ -88,14 +86,6 @@ def test_boundary_samples_cached_readonly():
         arr[0] = 0
 
 
-# ------------------------------------------------------------------ punctures
-
-def test_punctures_listing():
-    assert punctures(PuncturedDisk((0j, 0.5 + 0j))) == (0j, 0.5 + 0j)
-    assert punctures(Annulus(0.3)) == ()
-    assert punctures(UnitDisk()) == ()
-
-
 # ----------------------------------------------------------- factor validation
 
 def test_factor_validation():
@@ -152,5 +142,4 @@ def test_product_helpers():
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,)), Annulus(0.5)))
     assert d.arity == 3
     assert d.is_planar()
-    assert d.punctured_indices() == (1,)
     assert not ProductDomain((BallFactor(2),)).is_planar()

@@ -19,26 +19,22 @@ from polysqueeze import (
     PuncturedDisk,
     Reflection,
     UnitDisk,
-    boundary_samples,
-    image_inradius_analytic,
-    image_inradius_at_zero,
-    injectivity_spot_check,
-    map_eval,
-    mobius_circle_min_modulus,
-    mobius_eval,
-    product_inradius,
-    removable_extension_at,
-    single_factor_exact,
 )
-from polysqueeze.domains import _unit_circle, punctures
-from polysqueeze.embeddings import (
+from polysqueeze.embeddings import map_eval, reflect
+from polysqueeze.hyperbolic import mobius_circle_min_modulus, mobius_eval
+from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness, single_factor_exact
+from polysqueeze.verify import (
     _SAMPLE_BLOCK,
     _all_distinct,
     _sampled_circle_min,
     _squared_moduli,
-    reflect,
+    _unit_circle,
+    boundary_samples,
+    image_inradius_analytic,
+    image_inradius_at_zero,
+    injectivity_spot_check,
+    product_inradius,
 )
-from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness
 
 
 def mexpr(*steps):
@@ -136,18 +132,15 @@ def test_map_expr_validation():
 
 
 # -------------------------------------------------------- removable extension
+# The extension value at a puncture is map_eval there; at a reflection pole it
+# raises, as test_map_eval_reflection_pole checks.
 
 def test_extension_mobius():
-    assert removable_extension_at(mexpr(MobiusAut(0.3)), 0j) == pytest.approx(-0.3, abs=1e-15)
+    assert map_eval(mexpr(MobiusAut(0.3)), 0j) == pytest.approx(-0.3, abs=1e-15)
 
 
 def test_extension_inclusion():
-    assert removable_extension_at(mexpr(Inclusion()), 0j) == 0
-
-
-def test_extension_reflection_pole():
-    with pytest.raises(DomainError):
-        removable_extension_at(mexpr(Reflection(0.25)), 0j)
+    assert map_eval(mexpr(Inclusion()), 0j) == 0
 
 
 # ------------------------------------------------------------- image inradius
@@ -196,7 +189,7 @@ def test_inradius_capped_by_puncture_images():
     f = PuncturedDisk((0.1 + 0.2j, -0.4j))
     for a in (0.0, 0.3, 0.5 + 0.1j):
         e = mexpr(MobiusAut(a))
-        cap = min(abs(removable_extension_at(e, p)) for p in f.punctures)
+        cap = min(abs(map_eval(e, p)) for p in f.punctures)
         assert image_inradius_at_zero(e, f, 512) <= cap + 1e-15
 
 
@@ -227,8 +220,8 @@ NUDGE = 4.0 * np.finfo(float).eps  # radial offset of the samples off the open s
 def whole_array_inradius(e, f, m):
     """The sampled inradius as one array over every boundary sample."""
     best = math.sqrt(_squared_moduli(e, boundary_samples(f, m)).min())
-    for p in punctures(f):
-        best = min(best, abs(removable_extension_at(e, p)))
+    for p in f.punctures if isinstance(f, PuncturedDisk) else ():
+        best = min(best, abs(map_eval(e, p)))
     return best
 
 

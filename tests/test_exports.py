@@ -1,13 +1,29 @@
-"""The public names of the package: each export resolves, and each appears once."""
+"""The public names of the package and the layout of its modules.
 
+Each export resolves and appears once, ``__all__`` is the README's "Public
+API" list, the boundary-sampling oracle stays out of the production modules,
+and no module reaches into another's private names.
+"""
+
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 
 import polysqueeze
-from polysqueeze import domains, hyperbolic, squeezing
+from polysqueeze import cli, domains, embeddings, hyperbolic, squeezing, verify
+
+PACKAGE_DIR = pathlib.Path(polysqueeze.__file__).parent
+README = PACKAGE_DIR.parent.parent / "README.md"
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_all_names_resolve_once():
@@ -15,6 +31,44 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names)), "duplicate names in __all__"
     missing = [n for n in names if not hasattr(polysqueeze, n)]
     assert not missing, f"__all__ names with no attribute: {missing}"
+
+
+def readme_public_api():
+    """The backquoted names in the bulleted list of the README's "Public API" section."""
+    section = README.read_text().split("\n## Public API\n", 1)[1]
+    bullets = section[section.index("\n- "):].split("\n\n", 1)[0]
+    return re.findall(r"`(\w+)`", bullets)
+
+
+def test_all_is_the_documented_api():
+    documented = readme_public_api()
+    assert len(documented) == len(set(documented)) == 28
+    assert sorted(polysqueeze.__all__) == sorted(documented)
+    # the package imports only what it exports (and its own submodules)
+    public = {n for n in vars(polysqueeze) if not n.startswith("_")}
+    submodules = {p.stem for p in MODULES if p.stem != "__init__"}
+    assert public - submodules == set(documented)
+
+
+@pytest.mark.parametrize("name", ["domains", "embeddings", "hyperbolic"])
+def test_production_modules_import_no_numpy(name):
+    tree = parsed(PACKAGE_DIR / f"{name}.py")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "numpy" for a in node.names), name
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy", name
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(parsed(path)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            own = node.level > 0 or (node.module or "").split(".")[0] == "polysqueeze"
+            found += [f"{path.name}: {a.name}" for a in node.names if own and a.name.startswith("_")]
+    assert not found
 
 
 def test_deleted_names_are_gone():
@@ -37,6 +91,34 @@ def test_deleted_names_are_gone():
         "value", "witness", "evaluations"]
 
 
+# Aliases and duplicates of code that stays: poincare_distance (kob_disk),
+# float (HyperbolicValue), map_eval (removable_extension_at), a factor's
+# punctures (domains.punctures); punctured_indices and the witness-text
+# parser had no caller outside the tests.
+DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
+           "punctured_indices", "parse_map_expr", "parse_product_map"]
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_test_only_aliases_are_gone(name):
+    for module in (polysqueeze, cli, domains, embeddings, hyperbolic, squeezing, verify):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(polysqueeze.ProductDomain, name)
+
+
+def test_oracle_lives_in_verify():
+    moved = {
+        domains: ["boundary_samples", "_unit_circle", "_sample_radii"],
+        embeddings: ["image_inradius_at_zero", "image_inradius_analytic", "product_inradius",
+                     "injectivity_spot_check", "_sampled_circle_min", "_squared_moduli"],
+        hyperbolic: ["sigma", "sigma_inv", "poincare_distance", "_Radius"],
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert hasattr(verify, name), name
+
+
 KEPT_PARAMETERS = {
     "build_factor_witness": ["f", "z", "branch"],
     "squeeze_bounds": ["d", "z", "search", "family"],
@@ -47,7 +129,7 @@ KEPT_PARAMETERS = {
 
 @pytest.mark.parametrize("name", sorted(KEPT_PARAMETERS))
 def test_one_value_parameters_are_gone(name):
-    params = inspect.signature(getattr(polysqueeze, name)).parameters
+    params = inspect.signature(getattr(squeezing, name)).parameters
     assert list(params) == KEPT_PARAMETERS[name]
     if name == "squeeze_bounds":
         assert all(params[p].kind is inspect.Parameter.KEYWORD_ONLY for p in ("search", "family"))

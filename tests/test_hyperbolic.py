@@ -7,16 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysqueeze import (
-    DomainError,
-    MobiusAut,
-    kob_disk,
-    mobius_circle_min_modulus,
-    mobius_eval,
-    poincare_distance,
-    sigma,
-    sigma_inv,
-)
+from polysqueeze import DomainError, MobiusAut
+from polysqueeze.hyperbolic import mobius_circle_min_modulus, mobius_eval
+from polysqueeze.verify import poincare_distance, sigma, sigma_inv
 
 LOG3 = math.log(3.0)
 
@@ -157,7 +150,6 @@ def test_mobius_array_in_place_matches_expression_bitwise():
 
 def test_poincare_log3():
     assert poincare_distance(0.0, 0.5) == pytest.approx(LOG3, abs=1e-15)
-    assert kob_disk(0.0, 0.5) == pytest.approx(LOG3, abs=1e-15)
 
 
 def test_poincare_zero_iff_equal():
@@ -170,7 +162,7 @@ def test_poincare_two_point_reduction():
     expected = math.log((1 + 0.4 / 0.79) / (1 - 0.4 / 0.79))
     assert poincare_distance(0.3, 0.7) == pytest.approx(expected, abs=1e-13)
     # Mobius reduction oracle off the centre: pseudo-hyperbolic distance 0.3/0.9
-    assert kob_disk(0.5, 0.2) == pytest.approx(sigma(0.3 / 0.9), abs=1e-13)
+    assert poincare_distance(0.5, 0.2) == pytest.approx(sigma(0.3 / 0.9), abs=1e-13)
 
 
 def test_poincare_outside_disk():
@@ -198,11 +190,6 @@ def test_poincare_mobius_invariance(a, b, c, theta):
 @given(disk_points(), disk_points(), disk_points())
 def test_poincare_triangle_inequality(a, b, c):
     assert poincare_distance(a, c) <= poincare_distance(a, b) + poincare_distance(b, c) + 1e-12
-
-
-@given(disk_points())
-def test_kob_disk_is_poincare(z):
-    assert kob_disk(z, 0.1j) == poincare_distance(z, 0.1j)
 
 
 # ----------------------------------------------------- circle minimum modulus

@@ -15,15 +15,13 @@ from polysqueeze import (
     ProductMap,
     PuncturedDisk,
     UnitDisk,
-    build_factor_witness,
     exact_squeeze,
-    image_inradius_analytic,
-    membership,
-    product_inradius,
     search_lower_bound,
     squeeze_bounds,
 )
-from polysqueeze.squeezing import _KINDS, _branch_image
+from polysqueeze.domains import membership
+from polysqueeze.squeezing import _KINDS, _branch_image, build_factor_witness
+from polysqueeze.verify import image_inradius_analytic, product_inradius
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
 ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))

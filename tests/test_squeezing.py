@@ -24,15 +24,12 @@ from polysqueeze import (
     default_limit_path,
     exact_squeeze,
     hhr_flag,
-    membership,
-    product_inradius,
     product_lower_bound,
     puncture_upper_bound,
     search_lower_bound,
-    single_annulus_index,
-    single_factor_exact,
     squeeze_bounds,
 )
+from polysqueeze.domains import membership
 from polysqueeze.hyperbolic import MobiusAut, mobius_eval
 from polysqueeze.squeezing import (
     CLEARANCE_LOWER,
@@ -41,7 +38,10 @@ from polysqueeze.squeezing import (
     PUNCTURE_UPPER,
     SEARCH,
     _reduced_modulus,
+    single_annulus_index,
+    single_factor_exact,
 )
+from polysqueeze.verify import product_inradius
 
 PUNCT2 = ProductDomain((PuncturedDisk((0j,)), PuncturedDisk((0j,))))
 MIXED = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))

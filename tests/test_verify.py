@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polysqueeze import embeddings, verify
+from polysqueeze import verify
 from polysqueeze.verify import SUITES, _hyperbolic_draws, _random_disk_points, run_suite
 
 
@@ -38,7 +38,7 @@ def test_hyperbolic_draws_reproduce_per_triple_stream(seed):
 def test_verify_samples_1361_circles_of_65536_points(monkeypatch):
     circles = Counter()
     suite = [None]
-    sampler = embeddings._sampled_circle_min
+    sampler = verify._sampled_circle_min
 
     def counting(sq, radius, m):
         circles[suite[0], m] += 1
@@ -50,7 +50,6 @@ def test_verify_samples_1361_circles_of_65536_points(monkeypatch):
             return fn(seed)
         return run
 
-    monkeypatch.setattr(embeddings, "_sampled_circle_min", counting)
     monkeypatch.setattr(verify, "_sampled_circle_min", counting)
     for name, fn in list(SUITES.items()):
         monkeypatch.setitem(SUITES, name, tagged(name, fn))
