@@ -9,17 +9,20 @@ and always emits a header row.
 validated for compatibility but change no value: no reported value depends
 on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
 
-The parser is built once per process and reused by every :func:`main` call;
+Each command's options are declared once, in :data:`COMMANDS`.  A command
+line that names a command and then spells out only that command's options,
+each in full and with a value argparse would take as one, is read straight
+from that table; argparse reads every other command line, so help, usage
+and error text come from argparse alone.  The parser is built the first
+time such a line needs it and then reused by every :func:`main` call.
 ``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
-When the first argument names a command exactly, that command's own parser
-reads the rest, which is all the top-level parser would do with it;
-leftover arguments are still reported by the top-level parser.  Any other
-argument list goes through the top-level parser.  Each spec file is opened
-and decoded on every call, and its text is looked up in a memo of the last
-``SPEC_MEMO_SIZE`` texts that parsed: keyed on the content, it never serves
-a rewritten file stale, and a spec that fails is parsed, and fails, again.
-``eval``, ``profile`` and ``search`` run on closed forms and never import
-numpy; ``limit`` and ``verify`` load it when they run.
+Each spec file is opened and decoded on every call, and its text is looked
+up in a memo of the last ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the
+content, it never serves a rewritten file stale, and a spec that fails is
+parsed, and fails, again.  ``eval``, ``profile`` and ``search`` run on
+closed forms and never import numpy; ``limit`` loads it when it runs, and
+``verify`` imports :mod:`polysqueeze.verify` (and with it numpy) only when
+it runs or its help is shown.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .squeezing import (
     single_annulus_index,
     squeeze_bounds,
 )
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -335,6 +337,8 @@ def cmd_profile(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verify import SUITES, run_suite
+
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
@@ -396,9 +400,64 @@ def cmd_search(args, out) -> int:
 
 # -------------------------------------------------------------------- driver
 
+def _suite_help() -> str:
+    from .verify import SUITES
+
+    return f"suite name: {', '.join(sorted(SUITES))}, or all"
+
+
+_LOCATED = {
+    "--spec": dict(required=True, help="domain spec JSON file"),
+    "--point": dict(required=True, help="point as 're,im;re,im;...'"),
+}
+_SHARED = {
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--samples": dict(type=int, default=None,
+                      help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
+                           "the default); no effect on values, which are closed-form"),
+    "--seed": dict(type=int, default=0, help="seed for randomized suites"),
+}
+_FAMILY = dict(default="auto", choices=FAMILIES)
+_STEPS = dict(type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
+
+# name -> (help, func, {option string: add_argument keywords}), in help order.
+# A callable help is called when the parser is built: the suite list lives
+# in the verify module, which only verify itself and its help load.
+COMMANDS = {
+    "eval": ("bounds and exact value at one point", cmd_eval, {
+        **_LOCATED, **_SHARED,
+        "--family": _FAMILY,
+        "--no-search": dict(action="store_true", help="skip the witness-family search"),
+    }),
+    "profile": ("sweep one coordinate modulus, CSV table", cmd_profile, {
+        **_LOCATED, **_SHARED,
+        "--axis": dict(type=int, default=0, help="factor index to sweep"),
+        "--range": dict(required=True, help="modulus range 'lo:hi'"),
+        "--steps": _STEPS,
+    }),
+    "verify": ("run a verification suite", cmd_verify, {
+        **_SHARED,
+        "--suite": dict(default="all", help=_suite_help),
+    }),
+    "limit": ("boundary-limit profile for an annulus product", cmd_limit, {
+        **_SHARED,
+        "--r": dict(type=float, required=True, help="annulus inner radius"),
+        "--side": dict(default="outer", help="'outer' or 'inner'"),
+        "--steps": _STEPS,
+    }),
+    "search": ("witness-family lower bound at one point", cmd_search, {
+        **_LOCATED, **_SHARED,
+        "--family": _FAMILY,
+        "--budget": dict(type=int, default=124,
+                         help="accepted and validated (positive); no effect on values, since "
+                              "each branch is scored once in closed form"),
+    }),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+    """The argparse parser of :data:`COMMANDS`, built on first use and kept.
 
     Every default is a constant, so parsing leaves the parser unchanged and
     one instance serves every :func:`main` call.  The ``--samples`` default
@@ -411,60 +470,95 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     p.commands = {}
-
-    def add_command(name, help, spec=False, point=False):
+    for name, (help, func, options) in COMMANDS.items():
         sp = p.commands[name] = sub.add_parser(name, help=help)
-        if spec:
-            sp.add_argument("--spec", required=True, help="domain spec JSON file")
-        if point:
-            sp.add_argument("--point", required=True, help="point as 're,im;re,im;...'")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--samples", type=int, default=None,
-                        help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
-                             "the default); no effect on values, which are closed-form")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        return sp
-
-    sp = add_command("eval", "bounds and exact value at one point", spec=True, point=True)
-    sp.add_argument("--family", default="auto", choices=FAMILIES)
-    sp.add_argument("--no-search", action="store_true", help="skip the witness-family search")
-    sp.set_defaults(func=cmd_eval)
-
-    sp = add_command("profile", "sweep one coordinate modulus, CSV table", spec=True, point=True)
-    sp.add_argument("--axis", type=int, default=0, help="factor index to sweep")
-    sp.add_argument("--range", required=True, help="modulus range 'lo:hi'")
-    sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
-    sp.set_defaults(func=cmd_profile)
-
-    sp = add_command("verify", "run a verification suite")
-    sp.add_argument("--suite", default="all",
-                    help=f"suite name: {', '.join(sorted(SUITES))}, or all")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = add_command("limit", "boundary-limit profile for an annulus product")
-    sp.add_argument("--r", type=float, required=True, help="annulus inner radius")
-    sp.add_argument("--side", default="outer", help="'outer' or 'inner'")
-    sp.add_argument("--steps", type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
-    sp.set_defaults(func=cmd_limit)
-
-    sp = add_command("search", "witness-family lower bound at one point", spec=True, point=True)
-    sp.add_argument("--family", default="auto", choices=FAMILIES)
-    sp.add_argument("--budget", type=int, default=124,
-                    help="accepted and validated (positive); no effect on values, since "
-                         "each branch is scored once in closed form")
-    sp.set_defaults(func=cmd_search)
+        for option, kw in options.items():
+            if callable(kw.get("help")):
+                kw = {**kw, "help": kw["help"]()}
+            sp.add_argument(option, **kw)
+        sp.set_defaults(func=func)
     return p
+
+
+def _read_table(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed command line, else None.
+
+    Well formed: ``argv[0]`` names a command, and every later token is one
+    of its option strings in full, as ``--opt value`` or ``--opt=value``
+    (a flag only as ``--opt``), with every required option given.  None
+    where argparse would print or decide something: any other token, a flag
+    written with ``=``, a value that is missing or, unless it follows ``=``,
+    starts with ``-`` (which argparse may read as an option), a value ``--``
+    (which argparse drops), a value its ``type`` or ``choices`` rejects.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, func, options = command
+    given = {}
+    i = 1
+    while i < len(argv):
+        option, eq, value = argv[i].partition("=")
+        i += 1
+        kw = options.get(option)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            given[option] = True
+            continue
+        if not eq:
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":
+            return None  # argparse drops a "--" from an option's values
+        # argparse converts and checks every occurrence; the last one stays
+        try:
+            value = _typed(kw, value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[option] = value
+    args = argparse.Namespace(command=argv[0], func=func)
+    for option, kw in options.items():
+        if option in given:
+            value = given[option]
+        elif kw.get("required"):
+            return None
+        else:
+            value = kw.get("default", False if kw.get("action") == "store_true" else None)
+            if isinstance(value, str):
+                # argparse passes a string default through type, as if given
+                try:
+                    value = _typed(kw, value)
+                except (TypeError, ValueError):
+                    return None
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
+
+
+def _typed(kw: dict, text: str):
+    return kw["type"](text) if "type" in kw else text
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``: same namespace, output and exit.
 
-    The top level hands everything after a command name to that command's
+    A well-formed command line (see :func:`_read_table`) is read from
+    :data:`COMMANDS` without argparse.  Any other goes to the parser, whose
+    top level hands everything after a command name to that command's
     parser, so calling it directly skips only the top level's own pass over
     every argument and the copy of the command's namespace.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_table(argv)
+    if args is not None:
+        return args
+    parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)

@@ -4,15 +4,15 @@ Each suite exercises one quantitative claim of the library at a pinned
 tolerance and returns :class:`Check` records; the CLI ``verify`` command and
 the acceptance tests both run these.  All randomness flows through one seeded
 generator per suite, so results are reproducible bit for bit.  Suites that
-build arrays import numpy when they run, so importing this module (and the
-CLI, which lists :data:`SUITES`) does not load it.
+build arrays import numpy when they run, so importing this module does not
+load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
 boundary-sampling image inradius of an explicit witness (sampled in
 cache-sized blocks and scored by squared moduli), its closed-form
-counterpart for radial-then-Mobius maps, an injectivity spot check, and the
-radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare distance.
-No reported value of the library depends on any of them.
+counterpart for radial-then-Mobius maps, and the radial distance pair
+``sigma`` / ``sigma_inv`` with the Poincare distance.  No reported value of
+the library depends on any of them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .domains import (
     ProductPoint,
     PuncturedDisk,
     UnitDisk,
-    membership,
 )
 from .embeddings import MapExpr, ProductMap, Reflection, map_eval, require_base_to_zero
 from .errors import DomainError
@@ -255,39 +254,6 @@ def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int =
     return min(
         image_inradius_at_zero(e, f, m) for e, f in zip(pm.components, d.factors)
     )
-
-
-def _interior_grid(f: PlanarFactor, g: int) -> np.ndarray:
-    import numpy as np
-
-    if isinstance(f, Annulus):
-        radii = np.linspace(f.r + 0.02 * (1 - f.r), 1 - 0.02 * (1 - f.r), g)
-        angles = np.exp(2j * np.pi * np.arange(g) / g)
-        pts = (radii[:, None] * angles[None, :]).ravel()
-    else:
-        xs = np.linspace(-0.95, 0.95, g)
-        pts = (xs[:, None] + 1j * xs[None, :]).ravel()
-    return np.array([p for p in pts if membership(f, complex(p))])
-
-
-def _all_distinct(values: np.ndarray, tol: float) -> bool:
-    import numpy as np
-
-    diff = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return bool(diff.min() > tol)
-
-
-def injectivity_spot_check(e: MapExpr, f: PlanarFactor, g: int = 16) -> bool:
-    """Safety assertion: images of a g-by-g interior grid are pairwise distinct.
-
-    Catalog primitives are injective by construction, so this should only
-    trip on a degenerate hand-built composition.
-    """
-    import numpy as np
-
-    pts = _interior_grid(f, g)
-    return _all_distinct(np.asarray(map_eval(e, pts)), 1e-14)
 
 
 # ------------------------------------------------ radial distance on the disk

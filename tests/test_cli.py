@@ -731,6 +731,11 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):
         (["eval", *point, "--samples", "512"], "abc"),  # the variable is still validated
         (["eval", *point, "--family", "inclusion"], None),
         (["eval", *point], None),
+        # forms only argparse reads: an abbreviation, a negative-looking value
+        (["eval", "--spec", annulus, "--po", "0.6,0.1;0.2,0", "--fam", "reflection"], None),
+        (["eval", *point], None),
+        (["eval", *point, "--seed", "-1"], None),
+        (["eval", *point, "--fam", "inclusion"], "64"),
     ]
 
     def outcome(argv, env):
@@ -752,8 +757,9 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):
     assert cli.build_parser.cache_info().misses == 1
     assert reused == alone
     codes = [r[0] for r in reused]
-    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 0]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 0, 0, 0, 0, 0]
     assert reused[0][1] != reused[1][1]  # the reflection family shows in the witness
+    assert reused[12] == reused[0] and reused[15] == reused[10]
     assert reused[4][1] == "" and reused[4][3] == reused[1][1]
     assert "SQUEEZE_SAMPLES" in reused[9][2]
 
@@ -772,3 +778,41 @@ def test_help_unchanged_by_parser_reuse(capsys, monkeypatch, annulus, command):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out == fresh
     assert fresh.startswith(f"usage: polysqueeze {command} ")
+
+
+# ------------------------------------------------- command lines read from the table
+
+def test_cli_import_leaves_verify_unloaded():
+    # the oracle module is compiled only by verify and by its help
+    script = "import sys, polysqueeze.cli; print('polysqueeze.verify' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_well_formed_calls_build_no_parser(capsys, monkeypatch, annulus):
+    from polysqueeze import cli
+
+    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
+    point = ["--spec", annulus, "--point=0.6,0.1;0.2,0"]
+    cli.build_parser.cache_clear()
+    codes = [
+        main(["eval", *point, "--family", "reflection", "--no-search", "--seed", "3"]),
+        main(["profile", *point, "--range", "0.3:0.9", "--steps=4", "--axis", "1"]),
+        main(["search", *point, "--budget", "9", "--family=inclusion", "--samples", "64"]),
+        main(["limit", "--r=0.5", "--side", "inner", "--steps", "4"]),
+        main(["verify", "--suite", "hhr", "--seed", "2", "--seed", "1"]),
+    ]
+    assert codes == [0] * 5
+    assert cli.build_parser.cache_info().misses == 0
+    assert "# " in capsys.readouterr().out
+
+
+def test_verify_help_lists_the_nine_suites(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["verify", "--help"]) == 0
+    listed = " ".join(capsys.readouterr().out.split("suite name:")[1].split())
+    assert len(verify.SUITES) == 9
+    assert listed.startswith(f"{', '.join(sorted(verify.SUITES))}, or all")

@@ -25,14 +25,12 @@ from polysqueeze.hyperbolic import mobius_circle_min_modulus, mobius_eval
 from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness, single_factor_exact
 from polysqueeze.verify import (
     _SAMPLE_BLOCK,
-    _all_distinct,
     _sampled_circle_min,
     _squared_moduli,
     _unit_circle,
     boundary_samples,
     image_inradius_analytic,
     image_inradius_at_zero,
-    injectivity_spot_check,
     product_inradius,
 )
 
@@ -428,17 +426,3 @@ def test_product_inradius_arity_mismatch():
     z = d.point([0.2, 0.1])
     with pytest.raises(DomainError):
         product_inradius(ProductMap((mexpr(MobiusAut(0.2)),)), d, z, 512)
-
-
-# ------------------------------------------------------------------ injectivity
-
-def test_injectivity_catalog_maps():
-    assert injectivity_spot_check(mexpr(Inclusion()), UnitDisk())
-    assert injectivity_spot_check(mexpr(MobiusAut(0.3 + 0.1j)), Annulus(0.25))
-    assert injectivity_spot_check(mexpr(Reflection(0.25), MobiusAut(0.5)), Annulus(0.25))
-
-
-def test_duplicate_detection():
-    # catalog primitives are injective, so exercise the detector directly
-    assert not _all_distinct(np.array([0.1 + 0j, 0.1 + 0j, 0.5j]), 1e-14)
-    assert _all_distinct(np.array([0.1 + 0j, 0.2 + 0j, 0.5j]), 1e-14)

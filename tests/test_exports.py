@@ -110,7 +110,7 @@ def test_oracle_lives_in_verify():
     moved = {
         domains: ["boundary_samples", "_unit_circle", "_sample_radii"],
         embeddings: ["image_inradius_at_zero", "image_inradius_analytic", "product_inradius",
-                     "injectivity_spot_check", "_sampled_circle_min", "_squared_moduli"],
+                     "_sampled_circle_min", "_squared_moduli"],
         hyperbolic: ["sigma", "sigma_inv", "poincare_distance", "_Radius"],
     }
     for module, names in moved.items():

@@ -14,7 +14,10 @@ missing or extra arguments, abbreviations, ``--``, an option before the
 command, negative-looking values) and the program's own flag checks.  Every
 case runs with ``COLUMNS`` fixed, since argparse wraps help and usage to the
 terminal width.  These were captured before ``main`` parsed a command's
-arguments with that command's own parser.
+arguments with that command's own parser.  Beyond the fixture, command
+lines drawn by hypothesis must parse, print and exit through ``main``'s
+parse as through the top-level parser, whether the option table or
+argparse reads them.
 
 Regenerate it only for a deliberate change of output, and say so where the
 change is recorded:
@@ -33,6 +36,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -193,6 +198,86 @@ def test_command_parser_dispatch_matches_top_level_parse(golden, monkeypatch, co
     assert not mismatches, f"{len(mismatches)} of {len(cases)} argv differ; first: {mismatches[0]}"
     monkeypatch.setattr("sys.argv", ["polysqueeze", "eval", "--help"])
     assert _parse(cli._parse_args, None) == _parse(parser.parse_args, None)
+
+
+def test_golden_calls_outside_the_edges_build_no_parser(golden, monkeypatch):
+    # every call but the parse edges is well formed, so it is read from the
+    # command table; argparse is needed only for help, errors and odd forms
+    from polysqueeze import cli
+
+    def no_parser():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
+    cases, paths = golden
+    edges = [{"spec": spec, "argv": argv} for spec, argv in PARSE_EDGES]
+    plain = [case for case in cases if {"spec": case["spec"], "argv": case["argv"]} not in edges]
+    assert len(plain) == len(cases) - len(PARSE_EDGES)
+    for case in plain:
+        err = case["stderr"].replace("{spec}", paths.get(case["spec"], ""))
+        assert _run(_argv(case, paths)) == (case["code"], case["stdout"], err), case["argv"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, mostly a real one, then mostly its own options, with some edges mixed in."""
+    from polysqueeze.cli import COMMANDS
+
+    every = sorted({o for _, _, opts in COMMANDS.values() for o in opts} | {"--help"})
+    command = draw(st.sampled_from([*COMMANDS, *COMMANDS, "ev", "-h", "--", "bogus"]))
+    options = COMMANDS[command][2] if command in COMMANDS else {}
+    text = st.sampled_from(["0", "7", "0.5", "1e400", "auto", "inclusion", "hhr", "outer",
+                            "0.5,0;0.3,-0.1", "x y", "a=b", "", "abc", "bogus"])
+    dashed = st.sampled_from(["-1", "-0.5", "-x", "--spec", "--", "-h", "-"])
+
+    def well_formed(option):
+        kw = options[option]
+        if kw.get("action") == "store_true":
+            return st.just([option])
+        good = (st.sampled_from(kw["choices"]) if "choices" in kw
+                else st.sampled_from(["0", "7", "12"]) if kw.get("type") is int
+                else st.sampled_from(["0.5", "7", "1e400"]) if kw.get("type") is float
+                else text)
+        return good.flatmap(lambda v: st.sampled_from([[option, v], [f"{option}={v}"]]))
+
+    def near_miss(option):
+        if options[option].get("action") == "store_true":
+            return text.map(lambda v: [f"{option}={v}"])
+        return st.one_of(st.just([option]), dashed.map(lambda v: [option, v]),
+                         text.map(lambda v: [option, v]))
+
+    prefix = st.sampled_from(every).flatmap(lambda o: st.integers(2, len(o)).map(lambda n: o[:n]))
+    own = st.sampled_from(sorted(options) or every)
+    wild = st.one_of(
+        st.tuples(prefix | own, text | dashed).map(list),
+        st.tuples(prefix | own, text | dashed).map(lambda t: [f"{t[0]}={t[1]}"]),
+        (prefix | own | text | dashed).map(lambda v: [v]),
+    )
+    if options and draw(st.booleans()):  # well formed, or but for one token
+        required = [[o, "0.5"] for o, kw in options.items() if kw.get("required")]
+        items = required + draw(st.lists(st.sampled_from(sorted(options)).flatmap(well_formed),
+                                         max_size=5))
+        if draw(st.booleans()):
+            odd = st.sampled_from(sorted(options)).flatmap(near_miss) | wild
+            items.insert(draw(st.integers(0, len(items))), draw(odd))
+    else:
+        items = draw(st.lists(wild, max_size=5))
+    return [command, *(t for i in items for t in i)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_lines())
+def test_table_parse_matches_argparse(argv):
+    # well-formed lines are read from the table, the rest by argparse; both
+    # must give what the top-level parser gives, output and exit included
+    from unittest import mock
+
+    from polysqueeze import cli
+
+    with mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}):
+        assert (_parse(cli._parse_args, argv)
+                == _parse(cli.build_parser().parse_args, argv)), argv
 
 
 # ------------------------------------------------------------------ capture
