@@ -12,9 +12,8 @@ suites import numpy when they are called.
 """
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
-from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
+from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut
 from .squeezing import (
     BallProductReport,
     BoundReport,

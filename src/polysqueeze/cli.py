@@ -12,9 +12,10 @@ on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
 Each command's options are declared once, in :data:`COMMANDS`.  A command
 line that names a command and then spells out only that command's options,
 each in full and with a value argparse would take as one, is read straight
-from that table; argparse reads every other command line, so help, usage
-and error text come from argparse alone.  The parser is built the first
-time such a line needs it and then reused by every :func:`main` call.
+from that table; the argparse parser reads every other command line whole,
+from the top level, so help, usage and error text come from argparse alone.
+The parser is built the first time such a line needs it and then reused by
+every :func:`main` call.
 ``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
 Each spec file is opened and decoded on every call, and its text is looked
 up in a memo of the last ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the
@@ -31,16 +32,14 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
 
 from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk, factor_dim
-from .embeddings import Inclusion, MapExpr, ProductMap, Reflection
+from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut
 from .squeezing import (
     FAMILIES,
     annulus_clearance_bound,
@@ -357,7 +356,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_limit(args, out) -> int:
-    if not (0.0 < args.r < 1.0) or not math.isfinite(args.r):
+    if not (0.0 < args.r < 1.0):
         raise UsageError(f"inner radius must lie in (0, 1), got {args.r}")
     if args.side not in ("outer", "inner"):
         raise UsageError(f"side must be 'outer' or 'inner', got {args.side!r}")
@@ -462,16 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     Every default is a constant, so parsing leaves the parser unchanged and
     one instance serves every :func:`main` call.  The ``--samples`` default
     is None; :func:`main` fills it from ``SQUEEZE_SAMPLES`` on each call.
-    ``commands`` maps each command name to its own parser.
     """
     p = argparse.ArgumentParser(
         prog="polysqueeze",
         description="Squeezing values of product domains relative to the polydisk.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    p.commands = {}
     for name, (help, func, options) in COMMANDS.items():
-        sp = p.commands[name] = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help)
         for option, kw in options.items():
             if callable(kw.get("help")):
                 kw = {**kw, "help": kw["help"]()}
@@ -549,24 +546,10 @@ def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``: same namespace, output and exit.
 
     A well-formed command line (see :func:`_read_table`) is read from
-    :data:`COMMANDS` without argparse.  Any other goes to the parser, whose
-    top level hands everything after a command name to that command's
-    parser, so calling it directly skips only the top level's own pass over
-    every argument and the copy of the command's namespace.
+    :data:`COMMANDS` without argparse; any other goes to the parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_table(argv)
-    if args is not None:
-        return args
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    return _read_table(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

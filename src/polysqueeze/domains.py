@@ -46,7 +46,7 @@ class Annulus:
     r: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0) or not math.isfinite(self.r):
+        if not (0.0 < self.r < 1.0):
             raise DomainError(f"annulus inner radius must lie in (0, 1), got {self.r}")
 
 

@@ -27,9 +27,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
-from .embeddings import Inclusion, MapExpr, ProductMap, Reflection, reflect, require_base_to_zero
+from .embeddings import (
+    Inclusion,
+    MapExpr,
+    MobiusAut,
+    ProductMap,
+    Reflection,
+    mobius_circle_min_modulus,
+    reflect,
+    require_base_to_zero,
+)
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
-from .hyperbolic import MobiusAut, mobius_circle_min_modulus
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -114,7 +122,7 @@ class LimitProfile:
 def _reduced_modulus(p: complex, z: complex) -> float:
     """Modulus of the automorphism image of ``z`` under the map vanishing at ``p``.
 
-    The expression of :func:`~polysqueeze.hyperbolic.mobius_eval` with
+    The expression of :func:`~polysqueeze.embeddings.mobius_eval` with
     rotation 0, written out: the same double, without building a map.
     """
     return abs((z - p) / (1.0 - p.conjugate() * z))

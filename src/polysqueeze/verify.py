@@ -12,7 +12,9 @@ boundary-sampling image inradius of an explicit witness (sampled in
 cache-sized blocks and scored by squared moduli), its closed-form
 counterpart for radial-then-Mobius maps, and the radial distance pair
 ``sigma`` / ``sigma_inv`` with the Poincare distance.  No reported value of
-the library depends on any of them.
+the library depends on any of them.  The disk automorphisms they evaluate
+come from :mod:`polysqueeze.embeddings`, with the other map primitives; the
+``hyperbolic`` suite is named for the geometry it checks.
 """
 
 from __future__ import annotations
@@ -33,9 +35,17 @@ from .domains import (
     PuncturedDisk,
     UnitDisk,
 )
-from .embeddings import MapExpr, ProductMap, Reflection, map_eval, require_base_to_zero
+from .embeddings import (
+    MapExpr,
+    MobiusAut,
+    ProductMap,
+    Reflection,
+    map_eval,
+    mobius_circle_min_modulus,
+    mobius_eval,
+    require_base_to_zero,
+)
 from .errors import DomainError
-from .hyperbolic import MobiusAut, mobius_circle_min_modulus, mobius_eval
 from .squeezing import (
     FAMILY_GAP,
     INCLUSION,

@@ -89,11 +89,15 @@ def _one_factor(factor) -> bytes:
     (_one_factor({"kind": "punctured_disk", "punctures": [[1.3e308, 1.3e308]]}),  # |p| overflows
      "factors[0]"),
     (_one_factor({"kind": "annulus", "r": 10 ** 400}), "factors[0]"),  # no double holds it
+    # Python's json reads both, and no comparison with 0 or 1 holds for them
+    (_one_factor({"kind": "annulus", "r": math.nan}), "factors[0]"),
+    (_one_factor({"kind": "annulus", "r": math.inf}), "factors[0]"),
     # UTF-16 with its byte-order mark, not UTF-8
     (b"\xff\xfe" + _one_factor({"kind": "disk"}).decode().encode("utf-16-le"), "not UTF-8"),
     (b"[" * 100000, "invalid JSON"),  # nested past the recursion limit
     (b'{"factors": [{"kind": "ball", "n": ' + b"1" * 5000 + b"}]}", "invalid JSON"),  # digit limit
-], ids=[*(f"factor{i}" for i in range(6)), "utf16", "deep_nesting", "int_digit_limit"])
+], ids=[*(f"factor{i}" for i in range(6)), "nan_radius", "inf_radius",
+        "utf16", "deep_nesting", "int_digit_limit"])
 def test_malformed_spec_values_exit_2(capsys, tmp_path, content, message):
     spec = tmp_path / "bad.json"
     spec.write_bytes(content)
@@ -447,6 +451,12 @@ def test_limit_usage_errors(capsys):
     assert main(["limit", "--r", "1.5", "--side", "outer"]) == 2
     assert main(["limit", "--r", "0.25", "--side", "sideways"]) == 2
     assert main(["limit", "--r", "0.25", "--steps", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--r", "nan"], ["--r", "inf"], ["--r=-inf"]])
+def test_limit_rejects_non_finite_radius(capsys, argv):
+    assert main(["limit", *argv]) == 2
+    assert "inner radius must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_steps_cap_fails_before_any_work(capsys, monkeypatch, annulus):

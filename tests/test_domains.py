@@ -93,6 +93,9 @@ def test_factor_validation():
         Annulus(0.0)
     with pytest.raises(DomainError):
         Annulus(1.0)
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            Annulus(r)
     with pytest.raises(DomainError):
         PuncturedDisk(())
     with pytest.raises(DomainError):

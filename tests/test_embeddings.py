@@ -20,8 +20,7 @@ from polysqueeze import (
     Reflection,
     UnitDisk,
 )
-from polysqueeze.embeddings import map_eval, reflect
-from polysqueeze.hyperbolic import mobius_circle_min_modulus, mobius_eval
+from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
 from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness, single_factor_exact
 from polysqueeze.verify import (
     _SAMPLE_BLOCK,

@@ -1,8 +1,9 @@
 """The public names of the package and the layout of its modules.
 
 Each export resolves and appears once, ``__all__`` is the README's "Public
-API" list, the boundary-sampling oracle stays out of the production modules,
-and no module reaches into another's private names.
+API" list, the README's "Layout" lists every module, the boundary-sampling
+oracle stays out of the production modules, and no module reaches into
+another's private names.
 """
 
 import ast
@@ -15,7 +16,7 @@ import re
 import pytest
 
 import polysqueeze
-from polysqueeze import cli, domains, embeddings, hyperbolic, squeezing, verify
+from polysqueeze import cli, domains, embeddings, squeezing, verify
 
 PACKAGE_DIR = pathlib.Path(polysqueeze.__file__).parent
 README = PACKAGE_DIR.parent.parent / "README.md"
@@ -50,7 +51,13 @@ def test_all_is_the_documented_api():
     assert public - submodules == set(documented)
 
 
-@pytest.mark.parametrize("name", ["domains", "embeddings", "hyperbolic"])
+def test_layout_lists_every_module():
+    block = README.read_text().split("\n## Layout\n", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    assert sorted(listed) == sorted(p.name for p in MODULES if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("name", ["domains", "embeddings"])
 def test_production_modules_import_no_numpy(name):
     tree = parsed(PACKAGE_DIR / f"{name}.py")
     for node in ast.walk(tree):
@@ -77,16 +84,20 @@ def test_deleted_names_are_gone():
     for name in ("kob_filled", "kob_upper_via_subdomain", "filled"):
         assert name not in polysqueeze.__all__
         assert not hasattr(polysqueeze, name)
-    assert not hasattr(hyperbolic, "kob_filled")
-    assert not hasattr(hyperbolic, "kob_upper_via_subdomain")
+    assert not hasattr(embeddings, "kob_filled")
+    assert not hasattr(embeddings, "kob_upper_via_subdomain")
     assert not hasattr(domains, "filled")
     # a witness family is a name, and the search lives beside the table
     for name in ("FamilySpec", "BoundsOptions"):
         assert name not in polysqueeze.__all__
         assert not hasattr(polysqueeze, name)
         assert not hasattr(squeezing, name)
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("polysqueeze.search")
+    # the disk automorphism lives beside the other map primitives, and a map
+    # is evaluated by mobius_eval, not called
+    for module in ("polysqueeze.search", "polysqueeze.hyperbolic"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert not callable(polysqueeze.MobiusAut(0.5))
     assert [f.name for f in dataclasses.fields(polysqueeze.SearchResult)] == [
         "value", "witness", "evaluations"]
 
@@ -101,7 +112,7 @@ DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
 
 @pytest.mark.parametrize("name", DELETED)
 def test_test_only_aliases_are_gone(name):
-    for module in (polysqueeze, cli, domains, embeddings, hyperbolic, squeezing, verify):
+    for module in (polysqueeze, cli, domains, embeddings, squeezing, verify):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(polysqueeze.ProductDomain, name)
 
@@ -110,8 +121,8 @@ def test_oracle_lives_in_verify():
     moved = {
         domains: ["boundary_samples", "_unit_circle", "_sample_radii"],
         embeddings: ["image_inradius_at_zero", "image_inradius_analytic", "product_inradius",
-                     "_sampled_circle_min", "_squared_moduli"],
-        hyperbolic: ["sigma", "sigma_inv", "poincare_distance", "_Radius"],
+                     "_sampled_circle_min", "_squared_moduli",
+                     "sigma", "sigma_inv", "poincare_distance", "_Radius"],
     }
     for module, names in moved.items():
         for name in names:

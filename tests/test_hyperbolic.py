@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysqueeze import DomainError, MobiusAut
-from polysqueeze.hyperbolic import mobius_circle_min_modulus, mobius_eval
+from polysqueeze.embeddings import mobius_circle_min_modulus, mobius_eval
 from polysqueeze.verify import poincare_distance, sigma, sigma_inv
 
 LOG3 = math.log(3.0)

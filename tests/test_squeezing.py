@@ -30,7 +30,7 @@ from polysqueeze import (
     squeeze_bounds,
 )
 from polysqueeze.domains import membership
-from polysqueeze.hyperbolic import MobiusAut, mobius_eval
+from polysqueeze.embeddings import MobiusAut, mobius_eval
 from polysqueeze.squeezing import (
     CLEARANCE_LOWER,
     CLOSED_FORM,
