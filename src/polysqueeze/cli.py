@@ -14,8 +14,8 @@ line that names a command and then spells out only that command's options,
 each in full and with a value argparse would take as one, is read straight
 from that table; the argparse parser reads every other command line whole,
 from the top level, so help, usage and error text come from argparse alone.
-The parser is built the first time such a line needs it and then reused by
-every :func:`main` call.
+argparse is imported and the parser built the first time such a line needs
+it, and the parser is then reused by every :func:`main` call.
 ``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
 Each spec file is opened and decoded on every call, and its text is looked
 up in a memo of the last ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the
@@ -28,7 +28,6 @@ it runs or its help is shown.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
@@ -36,6 +35,8 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk, factor_dim
 from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
@@ -50,6 +51,9 @@ from .squeezing import (
     single_annulus_index,
     squeeze_bounds,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -462,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     one instance serves every :func:`main` call.  The ``--samples`` default
     is None; :func:`main` fills it from ``SQUEEZE_SAMPLES`` on each call.
     """
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="polysqueeze",
         description="Squeezing values of product domains relative to the polydisk.",
@@ -477,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_table(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives a well-formed command line, else None.
+def _read_table(argv: list[str]) -> SimpleNamespace | None:
+    """A namespace with the ``vars()`` argparse gives a well-formed command line, else None.
 
     Well formed: ``argv[0]`` names a command, and every later token is one
     of its option strings in full, as ``--opt value`` or ``--opt=value``
@@ -520,7 +526,7 @@ def _read_table(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in kw and value not in kw["choices"]:
             return None
         given[option] = value
-    args = argparse.Namespace(command=argv[0], func=func)
+    args = SimpleNamespace(command=argv[0], func=func)
     for option, kw in options.items():
         if option in given:
             value = given[option]
@@ -542,8 +548,8 @@ def _typed(kw: dict, text: str):
     return kw["type"](text) if "type" in kw else text
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``: same namespace, output and exit.
+def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:
+    """``build_parser().parse_args(argv)``: same ``vars()``, output and exit.
 
     A well-formed command line (see :func:`_read_table`) is read from
     :data:`COMMANDS` without argparse; any other goes to the parser.

@@ -6,8 +6,10 @@ primitive sends boundary circles to circles, so the distance from 0 to the
 complement of an image is the least modulus over the images of the boundary
 circles and the extension values at the punctures.  The witness scores of
 :mod:`polysqueeze.squeezing` take that minimum in closed form, through
-:func:`mobius_circle_min_modulus` for an automorphism; the boundary-sampling
-oracle that checks them is in :mod:`polysqueeze.verify`.
+:func:`mobius_circle_min_modulus` for an automorphism.  Maps are evaluated
+here on scalars only; the boundary-sampling oracle that checks the scores,
+and with it the evaluation of a map on an array of samples, is in
+:mod:`polysqueeze.verify`.
 """
 
 from __future__ import annotations
@@ -46,27 +48,15 @@ class MobiusAut:
 
 
 def mobius_eval(m: MobiusAut, zeta):
-    """Evaluate the automorphism at ``zeta`` (scalar or ndarray, |zeta| <= 1)."""
-    # numpy is imported only where arrays are built: if it was never loaded,
-    # zeta cannot be an ndarray.
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(zeta, np.ndarray):
-        w = zeta - m.a
-        if not w:
-            # the map's own zero, also where 1 - |a|^2 rounds to 0 and the
-            # quotient would be 0/0
-            return w
-        w = w / (1.0 - m.a.conjugate() * zeta)
-        if m.theta != 0.0:
-            w = complex(math.cos(m.theta), math.sin(m.theta)) * w
-        return w
-    # The same operations in place: two temporaries of the input's size, not three.
-    den = m.a.conjugate() * zeta
-    np.subtract(1.0, den, out=den)
+    """Evaluate the automorphism at the scalar ``zeta`` (|zeta| <= 1)."""
     w = zeta - m.a
-    w /= den
+    if not w:
+        # the map's own zero, also where 1 - |a|^2 rounds to 0 and the
+        # quotient would be 0/0
+        return w
+    w = w / (1.0 - m.a.conjugate() * zeta)
     if m.theta != 0.0:
-        np.multiply(complex(math.cos(m.theta), math.sin(m.theta)), w, out=w)
+        w = complex(math.cos(m.theta), math.sin(m.theta)) * w
     return w
 
 
@@ -153,17 +143,15 @@ def _apply(step: Primitive, z):
 
 
 def map_eval(e: MapExpr, zeta):
-    """Evaluate the composition at ``zeta`` (scalar complex or ndarray).
+    """Evaluate the composition at the scalar ``zeta``.
 
-    A reflection step has a pole at 0; scalar evaluation there raises.  At a
+    A reflection step has a pole at 0, where evaluation raises.  At a
     puncture the value is the map's continuous extension, the point that
     injectivity excludes from the image.
     """
-    # Without numpy loaded, zeta cannot be a numpy array or scalar.
-    np = sys.modules.get("numpy")
     z = zeta
     for step in e.steps:
-        if isinstance(step, Reflection) and (np is None or np.isscalar(z)) and complex(z) == 0:
+        if isinstance(step, Reflection) and z == 0:
             raise DomainError("reflection has a pole at 0")
         z = _apply(step, z)
     return z

@@ -12,9 +12,10 @@ boundary-sampling image inradius of an explicit witness (sampled in
 cache-sized blocks and scored by squared moduli), its closed-form
 counterpart for radial-then-Mobius maps, and the radial distance pair
 ``sigma`` / ``sigma_inv`` with the Poincare distance.  No reported value of
-the library depends on any of them.  The disk automorphisms they evaluate
-come from :mod:`polysqueeze.embeddings`, with the other map primitives; the
-``hyperbolic`` suite is named for the geometry it checks.
+the library depends on any of them.  The map primitives come from
+:mod:`polysqueeze.embeddings`, which evaluates them on scalars; evaluating a
+map on an array of samples is decided here alone, by :func:`_array_eval`.
+The ``hyperbolic`` suite is named for the geometry it checks.
 """
 
 from __future__ import annotations
@@ -36,13 +37,16 @@ from .domains import (
     UnitDisk,
 )
 from .embeddings import (
+    Inclusion,
     MapExpr,
     MobiusAut,
+    Primitive,
     ProductMap,
     Reflection,
     map_eval,
     mobius_circle_min_modulus,
     mobius_eval,
+    reflect,
     require_base_to_zero,
 )
 from .errors import DomainError
@@ -95,40 +99,15 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     """Radius of each sampled boundary circle, nudged a few ulps off the open set.
 
     ``1 + 4 eps`` for the outer circle, then ``(1 - 4 eps) r`` for the inner
-    circle of an annulus.  The samples of a circle are this radius times
-    ``_unit_circle(m)``; :func:`boundary_samples` and the blocked sampler
-    :func:`_sampled_circle_min` both build them from here.
+    circle of an annulus, so that no sample passes membership.  A circle's
+    samples are this radius times ``_unit_circle(m)``, ``m`` points at equal
+    angles from 0 counterclockwise; punctures are not sampled.
     """
     if isinstance(f, BallFactor):
         raise DomainError("boundary sampling is defined for planar factors only")
     if isinstance(f, Annulus):
         return (1.0 + _NUDGE, (1.0 - _NUDGE) * f.r)
     return (1.0 + _NUDGE,)
-
-
-def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
-    """``m`` equally-angle-spaced points per non-singleton boundary circle.
-
-    Outer circle first, then the inner circle for an annulus; angles start at
-    0 and increase counterclockwise.  Points are nudged radially by a few ulps
-    off the open set (outward on the outer circle, inward on the inner one;
-    see :func:`_sample_radii`) so that no sample ever passes membership.
-    Punctures are not sampled here; they are the factor's ``punctures``.
-    The returned array is read-only and holds every sample at once; the
-    sampled inradius :func:`image_inradius_at_zero` evaluates the same
-    points block by block instead.  Only the unit circle is cached, once per
-    ``m``: an array per factor would hold 2 MB for each annulus sampled at
-    65536 points.
-    """
-    radii = _sample_radii(f)
-    if not isinstance(m, int) or m < 4:
-        raise DomainError(f"sample count must be an integer >= 4, got {m}")
-    import numpy as np
-
-    circle = _unit_circle(m)
-    out = np.concatenate([rho * circle for rho in radii])
-    out.setflags(write=False)
-    return out
 
 
 # Points a block of the sampled minimum evaluates at once.  Whole 65536-point
@@ -138,27 +117,53 @@ def boundary_samples(f: PlanarFactor, m: int) -> np.ndarray:
 _SAMPLE_BLOCK = 16384
 
 
-def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
-    """``|map_eval(e, zeta)|**2`` at every point of the ndarray ``zeta``.
-
-    The steps before the last go through :func:`map_eval`.  A last step
-    ``e^{i theta} (v - a) / (1 - conj(a) v)`` gives
-    ``|v - a|**2 / |1 - conj(a) v|**2``: the rotation has modulus 1, and each
-    factor is multiplied by its conjugate in place, so no complex quotient and
-    no hypot is formed.  Any other last step gives ``(v * conj(v)).real`` of
-    the map's value.  ``zeta`` is not written to.
-    """
-    *head, last = e.steps
-    if not isinstance(last, MobiusAut):
-        v = map_eval(e, zeta)
-        return (v * v.conj()).real
+def _mobius_parts(m: MobiusAut, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``zeta - a`` and ``1 - conj(a) zeta``, the second formed in place; ``zeta`` is kept."""
     import numpy as np
 
-    if head:
-        zeta = map_eval(MapExpr(tuple(head)), zeta)
-    den = last.a.conjugate() * zeta
+    den = m.a.conjugate() * zeta
     np.subtract(1.0, den, out=den)
-    num = zeta - last.a
+    return zeta - m.a, den
+
+
+def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
+    """The steps of a map, left to right, at every point of the ndarray ``zeta``.
+
+    The scalar :func:`~polysqueeze.embeddings.map_eval` rounds apart from
+    it, by over a thousand ulps on some samples.  A reflection has no pole
+    check here, and ``zeta`` is not written to.
+    """
+    import numpy as np
+
+    z = zeta
+    for step in steps:
+        if isinstance(step, MobiusAut):
+            z, den = _mobius_parts(step, z)
+            z /= den
+            if step.theta != 0.0:
+                np.multiply(complex(math.cos(step.theta), math.sin(step.theta)), z, out=z)
+        elif isinstance(step, Reflection):
+            z = reflect(step.r, z)
+        elif not isinstance(step, Inclusion):
+            raise DomainError(f"unknown primitive {type(step).__name__}")
+    return z
+
+
+def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
+    """``|_array_eval(e.steps, zeta)|**2`` at every point of the ndarray ``zeta``.
+
+    The steps before the last go through :func:`_array_eval`.  A last step
+    ``e^{i theta} (v - a) / (1 - conj(a) v)`` gives
+    ``|v - a|**2 / |1 - conj(a) v|**2``: the rotation has modulus 1, and each
+    of :func:`_mobius_parts` is multiplied by its conjugate in place, so no
+    complex quotient and no hypot is formed.  Any other last step gives
+    ``(v * conj(v)).real`` of the map's value.  ``zeta`` is not written to.
+    """
+    last = e.steps[-1]
+    if not isinstance(last, MobiusAut):
+        v = _array_eval(e.steps, zeta)
+        return (v * v.conj()).real
+    num, den = _mobius_parts(last, _array_eval(e.steps[:-1], zeta))
     num *= num.conj()
     den *= den.conj()
     return num.real / den.real
@@ -190,10 +195,10 @@ def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int = 4096) -> float:
 
     Minimum modulus over the images of ``m`` samples per boundary circle and
     over the extension values ``map_eval(e, p)`` at the punctures ``p`` of
-    ``f``.  The samples are those of :func:`boundary_samples`, scored by their
-    squared moduli (:func:`_squared_moduli`) in cache-sized blocks with one
-    square root per circle (:func:`_sampled_circle_min`).  Each sampled
-    modulus agrees with ``abs(map_eval(e, sample))`` to a few ulps, not bit
+    ``f``.  The samples of :func:`_sample_radii` are scored by their squared
+    moduli (:func:`_squared_moduli`) in cache-sized blocks with one square
+    root per circle (:func:`_sampled_circle_min`).  Each sampled modulus
+    agrees with ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit
     for bit.  The caller is responsible for the base point mapping to 0.
     """
     if not isinstance(m, int) or m < 8:

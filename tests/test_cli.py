@@ -802,6 +802,27 @@ def test_cli_import_leaves_verify_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_well_formed_eval_leaves_argparse_unloaded(annulus):
+    # argparse is imported by build_parser alone, which help still reaches
+    script = """
+import contextlib, io, sys
+from polysqueeze.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+code = run("eval", "--spec", sys.argv[1], "--point", "0.6,0.1;0.2,0")
+print(code, "argparse" in sys.modules)
+print(run("eval", "--help"), "argparse" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, annulus], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "0 False\n0 True\n"
+
+
 def test_well_formed_calls_build_no_parser(capsys, monkeypatch, annulus):
     from polysqueeze import cli
 

@@ -12,7 +12,7 @@ from polysqueeze import (
     UnitDisk,
 )
 from polysqueeze.domains import factor_dim, membership
-from polysqueeze.verify import boundary_samples
+from polysqueeze.verify import _sample_radii, _unit_circle
 
 
 # ----------------------------------------------------------------- membership
@@ -49,39 +49,49 @@ def test_membership_ball():
 
 
 # ------------------------------------------------------------------- sampling
+# The oracle samples each circle as rho * _unit_circle(m), for each rho of
+# _sample_radii, outer circle first.
+
+NUDGE = 4.0 * np.finfo(float).eps
+
+
+def samples(f, m):
+    return np.concatenate([rho * _unit_circle(m) for rho in _sample_radii(f)])
+
 
 def test_boundary_samples_unit_disk():
-    got = boundary_samples(UnitDisk(), 4)
-    assert np.allclose(got, [1, 1j, -1, -1j], atol=1e-15)
+    assert _sample_radii(UnitDisk()) == (1.0 + NUDGE,)
+    assert np.allclose(samples(UnitDisk(), 4), [1, 1j, -1, -1j], atol=1e-15)
 
 
 def test_boundary_samples_annulus_two_circles():
-    got = boundary_samples(Annulus(0.5), 4)
+    assert _sample_radii(Annulus(0.5)) == (1.0 + NUDGE, (1.0 - NUDGE) * 0.5)
+    got = samples(Annulus(0.5), 4)
     assert len(got) == 8
     assert np.allclose(got[:4], [1, 1j, -1, -1j], atol=1e-15)
     assert np.allclose(got[4:], [0.5, 0.5j, -0.5, -0.5j], atol=1e-15)
 
 
 def test_boundary_samples_skip_punctures():
-    got = boundary_samples(PuncturedDisk((0j,)), 4)
+    got = samples(PuncturedDisk((0j,)), 4)
     assert len(got) == 4
     assert np.allclose(np.abs(got), 1.0)
 
 
 def test_boundary_samples_validation():
+    # the sample count is checked by image_inradius_at_zero, which takes it
     with pytest.raises(DomainError):
-        boundary_samples(UnitDisk(), 3)
-    with pytest.raises(DomainError):
-        boundary_samples(BallFactor(1), 16)
+        _sample_radii(BallFactor(1))
 
 
 def test_boundary_samples_never_members():
     for f in (UnitDisk(), PuncturedDisk((0.3 + 0j,)), Annulus(0.4)):
-        assert not any(membership(f, complex(z)) for z in boundary_samples(f, 32))
+        assert not any(membership(f, complex(z)) for z in samples(f, 32))
 
 
 def test_boundary_samples_cached_readonly():
-    arr = boundary_samples(UnitDisk(), 16)
+    arr = _unit_circle(16)
+    assert _unit_circle(16) is arr
     with pytest.raises(ValueError):
         arr[0] = 0
 

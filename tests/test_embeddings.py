@@ -24,10 +24,11 @@ from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_e
 from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness, single_factor_exact
 from polysqueeze.verify import (
     _SAMPLE_BLOCK,
+    _array_eval,
+    _sample_radii,
     _sampled_circle_min,
     _squared_moduli,
     _unit_circle,
-    boundary_samples,
     image_inradius_analytic,
     image_inradius_at_zero,
     product_inradius,
@@ -81,21 +82,21 @@ def test_reflection_of_subnormal_operands_keeps_its_bits():
     assert reflect(r, z) == lifted == map_eval(mexpr(Reflection(r)), z)
     assert abs(lifted) == pytest.approx(2024 / math.hypot(3, 4048), rel=1e-15)
     ring = np.array([z, 2 * z])
-    assert np.array_equal(map_eval(mexpr(Reflection(r)), ring), [lifted, lifted / 2])
+    assert np.array_equal(_array_eval((Reflection(r),), ring), [lifted, lifted / 2])
     assert reflect(0.25, 0.5 + 0.1j) == 0.25 / (0.5 + 0.1j)  # normal operands: the bare quotient
 
 
 def test_map_eval_vectorized_matches_scalar():
     e = mexpr(Reflection(0.25), MobiusAut(0.2 + 0.1j, 0.7))
     zs = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
-    vec = map_eval(e, zs)
+    vec = _array_eval(e.steps, zs)
     assert np.allclose(vec, [map_eval(e, complex(z)) for z in zs], atol=1e-15)
 
 
 def test_scalar_and_array_dispatch_bitwise():
-    # mobius_eval and map_eval pick the scalar or array arithmetic by the
-    # input's type.  The three input kinds round differently in the last bit,
-    # so each must match the expression evaluated in its own type.
+    # mobius_eval and map_eval evaluate scalars, verify's _array_eval an
+    # ndarray.  The three input kinds round differently in the last bit, so
+    # each must match the expression evaluated in its own type.
     rng = np.random.default_rng(11)
     zs = 0.9 * rng.uniform(0.3, 1, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
     for a, theta in ((0.3 - 0.4j, 0.0), (-0.6j, 2.1), (0.45 + 0.2j, -0.8)):
@@ -107,8 +108,8 @@ def test_scalar_and_array_dispatch_bitwise():
             w = (w - a) / (1.0 - a.conjugate() * w)
             return phase * w if theta != 0.0 else w
 
-        assert np.array_equal(mobius_eval(m, zs), mobius(zs))
-        assert np.array_equal(map_eval(e, zs), mobius(0.25 / zs))
+        assert np.array_equal(_array_eval((m,), zs), mobius(zs))
+        assert np.array_equal(_array_eval(e.steps, zs), mobius(0.25 / zs))
         for z in zs:
             for kind in (complex, np.complex128):
                 zk = kind(z)
@@ -119,6 +120,14 @@ def test_scalar_and_array_dispatch_bitwise():
     for zero in (0j, 0.0, np.complex128(0)):
         with pytest.raises(DomainError):
             map_eval(mexpr(Reflection(0.25)), zero)
+
+
+def test_array_eval_rejects_unknown_primitives():
+    zs = np.array([0.5, 0.25j])
+    assert _array_eval((Inclusion(),), zs) is zs
+    for steps in ((object(),), (MobiusAut(0.3), "reflect")):
+        with pytest.raises(DomainError, match="unknown primitive"):
+            _array_eval(steps, zs)
 
 
 def test_map_expr_validation():
@@ -214,9 +223,14 @@ BLOCK_SIZES = (8, 4096, 16384, 16385, 65536, 100000)
 NUDGE = 4.0 * np.finfo(float).eps  # radial offset of the samples off the open set
 
 
+def boundary_array(f, m):
+    """Every boundary sample of ``f`` in one array, outer circle first."""
+    return np.concatenate([rho * _unit_circle(m) for rho in _sample_radii(f)])
+
+
 def whole_array_inradius(e, f, m):
     """The sampled inradius as one array over every boundary sample."""
-    best = math.sqrt(_squared_moduli(e, boundary_samples(f, m)).min())
+    best = math.sqrt(_squared_moduli(e, boundary_array(f, m)).min())
     for p in f.punctures if isinstance(f, PuncturedDisk) else ():
         best = min(best, abs(map_eval(e, p)))
     return best
@@ -227,7 +241,7 @@ def whole_array_inradius(e, f, m):
 def test_blocked_sampling_bitwise_equals_whole_array(case, m):
     f, z, branch, a = BLOCK_CASES[case]
     e = rotated_witness(f, z, branch, a)
-    samples = boundary_samples(f, m)
+    samples = boundary_array(f, m)
     sq = partial(_squared_moduli, e)
     # each circle on its own, then the whole inradius with its punctures
     radii = (1.0 + NUDGE, (1.0 - NUDGE) * f.r) if isinstance(f, Annulus) else (1.0 + NUDGE,)
@@ -251,15 +265,17 @@ def test_blocked_sampling_propagates_nan():
     assert math.isnan(_sampled_circle_min(sq, 1.0, m))
 
 
-# The old per-sample arithmetic, abs(map_eval(e, sample)): a complex quotient
-# and a hypot.  The squared-modulus path rounds differently, by 3.0 to 3.3
-# eps at most over 300 random witnesses; 8 eps is the bound set for it.
+# The map's array value and its modulus, abs(_array_eval(e.steps, samples)): a
+# complex quotient and a hypot per sample.  The squared-modulus path rounds
+# differently, by 3.0 to 3.3 eps at most over 300 random witnesses; 8 eps is
+# the bound set for it.  The scalar map_eval is no reference here: it rounds
+# up to about 1800 eps away from numpy's array arithmetic on such witnesses.
 REFERENCE_RTOL = 8.0 * np.finfo(float).eps
 
 
 def assert_moduli_match_map_eval(e, f, m):
-    samples = boundary_samples(f, m)
-    reference = np.abs(map_eval(e, samples))
+    samples = boundary_array(f, m)
+    reference = np.abs(_array_eval(e.steps, samples))
     moduli = np.sqrt(_squared_moduli(e, samples))
     assert np.all(np.abs(moduli - reference) <= REFERENCE_RTOL * reference)
 

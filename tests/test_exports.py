@@ -59,8 +59,10 @@ def test_layout_lists_every_module():
 
 @pytest.mark.parametrize("name", ["domains", "embeddings"])
 def test_production_modules_import_no_numpy(name):
-    tree = parsed(PACKAGE_DIR / f"{name}.py")
-    for node in ast.walk(tree):
+    # nor look it up: their maps and domains take scalars only
+    source = (PACKAGE_DIR / f"{name}.py").read_text()
+    assert "numpy" not in source and "sys.modules" not in source, name
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "numpy" for a in node.names), name
         elif isinstance(node, ast.ImportFrom):
@@ -98,6 +100,10 @@ def test_deleted_names_are_gone():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert not callable(polysqueeze.MobiusAut(0.5))
+    # the whole-array boundary sampler: the oracle builds each circle from
+    # _sample_radii and _unit_circle
+    for module in (domains, verify):
+        assert not hasattr(module, "boundary_samples")
     assert [f.name for f in dataclasses.fields(polysqueeze.SearchResult)] == [
         "value", "witness", "evaluations"]
 
@@ -119,9 +125,9 @@ def test_test_only_aliases_are_gone(name):
 
 def test_oracle_lives_in_verify():
     moved = {
-        domains: ["boundary_samples", "_unit_circle", "_sample_radii"],
+        domains: ["_unit_circle", "_sample_radii"],
         embeddings: ["image_inradius_at_zero", "image_inradius_analytic", "product_inradius",
-                     "_sampled_circle_min", "_squared_moduli",
+                     "_sampled_circle_min", "_squared_moduli", "_array_eval", "_mobius_parts",
                      "sigma", "sigma_inv", "poincare_distance", "_Radius"],
     }
     for module, names in moved.items():

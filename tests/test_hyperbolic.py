@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polysqueeze import DomainError, MobiusAut
 from polysqueeze.embeddings import mobius_circle_min_modulus, mobius_eval
-from polysqueeze.verify import poincare_distance, sigma, sigma_inv
+from polysqueeze.verify import _array_eval, poincare_distance, sigma, sigma_inv
 
 LOG3 = math.log(3.0)
 
@@ -143,7 +143,7 @@ def test_mobius_array_in_place_matches_expression_bitwise():
         want = (zs - m.a) / (1.0 - m.a.conjugate() * zs)
         if m.theta != 0.0:
             want = complex(math.cos(m.theta), math.sin(m.theta)) * want
-        assert np.array_equal(mobius_eval(m, zs), want)
+        assert np.array_equal(_array_eval((m,), zs), want)
 
 
 # ----------------------------------------------------------- Poincare metric
@@ -219,7 +219,7 @@ def test_circle_min_point_on_circle():
 def test_circle_min_theta_independent():
     vals = {
         round(
-            float(np.abs(mobius_eval(MobiusAut(0.3, th), 0.2 * np.exp(2j * np.pi * np.arange(64) / 64))).min()),
+            float(np.abs(_array_eval((MobiusAut(0.3, th),), 0.2 * np.exp(2j * np.pi * np.arange(64) / 64))).min()),
             10,
         )
         for th in (0.0, 1.0, 2.5)
