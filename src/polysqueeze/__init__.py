@@ -7,8 +7,8 @@ The names below are the public API; the boundary-sampling oracle that
 cross-checks the closed forms lives in :mod:`polysqueeze.verify`.
 
 Importing the package does not load numpy.  The closed forms and bounds run
-on Python floats and complex numbers; the limit path and the verification
-suites import numpy when they are called.
+on Python floats and complex numbers, the limit path included; only the
+verification suites that build arrays import numpy, when they are called.
 """
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk

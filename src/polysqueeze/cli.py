@@ -20,10 +20,9 @@ it, and the parser is then reused by every :func:`main` call.
 Each spec file is opened and decoded on every call, and its text is looked
 up in a memo of the last ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the
 content, it never serves a rewritten file stale, and a spec that fails is
-parsed, and fails, again.  ``eval``, ``profile`` and ``search`` run on
-closed forms and never import numpy; ``limit`` loads it when it runs, and
-``verify`` imports :mod:`polysqueeze.verify` (and with it numpy) only when
-it runs or its help is shown.
+parsed, and fails, again.  ``eval``, ``profile``, ``search`` and ``limit``
+run on Python floats; only ``verify`` builds arrays, and it imports
+:mod:`polysqueeze.verify` only when it runs or its help is shown.
 """
 
 from __future__ import annotations

@@ -466,8 +466,15 @@ def default_limit_path(r: float, side: str, steps: int = 256):
     The gap to the target circle shrinks geometrically to e = 1e-4 below 1
     (outer side) or ``e (1 - r)`` above r (inner side), narrowed to
     ``5 e (1 - r)`` for r > 0.8 and ``5 e r (1 - r)`` for r < 0.2 so that
-    the last clearance bound stays near 1.  A path that cannot hold
-    ``steps`` strictly monotone moduli inside the annulus raises DomainError.
+    the last clearance bound stays near 1.  With ``start`` the first gap
+    (``1 - sqrt(r)`` or ``sqrt(r) - r``), ``end`` the last and
+    ``step = (log10(end) - log10(start)) / (steps - 1)``, the k-th gap is
+    ``10 ** (k * step + log10(start))``, except that the first is exactly
+    ``start`` and the last exactly ``end``.  So the path starts at
+    ``1 - start`` or ``r + start`` (sqrt(r) where ``1 - start`` rounds to 0)
+    and ends at ``1 - end`` or ``r + end``, bit for bit; one step gives that
+    end alone.  A path that cannot hold ``steps`` strictly monotone moduli
+    inside the annulus raises DomainError.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"inner radius must lie in (0, 1), got {r}")
@@ -486,9 +493,10 @@ def default_limit_path(r: float, side: str, steps: int = 256):
     if steps == 1:
         xs = [to_x(end)]
     elif start > 0.0 and end > 0.0:
-        import numpy as np
-
-        xs = [to_x(float(delta)) for delta in np.geomspace(start, end, steps)]
+        lo = math.log10(start)
+        step = (math.log10(end) - lo) / (steps - 1)
+        xs = [to_x(10.0 ** (k * step + lo)) for k in range(steps)]
+        xs[0], xs[-1] = to_x(start), to_x(end)
         if xs[0] == 0.0:
             xs[0] = s  # 1 - (1 - sqrt(r)) is 0 where sqrt(r) is below half an ulp of 1
     if not (xs and all(r < x < 1.0 for x in xs) and all(map(toward, xs, xs[1:]))):

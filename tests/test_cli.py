@@ -686,8 +686,8 @@ def test_ball_point_parsing(tmp_path, capsys):
 
 
 def test_closed_form_commands_never_import_numpy(tmp_path):
-    # eval, search and profile run on closed forms; numpy loads only for the
-    # commands that build arrays (limit, and verify suites that sample)
+    # eval, search, profile and limit run on Python floats, and so do the
+    # verify suites that build no arrays; numpy loads only for a suite that does
     planar = [{"kind": "annulus", "r": 0.25},
               {"kind": "punctured_disk", "punctures": [[0, 0], [0.5, 0]]}]
     specs = []
@@ -711,8 +711,12 @@ codes = [run("eval", "--spec", planar, "--point", "0.6,0.1;0.2,0"),
          run("search", "--spec", planar, "--point", "0.3,0;-0.2,0.1"),
          run("profile", "--spec", ball, "--point", "0.6,0.1;0.2,0;0.1,0;0.2,0",
              "--range", "0.3:0.9", "--steps", "16")]
-numpy_loaded = "numpy" in sys.modules
-codes += [run("limit", "--r", "0.25", "--steps", "16"), run("verify", "--suite", "hhr")]
+numpy_loaded = ["numpy" in sys.modules]
+for argv in (["limit", "--r", "0.25", "--steps", "16"], ["verify", "--suite", "limit"],
+             ["verify", "--suite", "ball_ratios"], ["verify", "--suite", "hhr"],
+             ["verify", "--suite", "pinch"]):
+    codes.append(run(*argv))
+    numpy_loaded.append("numpy" in sys.modules)
 print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded}))
 """
     src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
@@ -720,7 +724,7 @@ print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded}))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, specs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0] * 8, "numpy_loaded": False}
+    assert result == {"codes": [0] * 11, "numpy_loaded": [False] * 5 + [True]}
 
 
 def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):

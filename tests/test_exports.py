@@ -57,9 +57,10 @@ def test_layout_lists_every_module():
     assert sorted(listed) == sorted(p.name for p in MODULES if p.name != "__init__.py")
 
 
-@pytest.mark.parametrize("name", ["domains", "embeddings"])
+@pytest.mark.parametrize("name", ["domains", "embeddings", "squeezing", "cli"])
 def test_production_modules_import_no_numpy(name):
-    # nor look it up: their maps and domains take scalars only
+    # nor look it up: their maps, domains, bounds and paths take scalars only,
+    # and only verify builds arrays
     source = (PACKAGE_DIR / f"{name}.py").read_text()
     assert "numpy" not in source and "sys.modules" not in source, name
     for node in ast.walk(ast.parse(source)):

@@ -495,15 +495,64 @@ def test_limit_profile_type_validation():
 def test_default_limit_path_endpoints():
     path = default_limit_path(0.25, "outer", 256)
     assert len(path) == 256
-    assert path[0] == pytest.approx(0.5, abs=1e-15)
-    assert path[-1] == pytest.approx(1 - 1e-4, abs=1e-15)
+    assert path[0] == 0.5 and path[-1] == 1 - 1e-4
     assert all(a < b for a, b in zip(path, path[1:]))
     inner = default_limit_path(0.25, "inner", 256)
-    assert inner[-1] == pytest.approx(0.25 + 1e-4 * 0.75, abs=1e-15)
+    assert inner[-1] == 0.25 + 1e-4 * 0.75
     assert all(a > b for a, b in zip(inner, inner[1:]))
     assert default_limit_path(0.25, "outer", 1) == [1 - 1e-4]
     with pytest.raises(DomainError):
         default_limit_path(0.25, "sideways", 8)
+
+
+# Each library log10 and pow is taken as accurate to LIBM_ULPS ulp; both the
+# path and numpy.geomspace then run the same IEEE steps on their results.
+LIBM_ULPS = 4
+
+
+def _geomspace_relative_bound(start: float, end: float) -> float:
+    """Bound on |d - d'| / d' for two roundings of one gap of the path.
+
+    With M = max(|log10 start|, |log10 end|) >= |y| for every exponent
+    y = k step + log10(start) and u = 2**-52 (so an ulp of x is at most u |x|),
+    one implementation's y is off the exact value by at most, to first order:
+    c u M for each log10 (c = LIBM_ULPS), so 2 c u M in hi - lo, whose size is
+    at most M, plus u/2 M for that subtraction, u/2 M for the division by
+    steps - 1 and u/2 M for k step (together (2 c + 1.5) u M), then c u M for
+    log10(start) and u/2 M for the sum: (3 c + 2) u M.  10**y turns an
+    absolute error in y into ln(10) times that relative error in the gap, and
+    pow adds c u.  Two independent roundings differ by at most twice one; a
+    second factor 2 covers the second-order terms, O(c**2 u**2 M**2).
+    """
+    c, u = LIBM_ULPS, 2.0 ** -52
+    m = max(abs(math.log10(start)), abs(math.log10(end)))
+    return 2.0 * 2.0 * (math.log(10.0) * (3 * c + 2) * u * m + c * u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       side=st.sampled_from(["outer", "inner"]), steps=st.integers(2, 512))
+def test_default_limit_path_tracks_geomspace(r, side, steps):
+    try:
+        path = default_limit_path(r, side, steps)
+    except DomainError:
+        return
+    s = math.sqrt(r)
+    if side == "outer":
+        start, end = 1.0 - s, min(1e-4, 5.0 * 1e-4 * (1.0 - r))
+        to_x, sign = (lambda delta: 1.0 - delta), 1
+    else:
+        start, end = s - r, min(1e-4 * (1.0 - r), 5.0 * 1e-4 * r * (1.0 - r))
+        to_x, sign = (lambda delta: r + delta), -1
+    assert len(path) == steps
+    assert all(sign * (b - a) > 0 for a, b in zip(path, path[1:]))
+    assert all(r < x < 1.0 for x in path)
+    assert path[0] == (to_x(start) or s) and path[-1] == to_x(end)
+    bound = _geomspace_relative_bound(start, end)
+    for x, delta in zip(path[1:], np.geomspace(start, end, steps)[1:]):
+        ref = to_x(float(delta))
+        # each to_x rounds once, to half an ulp of its result
+        assert abs(x - ref) <= bound * delta + math.ulp(max(x, ref)), (x, ref)
 
 
 # ----------------------------------------------------------------------- hhr
