@@ -45,7 +45,6 @@ from .squeezing import (
     annulus_clearance_bound,
     boundary_limit_profile,
     default_limit_path,
-    exact_squeeze,
     search_lower_bound,
     single_annulus_index,
     squeeze_bounds,
@@ -382,11 +381,7 @@ def cmd_search(args, out) -> int:
     domain = load_domain_spec(args.spec)
     z = parse_point(args.point, domain)
     sr = search_lower_bound(domain, z, args.family)
-    exact = None
-    try:
-        exact = exact_squeeze(domain, z).exact
-    except UnsupportedGeometryError:
-        pass
+    exact = squeeze_bounds(domain, z, search=False).exact
     w = _writer(out)
     w.writerow(["value", "evaluations", "converged", "exact", "gap", "witness"])
     w.writerow([
@@ -519,7 +514,7 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
             return None  # argparse drops a "--" from an option's values
         # argparse converts and checks every occurrence; the last one stays
         try:
-            value = _typed(kw, value)
+            value = kw["type"](value) if "type" in kw else value
         except (TypeError, ValueError):
             return None
         if "choices" in kw and value not in kw["choices"]:
@@ -533,18 +528,8 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
             return None
         else:
             value = kw.get("default", False if kw.get("action") == "store_true" else None)
-            if isinstance(value, str):
-                # argparse passes a string default through type, as if given
-                try:
-                    value = _typed(kw, value)
-                except (TypeError, ValueError):
-                    return None
         setattr(args, option[2:].replace("-", "_"), value)
     return args
-
-
-def _typed(kw: dict, text: str):
-    return kw["type"](text) if "type" in kw else text
 
 
 def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:

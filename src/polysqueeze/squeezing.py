@@ -67,7 +67,9 @@ class BoundReport:
     """Certified bracket for the squeezing value at one point.
 
     ``exact`` is set only when the domain lies in the closed-form catalog;
-    witnesses are explicit embeddings realizing lower bounds.
+    witnesses are explicit embeddings realizing lower bounds.  Construction
+    checks 0 <= lower <= exact <= upper <= 1 exactly and repairs nothing: a
+    report out of that order raises :class:`SqueezeError`.
     """
 
     lower: float
@@ -78,16 +80,10 @@ class BoundReport:
 
     def __post_init__(self) -> None:
         lower, upper, exact = self.lower, self.upper, self.exact
-        if not (0.0 <= lower <= upper + 1e-9 and upper <= 1.0 + 1e-9):
+        if not (0.0 <= lower <= upper <= 1.0):
             raise SqueezeError(f"inconsistent bounds: lower={lower}, upper={upper}")
-        if exact is not None and not (lower - 1e-9 <= exact <= upper + 1e-9):
+        if exact is not None and not (lower <= exact <= upper):
             raise SqueezeError(f"exact value {exact} escapes [{lower}, {upper}]")
-        # min(lower, upper) and min(upper, 1.0), written as tests, and the fields
-        # read once: most reports need no clamp, and closed forms make one a point
-        if upper < lower:
-            object.__setattr__(self, "lower", upper)
-        if 1.0 < upper:
-            object.__setattr__(self, "upper", 1.0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,9 @@ def _annulus_value(f: Annulus, coord) -> float:
     if not (f.r < x < 1.0):
         raise DomainError(f"|z| = {x} outside the annulus ({f.r}, 1)")
     # a subnormal |z| is below sqrt(r), so the value is r/|z|, the modulus of
-    # the reflected point, which :func:`reflect` computes to the last bits
-    return max(x, f.r / x) if x >= _TINY else abs(reflect(f.r, coord))
+    # the reflected point, whose low bits :func:`reflect` keeps; capped at 1,
+    # since that quotient can round to 1 + 2^-52 where r/|z| is 1 - 5.5e-17
+    return max(x, f.r / x) if x >= _TINY else min(1.0, abs(reflect(f.r, coord)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class _Kind:
 _KINDS = {
     UnitDisk: _Kind(lambda f, coord: 1.0, branches=(INCLUSION,), score=lambda f, w: 1.0),
     PuncturedDisk: _Kind(
-        lambda f, coord: min([_reduced_modulus(p, complex(coord)) for p in f.punctures]),
+        lambda f, coord: min(1.0, *(_reduced_modulus(p, complex(coord)) for p in f.punctures)),
         punctured=True, branches=(INCLUSION,),
         score=lambda f, w: min(1.0, *(_reduced_modulus(w, p) for p in f.punctures)),
     ),
@@ -180,6 +177,7 @@ def single_factor_exact(f, coord) -> float:
 
     Disk: 1.  Punctured disk: min over its punctures p of |phi_p(z)|.
     Annulus with inner radius r: max(|z|, r/|z|).  Ball of dimension n: 1/sqrt(n).
+    A value that rounds above 1 is capped at 1.
     """
     try:  # the lookup of _kind, inlined: a call per factor shows in exact_squeeze
         kind = _KINDS[type(f)]
@@ -314,7 +312,8 @@ def _family(d: ProductDomain, z: ProductPoint, family: str,
     ``values`` holds each factor's value column at the point.  A witness
     never beats its factor's squeezing value, but the score and the value are
     different expressions and can round an ulp apart, so each best score is
-    capped by the value: score <= value bit for bit.
+    capped by the value: score <= value bit for bit, and the min of the
+    scores is at most the min of the values.
     """
     scores, witnesses, evaluations = [], [], 0
     for i, (f, c, value) in enumerate(zip(d.factors, z.coords, values)):
@@ -367,6 +366,12 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     ``family`` (on planar factors); upper = min of 1 and the puncture caps.
     Applicable methods are tagged, and FamilyGap when the family stays below
     ``exact`` by over 1e-6.  An unknown family name raises DomainError.
+
+    The order holds by construction, so :class:`BoundReport` has nothing to
+    repair: every value lies in [0, 1] (one that rounds above 1 is capped at
+    1), the clearance is capped by the min of the values as each family score
+    is by its value, so lower is that min bit for bit, and the caps are
+    values, so upper is at least it.
     """
     _require_family(family)
     kinds = [_kind(f) for f in d.factors]
@@ -379,11 +384,11 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     if caps:
         methods.append(PUNCTURE_UPPER)
     methods.append(PRODUCT_LOWER)
-    lowers = [0.0, product]
+    lowers = [product]
 
     ann = single_annulus_index(d)
     if ann is not None:
-        lowers.append(annulus_clearance_bound(d.factors[ann].r, z.coords[ann]))
+        lowers.append(min(annulus_clearance_bound(d.factors[ann].r, z.coords[ann]), product))
         methods.append(CLEARANCE_LOWER)
 
     found: tuple[MapExpr, ...] = ()

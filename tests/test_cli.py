@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -554,8 +555,9 @@ def test_points_next_to_a_circle_keep_the_exit_contract(tmp_path, case):
         code, row, err = _call([*command, "--spec", spec, "--point=" + point])
         assert code == 0, (command, err)
         if row.get("exact"):
+            assert float(row["exact"]) <= 1, command
             if command[0] == "eval":
-                assert float(row["lower"]) <= float(row["exact"]), command
+                assert float(row["lower"]) <= float(row["exact"]) <= float(row["upper"]), command
             else:
                 assert float(row["gap"]) >= 0, command
 
@@ -598,6 +600,45 @@ def test_points_a_few_ulps_from_either_circle_exit_0(tmp_path_factory, r, outer,
     for command in FAMILY_COMMANDS:
         code, _, err = _call([*command, "--spec", spec, "--point=" + point])
         assert code == 0, (command, point, err)
+
+
+# Values below 1 whose double expression rounds to 1 + 2^-52: |phi_p(z)|
+# against a puncture 2 ulps inside the unit circle, and r/|z| on an annulus
+# with a subnormal inner radius, by complex division of the lifted operands.
+# The search gap is 1 on the annulus, whose reflection branch rounds onto the
+# unit circle there, so that inclusion alone scores, at one subnormal unit.
+ROUNDS_ABOVE_1 = {
+    "edge_puncture": ({"kind": "punctured_disk", "punctures": [[0.9999999999999998, 0]]},
+                      (0.9995500337489874, 0.029995500202495657), "0"),
+    "subnormal_annulus": ({"kind": "annulus", "r": 2.2249780881291262e-308},
+                          (1.201560166855447e-308, 1.872640023624683e-308), "1"),
+}
+
+
+def _value_50_digits(factor, x, y):
+    with mpmath.workdps(50):
+        z = mpmath.mpc(x, y)
+        if factor["kind"] == "annulus":
+            return mpmath.mpf(factor["r"]) / abs(z)
+        p = factor["punctures"][0][0]  # real, so conj(p) = p
+        return abs((z - p) / (1 - p * z))
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDS_ABOVE_1))
+def test_values_rounding_above_1_print_1(tmp_path, case):
+    # 1 - 5.2e-29 and 1 - 5.5e-17: the nearest double is 1 in both, so the
+    # cap at 1 gives the correctly rounded value
+    factor, (x, y), gap = ROUNDS_ABOVE_1[case]
+    true = _value_50_digits(factor, x, y)
+    assert true < 1 and float(true) == 1.0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [factor]}))
+    code, row, err = _call(["eval", "--spec", str(spec), f"--point={x!r},{y!r}"])
+    assert code == 0, err
+    assert (row["lower"], row["upper"], row["exact"]) == ("1", "1", "1")
+    code, row, err = _call(["search", "--spec", str(spec), f"--point={x!r},{y!r}"])
+    assert code == 0, err
+    assert (row["exact"], row["gap"]) == ("1", gap)
 
 
 def test_polydisk_point_an_ulp_inside_the_circle(tmp_path):

@@ -30,7 +30,7 @@ from polysqueeze import (
     squeeze_bounds,
 )
 from polysqueeze.domains import membership
-from polysqueeze.embeddings import MobiusAut, mobius_eval
+from polysqueeze.embeddings import MobiusAut, mobius_eval, reflect
 from polysqueeze.squeezing import (
     CLEARANCE_LOWER,
     CLOSED_FORM,
@@ -252,10 +252,16 @@ def test_bracket_holds_exact_to_the_last_bit(name, r1, t1, r2, t2, search):
     assert rep.lower <= rep.exact <= rep.upper
 
 
+# a puncture 2 ulps inside the unit circle: against it, |phi_p(z)| at a point
+# a few ulps inside the circle rounds above 1 for about one angle in eight
+EDGE_PUNCTURE = PuncturedDisk((0.9999999999999998 + 0j,))
+
 CATALOG = {
     **BRACKET_DOMAINS,
     **{f"annulus{r}": ProductDomain((Annulus(r), UnitDisk())) for r in (0.04, 0.25, 0.64)},
     "ball": ProductDomain((BallFactor(2),)),
+    "edge_puncture": ProductDomain((EDGE_PUNCTURE,)),
+    "edge_puncture_x_punctured": ProductDomain((EDGE_PUNCTURE, PuncturedDisk((0j,)))),
 }
 
 
@@ -289,15 +295,80 @@ def _near(f, data):
 @given(st.sampled_from(sorted(CATALOG)), st.data())
 def test_catalog_bracket_and_search_need_no_tolerance(name, data):
     # a family score and its factor's value round apart by an ulp unless the
-    # score is capped by the value: neither the search nor lower may exceed exact
+    # score is capped by the value: neither the search nor lower may exceed exact;
+    # and a value that rounds above 1 is capped at 1, so upper never sits below it
     d = CATALOG[name]
     coords = [_near(f, data) for f in d.factors]
     assume(all(map(membership, d.factors, coords)))
     z = d.point(coords)
     rep = squeeze_bounds(d, z)
-    assert rep.lower <= rep.exact <= rep.upper
+    assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
+    closed = exact_squeeze(d, z)
+    assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
     if d.is_planar():
         assert search_lower_bound(d, z).value <= rep.exact
+    if any(isinstance(f, PuncturedDisk) for f in d.factors):
+        assert puncture_upper_bound(d, z) <= 1
+
+
+def test_edge_puncture_bracket_needs_no_tolerance_on_a_sweep():
+    # the hypothesis test above reaches these points in about half its runs;
+    # this sweep reaches them every time: 1-8 ulps inside the circle at 256
+    # angles, where |phi_p(z)| rounds above 1 at about one point in eight
+    d = CATALOG["edge_puncture"]
+    p = EDGE_PUNCTURE.punctures[0]
+    above = 0
+    for k in range(1, 9):
+        x = _ulps_from(1.0, 0.0, k)
+        for j in range(256):
+            angle = 2 * math.pi * j / 256
+            c = complex(x * math.cos(angle), x * math.sin(angle))
+            if not membership(EDGE_PUNCTURE, c):
+                continue
+            above += _reduced_modulus(p, c) > 1.0
+            z = d.point([c])
+            rep = squeeze_bounds(d, z)
+            assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
+            closed = exact_squeeze(d, z)
+            assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
+            assert puncture_upper_bound(d, z) <= 1
+    assert above > 0
+
+
+def test_clearance_is_capped_by_the_value():
+    # an ulp above the inner circle the reflected clearance r(1-x)/(x-r^2)
+    # rounds an ulp above the closed form r/x, which it never exceeds exactly
+    r, x = 0.025458837312664108, 0.02545883731266413
+    assert annulus_clearance_bound(r, x) > single_factor_exact(Annulus(r), x)
+    d = ProductDomain((Annulus(r), UnitDisk()))
+    for search in (False, True):
+        rep = squeeze_bounds(d, d.point([x, 0j]), search=search)
+        assert rep.lower == rep.exact == single_factor_exact(Annulus(r), x)
+
+
+def test_values_that_round_above_1_are_capped_at_1():
+    # the two expressions whose double can exceed 1 although the value is below 1:
+    # |phi_p(z)| against a puncture 2 ulps inside the circle (1 - 5.2e-29), and
+    # r/|z| by complex division at a subnormal point of an annulus (1 - 5.5e-17);
+    # tests/test_cli.py checks both 50-digit values
+    d = ProductDomain((EDGE_PUNCTURE,))
+    z = d.point([complex(0.9995500337489874, 0.029995500202495657)])
+    assert _reduced_modulus(EDGE_PUNCTURE.punctures[0], z.coords[0]) > 1.0
+    closed = exact_squeeze(d, z)
+    assert (closed.lower, closed.upper, closed.exact) == (1.0, 1.0, 1.0)
+    assert puncture_upper_bound(d, z) == 1.0
+    rep = squeeze_bounds(d, z)
+    assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
+
+    r, w = 2.2249780881291262e-308, complex(1.201560166855447e-308, 1.872640023624683e-308)
+    assert abs(reflect(r, w)) > 1.0
+    d = ProductDomain((Annulus(r),))
+    z = d.point([w])
+    assert single_factor_exact(Annulus(r), w) == 1.0
+    for search in (False, True):
+        rep = squeeze_bounds(d, z, search=search)
+        assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
+    assert exact_squeeze(d, z).exact == 1.0
 
 
 # ------------------------------------------------------------- product lower
@@ -345,7 +416,7 @@ def test_sandwich_on_punctured_products():
         lo = product_lower_bound(PUNCT2, z)
         hi = puncture_upper_bound(PUNCT2, z)
         exact = exact_squeeze(PUNCT2, z).exact
-        assert lo <= exact <= hi + 1e-12
+        assert lo <= exact <= hi
 
 
 # ------------------------------------------------------- annulus clearance
@@ -428,10 +499,22 @@ def test_bounds_ball_mix_degrades_gracefully():
 
 
 def test_bound_report_validation():
-    with pytest.raises(SqueezeError):
-        BoundReport(0.7, 0.3)
-    with pytest.raises(SqueezeError):
-        BoundReport(0.1, 0.4, exact=0.9)
+    # 0 <= lower <= exact <= upper <= 1 exactly: no slack, and nothing is repaired
+    out_of_order = [
+        (0.7, 0.3, None),
+        (0.1, 0.4, 0.9),
+        (0.5, math.nextafter(0.5, 0.0), None),
+        (0.5, math.nextafter(1.0, 2.0), None),
+        (0.1, 0.4, math.nextafter(0.4, 1.0)),
+        (0.1, 0.4, math.nextafter(0.1, 0.0)),
+        (-5e-324, 0.4, None),
+        (math.nan, 0.4, None),
+    ]
+    for lower, upper, exact in out_of_order:
+        with pytest.raises(SqueezeError):
+            BoundReport(lower, upper, exact)
+    rep = BoundReport(0.0, 1.0, 1.0)
+    assert (rep.lower, rep.upper, rep.exact) == (0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------- ball ratios
