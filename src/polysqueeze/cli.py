@@ -17,12 +17,13 @@ from the top level, so help, usage and error text come from argparse alone.
 argparse is imported and the parser built the first time such a line needs
 it, and the parser is then reused by every :func:`main` call.
 ``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
-Each spec file is opened and decoded on every call, and its text is looked
-up in a memo of the last ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the
-content, it never serves a rewritten file stale, and a spec that fails is
-parsed, and fails, again.  ``eval``, ``profile``, ``search`` and ``limit``
-run on Python floats; only ``verify`` builds arrays, and it imports
-:mod:`polysqueeze.verify` only when it runs or its help is shown.
+Each spec file is read as bytes, without the text-file layer, and decoded
+on every call, and its text is looked up in a memo of the last
+``SPEC_MEMO_SIZE`` texts that parsed: keyed on the content, it never serves
+a rewritten file stale, and a spec that fails is parsed, and fails, again.
+``eval``, ``profile``, ``search`` and ``limit`` run on Python floats; only
+``verify`` builds arrays, and it imports :mod:`polysqueeze.verify` only
+when it runs or its help is shown.
 """
 
 from __future__ import annotations
@@ -100,12 +101,15 @@ def load_domain_spec(path: str) -> ProductDomain:
     {"kind": "ball", "n": k}, ...]}, where x, re and im are JSON numbers and
     k is a JSON integer.
 
-    The file is read on every call; its text is parsed once while it stays
-    among the last ``SPEC_MEMO_SIZE`` distinct texts that parsed.
+    The file is read on every call, as bytes without the text-file layer,
+    and decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
+    ``open(path, encoding="utf-8").read()`` gives, with the same errors.  That
+    text is parsed once while it stays among the last ``SPEC_MEMO_SIZE``
+    distinct texts that parsed.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read spec file {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -113,6 +117,7 @@ def load_domain_spec(path: str) -> ProductDomain:
     except ValueError as e:
         # a path with a NUL byte; reported as the JSON errors below always were
         raise UsageError(f"{path}: invalid JSON: {e}") from e
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
     try:
         return _spec_domain(text)
     except UsageError as e:

@@ -5,31 +5,71 @@ annulus is centered at 0.  More general disks are reached through Mobius
 witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
 The boundary samples of a factor belong to the oracle of
 :mod:`polysqueeze.verify`, not to this module.
+
+Every value class of the package derives from :class:`Frozen`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class UnitDisk:
+class Frozen:
+    """Base of the package's immutable value classes; the fields are ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``, in order, and its own
+    ``__init__`` validates the arguments, taken in that order, and then sets
+    each field with ``object.__setattr__``.  Equality holds between
+    instances of one class with equal fields (``NotImplemented`` across
+    classes), the hash is that of the field tuple, and the repr is
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    :class:`AttributeError`.  Copies and pickles call the class again on the
+    fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class UnitDisk(Frozen):
     """Open unit disk {|zeta| < 1}."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PuncturedDisk:
+
+class PuncturedDisk(Frozen):
     """Unit disk with finitely many interior points removed."""
 
-    punctures: tuple[complex, ...]
+    __slots__ = ("punctures",)
 
-    def __post_init__(self) -> None:
-        ps = tuple(complex(p) for p in self.punctures)
-        object.__setattr__(self, "punctures", ps)
+    def __init__(self, punctures: tuple[complex, ...]) -> None:
+        ps = tuple(complex(p) for p in punctures)
         if not ps:
             raise DomainError("PuncturedDisk requires at least one puncture")
         for p in ps:
@@ -37,32 +77,33 @@ class PuncturedDisk:
                 raise DomainError(f"puncture {p} not inside the unit disk")
         if len(set(ps)) != len(ps):
             raise DomainError("punctures must be pairwise distinct")
+        object.__setattr__(self, "punctures", ps)
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(Frozen):
     """Annulus {r < |zeta| < 1} with inner radius r."""
 
-    r: float
+    __slots__ = ("r",)
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise DomainError(f"annulus inner radius must lie in (0, 1), got {self.r}")
+    def __init__(self, r: float) -> None:
+        if not (0.0 < r < 1.0):
+            raise DomainError(f"annulus inner radius must lie in (0, 1), got {r}")
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class BallFactor:
+class BallFactor(Frozen):
     """Unit ball of complex dimension n.
 
     Admits no boundary sampling or embedding machinery; it exists for the
     closed-form product bounds only.
     """
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"ball dimension must be a positive integer, got {self.n}")
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"ball dimension must be a positive integer, got {n}")
+        object.__setattr__(self, "n", n)
 
 
 PlanarFactor = Union[UnitDisk, PuncturedDisk, Annulus]
@@ -107,17 +148,16 @@ def membership(f: Factor, coord: Coordinate) -> bool:
     raise DomainError(f"unknown factor kind {type(f).__name__}")
 
 
-@dataclass(frozen=True)
-class ProductDomain:
+class ProductDomain(Frozen):
     """Ordered product of factor domains."""
 
-    factors: tuple[Factor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        fs = tuple(self.factors)
-        object.__setattr__(self, "factors", fs)
+    def __init__(self, factors: tuple[Factor, ...]) -> None:
+        fs = tuple(factors)
         if not fs:
             raise DomainError("a product domain needs at least one factor")
+        object.__setattr__(self, "factors", fs)
 
     @property
     def arity(self) -> int:
@@ -136,11 +176,13 @@ class ProductDomain:
         return ProductPoint.of(self, coords)
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(Frozen):
     """Point of a product domain, one coordinate per factor."""
 
-    coords: tuple[Coordinate, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Coordinate, ...]) -> None:
+        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def of(domain: ProductDomain, coords) -> "ProductPoint":

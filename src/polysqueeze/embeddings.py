@@ -16,30 +16,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Union
 
+from .domains import Frozen
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class MobiusAut:
+class MobiusAut(Frozen):
     """Disk automorphism ``zeta -> e^{i theta} (zeta - a) / (1 - conj(a) zeta)``.
 
     ``a`` is the zero of the map.  Radial quantities are independent of
     ``theta``; it is carried so that witnesses are fully specified maps.
     """
 
-    a: complex
-    theta: float = 0.0
+    __slots__ = ("a", "theta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "theta", float(self.theta))
-        if not abs(self.a) < 1:
-            raise DomainError(f"Mobius parameter must satisfy |a| < 1, got {self.a}")
-        if not math.isfinite(self.theta):
+    def __init__(self, a: complex, theta: float = 0.0) -> None:
+        a = complex(a)
+        theta = float(theta)
+        if not abs(a) < 1:
+            raise DomainError(f"Mobius parameter must satisfy |a| < 1, got {a}")
+        if not math.isfinite(theta):
             raise DomainError("rotation angle must be finite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "theta", theta)
 
     def inverse(self) -> "MobiusAut":
         """Exact inverse automorphism: zero at ``-e^{i theta} a``, rotation ``-theta``."""
@@ -75,48 +75,48 @@ def mobius_circle_min_modulus(a: complex, r: float) -> float:
     return abs(abs(a) - r) / (1.0 - r * abs(a))
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Frozen):
     """Annulus self-map ``zeta -> r / zeta``; swaps the two boundary circles."""
 
-    r: float
+    __slots__ = ("r",)
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise DomainError(f"reflection radius must lie in (0, 1), got {self.r}")
+    def __init__(self, r: float) -> None:
+        if not (0.0 < r < 1.0):
+            raise DomainError(f"reflection radius must lie in (0, 1), got {r}")
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class Inclusion:
+class Inclusion(Frozen):
     """Identity inclusion into the disk."""
+
+    __slots__ = ()
 
 
 Primitive = Union[MobiusAut, Reflection, Inclusion]
 
 
-@dataclass(frozen=True)
-class MapExpr:
+class MapExpr(Frozen):
     """Composition of primitives, applied left to right."""
 
-    steps: tuple[Primitive, ...]
+    __slots__ = ("steps",)
 
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps: tuple[Primitive, ...]) -> None:
+        steps = tuple(steps)
         if not steps:
             raise DomainError("a map needs at least one step (use Inclusion for the identity)")
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class ProductMap:
+class ProductMap(Frozen):
     """One map per planar factor of a product domain."""
 
-    components: tuple[MapExpr, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[MapExpr, ...]) -> None:
+        components = tuple(components)
+        if not components:
             raise DomainError("a product map needs at least one component")
+        object.__setattr__(self, "components", components)
 
 
 def reflect(r: float, z):

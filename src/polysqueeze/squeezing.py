@@ -14,7 +14,8 @@ The witness family is the branch column.  A family is a name: ``auto`` takes
 every branch of each factor's row, ``inclusion`` or ``reflection`` that one
 branch where the row has it and inclusion elsewhere.
 :func:`search_lower_bound` scores the family, keeps each factor's best
-branch and builds its witness with :func:`build_factor_witness`.  Also here:
+branch and builds its witness from that branch's image, with the steps
+:func:`build_factor_witness` gives.  Also here:
 the annulus boundary-clearance bound and its limit profiles.
 """
 
@@ -23,10 +24,17 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
+from .domains import (
+    Annulus,
+    BallFactor,
+    Frozen,
+    ProductDomain,
+    ProductPoint,
+    PuncturedDisk,
+    UnitDisk,
+)
 from .embeddings import (
     Inclusion,
     MapExpr,
@@ -62,8 +70,7 @@ _TINY = sys.float_info.min
 _LIMIT_END = 1e-4
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """Certified bracket for the squeezing value at one point.
 
     ``exact`` is set only when the domain lies in the closed-form catalog;
@@ -72,35 +79,36 @@ class BoundReport:
     report out of that order raises :class:`SqueezeError`.
     """
 
-    lower: float
-    upper: float
-    exact: Optional[float] = None
-    witnesses: tuple[ProductMap, ...] = ()
-    methods: tuple[str, ...] = ()
+    __slots__ = ("lower", "upper", "exact", "witnesses", "methods")
 
-    def __post_init__(self) -> None:
-        lower, upper, exact = self.lower, self.upper, self.exact
+    def __init__(self, lower: float, upper: float, exact: Optional[float] = None,
+                 witnesses: tuple[ProductMap, ...] = (), methods: tuple[str, ...] = ()) -> None:
         if not (0.0 <= lower <= upper <= 1.0):
             raise SqueezeError(f"inconsistent bounds: lower={lower}, upper={upper}")
         if exact is not None and not (lower <= exact <= upper):
             raise SqueezeError(f"exact value {exact} escapes [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "methods", methods)
 
 
-@dataclass(frozen=True)
-class LimitProfile:
+class LimitProfile(Frozen):
     """Bound values along a strictly monotone parameter path, with its limit target."""
 
-    entries: tuple[tuple[float, float], ...]
-    target: float
+    __slots__ = ("entries", "target")
 
-    def __post_init__(self) -> None:
-        params = [p for p, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[float, float], ...], target: float) -> None:
+        params = [p for p, _ in entries]
         if len(params) < 1:
             raise DomainError("profile needs at least one entry")
         if len(params) >= 2:
             diffs = [b - a for a, b in zip(params, params[1:])]
             if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
                 raise DomainError("profile parameters must be strictly monotone")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "target", target)
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -134,8 +142,7 @@ def _annulus_value(f: Annulus, coord) -> float:
     return max(x, f.r / x) if x >= _TINY else min(1.0, abs(reflect(f.r, coord)))
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Frozen):
     """A row of the factor-kind table.
 
     ``value(f, coord)``: the one-factor closed form; ``punctured``: the value is
@@ -144,10 +151,15 @@ class _Kind:
     boundary circles and punctures (a branch maps the factor onto itself).
     """
 
-    value: Callable[..., float]
-    punctured: bool = False
-    branches: tuple[str, ...] = ()
-    score: Optional[Callable[..., float]] = None
+    __slots__ = ("value", "punctured", "branches", "score")
+
+    def __init__(self, value: Callable[..., float], punctured: bool = False,
+                 branches: tuple[str, ...] = (),
+                 score: Optional[Callable[..., float]] = None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "punctured", punctured)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "score", score)
 
 
 _KINDS = {
@@ -297,6 +309,11 @@ def build_factor_witness(f, z: complex, branch: str) -> MapExpr:
     w = _branch_image(f, complex(z), branch)
     if w is None:
         raise DomainError(f"the {branch} branch sends {z} onto the unit circle")
+    return _witness(f, branch, w)
+
+
+def _witness(f, branch: str, w: complex) -> MapExpr:
+    """The branch's steps, then the automorphism sending ``w``, the branch image, to 0."""
     steps: list = [Reflection(f.r)] if branch == REFLECTION else []
     if w != 0:
         steps.append(MobiusAut(w))
@@ -307,37 +324,49 @@ def _family(d: ProductDomain, z: ProductPoint, family: str,
             values: Iterable[float]) -> tuple[float, tuple[MapExpr, ...], int]:
     """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
 
-    A branch with no normalizer at the point is skipped, and a factor left
-    with none keeps inclusion, which always has one: the point lies in the disk.
-    ``values`` holds each factor's value column at the point.  A witness
-    never beats its factor's squeezing value, but the score and the value are
-    different expressions and can round an ulp apart, so each best score is
-    capped by the value: score <= value bit for bit, and the min of the
-    scores is at most the min of the values.
+    Each factor's branch images are computed and scored once, in one pass,
+    and the witness is built from the best image.  A branch with no normalizer at
+    the point is skipped, and a factor left with none keeps inclusion, which
+    always has one: the point lies in the disk.  ``values`` holds each
+    factor's value column at the point.  A witness never beats its factor's
+    squeezing value, but the score and the value are different expressions
+    and can round an ulp apart, so each best score is capped by the value:
+    score <= value bit for bit, and the min of the scores is at most the min
+    of the values.
     """
     scores, witnesses, evaluations = [], [], 0
     for i, (f, c, value) in enumerate(zip(d.factors, z.coords, values)):
         kind = _kind(f)
         names = (kind.branches if family == AUTO
                  else (family,) if family in kind.branches else (INCLUSION,))
-        images = ([(b, w) for b in names if (w := _branch_image(f, c, b)) is not None]
-                  or [(INCLUSION, c)])
-        best, branch = max(((kind.score(f, w), b) for b, w in images), key=lambda vb: vb[0])
-        e = build_factor_witness(f, c, branch)
+        best = None
+        for b in names:
+            w = _branch_image(f, c, b)
+            if w is None:
+                continue
+            score = kind.score(f, w)
+            evaluations += 1
+            if best is None or score > best:  # max's test: the earlier wins ties
+                best, branch, image = score, b, w
+        if best is None:
+            best, branch, image = kind.score(f, c), INCLUSION, c
+            evaluations += 1
+        e = _witness(f, branch, image)
         require_base_to_zero(e, c, i)
-        scores.append(min(best, value))
+        scores.append(value if value < best else best)  # min(best, value), bit for bit
         witnesses.append(e)
-        evaluations += len(images)
     return min(scores), tuple(witnesses), evaluations
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Frozen):
     """Best family value, its witness, and the number of branches scored."""
 
-    value: float
-    witness: ProductMap
-    evaluations: int
+    __slots__ = ("value", "witness", "evaluations")
+
+    def __init__(self, value: float, witness: ProductMap, evaluations: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 def _require_family(family: str) -> None:
@@ -361,17 +390,19 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
                    family: str = AUTO) -> BoundReport:
     """Every bound of one point, from one pass over the factor table.
 
-    ``exact`` is the min of the values on the catalog; lower = max of that min,
-    the annulus clearance and, with ``search``, the value of the named
-    ``family`` (on planar factors); upper = min of 1 and the puncture caps.
-    Applicable methods are tagged, and FamilyGap when the family stays below
-    ``exact`` by over 1e-6.  An unknown family name raises DomainError.
+    ``exact`` is the min of the values on the catalog, and lower is that min
+    on every domain; upper = min of 1 and the puncture caps.  With
+    ``search``, the named ``family`` is scored on planar factors for its
+    witness.  Applicable methods are tagged, and FamilyGap when the family
+    stays below ``exact`` by over 1e-6.  An unknown family name raises
+    DomainError.
 
     The order holds by construction, so :class:`BoundReport` has nothing to
     repair: every value lies in [0, 1] (one that rounds above 1 is capped at
-    1), the clearance is capped by the min of the values as each family score
-    is by its value, so lower is that min bit for bit, and the caps are
-    values, so upper is at least it.
+    1), and the caps are values, so upper is at least their min.  The
+    annulus clearance and each family score are capped by that min, so
+    neither could raise lower, and the clearance is not computed here; its
+    tag stays.
     """
     _require_family(family)
     kinds = [_kind(f) for f in d.factors]
@@ -384,17 +415,12 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     if caps:
         methods.append(PUNCTURE_UPPER)
     methods.append(PRODUCT_LOWER)
-    lowers = [product]
-
-    ann = single_annulus_index(d)
-    if ann is not None:
-        lowers.append(min(annulus_clearance_bound(d.factors[ann].r, z.coords[ann]), product))
+    if single_annulus_index(d) is not None:
         methods.append(CLEARANCE_LOWER)
 
     found: tuple[MapExpr, ...] = ()
     if search and all(k.score is not None for k in kinds):
         value, found, _ = _family(d, z, family, values)
-        lowers.append(value)
         methods.append(SEARCH)
         if exact is not None and value < exact - 1e-6:
             methods.append(FAMILY_GAP)
@@ -402,11 +428,10 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     witnesses = [_automorphisms(z.coords, found)] if witnessed else []
     if found:
         witnesses.append(ProductMap(found))
-    return BoundReport(max(lowers), min([1.0, *caps]), exact, tuple(witnesses), tuple(methods))
+    return BoundReport(product, min([1.0, *caps]), exact, tuple(witnesses), tuple(methods))
 
 
-@dataclass(frozen=True)
-class BallProductReport:
+class BallProductReport(Frozen):
     """Evidence that no fixed 1/dim ratio ties the ball-target and polydisk-target values.
 
     For the n-fold product of n-dimensional balls (total dimension n^2), the
@@ -415,14 +440,24 @@ class BallProductReport:
     direction leaves that bracket, with the margins recorded below.
     """
 
-    n: int
-    ball_target_value: float
-    poly_lower: float
-    poly_upper: float
-    scaled_up: float          # hypothetical polydisk value n * ball value
-    scaled_up_margin: float   # amount by which it exceeds the ceiling 1
-    scaled_down: float        # hypothetical polydisk value ball value / n
-    scaled_down_margin: float  # shortfall below the proven floor
+    # scaled_up: the hypothetical polydisk value n * ball value, and
+    # scaled_up_margin the amount by which it exceeds the ceiling 1;
+    # scaled_down: the hypothetical value ball value / n, and
+    # scaled_down_margin its shortfall below the proven floor
+    __slots__ = ("n", "ball_target_value", "poly_lower", "poly_upper",
+                 "scaled_up", "scaled_up_margin", "scaled_down", "scaled_down_margin")
+
+    def __init__(self, n: int, ball_target_value: float, poly_lower: float, poly_upper: float,
+                 scaled_up: float, scaled_up_margin: float, scaled_down: float,
+                 scaled_down_margin: float) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ball_target_value", ball_target_value)
+        object.__setattr__(self, "poly_lower", poly_lower)
+        object.__setattr__(self, "poly_upper", poly_upper)
+        object.__setattr__(self, "scaled_up", scaled_up)
+        object.__setattr__(self, "scaled_up_margin", scaled_up_margin)
+        object.__setattr__(self, "scaled_down", scaled_down)
+        object.__setattr__(self, "scaled_down_margin", scaled_down_margin)
 
     @property
     def contradictions_hold(self) -> bool:

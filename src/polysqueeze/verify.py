@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 from .domains import (
     Annulus,
     BallFactor,
+    Frozen,
     PlanarFactor,
     ProductDomain,
     ProductPoint,
@@ -70,11 +70,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
+class Check(Frozen):
+    """One named outcome of a suite: whether it passed, and the numbers behind it."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _check(name: str, passed: bool, detail: str) -> Check:

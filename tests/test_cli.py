@@ -244,6 +244,69 @@ def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):
     assert cli._spec_domain.cache_info().maxsize == cli.SPEC_MEMO_SIZE
 
 
+def _text_mode_load(path):
+    """load_domain_spec as it read a spec through the text-file layer: the reference."""
+    from polysqueeze import cli
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise cli.UsageError(f"cannot read spec file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise cli.UsageError(f"{path}: not UTF-8: {e}") from e
+    except ValueError as e:
+        raise cli.UsageError(f"{path}: invalid JSON: {e}") from e
+    try:
+        return cli._spec_domain(text)
+    except cli.UsageError as e:
+        raise cli.UsageError(f"{path}: {e}") from e
+
+
+_DISKS = b'{"factors": [{"kind": "annulus", "r": 0.25}, {"kind": "disk"}]}'
+SPEC_BYTES = {
+    "crlf": _DISKS.replace(b", ", b",\r\n ") + b"\r\n",
+    "cr_only": _DISKS.replace(b", ", b",\r ") + b"\r",
+    "cr_then_crlf": _DISKS.replace(b", ", b",\r\r\n"),
+    "crlf_in_a_string": b'{"factors": [{"kind": "di\r\nsk"}]}',
+    "cr_in_a_string": b'{\r"factors": [{"kind": "disk\r"}]}',
+    "error_after_crlf": b'{\r\n"factors": [\r\n{"kind": "disk"},\r\n]}',
+    "error_after_cr": b'{\r"factors": [\r{"kind": "disk"},\r]}',
+    "bom": "\ufeff".encode() + _DISKS,
+    "non_utf8": b'{"factors": [{"kind": "d\xffisk"}]}',
+    "latin1": '{"factors": [{"kind": "d\xe9sk"}]}'.encode("latin-1"),
+    "truncated_multibyte": _DISKS + " \u20ac".encode()[:-1],
+    "non_utf8_past_8k": _DISKS[:-1] + b" " * 10000 + b"\x80}",
+    "utf8_text": '{"factors": [{"kind": "disk", "note": "\u00e9\u20ac"}]}'.encode(),
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", [*SPEC_BYTES, "directory", "nul_in_path", "missing"])
+def test_spec_bytes_read_as_the_text_layer_read_them(capsys, monkeypatch, tmp_path, name):
+    from polysqueeze import cli
+
+    path = tmp_path / "spec.json"
+    if name in SPEC_BYTES:
+        path.write_bytes(SPEC_BYTES[name])
+    elif name == "directory":
+        path.mkdir()
+    elif name == "nul_in_path":
+        path = tmp_path / "sp\0ec.json"
+    outcomes = []
+    for load in (cli.load_domain_spec, _text_mode_load):
+        try:
+            outcomes.append(("domain", load(str(path))))
+        except cli.UsageError as e:
+            outcomes.append(("error", str(e)))
+        monkeypatch.setattr(cli, "load_domain_spec", load)
+        code = main(["eval", "--spec", str(path), "--point", "0.5,0;0.1,0", "--no-search"])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[:2] == outcomes[2:]
+    parsed = ("crlf", "cr_only", "cr_then_crlf", "utf8_text")
+    assert outcomes[0][0] == ("domain" if name in parsed else "error")
+
+
 # -------------------------------------------------------------------- profile
 
 def test_profile_annulus_v_shape(capsys, annulus):
@@ -866,6 +929,32 @@ print(run("eval", "--help"), "argparse" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script, annulus], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout == "0 False\n0 True\n"
+
+
+def test_commands_leave_dataclasses_unloaded(annulus):
+    # the value classes are slotted classes of their own, as numpy stays out
+    # of the closed forms (test_closed_form_commands_never_import_numpy)
+    script = """
+import contextlib, io, sys
+import polysqueeze.cli
+from polysqueeze.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+loaded = ["dataclasses" in sys.modules]
+for argv in (["eval", "--spec", sys.argv[1], "--point", "0.6,0.1;0.2,0"],
+             ["verify", "--suite", "limit"]):
+    print(run(*argv), end=" ")
+    loaded.append("dataclasses" in sys.modules)
+print(loaded)
+"""
+    src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, annulus], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "0 0 [False, False, False]\n"
 
 
 def test_well_formed_calls_build_no_parser(capsys, monkeypatch, annulus):

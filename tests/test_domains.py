@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from polysqueeze import (
     PuncturedDisk,
     UnitDisk,
 )
-from polysqueeze.domains import factor_dim, membership
-from polysqueeze.verify import _sample_radii, _unit_circle
+from polysqueeze import squeezing
+from polysqueeze.domains import Frozen, factor_dim, membership
+from polysqueeze.embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
+from polysqueeze.verify import Check, _sample_radii, _unit_circle
 
 
 # ----------------------------------------------------------------- membership
@@ -156,3 +160,110 @@ def test_product_helpers():
     assert d.arity == 3
     assert d.is_planar()
     assert not ProductDomain((BallFactor(2),)).is_planar()
+
+
+# -------------------------------------------------------------- value classes
+
+def _value_instances():
+    """One instance of every value class, with the repr dataclasses gave it."""
+    d = ProductDomain((Annulus(0.25), UnitDisk(), PuncturedDisk((0j, 0.5 + 0.25j)), BallFactor(2)))
+    incl = ProductMap((MapExpr((Inclusion(),)),))
+    return [
+        (UnitDisk(), "UnitDisk()"),
+        (PuncturedDisk((0j, 0.5 + 0.25j)), "PuncturedDisk(punctures=(0j, (0.5+0.25j)))"),
+        (Annulus(0.25), "Annulus(r=0.25)"),
+        (BallFactor(2), "BallFactor(n=2)"),
+        (d, "ProductDomain(factors=(Annulus(r=0.25), UnitDisk(), "
+            "PuncturedDisk(punctures=(0j, (0.5+0.25j))), BallFactor(n=2)))"),
+        (d.point([0.5, 0.1j, 0.2, (0.1, 0.2j)]),
+         "ProductPoint(coords=((0.5+0j), 0.1j, (0.2+0j), ((0.1+0j), 0.2j)))"),
+        (MobiusAut(0.5 - 0.25j, 0.75), "MobiusAut(a=(0.5-0.25j), theta=0.75)"),
+        (Reflection(0.25), "Reflection(r=0.25)"),
+        (Inclusion(), "Inclusion()"),
+        (MapExpr((Reflection(0.25), MobiusAut(0.3j))),
+         "MapExpr(steps=(Reflection(r=0.25), MobiusAut(a=0.3j, theta=0.0)))"),
+        (incl, "ProductMap(components=(MapExpr(steps=(Inclusion(),)),))"),
+        (squeezing.BoundReport(0.25, 0.5, None, (incl,), ("X",)),
+         "BoundReport(lower=0.25, upper=0.5, exact=None, witnesses=(ProductMap(components="
+         "(MapExpr(steps=(Inclusion(),)),)),), methods=('X',))"),
+        (squeezing.LimitProfile(((0.5, 0.25), (0.6, 0.3)), 1.0),
+         "LimitProfile(entries=((0.5, 0.25), (0.6, 0.3)), target=1.0)"),
+        (squeezing._Kind(len, True, ("inclusion",), abs),
+         "_Kind(value=<built-in function len>, punctured=True, branches=('inclusion',), "
+         "score=<built-in function abs>)"),
+        (squeezing.SearchResult(0.5, incl, 2),
+         "SearchResult(value=0.5, witness=ProductMap(components=(MapExpr(steps=(Inclusion(),)),)), "
+         "evaluations=2)"),
+        (squeezing.ball_product_ratio_check(2),
+         "BallProductReport(n=2, ball_target_value=0.7071067811865476, "
+         "poly_lower=0.7071067811865475, poly_upper=1.0, scaled_up=1.4142135623730951, "
+         "scaled_up_margin=0.41421356237309515, scaled_down=0.3535533905932738, "
+         "scaled_down_margin=0.3535533905932737)"),
+        (Check("a", True, "ok"), "Check(name='a', passed=True, detail='ok')"),
+    ]
+
+
+VALUES = _value_instances()
+VALUE_IDS = [type(v).__name__ for v, _ in VALUES]
+
+
+def test_every_value_class_is_pinned():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = {c for c in subclasses(Frozen) if c.__module__.startswith("polysqueeze.")}
+    assert sorted(VALUE_IDS) == sorted(c.__name__ for c in classes)
+    assert len(classes) == 17
+
+
+@pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
+def test_value_repr_is_pinned(value, text):
+    # ProductPoint.of puts a factor's repr in its error message
+    assert repr(value) == text
+
+
+def test_point_error_quotes_the_factor_repr():
+    d = ProductDomain((UnitDisk(), PuncturedDisk((0.5j,))))
+    with pytest.raises(DomainError) as e:
+        d.point([0j, 0.5j])
+    assert str(e.value) == "coordinate 1 (0.5j) is not in its factor PuncturedDisk(punctures=(0.5j,))"
+
+
+@pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
+def test_value_equality_and_hash_are_by_field(value, text):
+    cls, fields = type(value), value.__slots__
+    twin = cls(*(getattr(value, name) for name in fields))
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert hash(value) == hash(tuple(getattr(value, name) for name in fields))
+    assert not hasattr(value, "__dict__")
+    other = object()
+    assert value.__eq__(other) is NotImplemented and value != other
+
+
+def test_value_equality_reads_every_field_and_never_crosses_classes():
+    assert MobiusAut(0.5, 0.25) != MobiusAut(0.5, 0.5) != MobiusAut(0.25, 0.5)
+    assert PuncturedDisk((0j, 0.5)) != PuncturedDisk((0.5, 0j))
+    assert Annulus(0.25).__eq__(Reflection(0.25)) is NotImplemented
+    assert Annulus(0.25) != Reflection(0.25)
+    assert UnitDisk() != Inclusion() and UnitDisk() == UnitDisk()
+    assert len({Annulus(0.25), Annulus(0.25), Reflection(0.25), UnitDisk(), Inclusion()}) == 4
+
+
+@pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
+def test_value_fields_cannot_be_assigned_or_deleted(value, text):
+    for name in (*value.__slots__, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
+def test_value_copies_and_pickles_round_trip(value, text):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 *(pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text

@@ -159,6 +159,33 @@ def test_search_scores_each_branch_once():
     assert sr.evaluations == 3  # two annulus branches, one disk branch
 
 
+def test_search_images_each_branch_once(monkeypatch):
+    # one pass a factor: each branch image is computed once, and the witness is
+    # built from the best image without going back through build_factor_witness
+    from polysqueeze import squeezing
+
+    images = []
+
+    def counted(f, z, branch):
+        images.append(branch)
+        return _branch_image(f, z, branch)
+
+    def refuse(*args):
+        raise AssertionError("build_factor_witness called")
+
+    # reflection wins, inclusion wins, a tie (the earlier branch)
+    cases = [(c, (build_factor_witness(Annulus(0.25), c, branch),
+                  build_factor_witness(UnitDisk(), 0.2j, "inclusion")))
+             for c, branch in ((0.3, "reflection"), (0.6, "inclusion"), (0.5, "inclusion"))]
+    monkeypatch.setattr(squeezing, "_branch_image", counted)
+    monkeypatch.setattr(squeezing, "build_factor_witness", refuse)
+    for c, witnesses in cases:
+        images.clear()
+        sr = search_lower_bound(ANNULUS_DISK, ANNULUS_DISK.point([c, 0.2j]))
+        assert images == ["inclusion", "reflection", "inclusion"] and sr.evaluations == 3
+        assert sr.witness.components == witnesses
+
+
 def test_search_tie_keeps_earlier_branch():
     # at |z| = sqrt(r) both annulus branches score the same
     z = ANNULUS_DISK.point([0.5, 0j])

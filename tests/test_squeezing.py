@@ -346,6 +346,29 @@ def test_clearance_is_capped_by_the_value():
         assert rep.lower == rep.exact == single_factor_exact(Annulus(r), x)
 
 
+LOWER_DOMAINS = {
+    **{f"annulus{r}": ProductDomain((Annulus(r), UnitDisk())) for r in (0.04, 0.25, 0.64)},
+    "punctured2": PUNCT2,
+    "three_puncture": BRACKET_DOMAINS["three_puncture"],
+    "edge_puncture_x_punctured": CATALOG["edge_puncture_x_punctured"],
+    # outside the catalog: no exact value, and a puncture cap on the upper bound
+    "annulus_x_punctured": ProductDomain((Annulus(0.25), PuncturedDisk((0j, 0.5 + 0j)))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LOWER_DOMAINS)), st.data(), st.booleans())
+def test_lower_is_the_product_of_the_values(name, data, search):
+    # the clearance and every family score are capped by the min of the values,
+    # so lower is that min bit for bit, with the search and without it
+    d = LOWER_DOMAINS[name]
+    coords = [_near(f, data) for f in d.factors]
+    assume(all(map(membership, d.factors, coords)))
+    z = d.point(coords)
+    rep = squeeze_bounds(d, z, search=search)
+    assert rep.lower.hex() == product_lower_bound(d, z).hex()
+
+
 def test_values_that_round_above_1_are_capped_at_1():
     # the two expressions whose double can exceed 1 although the value is below 1:
     # |phi_p(z)| against a puncture 2 ulps inside the circle (1 - 5.2e-29), and
@@ -487,6 +510,19 @@ def test_bounds_annulus_has_clearance_tag():
     assert CLEARANCE_LOWER in rep.methods and SEARCH not in rep.methods
     assert rep.lower == pytest.approx(0.7, abs=1e-15)
     assert rep.upper == 1.0
+
+
+def test_bounds_compute_no_clearance(monkeypatch):
+    # the clearance is capped by the value, so it cannot set lower; its tag stays
+    from polysqueeze import squeezing
+
+    def refuse(*args):
+        raise AssertionError("annulus_clearance_bound called")
+
+    monkeypatch.setattr(squeezing, "annulus_clearance_bound", refuse)
+    for search in (False, True):
+        rep = squeeze_bounds(ANNULUS_DISK, ANNULUS_DISK.point([0.4, 0.1]), search=search)
+        assert CLEARANCE_LOWER in rep.methods and rep.lower == rep.exact == 0.625
 
 
 def test_bounds_ball_mix_degrades_gracefully():
