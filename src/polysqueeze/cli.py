@@ -12,15 +12,20 @@ on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
 Each command's options are declared once, in :data:`COMMANDS`.  A command
 line that names a command and then spells out only that command's options,
 each in full and with a value argparse would take as one, is read straight
-from that table; the argparse parser reads every other command line whole,
-from the top level, so help, usage and error text come from argparse alone.
-argparse is imported and the parser built the first time such a line needs
-it, and the parser is then reused by every :func:`main` call.
-``SQUEEZE_SAMPLES`` is read and validated on each call, before parsing.
+from that table, whose option rows (dest, flag, type, choices, default,
+required) are built once, at import; the argparse parser reads every other
+command line whole, from the top level, so help, usage and error text come
+from argparse alone.  argparse is imported and the parser built the first
+time such a line needs it, and the parser is then reused by every
+:func:`main` call.  ``SQUEEZE_SAMPLES`` is read and validated on each call,
+before parsing.
 Each spec file is read as bytes, without the text-file layer, and decoded
 on every call, and its text is looked up in a memo of the last
 ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the content, it never serves
 a rewritten file stale, and a spec that fails is parsed, and fails, again.
+A memo entry is the domain's :class:`~polysqueeze.squeezing.DomainPlan`,
+the facts of it that no point changes, which ``eval``, ``profile`` and
+``search`` read, so a warm call does only the work of its point.
 ``eval``, ``profile``, ``search`` and ``limit`` run on Python floats; only
 ``verify`` builds arrays, and it imports :mod:`polysqueeze.verify` only
 when it runs or its help is shown.
@@ -43,11 +48,11 @@ from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
     FAMILIES,
+    DomainPlan,
     annulus_clearance_bound,
     boundary_limit_profile,
     default_limit_path,
     search_lower_bound,
-    single_annulus_index,
     squeeze_bounds,
 )
 
@@ -105,8 +110,15 @@ def load_domain_spec(path: str) -> ProductDomain:
     and decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
     ``open(path, encoding="utf-8").read()`` gives, with the same errors.  That
     text is parsed once while it stays among the last ``SPEC_MEMO_SIZE``
-    distinct texts that parsed.
+    distinct texts that parsed, and the memo entry holds the domain together
+    with its :class:`~polysqueeze.squeezing.DomainPlan`, which the commands
+    read; this returns the entry's domain.
     """
+    return _load_plan(path).domain
+
+
+def _load_plan(path: str) -> DomainPlan:
+    """The memo entry of the spec file at ``path``, read as :func:`load_domain_spec` reads it."""
     try:
         with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
@@ -119,18 +131,18 @@ def load_domain_spec(path: str) -> ProductDomain:
         raise UsageError(f"{path}: invalid JSON: {e}") from e
     text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
     try:
-        return _spec_domain(text)
+        return _spec_plan(text)
     except UsageError as e:
         raise UsageError(f"{path}: {e}") from e
 
 
 @functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
-def _spec_domain(text: str) -> ProductDomain:
-    """The domain of a spec file's text; errors name the part, not the file.
+def _spec_plan(text: str) -> DomainPlan:
+    """The domain of a spec file's text, in its plan; errors name the part, not the file.
 
     Keyed on the text itself, so a rewritten file is never served stale;
-    a text that fails raises again on every call.  Domains are frozen, so
-    callers may share one.
+    a text that fails raises again on every call.  Domains and plans are
+    never changed, so callers may share one.
     """
     try:
         data = json.loads(text)
@@ -178,11 +190,15 @@ def _spec_domain(text: str) -> ProductDomain:
                 raise UsageError(f"{where}.kind: unknown kind {kind!r}")
         except DomainError as e:
             raise UsageError(f"{where}: {e}") from e
-    return ProductDomain(tuple(factors))
+    return DomainPlan(ProductDomain(tuple(factors)))
 
 
 def parse_point(text: str, domain: ProductDomain):
-    """Parse 're,im;re,im;...' into a validated point; ball factors consume n pairs."""
+    """Parse 're,im;re,im;...' into a validated point; ball factors consume n pairs.
+
+    ``domain`` may be a domain's plan, which holds its dimension.
+    """
+    plan = DomainPlan.of(domain)
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -197,17 +213,17 @@ def parse_point(text: str, domain: ProductDomain):
         except ValueError as e:
             raise UsageError(f"coordinate {chunk!r}: {e}") from e
         pairs.append(complex(re_part, im_part))
-    if len(pairs) != domain.dim:
+    if len(pairs) != plan.dim:
         raise UsageError(
-            f"point has {len(pairs)} coordinates, domain has complex dimension {domain.dim}"
+            f"point has {len(pairs)} coordinates, domain has complex dimension {plan.dim}"
         )
     coords = []
     k = 0
-    for f in domain.factors:
+    for f in plan.domain.factors:
         n = factor_dim(f)
         coords.append(tuple(pairs[k:k + n]) if isinstance(f, BallFactor) else pairs[k])
         k += n
-    return domain.point(coords)
+    return plan.domain.point(coords)
 
 
 # ------------------------------------------------------------- witness format
@@ -216,9 +232,9 @@ def format_map_expr(e: MapExpr) -> str:
     out = []
     for step in e.steps:
         if isinstance(step, MobiusAut):
-            out.append(f"mobius({_fmt(step.a.real)},{_fmt(step.a.imag)},{_fmt(step.theta)})")
+            out.append("mobius(%.17g,%.17g,%.17g)" % (step.a.real, step.a.imag, step.theta))
         elif isinstance(step, Reflection):
-            out.append(f"reflect({_fmt(step.r)})")
+            out.append("reflect(%.17g)" % step.r)
         elif isinstance(step, Inclusion):
             out.append("include")
         else:
@@ -286,9 +302,9 @@ def _writer(out):
 
 
 def cmd_eval(args, out) -> int:
-    domain = load_domain_spec(args.spec)
-    z = parse_point(args.point, domain)
-    rep = squeeze_bounds(domain, z, search=not args.no_search, family=args.family)
+    plan = _load_plan(args.spec)
+    z = parse_point(args.point, plan)
+    rep = squeeze_bounds(plan, z, search=not args.no_search, family=args.family)
     w = _writer(out)
     w.writerow(["lower", "upper", "exact", "methods", "witness"])
     w.writerow([
@@ -302,8 +318,9 @@ def cmd_eval(args, out) -> int:
 
 
 def cmd_profile(args, out) -> int:
-    domain = load_domain_spec(args.spec)
-    base = parse_point(args.point, domain)
+    plan = _load_plan(args.spec)
+    domain = plan.domain
+    base = parse_point(args.point, plan)
     if not (0 <= args.axis < domain.arity):
         raise UsageError(f"axis {args.axis} out of range for {domain.arity} factors")
     if isinstance(domain.factors[args.axis], BallFactor):
@@ -321,14 +338,14 @@ def cmd_profile(args, out) -> int:
         # of two lifts c0 into the normal range exactly
         c0 *= 2.0 ** 600
     direction = c0 / abs(c0) if c0 != 0 else complex(1.0)
-    ann = single_annulus_index(domain)
+    ann = plan.annulus
     w = _writer(out)
     w.writerow(["param", "lower", "upper", "exact", "clearance_lower"])
     for param in params:
         coords = list(base.coords)
         coords[args.axis] = param * direction
         z = domain.point(coords)
-        rep = squeeze_bounds(domain, z, search=False)
+        rep = squeeze_bounds(plan, z, search=False)
         clearance = ""
         if ann is not None:
             clearance = _fmt(annulus_clearance_bound(domain.factors[ann].r, z.planar(ann)))
@@ -383,10 +400,10 @@ def cmd_limit(args, out) -> int:
 def cmd_search(args, out) -> int:
     if args.budget <= 0:
         raise UsageError(f"search budget must be positive, got {args.budget}")
-    domain = load_domain_spec(args.spec)
-    z = parse_point(args.point, domain)
-    sr = search_lower_bound(domain, z, args.family)
-    exact = squeeze_bounds(domain, z, search=False).exact
+    plan = _load_plan(args.spec)
+    z = parse_point(args.point, plan)
+    sr = search_lower_bound(plan, z, args.family)
+    exact = squeeze_bounds(plan, z, search=False).exact
     w = _writer(out)
     w.writerow(["value", "evaluations", "converged", "exact", "gap", "witness"])
     w.writerow([
@@ -482,6 +499,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _option_rows(func, options: dict) -> tuple:
+    """What :func:`_read_table` reads of one command: its function, each option
+    string's (dest, flag, type, choices), each dest with its default in table
+    order, and the required option strings."""
+    rows = {option: (option[2:].replace("-", "_"), kw.get("action") == "store_true",
+                     kw.get("type"), kw.get("choices"))
+            for option, kw in options.items()}
+    defaults = {dest: options[option].get("default", False if flag else None)
+                for option, (dest, flag, _, _) in rows.items()}
+    required = frozenset(option for option, kw in options.items() if kw.get("required"))
+    return func, rows, defaults, required
+
+
+# Built once, at import: :func:`_read_table` only reads argv.
+_TABLE = {name: _option_rows(func, options) for name, (_, func, options) in COMMANDS.items()}
+
+
 def _read_table(argv: list[str]) -> SimpleNamespace | None:
     """A namespace with the ``vars()`` argparse gives a well-formed command line, else None.
 
@@ -492,23 +526,28 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
     written with ``=``, a value that is missing or, unless it follows ``=``,
     starts with ``-`` (which argparse may read as an option), a value ``--``
     (which argparse drops), a value its ``type`` or ``choices`` rejects.
+    Each command's option rows come from :data:`COMMANDS` through ``_TABLE``,
+    built at import.
     """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None:
+    table = _TABLE.get(argv[0]) if argv else None
+    if table is None:
         return None
-    _, func, options = command
-    given = {}
+    func, rows, defaults, required = table
+    values = dict(defaults)
+    given = set()
     i = 1
     while i < len(argv):
         option, eq, value = argv[i].partition("=")
         i += 1
-        kw = options.get(option)
-        if kw is None:
+        row = rows.get(option)
+        if row is None:
             return None
-        if kw.get("action") == "store_true":
+        dest, flag, kind, choices = row
+        if flag:
             if eq:
                 return None
-            given[option] = True
+            values[dest] = True
+            given.add(option)
             continue
         if not eq:
             if i == len(argv) or argv[i].startswith("-"):
@@ -519,22 +558,16 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
             return None  # argparse drops a "--" from an option's values
         # argparse converts and checks every occurrence; the last one stays
         try:
-            value = kw["type"](value) if "type" in kw else value
+            value = kind(value) if kind is not None else value
         except (TypeError, ValueError):
             return None
-        if "choices" in kw and value not in kw["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[option] = value
-    args = SimpleNamespace(command=argv[0], func=func)
-    for option, kw in options.items():
-        if option in given:
-            value = given[option]
-        elif kw.get("required"):
-            return None
-        else:
-            value = kw.get("default", False if kw.get("action") == "store_true" else None)
-        setattr(args, option[2:].replace("-", "_"), value)
-    return args
+        values[dest] = value
+        given.add(option)
+    if not required <= given:
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:

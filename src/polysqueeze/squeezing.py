@@ -8,7 +8,10 @@ kind (``_KINDS``: closed form, puncture cap, family branches and their
 closed-form scores) and one product rule, the min over factors.  The catalog,
 where that min is the value, is products of disks and punctured disks, one
 annulus with disk factors, and a single ball.  :func:`squeeze_bounds` reads
-each row once; the other bounds read the columns they need.
+each row once, through a :class:`DomainPlan`: the rows of a domain's factors
+and the facts of the domain that no point changes, built once per domain by
+a caller that keeps it and once per call otherwise.  The other bounds read
+the columns they need.
 
 The witness family is the branch column.  A family is a name: ``auto`` takes
 every branch of each factor's row, ``inclusion`` or ``reflection`` that one
@@ -219,6 +222,54 @@ def _catalog(d: ProductDomain) -> Optional[bool]:
     return True if all(type(f) in (UnitDisk, PuncturedDisk) for f in fs) else None
 
 
+class DomainPlan:
+    """What the bounds and the CLI read of one domain, worked out once.
+
+    ``kinds``: each factor's row of the kind table; ``witnessed``: the
+    catalog class (:func:`_catalog`); ``methods``: the tags that depend on
+    the domain alone (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
+    ``ClearanceLower``); ``punctured``: the factors whose values are
+    puncture caps; ``scored``: whether the witness family can be scored;
+    ``branches``: each factor's branch names under each family name;
+    ``annulus``: :func:`single_annulus_index`; ``dim`` and ``planar``: the
+    complex dimension and whether every factor is planar.  A plan is never
+    changed after it is built, so callers may share one.  An unknown factor
+    kind raises :class:`UnsupportedGeometryError`.
+    """
+
+    __slots__ = ("domain", "kinds", "witnessed", "methods", "punctured", "scored", "branches",
+                 "annulus", "dim", "planar")
+
+    def __init__(self, d: ProductDomain) -> None:
+        kinds = tuple(_kind(f) for f in d.factors)
+        self.domain, self.kinds = d, kinds
+        self.witnessed = _catalog(d)
+        self.annulus = single_annulus_index(d)
+        self.punctured = tuple(i for i, k in enumerate(kinds) if k.punctured)
+        methods = [] if self.witnessed is None else [CLOSED_FORM]
+        if self.punctured:
+            methods.append(PUNCTURE_UPPER)
+        methods.append(PRODUCT_LOWER)
+        if self.annulus is not None:
+            methods.append(CLEARANCE_LOWER)
+        self.methods = tuple(methods)
+        self.scored = all(k.score is not None for k in kinds)
+        self.branches = {family: tuple(
+            k.branches if family == AUTO else (family,) if family in k.branches else (INCLUSION,)
+            for k in kinds) for family in FAMILIES}
+        self.dim = d.dim
+        self.planar = d.is_planar()
+
+    @staticmethod
+    def of(d) -> "DomainPlan":
+        """``d`` if it is a plan, else the plan of the domain ``d``, built for this call."""
+        return d if type(d) is DomainPlan else DomainPlan(d)
+
+    def values(self, z: ProductPoint) -> list[float]:
+        """Each factor's value column at ``z``: :func:`single_factor_exact`, bit for bit."""
+        return [k.value(f, c) for k, f, c in zip(self.kinds, self.domain.factors, z.coords)]
+
+
 def _automorphisms(coords, family=()) -> ProductMap:
     """Automorphisms sending each z_i to 0, taken from ``family`` where the same map."""
     return ProductMap(tuple(
@@ -320,12 +371,13 @@ def _witness(f, branch: str, w: complex) -> MapExpr:
     return MapExpr(tuple(steps) or (Inclusion(),))
 
 
-def _family(d: ProductDomain, z: ProductPoint, family: str,
+def _family(plan: DomainPlan, z: ProductPoint, family: str,
             values: Iterable[float]) -> tuple[float, tuple[MapExpr, ...], int]:
     """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
 
-    Each factor's branch images are computed and scored once, in one pass,
-    and the witness is built from the best image.  A branch with no normalizer at
+    Each factor's branches are the plan's names for ``family``; their images
+    are computed and scored once, in one pass, and the witness is built from
+    the best image.  A branch with no normalizer at
     the point is skipped, and a factor left with none keeps inclusion, which
     always has one: the point lies in the disk.  ``values`` holds each
     factor's value column at the point.  A witness never beats its factor's
@@ -335,10 +387,8 @@ def _family(d: ProductDomain, z: ProductPoint, family: str,
     of the values.
     """
     scores, witnesses, evaluations = [], [], 0
-    for i, (f, c, value) in enumerate(zip(d.factors, z.coords, values)):
-        kind = _kind(f)
-        names = (kind.branches if family == AUTO
-                 else (family,) if family in kind.branches else (INCLUSION,))
+    rows = zip(plan.domain.factors, plan.kinds, plan.branches[family], z.coords, values)
+    for i, (f, kind, names, c, value) in enumerate(rows):
         best = None
         for b in names:
             w = _branch_image(f, c, b)
@@ -377,12 +427,12 @@ def _require_family(family: str) -> None:
 def search_lower_bound(d: ProductDomain, z: ProductPoint, family: str = AUTO) -> SearchResult:
     """Best certified lower bound over the named family, with its witness: the best
     branch of each factor by the table's score (the earlier on ties), capped by the
-    factor's value, min over factors."""
+    factor's value, min over factors.  ``d`` may be a domain's :class:`DomainPlan`."""
     _require_family(family)
-    if not d.is_planar():
+    plan = DomainPlan.of(d)
+    if not plan.planar:
         raise DomainError("the embedding search is defined for planar factors only")
-    values = map(single_factor_exact, d.factors, z.coords)
-    value, witnesses, evaluations = _family(d, z, family, values)
+    value, witnesses, evaluations = _family(plan, z, family, plan.values(z))
     return SearchResult(value, ProductMap(witnesses), evaluations)
 
 
@@ -390,7 +440,10 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
                    family: str = AUTO) -> BoundReport:
     """Every bound of one point, from one pass over the factor table.
 
-    ``exact`` is the min of the values on the catalog, and lower is that min
+    ``d`` is a domain or its :class:`DomainPlan`; a bare domain gets a plan
+    built for this call, and a caller that evaluates one domain at many
+    points builds the plan once and passes it.  ``exact`` is the min of the
+    values on the catalog, and lower is that min
     on every domain; upper = min of 1 and the puncture caps.  With
     ``search``, the named ``family`` is scored on planar factors for its
     witness.  Applicable methods are tagged, and FamilyGap when the family
@@ -405,30 +458,22 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     tag stays.
     """
     _require_family(family)
-    kinds = [_kind(f) for f in d.factors]
-    values = [k.value(f, c) for k, f, c in zip(kinds, d.factors, z.coords)]
-    caps = [v for k, v in zip(kinds, values) if k.punctured]
+    plan = DomainPlan.of(d)
+    values = plan.values(z)
     product = min(values)
-    witnessed = _catalog(d)
-    exact = None if witnessed is None else product
-    methods = [] if exact is None else [CLOSED_FORM]
-    if caps:
-        methods.append(PUNCTURE_UPPER)
-    methods.append(PRODUCT_LOWER)
-    if single_annulus_index(d) is not None:
-        methods.append(CLEARANCE_LOWER)
+    exact = None if plan.witnessed is None else product
+    methods = plan.methods
 
     found: tuple[MapExpr, ...] = ()
-    if search and all(k.score is not None for k in kinds):
-        value, found, _ = _family(d, z, family, values)
-        methods.append(SEARCH)
-        if exact is not None and value < exact - 1e-6:
-            methods.append(FAMILY_GAP)
+    if search and plan.scored:
+        value, found, _ = _family(plan, z, family, values)
+        methods += (SEARCH, FAMILY_GAP) if exact is not None and value < exact - 1e-6 else (SEARCH,)
 
-    witnesses = [_automorphisms(z.coords, found)] if witnessed else []
+    witnesses = [_automorphisms(z.coords, found)] if plan.witnessed else []
     if found:
         witnesses.append(ProductMap(found))
-    return BoundReport(product, min([1.0, *caps]), exact, tuple(witnesses), tuple(methods))
+    upper = min([1.0, *(values[i] for i in plan.punctured)])
+    return BoundReport(product, upper, exact, tuple(witnesses), methods)
 
 
 class BallProductReport(Frozen):

@@ -240,12 +240,12 @@ def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):
             path = tmp_path / f"{copy}{k}.json"
             path.write_text(text)
             assert load_domain_spec(str(path)).factors[0].r == (k + 1) / 100
-        assert cli._spec_domain.cache_info().currsize <= cli.SPEC_MEMO_SIZE
-    assert cli._spec_domain.cache_info().maxsize == cli.SPEC_MEMO_SIZE
+        assert cli._spec_plan.cache_info().currsize <= cli.SPEC_MEMO_SIZE
+    assert cli._spec_plan.cache_info().maxsize == cli.SPEC_MEMO_SIZE
 
 
 def _text_mode_load(path):
-    """load_domain_spec as it read a spec through the text-file layer: the reference."""
+    """The spec reader as it read a spec through the text-file layer: the reference."""
     from polysqueeze import cli
 
     try:
@@ -258,7 +258,7 @@ def _text_mode_load(path):
     except ValueError as e:
         raise cli.UsageError(f"{path}: invalid JSON: {e}") from e
     try:
-        return cli._spec_domain(text)
+        return cli._spec_plan(text)
     except cli.UsageError as e:
         raise cli.UsageError(f"{path}: {e}") from e
 
@@ -294,17 +294,169 @@ def test_spec_bytes_read_as_the_text_layer_read_them(capsys, monkeypatch, tmp_pa
     elif name == "nul_in_path":
         path = tmp_path / "sp\0ec.json"
     outcomes = []
-    for load in (cli.load_domain_spec, _text_mode_load):
+    for load in (cli._load_plan, _text_mode_load):
+        # load_domain_spec and every command read a spec through _load_plan
+        monkeypatch.setattr(cli, "_load_plan", load)
         try:
-            outcomes.append(("domain", load(str(path))))
+            outcomes.append(("domain", cli.load_domain_spec(str(path))))
         except cli.UsageError as e:
             outcomes.append(("error", str(e)))
-        monkeypatch.setattr(cli, "load_domain_spec", load)
         code = main(["eval", "--spec", str(path), "--point", "0.5,0;0.1,0", "--no-search"])
         outcomes.append((code, *capsys.readouterr()))
     assert outcomes[:2] == outcomes[2:]
     parsed = ("crlf", "cr_only", "cr_then_crlf", "utf8_text")
     assert outcomes[0][0] == ("domain" if name in parsed else "error")
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Every domain a DomainPlan is built for, in order; the spec memo starts empty."""
+    from polysqueeze import cli
+    from polysqueeze.squeezing import DomainPlan
+
+    builds = []
+    init = DomainPlan.__init__
+
+    def counted(self, d):
+        builds.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(DomainPlan, "__init__", counted)
+    cli._spec_plan.cache_clear()
+    yield builds
+    cli._spec_plan.cache_clear()
+
+
+def test_a_spec_text_builds_one_plan(capsys, tmp_path, plan_builds):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ANNULUS_SPEC))
+    point = "--point=0.4,0.1;0.2,-0.3"
+    evals = [["eval", "--spec", str(spec), point, *extra]
+             for extra in ([], ["--no-search"], ["--family", "reflection"])]
+    assert main(evals[0]) == 0
+    assert len(plan_builds) == 1
+    first = capsys.readouterr().out
+    # a second eval, every other eval, a 256-row profile and a search on
+    # the same text read the same plan
+    for argv in (*evals, ["profile", "--spec", str(spec), point, "--range", "0.3:0.9"],
+                 ["search", "--spec", str(spec), point]):
+        assert main(argv) == 0, argv
+    assert len(plan_builds) == 1
+    assert capsys.readouterr().out.startswith(first)
+    # an edited file builds a new plan, for its own domain
+    spec.write_text(json.dumps(ANNULUS_SPEC).replace("0.25", "0.35"))
+    assert main(evals[0]) == 0
+    assert len(plan_builds) == 2 and plan_builds[1].factors[0].r == 0.35
+    assert capsys.readouterr().out != first
+    # the first text is still in the memo
+    spec.write_text(json.dumps(ANNULUS_SPEC))
+    assert main(evals[0]) == 0
+    assert len(plan_builds) == 2
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(("content", "message"), [
+    ('{"factors": [{"kind": "annulus", "r": 1.5}]}',
+     "factors[0]: annulus inner radius must lie in (0, 1), got 1.5"),
+    ('{"factors": [', "invalid JSON: Expecting value: line 1 column 14 (char 13)"),
+], ids=["bad_radius", "truncated_json"])
+def test_a_failing_spec_builds_no_plan_and_fails_alike(capsys, tmp_path, plan_builds,
+                                                       content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    for argv in (["eval"], ["eval"], ["search"], ["profile", "--range", "0.1:0.5"]):
+        assert main([argv[0], "--spec", str(bad), "--point", "0.5,0", *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert plan_builds == []
+
+
+SPECS = {  # the eleven domains of the golden CLI fixture
+    "punctured2": [{"kind": "punctured_disk", "punctures": [[0.0, 0.0]]}] * 2,
+    "punctured3": [{"kind": "punctured_disk", "punctures": [[0.0, 0.0]]}] * 3,
+    "disk_punctured": [{"kind": "disk"}, {"kind": "punctured_disk", "punctures": [[0.3, -0.2]]}],
+    "annulus_disk": [{"kind": "annulus", "r": 0.25}, {"kind": "disk"}],
+    "three_puncture_disk": [
+        {"kind": "punctured_disk", "punctures": [[0.0, 0.0], [0.5, 0.0], [0.0, -0.5]]},
+        {"kind": "disk"}],
+    "polydisk": [{"kind": "disk"}, {"kind": "disk"}],
+    "ball": [{"kind": "ball", "n": 2}],
+    "ball_punctured": [{"kind": "ball", "n": 2},
+                       {"kind": "punctured_disk", "punctures": [[0.0, 0.0]]}],
+    "annulus_annulus": [{"kind": "annulus", "r": 0.2}, {"kind": "annulus", "r": 0.3}],
+    "annulus_punctured": [{"kind": "annulus", "r": 0.25},
+                          {"kind": "punctured_disk", "punctures": [[0.0, 0.1]]}],
+    "disk_annulus_ball": [{"kind": "disk"}, {"kind": "annulus", "r": 0.5},
+                          {"kind": "ball", "n": 1}],
+}
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("specs")
+    paths = {}
+    for name, factors in SPECS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps({"factors": factors}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@st.composite
+def _spec_points(draw):
+    """A golden domain and a point string of it, by modulus and angle per coordinate."""
+    name = draw(st.sampled_from(sorted(SPECS)))
+    coords = []
+    for f in SPECS[name]:
+        if f["kind"] == "ball":
+            scale = draw(st.floats(0.0, 0.99)) / math.sqrt(f["n"])
+            angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=f["n"], max_size=f["n"]))
+            coords += [scale * complex(math.cos(t), math.sin(t)) for t in angles]
+            continue
+        lo = f["r"] if f["kind"] == "annulus" else 0.0
+        modulus = draw(st.floats(lo, 1.0, exclude_min=lo > 0, exclude_max=True))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        coords.append(modulus * complex(math.cos(angle), math.sin(angle)))
+    return name, ";".join(f"{c.real!r},{c.imag!r}" for c in coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_spec_points(), family=st.sampled_from(["auto", "inclusion", "reflection"]),
+       search=st.booleans())
+def test_eval_reports_what_the_library_reports(spec_files, case, family, search):
+    # the report behind eval's row, read through the memoized plan, is the
+    # report squeeze_bounds gives on the domain load_domain_spec returns,
+    # field for field and bit for bit (repr round-trips every double)
+    from unittest import mock
+
+    from polysqueeze import cli
+    from polysqueeze.squeezing import DomainPlan, squeeze_bounds
+
+    name, point = case
+    path = spec_files[name]
+    seen = []
+
+    def kept(d, z, **kw):
+        seen.append((d, z, squeeze_bounds(d, z, **kw)))
+        return seen[-1][2]
+
+    argv = ["eval", "--spec", path, "--point=" + point, "--family", family]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "squeeze_bounds", kept), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ([] if search else ["--no-search"]))
+    domain = load_domain_spec(path)
+    try:
+        z = parse_point(point, domain)
+    except polysqueeze.DomainError:
+        assert code == 3 and not seen  # a point on a puncture or a circle
+        return
+    assert code == 0, err.getvalue()
+    [(plan, z_cli, report)] = seen
+    assert type(plan) is DomainPlan and plan.domain is domain
+    assert z_cli == z and repr(z_cli) == repr(z)
+    library = squeeze_bounds(domain, z, search=search, family=family)
+    for field in ("lower", "upper", "exact", "methods", "witnesses"):
+        assert repr(getattr(report, field)) == repr(getattr(library, field)), field
+    assert report == library
 
 
 # -------------------------------------------------------------------- profile
@@ -529,7 +681,7 @@ def test_steps_cap_fails_before_any_work(capsys, monkeypatch, annulus):
     def no_work(*args, **kwargs):
         raise AssertionError("ran past argument validation")
 
-    for name in ("load_domain_spec", "default_limit_path", "boundary_limit_profile"):
+    for name in ("load_domain_spec", "_load_plan", "default_limit_path", "boundary_limit_profile"):
         monkeypatch.setattr(cli, name, no_work)
     over = str(MAX_STEPS + 1)
     assert main(["limit", "--r", "0.25", "--steps", over]) == 2

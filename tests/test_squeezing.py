@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +39,7 @@ from polysqueeze.squeezing import (
     PRODUCT_LOWER,
     PUNCTURE_UPPER,
     SEARCH,
+    DomainPlan,
     _reduced_modulus,
     single_annulus_index,
     single_factor_exact,
@@ -695,3 +698,121 @@ def test_single_annulus_index():
     assert single_annulus_index(ProductDomain((UnitDisk(), Annulus(0.5)))) == 1
     assert single_annulus_index(ProductDomain((Annulus(0.2), Annulus(0.3)))) is None
     assert single_annulus_index(PUNCT2) is None
+
+
+# ------------------------------------------------------------ the domain plan
+
+def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
+    # a bare domain gets one plan per squeeze_bounds or search call, a plan
+    # passed in is read as it is, and the value, point and clearance paths
+    # build none
+    builds = []
+    init = DomainPlan.__init__
+
+    def counted(self, d):
+        builds.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(DomainPlan, "__init__", counted)
+    z = ANNULUS_DISK.point([0.4, 0.2j])
+    squeeze_bounds(ANNULUS_DISK, z)
+    search_lower_bound(ANNULUS_DISK, z)
+    assert builds == [ANNULUS_DISK, ANNULUS_DISK]
+    plan = DomainPlan(ANNULUS_DISK)
+    assert squeeze_bounds(plan, z) == squeeze_bounds(ANNULUS_DISK, z)
+    assert search_lower_bound(plan, z, "reflection") == search_lower_bound(ANNULUS_DISK, z,
+                                                                             "reflection")
+    assert len(builds) == 5
+    assert DomainPlan.of(plan) is plan
+    ProductPoint.of(ANNULUS_DISK, [0.4, 0.2j])
+    exact_squeeze(ANNULUS_DISK, z)
+    annulus_clearance_bound(0.25, 0.4)
+    product_lower_bound(ANNULUS_DISK, z)
+    w = PUNCT2.point([0.5, 0.3])
+    exact_squeeze(PUNCT2, w)
+    puncture_upper_bound(PUNCT2, w)
+    assert len(builds) == 5
+
+
+def test_plan_holds_the_domain_facts():
+    plan = DomainPlan(ProductDomain((Annulus(0.25), UnitDisk())))
+    assert plan.methods == (CLOSED_FORM, PRODUCT_LOWER, CLEARANCE_LOWER)
+    assert (plan.annulus, plan.punctured, plan.dim, plan.planar, plan.scored) == (
+        0, (), 2, True, True)
+    assert plan.branches == {"auto": (("inclusion", "reflection"), ("inclusion",)),
+                             "inclusion": (("inclusion",), ("inclusion",)),
+                             "reflection": (("reflection",), ("inclusion",))}
+    plan = DomainPlan(ProductDomain((BallFactor(2), PuncturedDisk((0j,)))))
+    assert plan.methods == (PUNCTURE_UPPER, PRODUCT_LOWER)
+    assert (plan.witnessed, plan.annulus, plan.punctured, plan.dim, plan.planar,
+            plan.scored) == (None, None, (1,), 3, False, False)
+    with pytest.raises(UnsupportedGeometryError, match="unknown factor kind str"):
+        DomainPlan(ProductDomain(("disk",)))
+
+
+# ------------------------------------------- mpmath audit of the annulus value
+
+U = mpmath.mpf(2) ** -53  # the unit roundoff of a double
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(5e-324, 1.0, exclude_max=True), st.floats(0.0, 1.0),
+       st.floats(0.0, 2 * math.pi))
+def test_annulus_value_is_within_3u_of_its_50_digit_value(r, s, angle):
+    """max(x, r/x), x = abs(z) normal, is within a factor 1 +- 3u/(1-2u) of max(m, r/m).
+
+    Here m is the exact modulus of the double z and u = 2^-53.  The argument,
+    from the roundings alone: ``abs`` of a complex is libm's hypot, assumed
+    faithful (within 1 ulp), so x = m(1 + e1) with |e1| <= 2u.  Where r/x
+    is the larger term it is at least x >= 2^-1022, so it is normal and
+    the division rounds it once: q = (r/m)(1 + e2)/(1 + e1) with |e2| <= u,
+    a relative error of at most 3u/(1-2u).  ``max`` is exact, and if a and b
+    move by relative errors of at most e, max(a, b) moves by at most e.
+    (Where the exact r/x is subnormal it is below x, q rounds to at most
+    2^-1022 <= x, and max returns x, within 2u.)  So the relative error is
+    at most 3u/(1-2u), which is under 3 ulps of the value.  The points are
+    log-uniform in modulus between r and 1, subnormal r included.
+    """
+    x0 = math.exp((1.0 - s) * math.log(r))
+    z = complex(x0 * math.cos(angle), x0 * math.sin(angle))
+    assume(r < abs(z) < 1.0 and abs(z) >= sys.float_info.min)
+    value = single_factor_exact(Annulus(r), z)
+    with mpmath.workdps(50):
+        m = mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
+        exact = max(m, mpmath.mpf(r) / m)
+        assert abs(mpmath.mpf(value) / exact - 1) <= 3 * U / (1 - 2 * U)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-2 ** 52, 2 ** 52), st.integers(-2 ** 52, 2 ** 52), st.floats(0.0, 1.0))
+def test_subnormal_annulus_value_is_within_8u_of_its_50_digit_value(ka, kb, s):
+    """min(1, abs(reflect(r, z))) at a subnormal |z| is within about 8u of r/m.
+
+    z = (ka + kb i) 2^-1074 is exact, and r < |z| is subnormal too.
+    ``reflect`` scales r and z by 2^600, exactly, and divides: CPython
+    divides the float r, as r + 0i, by c + di with Smith's method.  Where
+    |c| >= |d|: t = d/c, D = c + d t, re = r/D, im = -(r t)/D (the other
+    case swaps c and d).  c and d t have one sign, so the sum D adds no
+    cancellation: with the roundings of t, of d t and of the sum, D is within
+    a factor (1 +- u)^3 of c + d^2/c.  So re, with its division, is within
+    (1 +- u) / (1 -+ u)^3 of the exact quotient's real part, and im, with
+    one more product, within (1 +- u)^3 / (1 -+ u)^3 of its imaginary part
+    (a fused multiply-add only removes roundings).  The modulus of the two
+    is within the wider factor, and the faithful hypot adds 1 +- 2u: in all
+    (1 + 2u)(1 + u)^3 / (1 - u)^3, about 1 + 8u.  Capping at 1 only moves
+    the value toward r/m, which is below 1: r and the faithful x = abs(z)
+    are multiples of 2^-1074, and x is m rounded down or up to one, so
+    r < x puts r below m.
+    """
+    z = complex(ka * 2.0 ** -1074, kb * 2.0 ** -1074)
+    x = abs(z)
+    assume(0.0 < x < sys.float_info.min)
+    r = math.floor(s * (x / 2.0 ** -1074)) * 2.0 ** -1074
+    assume(0.0 < r < x)
+    value = single_factor_exact(Annulus(r), z)
+    with mpmath.workdps(50):
+        m = mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
+        exact = mpmath.mpf(r) / m
+        hi = (1 + 2 * U) * (1 + U) ** 3 / (1 - U) ** 3
+        lo = (1 - 2 * U) * (1 - U) ** 3 / (1 + U) ** 3
+        assert exact * lo <= mpmath.mpf(value) <= exact * hi
