@@ -3,8 +3,11 @@
 Planar factors are normalized: outer boundary is the unit circle and the
 annulus is centered at 0.  More general disks are reached through Mobius
 witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
-The boundary samples of a factor belong to the oracle of
-:mod:`polysqueeze.verify`, not to this module.
+
+A planar factor gives its boundary as data, read in place of its class:
+``radii``, its boundary circles, all centred at 0, the unit circle first,
+and ``punctures``, the points it removes (``()`` on a ball too).  Boundary
+samples belong to the oracle of :mod:`polysqueeze.verify`, not to this module.
 
 Every value class of the package derives from :class:`Frozen`.
 """
@@ -61,12 +64,15 @@ class UnitDisk(Frozen):
     """Open unit disk {|zeta| < 1}."""
 
     __slots__ = ()
+    radii = (1.0,)
+    punctures = ()
 
 
 class PuncturedDisk(Frozen):
     """Unit disk with finitely many interior points removed."""
 
     __slots__ = ("punctures",)
+    radii = (1.0,)
 
     def __init__(self, punctures: tuple[complex, ...]) -> None:
         ps = tuple(complex(p) for p in punctures)
@@ -84,6 +90,8 @@ class Annulus(Frozen):
     """Annulus {r < |zeta| < 1} with inner radius r."""
 
     __slots__ = ("r",)
+    radii = property(lambda self: (1.0, self.r))
+    punctures = ()
 
     def __init__(self, r: float) -> None:
         if not (0.0 < r < 1.0):
@@ -99,6 +107,7 @@ class BallFactor(Frozen):
     """
 
     __slots__ = ("n",)
+    punctures = ()
 
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:
@@ -130,8 +139,8 @@ def _modulus(z: complex) -> float:
 def membership(f: Factor, coord: Coordinate) -> bool:
     """True iff ``coord`` lies in the open set ``f``.
 
-    Punctures and the closed inner disk of an annulus are excluded; puncture
-    exclusion is exact complex equality.
+    A planar one lies inside the first circle of ``f.radii``, outside the
+    others and off the punctures; puncture exclusion is exact complex equality.
     """
     if isinstance(f, BallFactor):
         if not isinstance(coord, tuple) or len(coord) != f.n:
@@ -139,13 +148,17 @@ def membership(f: Factor, coord: Coordinate) -> bool:
         # m * m rather than m ** 2, which raises OverflowError on huge moduli
         return sum(m * m for m in (_modulus(complex(c)) for c in coord)) < 1.0
     z = complex(coord)
-    if isinstance(f, UnitDisk):
-        return _modulus(z) < 1.0
-    if isinstance(f, PuncturedDisk):
-        return _modulus(z) < 1.0 and all(z != p for p in f.punctures)
-    if isinstance(f, Annulus):
-        return f.r < _modulus(z) < 1.0
-    raise DomainError(f"unknown factor kind {type(f).__name__}")
+    try:
+        radii, punctures = f.radii, f.punctures
+    except AttributeError:
+        raise DomainError(f"unknown factor kind {type(f).__name__}") from None
+    x = _modulus(z)
+    if not x < radii[0]:
+        return False
+    for rho in radii[1:]:
+        if not rho < x:
+            return False
+    return z not in punctures
 
 
 class ProductDomain(Frozen):

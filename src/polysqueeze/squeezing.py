@@ -3,23 +3,23 @@
 For a point z of a bounded product domain, the squeezing value is the largest
 c such that some injective holomorphic map sending z to 0 fits a polydisk of
 radius c inside its image.  A polydisk fits in a product image iff it fits in
-every factor image, so every bound here comes from one table keyed by factor
-kind (``_KINDS``: closed form, puncture cap, family branches and their
-closed-form scores) and one product rule, the min over factors.  The catalog,
-where that min is the value, is products of disks and punctured disks, one
-annulus with disk factors, and a single ball.  :func:`squeeze_bounds` reads
-each row once, through a :class:`DomainPlan`: the rows of a domain's factors
-and the facts of the domain that no point changes, built once per domain by
-a caller that keeps it and once per call otherwise.  The other bounds read
-the columns they need.
+every factor image, so every bound here comes from one closed form per factor
+kind (``_KINDS``), the factor's boundary (its ``radii`` and ``punctures``; a
+punctured factor's value is also a puncture cap) and one product rule, the
+min over factors.  The catalog, where that min is the value, is products of
+disks and punctured disks, one annulus with disk factors, and a single ball.
+:func:`squeeze_bounds` reads a domain through a :class:`DomainPlan`: its
+factors' closed forms and the facts of the domain that no point changes,
+built once per domain by a caller that keeps it and once per call otherwise.
 
-The witness family is the branch column.  A family is a name: ``auto`` takes
-every branch of each factor's row, ``inclusion`` or ``reflection`` that one
-branch where the row has it and inclusion elsewhere.
-:func:`search_lower_bound` scores the family, keeps each factor's best
-branch and builds its witness from that branch's image, with the steps
-:func:`build_factor_witness` gives.  Also here:
-the annulus boundary-clearance bound and its limit profiles.
+The witness family comes from the boundary too: a factor has one branch per
+boundary circle, the circle it makes outermost, and every branch is scored
+by one formula, :func:`_score`.  A family is a name: ``auto`` takes every
+branch of each factor, ``inclusion`` or ``reflection`` that one branch where
+the factor has it and inclusion elsewhere.  :func:`search_lower_bound`
+scores the family, keeps each factor's best branch and builds its witness
+from that branch's image, with the steps :func:`build_factor_witness`
+gives.  Also here: the annulus clearance bound and its limit profiles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .domains import (
     Annulus,
@@ -58,11 +58,13 @@ CLEARANCE_LOWER = "ClearanceLower"
 SEARCH = "Search"
 FAMILY_GAP = "FamilyGap"
 
-# Witness-family branches: keep the boundary circles where they are, or
-# swap the two circles of an annulus with zeta -> r / zeta first.
+# Witness-family branches, one per boundary circle, the circle each makes
+# outermost: keep the circles where they are, or swap the unit circle and
+# the circle of radius r of an annulus with zeta -> r / zeta first.
 INCLUSION = "inclusion"
 REFLECTION = "reflection"
-# Family names: every branch of the table's column, or one branch by name.
+_BRANCHES = (INCLUSION, REFLECTION)
+# Family names: every branch of each factor, or one branch by name.
 AUTO = "auto"
 FAMILIES = (AUTO, INCLUSION, REFLECTION)
 
@@ -145,46 +147,33 @@ def _annulus_value(f: Annulus, coord) -> float:
     return max(x, f.r / x) if x >= _TINY else min(1.0, abs(reflect(f.r, coord)))
 
 
-class _Kind(Frozen):
-    """A row of the factor-kind table.
-
-    ``value(f, coord)``: the one-factor closed form; ``punctured``: the value is
-    also a puncture cap; ``branches``: the ``auto`` family; ``score(f, w)``: the
-    inradius of the witness whose branch sends z to ``w``, the least |phi_w| over
-    boundary circles and punctures (a branch maps the factor onto itself).
-    """
-
-    __slots__ = ("value", "punctured", "branches", "score")
-
-    def __init__(self, value: Callable[..., float], punctured: bool = False,
-                 branches: tuple[str, ...] = (),
-                 score: Optional[Callable[..., float]] = None) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "punctured", punctured)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "score", score)
-
-
+# Each factor kind's one-factor closed form ``value(f, coord)``.
 _KINDS = {
-    UnitDisk: _Kind(lambda f, coord: 1.0, branches=(INCLUSION,), score=lambda f, w: 1.0),
-    PuncturedDisk: _Kind(
+    UnitDisk: lambda f, coord: 1.0,
+    PuncturedDisk:
         lambda f, coord: min(1.0, *(_reduced_modulus(p, complex(coord)) for p in f.punctures)),
-        punctured=True, branches=(INCLUSION,),
-        score=lambda f, w: min(1.0, *(_reduced_modulus(w, p) for p in f.punctures)),
-    ),
-    Annulus: _Kind(
-        _annulus_value, branches=(INCLUSION, REFLECTION),
-        score=lambda f, w: min(1.0, mobius_circle_min_modulus(w, f.r)),
-    ),
-    BallFactor: _Kind(lambda f, coord: 1.0 / math.sqrt(f.n)),
+    Annulus: _annulus_value,
+    BallFactor: lambda f, coord: 1.0 / math.sqrt(f.n),
 }
 
 
-def _kind(f) -> _Kind:
+def _kind(f):
     try:
         return _KINDS[type(f)]
     except KeyError:
         raise UnsupportedGeometryError(f"unknown factor kind {type(f).__name__}") from None
+
+
+def _score(f, w: complex) -> float:
+    """Inradius of the witness whose branch sends the point to ``w``: 1, lowered to
+    the least |phi_w| over the inner circles and the punctures of ``f`` (a branch
+    maps ``f`` onto itself, and phi_w keeps the unit circle)."""
+    best = 1.0
+    for rho in f.radii[1:]:
+        best = min(best, mobius_circle_min_modulus(w, rho))
+    for p in f.punctures:
+        best = min(best, _reduced_modulus(w, p))
+    return best
 
 
 def single_factor_exact(f, coord) -> float:
@@ -195,10 +184,10 @@ def single_factor_exact(f, coord) -> float:
     A value that rounds above 1 is capped at 1.
     """
     try:  # the lookup of _kind, inlined: a call per factor shows in exact_squeeze
-        kind = _KINDS[type(f)]
+        value = _KINDS[type(f)]
     except KeyError:
-        kind = _kind(f)
-    return kind.value(f, coord)
+        value = _kind(f)
+    return value(f, coord)
 
 
 def single_annulus_index(d: ProductDomain) -> Optional[int]:
@@ -225,27 +214,27 @@ def _catalog(d: ProductDomain) -> Optional[bool]:
 class DomainPlan:
     """What the bounds and the CLI read of one domain, worked out once.
 
-    ``kinds``: each factor's row of the kind table; ``witnessed``: the
-    catalog class (:func:`_catalog`); ``methods``: the tags that depend on
-    the domain alone (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
-    ``ClearanceLower``); ``punctured``: the factors whose values are
-    puncture caps; ``scored``: whether the witness family can be scored;
-    ``branches``: each factor's branch names under each family name;
-    ``annulus``: :func:`single_annulus_index`; ``dim`` and ``planar``: the
-    complex dimension and whether every factor is planar.  A plan is never
+    ``kinds``: each factor's closed form, from the kind table; ``witnessed``:
+    the catalog class (:func:`_catalog`); ``methods``: the tags that depend
+    on the domain alone (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
+    ``ClearanceLower``); ``punctured``: the factors with punctures, whose
+    values are puncture caps; ``branches``: each factor's branch names under
+    each family name, from its boundary circles (empty off a planar domain,
+    where no family is scored); ``annulus``: :func:`single_annulus_index`;
+    ``dim`` and ``planar``: the complex dimension and whether every factor is
+    planar, so whether the witness family can be scored.  A plan is never
     changed after it is built, so callers may share one.  An unknown factor
     kind raises :class:`UnsupportedGeometryError`.
     """
 
-    __slots__ = ("domain", "kinds", "witnessed", "methods", "punctured", "scored", "branches",
+    __slots__ = ("domain", "kinds", "witnessed", "methods", "punctured", "branches",
                  "annulus", "dim", "planar")
 
     def __init__(self, d: ProductDomain) -> None:
-        kinds = tuple(_kind(f) for f in d.factors)
-        self.domain, self.kinds = d, kinds
+        self.domain, self.kinds = d, tuple(_kind(f) for f in d.factors)
         self.witnessed = _catalog(d)
         self.annulus = single_annulus_index(d)
-        self.punctured = tuple(i for i, k in enumerate(kinds) if k.punctured)
+        self.punctured = tuple(i for i, f in enumerate(d.factors) if f.punctures)
         methods = [] if self.witnessed is None else [CLOSED_FORM]
         if self.punctured:
             methods.append(PUNCTURE_UPPER)
@@ -253,12 +242,12 @@ class DomainPlan:
         if self.annulus is not None:
             methods.append(CLEARANCE_LOWER)
         self.methods = tuple(methods)
-        self.scored = all(k.score is not None for k in kinds)
-        self.branches = {family: tuple(
-            k.branches if family == AUTO else (family,) if family in k.branches else (INCLUSION,)
-            for k in kinds) for family in FAMILIES}
         self.dim = d.dim
         self.planar = d.is_planar()
+        auto = tuple(_BRANCHES[:len(f.radii)] for f in d.factors) if self.planar else ()
+        self.branches = {family: tuple(
+            names if family == AUTO else (family,) if family in names else (INCLUSION,)
+            for names in auto) for family in FAMILIES}
 
     @staticmethod
     def of(d) -> "DomainPlan":
@@ -267,7 +256,7 @@ class DomainPlan:
 
     def values(self, z: ProductPoint) -> list[float]:
         """Each factor's value column at ``z``: :func:`single_factor_exact`, bit for bit."""
-        return [k.value(f, c) for k, f, c in zip(self.kinds, self.domain.factors, z.coords)]
+        return [value(f, c) for value, f, c in zip(self.kinds, self.domain.factors, z.coords)]
 
 
 def _automorphisms(coords, family=()) -> ProductMap:
@@ -302,8 +291,8 @@ def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
     sigma_inv, |phi_p(z_i)|: the value column, so the bracket holds ``exact``
     to the last bit.  A domain with no puncture raises :class:`DomainError`.
     """
-    caps = [k.value(f, c) for f, c in zip(d.factors, z.coords)
-            if (k := _kind(f)).punctured]
+    caps = [value(f, c) for f, c, value in zip(d.factors, z.coords, map(_kind, d.factors))
+            if f.punctures]
     if not caps:
         raise DomainError("no factor has a puncture; the bound is inapplicable")
     return min(caps)
@@ -387,19 +376,19 @@ def _family(plan: DomainPlan, z: ProductPoint, family: str,
     of the values.
     """
     scores, witnesses, evaluations = [], [], 0
-    rows = zip(plan.domain.factors, plan.kinds, plan.branches[family], z.coords, values)
-    for i, (f, kind, names, c, value) in enumerate(rows):
+    rows = zip(plan.domain.factors, plan.branches[family], z.coords, values)
+    for i, (f, names, c, value) in enumerate(rows):
         best = None
         for b in names:
             w = _branch_image(f, c, b)
             if w is None:
                 continue
-            score = kind.score(f, w)
+            score = _score(f, w)
             evaluations += 1
             if best is None or score > best:  # max's test: the earlier wins ties
                 best, branch, image = score, b, w
         if best is None:
-            best, branch, image = kind.score(f, c), INCLUSION, c
+            best, branch, image = _score(f, c), INCLUSION, c
             evaluations += 1
         e = _witness(f, branch, image)
         require_base_to_zero(e, c, i)
@@ -426,7 +415,7 @@ def _require_family(family: str) -> None:
 
 def search_lower_bound(d: ProductDomain, z: ProductPoint, family: str = AUTO) -> SearchResult:
     """Best certified lower bound over the named family, with its witness: the best
-    branch of each factor by the table's score (the earlier on ties), capped by the
+    branch of each factor by :func:`_score` (the earlier on ties), capped by the
     factor's value, min over factors.  ``d`` may be a domain's :class:`DomainPlan`."""
     _require_family(family)
     plan = DomainPlan.of(d)
@@ -465,7 +454,7 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     methods = plan.methods
 
     found: tuple[MapExpr, ...] = ()
-    if search and plan.scored:
+    if search and plan.planar:
         value, found, _ = _family(plan, z, family, values)
         methods += (SEARCH, FAMILY_GAP) if exact is not None and value < exact - 1e-6 else (SEARCH,)
 
@@ -596,6 +585,6 @@ def hhr_flag(d: ProductDomain) -> bool:
     approaches the puncture, so the product cannot be holomorphic homogeneous
     regular.  Disk, annulus and ball factors all have positive single-factor
     floors (1, sqrt(r), 1/sqrt(n)), so puncture presence is exactly the
-    evidence available in this catalog.
+    evidence available in this catalog; a factor of unknown kind has none.
     """
-    return any(isinstance(f, PuncturedDisk) for f in d.factors)
+    return any(getattr(f, "punctures", ()) for f in d.factors)

@@ -9,12 +9,14 @@ load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
 boundary-sampling image inradius of an explicit witness (sampled in
-cache-sized blocks and scored by squared moduli), its closed-form
-counterpart for radial-then-Mobius maps, and the radial distance pair
-``sigma`` / ``sigma_inv`` with the Poincare distance.  No reported value of
-the library depends on any of them.  The map primitives come from
-:mod:`polysqueeze.embeddings`, which evaluates them on scalars; evaluating a
-map on an array of samples is decided here alone, by :func:`_array_eval`.
+cache-sized blocks and scored by squared moduli) and its closed-form
+counterpart for radial-then-Mobius maps, both over the circles and
+punctures a factor gives (``radii``, ``punctures``), and the radial
+distance pair ``sigma`` / ``sigma_inv`` with the Poincare distance.  No
+reported value of the library depends on any of them.  The map primitives
+come from :mod:`polysqueeze.embeddings`, which evaluates them on scalars;
+evaluating a map on an array of samples is decided here alone, by
+:func:`_array_eval`.
 The ``hyperbolic`` suite is named for the geometry it checks.
 """
 
@@ -102,16 +104,15 @@ _NUDGE = 4.0 * sys.float_info.epsilon
 def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     """Radius of each sampled boundary circle, nudged a few ulps off the open set.
 
-    ``1 + 4 eps`` for the outer circle, then ``(1 - 4 eps) r`` for the inner
-    circle of an annulus, so that no sample passes membership.  A circle's
-    samples are this radius times ``_unit_circle(m)``, ``m`` points at equal
-    angles from 0 counterclockwise; punctures are not sampled.
+    ``1 + 4 eps`` times the unit circle's, then ``(1 - 4 eps) r`` for each
+    inner circle r of ``f.radii``, so that no sample passes membership.  A
+    circle's samples are this radius times ``_unit_circle(m)``, ``m`` points
+    at equal angles from 0 counterclockwise; punctures are not sampled.
     """
     if isinstance(f, BallFactor):
         raise DomainError("boundary sampling is defined for planar factors only")
-    if isinstance(f, Annulus):
-        return (1.0 + _NUDGE, (1.0 - _NUDGE) * f.r)
-    return (1.0 + _NUDGE,)
+    outer, *inner = f.radii
+    return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))
 
 
 # Points a block of the sampled minimum evaluates at once.  Whole 65536-point
@@ -211,13 +212,9 @@ def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int = 4096) -> float:
 
     sq = partial(_squared_moduli, e)
     best = float(np.min([_sampled_circle_min(sq, rho, m) for rho in _sample_radii(f)]))
-    for p in f.punctures if isinstance(f, PuncturedDisk) else ():
+    for p in f.punctures:
         best = min(best, abs(map_eval(e, p)))
     return best
-
-
-def _circle_radii(f: PlanarFactor) -> tuple[float, ...]:
-    return (1.0, f.r) if isinstance(f, Annulus) else (1.0,)
 
 
 def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
@@ -243,7 +240,7 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
         w = complex(mobius_eval(mstep.inverse(), w))
 
     best = math.inf
-    for rho in _circle_radii(f):
+    for rho in f.radii:
         for s in radial:
             if isinstance(s, Reflection):
                 rho = s.r / rho
@@ -252,7 +249,7 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
             best = min(best, rho if not mobius else 1.0)
         else:
             best = min(best, mobius_circle_min_modulus(w, rho))
-    for p in f.punctures if isinstance(f, PuncturedDisk) else ():
+    for p in f.punctures:
         best = min(best, abs(map_eval(e, p)))
     return best
 

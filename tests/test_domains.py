@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 
@@ -13,10 +14,11 @@ from polysqueeze import (
     PuncturedDisk,
     UnitDisk,
 )
-from polysqueeze import squeezing
+from polysqueeze import cli, squeezing
 from polysqueeze.domains import Frozen, factor_dim, membership
 from polysqueeze.embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from polysqueeze.verify import Check, _sample_radii, _unit_circle
+from test_golden_cli import SPECS
 
 
 # ----------------------------------------------------------------- membership
@@ -50,6 +52,40 @@ def test_membership_ball():
     assert not membership(b, (0.8 + 0j, 0.7j))
     with pytest.raises(DomainError):
         membership(b, 0.5)  # not a tuple of length 2
+
+
+# -------------------------------------------------------------- boundary data
+
+def test_factors_give_their_boundary():
+    ps = (0j, 0.5 + 0.25j)
+    assert (UnitDisk().radii, UnitDisk().punctures) == ((1.0,), ())
+    assert (PuncturedDisk(ps).radii, PuncturedDisk(ps).punctures) == ((1.0,), ps)
+    assert (Annulus(0.25).radii, Annulus(0.25).punctures) == ((1.0, 0.25), ())
+    assert BallFactor(2).punctures == () and not hasattr(BallFactor(2), "radii")
+
+
+def golden_planar_factors():
+    """Each planar factor of the golden CLI fixture's specs once, read as the CLI reads them."""
+    factors = {}
+    for spec in SPECS.values():
+        for f in cli._spec_plan(json.dumps({"factors": spec})).domain.factors:
+            if not isinstance(f, BallFactor):
+                factors[f] = None
+    return list(factors)
+
+
+@pytest.mark.parametrize("f", golden_planar_factors(), ids=repr)
+def test_membership_reads_the_boundary(f):
+    # the factor lies inside the unit circle and outside every later circle;
+    # each circle and each puncture is excluded
+    for k, rho in enumerate(f.radii):
+        excluded, open_side = (math.inf, 0.0) if k == 0 else (0.0, 1.0)
+        for u in (1, 1j, -1, -1j):
+            assert not membership(f, rho * u)
+            assert not membership(f, math.nextafter(rho, excluded) * u)
+            assert membership(f, math.nextafter(rho, open_side) * u)
+    for p in f.punctures:
+        assert not membership(f, p)
 
 
 # ------------------------------------------------------------------- sampling
@@ -188,9 +224,6 @@ def _value_instances():
          "(MapExpr(steps=(Inclusion(),)),)),), methods=('X',))"),
         (squeezing.LimitProfile(((0.5, 0.25), (0.6, 0.3)), 1.0),
          "LimitProfile(entries=((0.5, 0.25), (0.6, 0.3)), target=1.0)"),
-        (squeezing._Kind(len, True, ("inclusion",), abs),
-         "_Kind(value=<built-in function len>, punctured=True, branches=('inclusion',), "
-         "score=<built-in function abs>)"),
         (squeezing.SearchResult(0.5, incl, 2),
          "SearchResult(value=0.5, witness=ProductMap(components=(MapExpr(steps=(Inclusion(),)),)), "
          "evaluations=2)"),
@@ -215,7 +248,7 @@ def test_every_value_class_is_pinned():
 
     classes = {c for c in subclasses(Frozen) if c.__module__.startswith("polysqueeze.")}
     assert sorted(VALUE_IDS) == sorted(c.__name__ for c in classes)
-    assert len(classes) == 17
+    assert len(classes) == 16
 
 
 @pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)

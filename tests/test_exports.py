@@ -2,8 +2,8 @@
 
 Each export resolves and appears once, ``__all__`` is the README's "Public
 API" list, the README's "Layout" lists every module, the boundary-sampling
-oracle stays out of the production modules, and no module reaches into
-another's private names.
+oracle stays out of the production modules, no module reaches into
+another's private names, and every name a module imports is used there.
 """
 
 import ast
@@ -78,6 +78,28 @@ def test_no_module_imports_a_private_name():
             own = node.level > 0 or (node.module or "").split(".")[0] == "polysqueeze"
             found += [f"{path.name}: {a.name}" for a in node.names if own and a.name.startswith("_")]
     assert not found
+
+
+def imported_names(tree):
+    """Each name a module's imports bind, with its line; ``__future__`` features excluded."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = parsed(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.stem == "__init__":
+        used |= set(polysqueeze.__all__)  # the re-exports
+    unused = [f"{path.name}:{line}: {name}" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused
 
 
 def test_deleted_names_are_gone():

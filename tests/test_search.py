@@ -20,7 +20,7 @@ from polysqueeze import (
     squeeze_bounds,
 )
 from polysqueeze.domains import membership
-from polysqueeze.squeezing import _KINDS, _branch_image, build_factor_witness
+from polysqueeze.squeezing import DomainPlan, _branch_image, _score, build_factor_witness
 from polysqueeze.verify import image_inradius_analytic, product_inradius
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
@@ -109,8 +109,8 @@ def test_family_auto_is_the_table_column():
     # auto scores every branch of each row: both annulus branches, the disk's one
     z = ANNULUS_DISK.point([0.6, 0.2j])
     sr = search_lower_bound(ANNULUS_DISK, z, "auto")
-    assert [k.branches for k in (_KINDS[Annulus], _KINDS[UnitDisk])] == [
-        ("inclusion", "reflection"), ("inclusion",)]
+    assert DomainPlan(ANNULUS_DISK).branches["auto"] == (
+        ("inclusion", "reflection"), ("inclusion",))
     assert sr.evaluations == 3
     assert sr == search_lower_bound(ANNULUS_DISK, z)
     for name in ("inclusion", "reflection"):
@@ -219,10 +219,10 @@ SCORED_FACTORS = [UnitDisk(), PuncturedDisk((0j,)), PuncturedDisk((0.3 - 0.2j,))
        st.sampled_from(["inclusion", "reflection"]))
 def test_table_score_is_the_analytic_inradius(f, modulus, angle, branch):
     # the generic closed-form inradius of the built witness is the reference
-    # for the table's score column, bit for bit, zero coordinates included
+    # for the one score formula, bit for bit, zero coordinates included
     z = cmath.rect(modulus, angle) if modulus else 0j
     assume(membership(f, z) and (branch == "inclusion" or isinstance(f, Annulus)))
     w = _branch_image(f, z, branch)
     assume(w is not None)  # no witness where the image rounds onto the unit circle
-    score = _KINDS[type(f)].score(f, w)
+    score = _score(f, w)
     assert score == image_inradius_analytic(build_factor_witness(f, z, branch), f)

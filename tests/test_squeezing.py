@@ -737,17 +737,48 @@ def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
 def test_plan_holds_the_domain_facts():
     plan = DomainPlan(ProductDomain((Annulus(0.25), UnitDisk())))
     assert plan.methods == (CLOSED_FORM, PRODUCT_LOWER, CLEARANCE_LOWER)
-    assert (plan.annulus, plan.punctured, plan.dim, plan.planar, plan.scored) == (
-        0, (), 2, True, True)
+    assert (plan.annulus, plan.punctured, plan.dim, plan.planar) == (0, (), 2, True)
     assert plan.branches == {"auto": (("inclusion", "reflection"), ("inclusion",)),
                              "inclusion": (("inclusion",), ("inclusion",)),
                              "reflection": (("reflection",), ("inclusion",))}
     plan = DomainPlan(ProductDomain((BallFactor(2), PuncturedDisk((0j,)))))
     assert plan.methods == (PUNCTURE_UPPER, PRODUCT_LOWER)
-    assert (plan.witnessed, plan.annulus, plan.punctured, plan.dim, plan.planar,
-            plan.scored) == (None, None, (1,), 3, False, False)
+    assert (plan.witnessed, plan.annulus, plan.punctured, plan.dim, plan.planar) == (
+        None, None, (1,), 3, False)
     with pytest.raises(UnsupportedGeometryError, match="unknown factor kind str"):
         DomainPlan(ProductDomain(("disk",)))
+
+
+class Slab:
+    """A factor kind the package does not know."""
+
+
+SLAB_DOMAIN = ProductDomain((UnitDisk(), Slab()))
+SLAB_POINT = ProductPoint((0.5 + 0j, 0.5 + 0j))
+UNKNOWN_KIND = (UnsupportedGeometryError, "unknown factor kind Slab")
+
+
+@pytest.mark.parametrize(("call", "raised"), [
+    (lambda: membership(Slab(), 0.5), (DomainError, "unknown factor kind Slab")),
+    (lambda: SLAB_DOMAIN.point([0.5, 0.5]), (DomainError, "unknown factor kind Slab")),
+    (lambda: puncture_upper_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
+    (lambda: product_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
+    (lambda: exact_squeeze(SLAB_DOMAIN, SLAB_POINT),
+     (UnsupportedGeometryError, "domain is outside the closed-form catalog")),
+    (lambda: squeeze_bounds(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
+    (lambda: search_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
+    (lambda: DomainPlan(SLAB_DOMAIN), UNKNOWN_KIND),
+], ids=["membership", "point", "puncture_upper_bound", "product_lower_bound", "exact_squeeze",
+        "squeeze_bounds", "search_lower_bound", "DomainPlan"])
+def test_unknown_factor_kinds_fail_as_they_did(call, raised):
+    cls, message = raised
+    with pytest.raises(SqueezeError) as e:
+        call()
+    assert (type(e.value), str(e.value)) == (cls, message)
+
+
+def test_unknown_factor_kind_has_no_punctures():
+    assert hhr_flag(SLAB_DOMAIN) is False
 
 
 # ------------------------------------------- mpmath audit of the annulus value
