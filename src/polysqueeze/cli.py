@@ -43,7 +43,7 @@ from contextlib import contextmanager, suppress
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk, factor_dim
+from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
@@ -220,9 +220,8 @@ def parse_point(text: str, domain: ProductDomain):
     coords = []
     k = 0
     for f in plan.domain.factors:
-        n = factor_dim(f)
-        coords.append(tuple(pairs[k:k + n]) if isinstance(f, BallFactor) else pairs[k])
-        k += n
+        coords.append(tuple(pairs[k:k + f.dim]) if isinstance(f, BallFactor) else pairs[k])
+        k += f.dim
     return plan.domain.point(coords)
 
 
@@ -587,6 +586,9 @@ def main(argv=None) -> int:
             args = _parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code else EXIT_OK
+        for dest, value in vars(args).items():
+            if value == []:  # argparse stores "--opt=--" as [] and raises no error
+                raise UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
         if args.samples is None:
             args.samples = samples
         if args.samples < 8:

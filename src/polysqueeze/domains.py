@@ -4,12 +4,13 @@ Planar factors are normalized: outer boundary is the unit circle and the
 annulus is centered at 0.  More general disks are reached through Mobius
 witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
 
-A planar factor gives its boundary as data, read in place of its class:
-``radii``, its boundary circles, all centred at 0, the unit circle first,
-and ``punctures``, the points it removes (``()`` on a ball too).  Boundary
-samples belong to the oracle of :mod:`polysqueeze.verify`, not to this module.
-
-Every value class of the package derives from :class:`Frozen`.
+A factor gives its facts as data, read in place of its class: ``dim``, its
+complex dimension, ``radii``, a planar factor's boundary circles (centred at
+0, the unit circle first) and ``punctures``, the points it removes (``()`` on
+a ball too).  One reader converts and tests each coordinate, for both
+:func:`membership` and :meth:`ProductPoint.of`.  Boundary samples belong to
+the oracle in :mod:`polysqueeze.verify`.  Every value class of the package
+derives from :class:`Frozen`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class UnitDisk(Frozen):
     """Open unit disk {|zeta| < 1}."""
 
     __slots__ = ()
+    dim = 1
     radii = (1.0,)
     punctures = ()
 
@@ -72,6 +74,7 @@ class PuncturedDisk(Frozen):
     """Unit disk with finitely many interior points removed."""
 
     __slots__ = ("punctures",)
+    dim = 1
     radii = (1.0,)
 
     def __init__(self, punctures: tuple[complex, ...]) -> None:
@@ -90,6 +93,7 @@ class Annulus(Frozen):
     """Annulus {r < |zeta| < 1} with inner radius r."""
 
     __slots__ = ("r",)
+    dim = 1
     radii = property(lambda self: (1.0, self.r))
     punctures = ()
 
@@ -100,13 +104,10 @@ class Annulus(Frozen):
 
 
 class BallFactor(Frozen):
-    """Unit ball of complex dimension n.
-
-    Admits no boundary sampling or embedding machinery; it exists for the
-    closed-form product bounds only.
-    """
+    """Unit ball of complex dimension n, for the closed-form product bounds only."""
 
     __slots__ = ("n",)
+    dim = property(lambda self: self.n)
     punctures = ()
 
     def __init__(self, n: int) -> None:
@@ -118,14 +119,8 @@ class BallFactor(Frozen):
 PlanarFactor = Union[UnitDisk, PuncturedDisk, Annulus]
 Factor = Union[PlanarFactor, BallFactor]
 
-# Coordinate of a single factor: complex for planar factors, a tuple of
-# complex (length n) for ball factors.
+# A factor's coordinate: complex on a planar factor, n complex numbers on a ball.
 Coordinate = Union[complex, tuple[complex, ...]]
-
-
-def factor_dim(f: Factor) -> int:
-    """Complex dimension contributed by one factor."""
-    return f.n if isinstance(f, BallFactor) else 1
 
 
 def _modulus(z: complex) -> float:
@@ -136,17 +131,19 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def membership(f: Factor, coord: Coordinate) -> bool:
-    """True iff ``coord`` lies in the open set ``f``.
+def _coordinate(f: Factor, coord) -> Coordinate | None:
+    """``coord`` as ``f`` holds it, or None where it lies outside the open set ``f``.
 
-    A planar one lies inside the first circle of ``f.radii``, outside the
-    others and off the punctures; puncture exclusion is exact complex equality.
+    A ball holds a tuple of ``f.n`` complex numbers, given as a tuple or a list.
+    A planar coordinate lies inside the first circle of ``f.radii``, outside
+    the others and off the punctures, by exact complex equality.
     """
     if isinstance(f, BallFactor):
-        if not isinstance(coord, tuple) or len(coord) != f.n:
+        if not isinstance(coord, (tuple, list)) or len(coord) != f.n:
             raise DomainError(f"ball coordinate must be a tuple of {f.n} complex numbers")
+        z = tuple(complex(c) for c in coord)
         # m * m rather than m ** 2, which raises OverflowError on huge moduli
-        return sum(m * m for m in (_modulus(complex(c)) for c in coord)) < 1.0
+        return z if sum(m * m for m in map(_modulus, z)) < 1.0 else None
     z = complex(coord)
     try:
         radii, punctures = f.radii, f.punctures
@@ -154,11 +151,16 @@ def membership(f: Factor, coord: Coordinate) -> bool:
         raise DomainError(f"unknown factor kind {type(f).__name__}") from None
     x = _modulus(z)
     if not x < radii[0]:
-        return False
+        return None
     for rho in radii[1:]:
         if not rho < x:
-            return False
-    return z not in punctures
+            return None
+    return None if z in punctures else z
+
+
+def membership(f: Factor, coord) -> bool:
+    """True iff ``coord`` lies in the open set ``f`` (see :func:`_coordinate`)."""
+    return _coordinate(f, coord) is not None
 
 
 class ProductDomain(Frozen):
@@ -179,10 +181,10 @@ class ProductDomain(Frozen):
     @property
     def dim(self) -> int:
         """Total complex dimension."""
-        return sum(factor_dim(f) for f in self.factors)
+        return sum(f.dim for f in self.factors)
 
     def is_planar(self) -> bool:
-        return all(not isinstance(f, BallFactor) for f in self.factors)
+        return all(hasattr(f, "radii") for f in self.factors)
 
     def point(self, coords) -> "ProductPoint":
         """Build a validated point of this domain; rejects out-of-domain coordinates."""
@@ -204,17 +206,13 @@ class ProductPoint(Frozen):
             raise DomainError(
                 f"point has {len(coords)} coordinates, domain has {domain.arity} factors"
             )
-        norm: list[Coordinate] = []
-        for i, (f, c) in enumerate(zip(domain.factors, coords)):
-            if isinstance(f, BallFactor):
-                if not isinstance(c, (tuple, list)) or len(c) != f.n:
-                    raise DomainError(f"coordinate {i} must be a tuple of {f.n} complex numbers")
-                c = tuple(complex(x) for x in c)
-            else:
-                c = complex(c)
-            if not membership(f, c):
-                raise DomainError(f"coordinate {i} ({c!r}) is not in its factor {f!r}")
-            norm.append(c)
+        norm = []
+        for f, c in zip(domain.factors, coords):
+            z = _coordinate(f, c)
+            if z is None:
+                c = tuple(map(complex, c)) if isinstance(c, (tuple, list)) else complex(c)
+                raise DomainError(f"coordinate {len(norm)} ({c!r}) is not in its factor {f!r}")
+            norm.append(z)
         return ProductPoint(tuple(norm))
 
     def planar(self, i: int) -> complex:

@@ -10,14 +10,14 @@ load it; the CLI imports this module only for ``verify`` and its help.
 The oracle lives here, since the suites are its only caller: the
 boundary-sampling image inradius of an explicit witness (sampled in
 cache-sized blocks and scored by squared moduli) and its closed-form
-counterpart for radial-then-Mobius maps, both over the circles and
-punctures a factor gives (``radii``, ``punctures``), and the radial
-distance pair ``sigma`` / ``sigma_inv`` with the Poincare distance.  No
-reported value of the library depends on any of them.  The map primitives
-come from :mod:`polysqueeze.embeddings`, which evaluates them on scalars;
-evaluating a map on an array of samples is decided here alone, by
-:func:`_array_eval`.
-The ``hyperbolic`` suite is named for the geometry it checks.
+counterpart for radial-then-Mobius maps, both over the data a factor gives
+(``radii``, ``punctures``; a ball gives no ``radii`` and is never sampled),
+and the radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare
+distance.  No reported value depends on any of them.  Suites build points
+with :meth:`ProductDomain.point`, whose one reader converts and tests each
+coordinate once.  The map primitives come from :mod:`polysqueeze.embeddings`,
+which evaluates them on scalars; maps on arrays are evaluated here alone, by
+:func:`_array_eval`.  The ``hyperbolic`` suite is named for the geometry it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from .domains import (
     Annulus,
-    BallFactor,
     Frozen,
     PlanarFactor,
     ProductDomain,
@@ -109,7 +108,7 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     circle's samples are this radius times ``_unit_circle(m)``, ``m`` points
     at equal angles from 0 counterclockwise; punctures are not sampled.
     """
-    if isinstance(f, BallFactor):
+    if not hasattr(f, "radii"):
         raise DomainError("boundary sampling is defined for planar factors only")
     outer, *inner = f.radii
     return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))

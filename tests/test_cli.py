@@ -9,12 +9,19 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polysqueeze
 from polysqueeze import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection, exact_squeeze, verify
-from polysqueeze.cli import MAX_STEPS, format_product_map, load_domain_spec, main, parse_point
+from polysqueeze.cli import (
+    COMMANDS,
+    MAX_STEPS,
+    format_product_map,
+    load_domain_spec,
+    main,
+    parse_point,
+)
 
 PUNCT2_SPEC = {"factors": [
     {"kind": "punctured_disk", "punctures": [[0.0, 0.0]]},
@@ -150,6 +157,7 @@ def _cli_input(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@example(case=({"factors": [{"kind": "disk"}]}, "--"), raw=None, command=("eval",))
 @given(case=_cli_input(),
        raw=st.none() | st.binary(max_size=64),
        command=st.sampled_from([("eval",), ("eval", "--no-search"), ("search",)]))
@@ -162,6 +170,27 @@ def test_main_exit_contract_on_arbitrary_input(tmp_path_factory, case, raw, comm
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main([*command, "--spec", str(path), "--point=" + point])
     assert code in (0, 2, 3)
+
+
+# Every option of every command that takes a value, with the values that
+# make that command's other required options valid.
+_VALUE_OPTIONS = [(name, option) for name, (_, _, options) in COMMANDS.items()
+                  for option, kw in options.items() if kw.get("action") != "store_true"]
+_REQUIRED_VALUES = {"--point": "0.5,0;0,0", "--range": "0.3:0.6", "--r": "0.25"}
+
+
+@pytest.mark.parametrize(("command", "option"), _VALUE_OPTIONS,
+                         ids=[f"{name}{option}" for name, option in _VALUE_OPTIONS])
+def test_an_option_written_eq_dashdash_is_a_usage_error(capsys, annulus, command, option):
+    # argparse stores "--opt=--" as an empty list; each such value is refused
+    # once parsed, with one error line and exit 2, never a traceback
+    argv = [command]
+    for other, kw in COMMANDS[command][2].items():
+        if kw.get("required") and other != option:
+            argv += [other, annulus if other == "--spec" else _REQUIRED_VALUES[other]]
+    assert main([*argv, option + "=--"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: argument {option}: expected one argument\n")
 
 
 def test_eval_exit_codes(capsys, tmp_path, punct2):

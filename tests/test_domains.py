@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from polysqueeze import (
     UnitDisk,
 )
 from polysqueeze import cli, squeezing
-from polysqueeze.domains import Frozen, factor_dim, membership
+from polysqueeze.domains import Frozen, ProductPoint, membership
 from polysqueeze.embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
 from polysqueeze.verify import Check, _sample_radii, _unit_circle
 from test_golden_cli import SPECS
@@ -50,6 +51,8 @@ def test_membership_ball():
     b = BallFactor(2)
     assert membership(b, (0.5 + 0j, 0.5j))
     assert not membership(b, (0.8 + 0j, 0.7j))
+    # open: the sphere is outside, 1 ulp inside it is not; a list reads as a tuple
+    assert not membership(b, [1.0, 0j]) and membership(b, [math.nextafter(1.0, 0.0), 0j])
     with pytest.raises(DomainError):
         membership(b, 0.5)  # not a tuple of length 2
 
@@ -64,14 +67,17 @@ def test_factors_give_their_boundary():
     assert BallFactor(2).punctures == () and not hasattr(BallFactor(2), "radii")
 
 
-def golden_planar_factors():
-    """Each planar factor of the golden CLI fixture's specs once, read as the CLI reads them."""
+def golden_factors():
+    """Each factor of the golden CLI fixture's specs once, read as the CLI reads them."""
     factors = {}
     for spec in SPECS.values():
         for f in cli._spec_plan(json.dumps({"factors": spec})).domain.factors:
-            if not isinstance(f, BallFactor):
-                factors[f] = None
+            factors[f] = None
     return list(factors)
+
+
+def golden_planar_factors():
+    return [f for f in golden_factors() if not isinstance(f, BallFactor)]
 
 
 @pytest.mark.parametrize("f", golden_planar_factors(), ids=repr)
@@ -86,6 +92,59 @@ def test_membership_reads_the_boundary(f):
             assert membership(f, math.nextafter(rho, open_side) * u)
     for p in f.punctures:
         assert not membership(f, p)
+
+
+def _probes(f):
+    """Coordinates on and 1 ulp either side of each boundary circle or sphere, at each
+    puncture, and well inside; a ball's given both as a tuple and as a list."""
+    if isinstance(f, BallFactor):
+        zeros = [0j] * (f.n - 1)
+        sphere = [1.0 / math.sqrt(f.n)] * f.n
+        points = [[0.25j / f.n] * f.n, sphere, [x * 1j for x in sphere]]
+        for x in (1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            points += [[x, *zeros], [*zeros, -x]]
+        return [shape(p) for p in points for shape in (tuple, list)]
+    points = [0.5 * (1.0 + f.radii[-1]), -0.0, 1e-300j, *f.punctures]
+    for rho in f.radii:
+        for x in (rho, math.nextafter(rho, 0.0), math.nextafter(rho, math.inf)):
+            points += [x, complex(0.0, x), -x, x * (0.6 - 0.8j)]
+    return points
+
+
+def _bits(c):
+    """Type and exact doubles of a coordinate: equal iff bit for bit equal, signed zeros too."""
+    parts = c if isinstance(c, tuple) else (c,)
+    return [(type(z), struct.pack("<dd", z.real, z.imag)) for z in parts]
+
+
+@pytest.mark.parametrize("f", list(dict.fromkeys([*golden_factors(), BallFactor(2)])), ids=repr)
+def test_membership_and_point_read_each_coordinate_alike(f):
+    # membership holds exactly where ProductPoint.of stores the coordinate,
+    # converted once, as complex(c) or the tuple of converted parts
+    d = ProductDomain((f,))
+    seen = set()
+    for c in _probes(f):
+        want = tuple(complex(x) for x in c) if isinstance(f, BallFactor) else complex(c)
+        inside = membership(f, c)
+        seen.add(inside)
+        if inside:
+            assert _bits(ProductPoint.of(d, [c]).coords[0]) == _bits(want)
+        else:
+            with pytest.raises(DomainError) as e:
+                ProductPoint.of(d, [c])
+            assert str(e.value) == f"coordinate 0 ({want!r}) is not in its factor {f!r}"
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("c", [0.5, "0.5", (0.1,), [0.1, 0.1, 0.1], (), None])
+def test_a_misshapen_ball_coordinate_fails_alike(c):
+    b = BallFactor(2)
+    with pytest.raises(DomainError) as e:
+        membership(b, c)
+    with pytest.raises(DomainError) as again:
+        ProductPoint.of(ProductDomain((b,)), [c])
+    want = "ball coordinate must be a tuple of 2 complex numbers"
+    assert str(e.value) == str(again.value) == want
 
 
 # ------------------------------------------------------------------- sampling
@@ -157,8 +216,9 @@ def test_factor_validation():
 
 
 def test_factor_dim():
-    assert factor_dim(UnitDisk()) == 1
-    assert factor_dim(BallFactor(3)) == 3
+    assert UnitDisk().dim == PuncturedDisk((0j, 0.5)).dim == Annulus(0.25).dim == 1
+    assert BallFactor(3).dim == 3
+    assert ProductDomain((BallFactor(3), Annulus(0.25), UnitDisk())).dim == 5
 
 
 # -------------------------------------------------------------- product types

@@ -781,6 +781,11 @@ def test_unknown_factor_kind_has_no_punctures():
     assert hhr_flag(SLAB_DOMAIN) is False
 
 
+def test_unknown_factor_kind_is_not_planar():
+    # is_planar asks whether every factor gives boundary circles
+    assert SLAB_DOMAIN.is_planar() is False
+
+
 # ------------------------------------------- mpmath audit of the annulus value
 
 U = mpmath.mpf(2) ** -53  # the unit roundoff of a double
