@@ -25,8 +25,6 @@ from .squeezing import (
     default_limit_path,
     exact_squeeze,
     hhr_flag,
-    product_lower_bound,
-    puncture_upper_bound,
     search_lower_bound,
     squeeze_bounds,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "default_limit_path",
     "exact_squeeze",
     "hhr_flag",
-    "product_lower_bound",
-    "puncture_upper_bound",
     "search_lower_bound",
     "squeeze_bounds",
 ]

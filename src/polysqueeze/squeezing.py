@@ -8,18 +8,22 @@ kind (``_KINDS``), the factor's boundary (its ``radii`` and ``punctures``; a
 punctured factor's value is also a puncture cap) and one product rule, the
 min over factors.  The catalog, where that min is the value, is products of
 disks and punctured disks, one annulus with disk factors, and a single ball.
-:func:`squeeze_bounds` reads a domain through a :class:`DomainPlan`: its
-factors' closed forms and the facts of the domain that no point changes,
-built once per domain by a caller that keeps it and once per call otherwise.
+Every bound is read through a :class:`DomainPlan`: its factors' closed forms
+and the facts of the domain that no point changes, built once per domain by
+a caller that keeps it and once per call otherwise.  :func:`squeeze_bounds`
+gives all of them: ``lower`` is the min of the values and ``upper`` the min
+of 1 and the puncture caps.  :func:`exact_squeeze` reads the same values on
+the catalog alone.
 
 The witness family comes from the boundary too: a factor has one branch per
 boundary circle, the circle it makes outermost, and every branch is scored
 by one formula, :func:`_score`.  A family is a name: ``auto`` takes every
 branch of each factor, ``inclusion`` or ``reflection`` that one branch where
-the factor has it and inclusion elsewhere.  :func:`search_lower_bound`
-scores the family, keeps each factor's best branch and builds its witness
-from that branch's image, with the steps :func:`build_factor_witness`
-gives.  Also here: the annulus clearance bound and its limit profiles.
+the factor has it and inclusion elsewhere.  :func:`_family` scores the
+family, keeps each factor's best branch and builds its witness from that
+branch's image; it is the one witness builder, behind both
+:func:`search_lower_bound` and :func:`squeeze_bounds`.  Also here: the
+annulus clearance bound and its limit profiles.
 """
 
 from __future__ import annotations
@@ -176,20 +180,6 @@ def _score(f, w: complex) -> float:
     return best
 
 
-def single_factor_exact(f, coord) -> float:
-    """Squeezing value of a one-factor domain, in closed form.
-
-    Disk: 1.  Punctured disk: min over its punctures p of |phi_p(z)|.
-    Annulus with inner radius r: max(|z|, r/|z|).  Ball of dimension n: 1/sqrt(n).
-    A value that rounds above 1 is capped at 1.
-    """
-    try:  # the lookup of _kind, inlined: a call per factor shows in exact_squeeze
-        value = _KINDS[type(f)]
-    except KeyError:
-        value = _kind(f)
-    return value(f, coord)
-
-
 def single_annulus_index(d: ProductDomain) -> Optional[int]:
     """Index of the annulus factor when d is one annulus with unit-disk cofactors."""
     idx = None
@@ -203,20 +193,15 @@ def single_annulus_index(d: ProductDomain) -> Optional[int]:
     return idx
 
 
-def _catalog(d: ProductDomain) -> Optional[bool]:
-    """None outside the catalog, else whether it is a disk and punctured-disk product."""
-    fs = d.factors
-    if single_annulus_index(d) is not None or (len(fs) == 1 and type(fs[0]) is BallFactor):
-        return False
-    return True if all(type(f) in (UnitDisk, PuncturedDisk) for f in fs) else None
-
-
 class DomainPlan:
     """What the bounds and the CLI read of one domain, worked out once.
 
     ``kinds``: each factor's closed form, from the kind table; ``witnessed``:
-    the catalog class (:func:`_catalog`); ``methods``: the tags that depend
-    on the domain alone (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
+    the catalog class, None outside the catalog, else whether the domain is
+    a disk and punctured-disk product, whose value has the automorphism
+    witness (False on one annulus with disks, and on a single ball), read
+    from ``annulus``; ``methods``: the tags that depend on the domain alone
+    (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
     ``ClearanceLower``); ``punctured``: the factors with punctures, whose
     values are puncture caps; ``branches``: each factor's branch names under
     each family name, from its boundary circles (empty off a planar domain,
@@ -231,10 +216,14 @@ class DomainPlan:
                  "annulus", "dim", "planar")
 
     def __init__(self, d: ProductDomain) -> None:
-        self.domain, self.kinds = d, tuple(_kind(f) for f in d.factors)
-        self.witnessed = _catalog(d)
+        fs = d.factors
+        self.domain, self.kinds = d, tuple(_kind(f) for f in fs)
         self.annulus = single_annulus_index(d)
-        self.punctured = tuple(i for i, f in enumerate(d.factors) if f.punctures)
+        if self.annulus is not None or (len(fs) == 1 and type(fs[0]) is BallFactor):
+            self.witnessed = False
+        else:
+            self.witnessed = all(type(f) in (UnitDisk, PuncturedDisk) for f in fs) or None
+        self.punctured = tuple(i for i, f in enumerate(fs) if f.punctures)
         methods = [] if self.witnessed is None else [CLOSED_FORM]
         if self.punctured:
             methods.append(PUNCTURE_UPPER)
@@ -244,7 +233,7 @@ class DomainPlan:
         self.methods = tuple(methods)
         self.dim = d.dim
         self.planar = d.is_planar()
-        auto = tuple(_BRANCHES[:len(f.radii)] for f in d.factors) if self.planar else ()
+        auto = tuple(_BRANCHES[:len(f.radii)] for f in fs) if self.planar else ()
         self.branches = {family: tuple(
             names if family == AUTO else (family,) if family in names else (INCLUSION,)
             for names in auto) for family in FAMILIES}
@@ -255,7 +244,12 @@ class DomainPlan:
         return d if type(d) is DomainPlan else DomainPlan(d)
 
     def values(self, z: ProductPoint) -> list[float]:
-        """Each factor's value column at ``z``: :func:`single_factor_exact`, bit for bit."""
+        """Each factor's value column at ``z``, the closed form of its kind.
+
+        Disk: 1.  Punctured disk: min over its punctures p of |phi_p(z)|.
+        Annulus with inner radius r: max(|z|, r/|z|).  Ball of dimension n:
+        1/sqrt(n).  A value that rounds above 1 is capped at 1.
+        """
         return [value(f, c) for value, f, c in zip(self.kinds, self.domain.factors, z.coords)]
 
 
@@ -268,39 +262,20 @@ def _automorphisms(coords, family=()) -> ProductMap:
 
 
 def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
-    """Closed-form squeezing value on the catalog: the min of :func:`single_factor_exact`.
+    """Closed-form squeezing value on the catalog: the min of the plan's value column.
 
-    Disk and punctured-disk products carry the witness that sends each
-    coordinate to 0 by an automorphism.  A domain outside the catalog raises
-    :class:`UnsupportedGeometryError` and callers fall back to bounds.
+    ``d`` is a domain or its :class:`DomainPlan`, as in :func:`squeeze_bounds`,
+    whose ``exact`` this is, bit for bit.  Disk and punctured-disk products
+    carry the witness that sends each coordinate to 0 by an automorphism.  A
+    domain outside the catalog raises :class:`UnsupportedGeometryError` and
+    callers fall back to bounds.
     """
-    witnessed = _catalog(d)
-    if witnessed is None:
+    plan = DomainPlan.of(d)
+    if plan.witnessed is None:
         raise UnsupportedGeometryError("domain is outside the closed-form catalog")
-    v = product_lower_bound(d, z)
-    return BoundReport(v, v, v, (_automorphisms(z.coords),) if witnessed else (), (CLOSED_FORM,))
-
-
-def puncture_upper_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Upper bound from punctures: min over factors i and punctures p of |phi_p(z_i)|.
-
-    An injective map of the product into the polydisk is bounded, so it
-    extends across every puncture at once, and the puncture's image lies
-    outside the image of the domain.  The Kobayashi distance from z to the
-    filled puncture set, the least k_D(z_i, p), caps the value at its
-    sigma_inv, |phi_p(z_i)|: the value column, so the bracket holds ``exact``
-    to the last bit.  A domain with no puncture raises :class:`DomainError`.
-    """
-    caps = [value(f, c) for f, c, value in zip(d.factors, z.coords, map(_kind, d.factors))
-            if f.punctures]
-    if not caps:
-        raise DomainError("no factor has a puncture; the bound is inapplicable")
-    return min(caps)
-
-
-def product_lower_bound(d: ProductDomain, z: ProductPoint) -> float:
-    """Factorwise lower bound: min over factors of :func:`single_factor_exact`."""
-    return min(map(single_factor_exact, d.factors, z.coords))
+    v = min(plan.values(z))
+    return BoundReport(v, v, v, (_automorphisms(z.coords),) if plan.witnessed else (),
+                       (CLOSED_FORM,))
 
 
 def annulus_clearance_bound(r: float, z1: complex) -> float:
@@ -324,36 +299,24 @@ def annulus_clearance_bound(r: float, z1: complex) -> float:
 def _branch_image(f, z: complex, branch: str) -> Optional[complex]:
     """Image of ``z`` under the steps that ``branch`` puts before the normalizer.
 
-    None where that image has modulus 1 in floating point, so that no
-    automorphism of the disk vanishes there: the reflected image of a point
-    within a few ulps of the inner circle can round onto the unit circle.
+    ``branch`` is one of the plan's names for ``f`` (:attr:`DomainPlan.branches`),
+    so a reflection branch has an annulus factor.  None where the image has
+    modulus 1 in floating point, so that no automorphism of the disk vanishes
+    there: the reflected image of a point within a few ulps of the inner
+    circle can round onto the unit circle.
     """
     if branch == REFLECTION:
-        if not isinstance(f, Annulus):
-            raise DomainError("the reflection branch applies to annulus factors only")
         w = reflect(f.r, z)
         return w if abs(w) < 1.0 else None
-    if branch != INCLUSION:
-        raise DomainError(f"unknown family branch {branch!r}")
     return z
 
 
-def build_factor_witness(f, z: complex, branch: str) -> MapExpr:
-    """Witness map for one factor: the branch's steps, then the normalizer.
-
-    The normalizer is the automorphism sending the image of ``z`` to 0; it is
-    dropped where the image is already 0, so forced witnesses serialize in
-    their simplest form.  A branch with no normalizer at ``z`` raises
-    :class:`DomainError`.
-    """
-    w = _branch_image(f, complex(z), branch)
-    if w is None:
-        raise DomainError(f"the {branch} branch sends {z} onto the unit circle")
-    return _witness(f, branch, w)
-
-
 def _witness(f, branch: str, w: complex) -> MapExpr:
-    """The branch's steps, then the automorphism sending ``w``, the branch image, to 0."""
+    """The branch's steps, then the automorphism sending ``w``, the branch image, to 0.
+
+    The automorphism is dropped where ``w`` is already 0, so witnesses
+    serialize in their simplest form.
+    """
     steps: list = [Reflection(f.r)] if branch == REFLECTION else []
     if w != 0:
         steps.append(MobiusAut(w))
@@ -364,16 +327,16 @@ def _family(plan: DomainPlan, z: ProductPoint, family: str,
             values: Iterable[float]) -> tuple[float, tuple[MapExpr, ...], int]:
     """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
 
-    Each factor's branches are the plan's names for ``family``; their images
-    are computed and scored once, in one pass, and the witness is built from
-    the best image.  A branch with no normalizer at
-    the point is skipped, and a factor left with none keeps inclusion, which
-    always has one: the point lies in the disk.  ``values`` holds each
-    factor's value column at the point.  A witness never beats its factor's
-    squeezing value, but the score and the value are different expressions
-    and can round an ulp apart, so each best score is capped by the value:
-    score <= value bit for bit, and the min of the scores is at most the min
-    of the values.
+    The one witness builder.  Each factor's branches are the plan's names for
+    ``family``; their images are computed and scored once, in one pass, and
+    the witness is built from the best image by :func:`_witness`.  A branch
+    with no normalizer at the point is skipped, and a factor left with none
+    keeps inclusion, which always has one: the point lies in the disk.
+    ``values`` holds each factor's value column at the point.  A witness
+    never beats its factor's squeezing value, but the score and the value
+    are different expressions and can round an ulp apart, so each best
+    score is capped by the value: score <= value bit for bit, and the min of
+    the scores is at most the min of the values.
     """
     scores, witnesses, evaluations = [], [], 0
     rows = zip(plan.domain.factors, plan.branches[family], z.coords, values)
@@ -432,12 +395,17 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     ``d`` is a domain or its :class:`DomainPlan`; a bare domain gets a plan
     built for this call, and a caller that evaluates one domain at many
     points builds the plan once and passes it.  ``exact`` is the min of the
-    values on the catalog, and lower is that min
-    on every domain; upper = min of 1 and the puncture caps.  With
-    ``search``, the named ``family`` is scored on planar factors for its
-    witness.  Applicable methods are tagged, and FamilyGap when the family
-    stays below ``exact`` by over 1e-6.  An unknown family name raises
-    DomainError.
+    values on the catalog, as :func:`exact_squeeze` gives it, and lower is
+    that min on every domain; upper = min of 1 and the puncture caps.  A
+    factor's value is a lower bound, since a polydisk fits in a product
+    image iff it fits in every factor image.  A punctured factor's value
+    |phi_p(z_i)|, least over its punctures, is also an upper bound: an
+    injective map of the product into the polydisk is bounded, so it
+    extends across every puncture at once, and the puncture's image lies
+    outside the image of the domain.  With ``search``, the named ``family``
+    is scored on planar factors for its witness.  Applicable methods are
+    tagged, and FamilyGap when the family stays below ``exact`` by over
+    1e-6.  An unknown family name raises DomainError.
 
     The order holds by construction, so :class:`BoundReport` has nothing to
     repair: every value lies in [0, 1] (one that rounds above 1 is capped at
@@ -507,7 +475,7 @@ def ball_product_ratio_check(n: int) -> BallProductReport:
     # Each ball factor has ball-target value 1, combined through the
     # inverse-square-sum rule for the n-fold product.
     s = (n * 1.0 ** -2) ** -0.5
-    t_lower = product_lower_bound(domain, origin)
+    t_lower = squeeze_bounds(domain, origin, search=False).lower
     t_upper = 1.0
     up = n * s
     down = s / n

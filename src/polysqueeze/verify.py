@@ -15,9 +15,12 @@ counterpart for radial-then-Mobius maps, both over the data a factor gives
 and the radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare
 distance.  No reported value depends on any of them.  Suites build points
 with :meth:`ProductDomain.point`, whose one reader converts and tests each
-coordinate once.  The map primitives come from :mod:`polysqueeze.embeddings`,
-which evaluates them on scalars; maps on arrays are evaluated here alone, by
-:func:`_array_eval`.  The ``hyperbolic`` suite is named for the geometry it checks.
+coordinate once, and build each domain's
+:class:`~polysqueeze.squeezing.DomainPlan` once, which the bounds, the
+catalog value and the search then read at every point.  The map primitives
+come from :mod:`polysqueeze.embeddings`, which evaluates them on scalars;
+maps on arrays are evaluated here alone, by :func:`_array_eval`.  The
+``hyperbolic`` suite is named for the geometry it checks.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ from .squeezing import (
     INCLUSION,
     REFLECTION,
     SEARCH,
+    DomainPlan,
     annulus_clearance_bound,
     ball_product_ratio_check,
     boundary_limit_profile,
     default_limit_path,
     exact_squeeze,
     hhr_flag,
-    puncture_upper_bound,
     search_lower_bound,
     squeeze_bounds,
 )
@@ -367,12 +370,14 @@ def suite_pinch(seed: int = 0) -> list[Check]:
     worst_gap = math.inf
     for arity in (2, 3):
         d = ProductDomain((PuncturedDisk((0j,)),) * arity)
+        plan = DomainPlan(d)
         for _ in range(100):
             coords = _random_disk_points(rng, arity, 0.05, 0.95)
             z = d.point(list(coords))
             expected = min(abs(c) for c in coords)
-            worst_upper = max(worst_upper, abs(puncture_upper_bound(d, z) - expected))
-            sr = search_lower_bound(d, z)
+            upper = squeeze_bounds(plan, z, search=False).upper
+            worst_upper = max(worst_upper, abs(upper - expected))
+            sr = search_lower_bound(plan, z)
             worst_gap = min(worst_gap, sr.value - expected)
     elapsed = time.perf_counter() - t0
     return [
@@ -394,18 +399,20 @@ def suite_mixed(seed: int = 0) -> list[Check]:
 
     rng = np.random.default_rng(seed)
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
+    plan = DomainPlan(d)
     worst_exact = worst_upper = worst_witness = 0.0
     for _ in range(100):
         z1, z2 = _random_disk_points(rng, 2, 0.05, 0.95)
         z = d.point([z1, z2])
-        rep = exact_squeeze(d, z)
+        rep = squeeze_bounds(plan, z, search=False)
         worst_exact = max(worst_exact, abs(rep.exact - abs(z2)))
-        worst_upper = max(worst_upper, abs(puncture_upper_bound(d, z) - abs(z2)))
+        worst_upper = max(worst_upper, abs(rep.upper - abs(z2)))
         scored = product_inradius(rep.witnesses[0], d, z, 65536)
         worst_witness = max(worst_witness, abs(scored - abs(z2)))
 
     ps = (0j, 0.5 + 0j, -0.5j)
     d = ProductDomain((PuncturedDisk(ps), UnitDisk()))
+    plan = DomainPlan(d)
     worst_multi = worst_multi_witness = 0.0
     for _ in range(20):
         while True:
@@ -414,7 +421,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
                 break
         z = d.point([z1, z2])
         want = min(abs((z1 - p) / (1.0 - p.conjugate() * z1)) for p in ps)
-        rep = squeeze_bounds(d, z)
+        rep = squeeze_bounds(plan, z)
         exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
         worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
         scored = product_inradius(rep.witnesses[0], d, z, 65536)
@@ -447,13 +454,14 @@ def suite_annulus(seed: int = 0) -> list[Check]:
     checks = []
     for r in (0.04, 0.25, 0.64):
         d = ProductDomain((Annulus(r), UnitDisk()))
+        plan = DomainPlan(d)
         s = math.sqrt(r)
         grid = _annulus_grid(r, 1000)
         worst_piece = worst_dom = 0.0
         values = []
         for x in grid:
             z = d.point([complex(x), 0j])
-            got = exact_squeeze(d, z).exact
+            got = exact_squeeze(plan, z).exact
             want = r / x if x <= s else x  # independent branch evaluation
             worst_piece = max(worst_piece, abs(got - want))
             worst_dom = max(worst_dom, annulus_clearance_bound(r, complex(x)) - got)
@@ -619,16 +627,17 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
     """
     cases = []
     for r in (0.04, 0.25, 0.64):
-        f = Annulus(r)
+        plan = DomainPlan(ProductDomain((Annulus(r),)))
         margin = 0.02 * (1.0 - r)
         for zc in _random_disk_points(rng, 10, r + margin, 1.0 - margin):
-            cases += [(f, complex(zc), INCLUSION), (f, complex(zc), REFLECTION)]
-    cases.append((PuncturedDisk((0j, 0.5 + 0j, -0.5j)), 0.1 + 0.2j, INCLUSION))
+            cases += [(plan, complex(zc), INCLUSION), (plan, complex(zc), REFLECTION)]
+    cases.append((DomainPlan(ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)),))),
+                  0.1 + 0.2j, INCLUSION))
     worst_err, worst_below = 0.0, -math.inf
-    for f, zc, branch in cases:
-        d = ProductDomain((f,))
+    for plan, zc, branch in cases:
+        d = plan.domain
         z = d.point([zc])
-        sr = search_lower_bound(d, z, branch)
+        sr = search_lower_bound(plan, z, branch)
         sampled = product_inradius(sr.witness, d, z, 65536)
         worst_err = max(worst_err, abs(sampled - sr.value))
         worst_below = max(worst_below, sr.value - sampled)
@@ -643,15 +652,16 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
 
     r = 0.25
     d = ProductDomain((Annulus(r), UnitDisk()))
+    plan = DomainPlan(d)
     z = d.point([0.5, 0j])
     x = 0.5
     outer = (x - r) / (1.0 - r * x)           # analytic branch values, the oracle
     reflected = r * (1.0 - x) / (x - r * r)
-    got_incl = search_lower_bound(d, z, INCLUSION).value
-    got_refl = search_lower_bound(d, z, REFLECTION).value
-    sr = search_lower_bound(d, z)
-    exact = exact_squeeze(d, z).exact
-    rep = squeeze_bounds(d, z)
+    got_incl = search_lower_bound(plan, z, INCLUSION).value
+    got_refl = search_lower_bound(plan, z, REFLECTION).value
+    sr = search_lower_bound(plan, z)
+    exact = exact_squeeze(plan, z).exact
+    rep = squeeze_bounds(plan, z)
     gap = exact - sr.value
     worst_err, worst_below, count = _witness_oracle_errors(np.random.default_rng(seed))
     return [

@@ -19,9 +19,11 @@ from polysqueeze import (
     PuncturedDisk,
     Reflection,
     UnitDisk,
+    exact_squeeze,
+    search_lower_bound,
 )
 from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
-from polysqueeze.squeezing import INCLUSION, REFLECTION, build_factor_witness, single_factor_exact
+from polysqueeze.squeezing import INCLUSION, REFLECTION
 from polysqueeze.verify import (
     _SAMPLE_BLOCK,
     _array_eval,
@@ -39,13 +41,29 @@ def mexpr(*steps):
     return MapExpr(tuple(steps))
 
 
+def one_factor(f, z):
+    """The one-factor domain of ``f`` and its point ``z``."""
+    d = ProductDomain((f,))
+    return d, d.point([z])
+
+
+def factor_witness(f, z, branch):
+    """The witness the search builds for ``f`` at ``z`` under the family ``branch``."""
+    return search_lower_bound(*one_factor(f, z), branch).witness.components[0]
+
+
+def factor_value(f, z):
+    """The closed form of ``f`` at ``z``: the catalog value of its one-factor domain."""
+    return exact_squeeze(*one_factor(f, z)).exact
+
+
 def rotated_witness(f, z, branch, a):
     """The family witness of ``branch`` at ``z`` with one more automorphism,
     vanishing at ``a``, before the normalizer: [reflection,] MobiusAut(a),
     MobiusAut(w_a), where w_a is the image of ``z`` under the steps before it.
     At a = 0 it is the family's own witness."""
     if a == 0:
-        return build_factor_witness(f, z, branch)
+        return factor_witness(f, z, branch)
     head = (Reflection(f.r),) if branch == REFLECTION else ()
     w_a = complex(map_eval(mexpr(*head, MobiusAut(a)), z))
     return mexpr(*head, MobiusAut(a), MobiusAut(w_a))
@@ -157,7 +175,7 @@ def test_inradius_punctured_disk_mobius():
     for m in (8, 64, 4096):
         assert image_inradius_at_zero(e, f, m) == pytest.approx(0.3, abs=1e-12)
     # matches the closed-form single-factor value at z = 0.3
-    assert single_factor_exact(f, 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert factor_value(f, 0.3) == pytest.approx(0.3, abs=1e-15)
 
 
 def brute_circle_min(a: complex, r: float, m: int) -> float:
@@ -330,7 +348,7 @@ def test_blocked_sampling_memory_stays_within_blocks():
     # 2**20 points a circle: every whole-circle temporary would be 8-16 MB
     m = 2 ** 20
     f = Annulus(0.25)
-    e = build_factor_witness(f, 0.3 - 0.1j, REFLECTION)
+    e = factor_witness(f, 0.3 - 0.1j, REFLECTION)
     _unit_circle(m)  # the cached circle is shared, so it is not counted
     tracemalloc.start()
     try:
@@ -370,12 +388,12 @@ def test_witness_never_beats_closed_form():
     z = 0.5
     for a in np.linspace(0.0, 0.9, 10):
         e = rotated_witness(f, z, INCLUSION, complex(a))
-        assert image_inradius_at_zero(e, f, 2048) <= single_factor_exact(f, z) + 1e-6
+        assert image_inradius_at_zero(e, f, 2048) <= factor_value(f, z) + 1e-6
     fa = Annulus(0.25)
     for branch in (INCLUSION, REFLECTION):
         for a in np.linspace(0.0, 0.9, 10):
             e = rotated_witness(fa, 0.5, branch, complex(a))
-            assert image_inradius_at_zero(e, fa, 2048) <= single_factor_exact(fa, 0.5) + 1e-6
+            assert image_inradius_at_zero(e, fa, 2048) <= factor_value(fa, 0.5) + 1e-6
 
 
 def test_witness_always_sends_base_to_zero():

@@ -42,7 +42,7 @@ def readme_public_api():
 
 def test_all_is_the_documented_api():
     documented = readme_public_api()
-    assert len(documented) == len(set(documented)) == 28
+    assert len(documented) == len(set(documented)) == 26
     assert sorted(polysqueeze.__all__) == sorted(documented)
     # the package imports only what it exports (and its own submodules)
     public = {n for n in vars(polysqueeze) if not n.startswith("_")}
@@ -127,14 +127,22 @@ def test_deleted_names_are_gone():
     for module in (domains, verify):
         assert not hasattr(module, "boundary_samples")
     assert polysqueeze.SearchResult.__slots__ == ("value", "witness", "evaluations")
+    # the plan-free bodies of lower and upper: squeeze_bounds(d, z, search=False)
+    # gives both from the plan's value column
+    for name in ("product_lower_bound", "puncture_upper_bound"):
+        assert name not in polysqueeze.__all__
+        assert not hasattr(polysqueeze, name)
+        assert not hasattr(squeezing, name)
 
 
 # Aliases and duplicates of code that stays: poincare_distance (kob_disk),
 # float (HyperbolicValue), map_eval (removable_extension_at), a factor's
-# punctures (domains.punctures); punctured_indices and the witness-text
-# parser had no caller outside the tests.
+# punctures (domains.punctures), DomainPlan.values (single_factor_exact),
+# squeezing._family (build_factor_witness); punctured_indices and the
+# witness-text parser had no caller outside the tests.
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
-           "punctured_indices", "parse_map_expr", "parse_product_map"]
+           "punctured_indices", "parse_map_expr", "parse_product_map",
+           "single_factor_exact", "build_factor_witness"]
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -158,7 +166,6 @@ def test_oracle_lives_in_verify():
 
 
 KEPT_PARAMETERS = {
-    "build_factor_witness": ["f", "z", "branch"],
     "squeeze_bounds": ["d", "z", "search", "family"],
     "boundary_limit_profile": ["r", "path"],
     "default_limit_path": ["r", "side", "steps"],

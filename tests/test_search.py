@@ -20,7 +20,7 @@ from polysqueeze import (
     squeeze_bounds,
 )
 from polysqueeze.domains import membership
-from polysqueeze.squeezing import DomainPlan, _branch_image, _score, build_factor_witness
+from polysqueeze.squeezing import DomainPlan, _branch_image, _score, _witness
 from polysqueeze.verify import image_inradius_analytic, product_inradius
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
@@ -29,22 +29,21 @@ ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))
 
 # ------------------------------------------------------------ witness builder
 
+def factor_witness(f, z, branch):
+    """The witness the search builds for the one-factor domain of ``f`` under ``branch``."""
+    d = ProductDomain((f,))
+    return search_lower_bound(d, d.point([z]), branch).witness.components[0]
+
+
 def test_witness_forced_normalization():
-    e = build_factor_witness(PuncturedDisk((0j,)), 0.5, "inclusion")
+    e = factor_witness(PuncturedDisk((0j,)), 0.5, "inclusion")
     assert e.steps == (MobiusAut(0.5 + 0j),)
 
 
 def test_witness_reflection_shape():
-    e = build_factor_witness(Annulus(0.25), 0.5, "reflection")
+    e = factor_witness(Annulus(0.25), 0.5, "reflection")
     assert len(e.steps) == 2  # reflection then normalizer at r/z = 0.5
     assert e.steps[1] == MobiusAut(0.5 + 0j)
-
-
-def test_witness_branch_validation():
-    with pytest.raises(DomainError):
-        build_factor_witness(UnitDisk(), 0.5, "reflection")
-    with pytest.raises(DomainError):
-        build_factor_witness(UnitDisk(), 0.5, "banana")
 
 
 # --------------------------------------------------------------------- search
@@ -144,8 +143,6 @@ def test_branch_whose_image_rounds_onto_the_circle_is_skipped():
     f = Annulus(0.04)
     z = complex(0.03870707637815848, -0.010087727110474709)
     assert _branch_image(f, z, "reflection") is None
-    with pytest.raises(DomainError):
-        build_factor_witness(f, z, "reflection")
     d = ProductDomain((f, UnitDisk()))
     for family in ("auto", "reflection"):
         sr = search_lower_bound(d, d.point([z, 0j]), family)
@@ -161,7 +158,7 @@ def test_search_scores_each_branch_once():
 
 def test_search_images_each_branch_once(monkeypatch):
     # one pass a factor: each branch image is computed once, and the witness is
-    # built from the best image without going back through build_factor_witness
+    # built from the best image, as the family of that branch alone builds it
     from polysqueeze import squeezing
 
     images = []
@@ -170,15 +167,11 @@ def test_search_images_each_branch_once(monkeypatch):
         images.append(branch)
         return _branch_image(f, z, branch)
 
-    def refuse(*args):
-        raise AssertionError("build_factor_witness called")
-
     # reflection wins, inclusion wins, a tie (the earlier branch)
-    cases = [(c, (build_factor_witness(Annulus(0.25), c, branch),
-                  build_factor_witness(UnitDisk(), 0.2j, "inclusion")))
+    cases = [(c, search_lower_bound(ANNULUS_DISK, ANNULUS_DISK.point([c, 0.2j]),
+                                    branch).witness.components)
              for c, branch in ((0.3, "reflection"), (0.6, "inclusion"), (0.5, "inclusion"))]
     monkeypatch.setattr(squeezing, "_branch_image", counted)
-    monkeypatch.setattr(squeezing, "build_factor_witness", refuse)
     for c, witnesses in cases:
         images.clear()
         sr = search_lower_bound(ANNULUS_DISK, ANNULUS_DISK.point([c, 0.2j]))
@@ -203,7 +196,7 @@ def test_witness_sampled_matches_analytic():
             cases += [(Annulus(r), complex(zc), b) for b in ("inclusion", "reflection")]
     for f, zc, branch in cases:
         d = ProductDomain((f,))
-        e = build_factor_witness(f, zc, branch)
+        e = factor_witness(f, zc, branch)
         analytic = image_inradius_analytic(e, f)
         sampled = product_inradius(ProductMap((e,)), d, d.point([zc]), 65536)
         assert abs(sampled - analytic) <= 1e-4
@@ -225,4 +218,4 @@ def test_table_score_is_the_analytic_inradius(f, modulus, angle, branch):
     w = _branch_image(f, z, branch)
     assume(w is not None)  # no witness where the image rounds onto the unit circle
     score = _score(f, w)
-    assert score == image_inradius_analytic(build_factor_witness(f, z, branch), f)
+    assert score == image_inradius_analytic(_witness(f, branch, w), f)

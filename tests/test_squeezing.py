@@ -26,8 +26,6 @@ from polysqueeze import (
     default_limit_path,
     exact_squeeze,
     hhr_flag,
-    product_lower_bound,
-    puncture_upper_bound,
     search_lower_bound,
     squeeze_bounds,
 )
@@ -42,7 +40,6 @@ from polysqueeze.squeezing import (
     DomainPlan,
     _reduced_modulus,
     single_annulus_index,
-    single_factor_exact,
 )
 from polysqueeze.verify import product_inradius
 
@@ -53,33 +50,49 @@ ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))
 
 # ---------------------------------------------------------- single factor form
 
+def factor_value(f, coord):
+    """The closed form of ``f`` at ``coord``: the catalog value of the one-factor domain."""
+    d = ProductDomain((f,))
+    return exact_squeeze(d, d.point([coord])).exact
+
+
+def upper_bound(d, z):
+    """The least puncture cap at ``z``, or 1 where no factor has a puncture."""
+    return squeeze_bounds(d, z, search=False).upper
+
+
+def lower_bound(d, z):
+    """The product lower bound at ``z``: the min of the factor values."""
+    return squeeze_bounds(d, z, search=False).lower
+
+
 def test_single_factor_values():
-    assert single_factor_exact(UnitDisk(), 0.7j) == 1.0
-    assert single_factor_exact(PuncturedDisk((0j,)), 0.5) == 0.5
-    assert single_factor_exact(BallFactor(2), (0j, 0j)) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert factor_value(UnitDisk(), 0.7j) == 1.0
+    assert factor_value(PuncturedDisk((0j,)), 0.5) == 0.5
+    assert factor_value(BallFactor(2), (0j, 0j)) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_single_factor_offcenter_puncture():
     # reduced-modulus oracle, written out independently
     p, z = 0.2, 0.5
     expected = abs((z - p) / (1 - p * z))
-    assert single_factor_exact(PuncturedDisk((p + 0j,)), z) == pytest.approx(expected, abs=1e-15)
+    assert factor_value(PuncturedDisk((p + 0j,)), z) == pytest.approx(expected, abs=1e-15)
 
 
 def test_single_factor_annulus_branches():
     f = Annulus(0.25)
-    assert single_factor_exact(f, 0.4) == pytest.approx(0.625, abs=1e-15)
-    assert single_factor_exact(f, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert single_factor_exact(f, 0.8) == pytest.approx(0.8, abs=1e-15)
+    assert factor_value(f, 0.4) == pytest.approx(0.625, abs=1e-15)
+    assert factor_value(f, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert factor_value(f, 0.8) == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(DomainError):
-        single_factor_exact(f, 0.1)
+        factor_value(f, 0.1)
 
 
 def test_single_factor_multi_puncture_unsupported():
     # least reduced modulus over the punctures, written out: |0.3| and
     # |0.3 - 0.5| / (1 - 0.5 * 0.3)
     want = min(0.3, 0.2 / 0.85)
-    assert single_factor_exact(PuncturedDisk((0j, 0.5 + 0j)), 0.3) == pytest.approx(want, abs=1e-15)
+    assert factor_value(PuncturedDisk((0j, 0.5 + 0j)), 0.3) == pytest.approx(want, abs=1e-15)
 
 
 # -------------------------------------------------------------- exact catalog
@@ -166,40 +179,39 @@ def test_exact_rotation_invariance():
 
 def test_upper_punctured_product():
     z = PUNCT2.point([0.5, 0.3])
-    assert puncture_upper_bound(PUNCT2, z) == pytest.approx(0.3, abs=1e-12)
+    assert upper_bound(PUNCT2, z) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_upper_mixed_product():
     z = MIXED.point([0.9, 0.4])
-    assert puncture_upper_bound(MIXED, z) == pytest.approx(0.4, abs=1e-12)
+    assert upper_bound(MIXED, z) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_upper_offcenter_single_factor():
     d = ProductDomain((PuncturedDisk((0.2 + 0j,)),))
     z = d.point([0.5])
-    assert puncture_upper_bound(d, z) == pytest.approx(0.3 / 0.9, abs=1e-12)
+    assert upper_bound(d, z) == pytest.approx(0.3 / 0.9, abs=1e-12)
 
 
 def test_upper_inapplicable_without_punctures():
+    # no puncture, no cap: upper is 1 and the report has no PunctureUpper tag
     d = ProductDomain((UnitDisk(), UnitDisk()))
-    with pytest.raises(DomainError):
-        puncture_upper_bound(d, d.point([0.1, 0.2]))
-    with pytest.raises(DomainError):
-        puncture_upper_bound(ANNULUS_DISK, ANNULUS_DISK.point([0.5, 0j]))
+    for d, z in ((d, d.point([0.1, 0.2])), (ANNULUS_DISK, ANNULUS_DISK.point([0.5, 0j]))):
+        rep = squeeze_bounds(d, z, search=False)
+        assert rep.upper == 1.0 and PUNCTURE_UPPER not in rep.methods
 
 
 def test_upper_rejects_ball_factors():
     # a ball factor has no puncture, so balls and disks alone give no bound
     d = ProductDomain((BallFactor(2), UnitDisk()))
-    with pytest.raises(DomainError):
-        puncture_upper_bound(d, d.point([(0.1, 0j), 0.5]))
+    rep = squeeze_bounds(d, d.point([(0.1, 0j), 0.5]), search=False)
+    assert rep.upper == 1.0 and PUNCTURE_UPPER not in rep.methods
 
 
 def test_upper_skips_ball_factors():
     # the filled-puncture bound is factorwise: the ball factor is skipped
     d = ProductDomain((BallFactor(2), PuncturedDisk((0j,))))
     z = d.point([(0.1, 0.2), 0.3])
-    assert puncture_upper_bound(d, z) == pytest.approx(0.3, abs=1e-12)
     rep = squeeze_bounds(d, z)
     assert rep.upper == pytest.approx(0.3, abs=1e-12)
     assert rep.lower <= rep.upper
@@ -211,7 +223,7 @@ def test_upper_multi_puncture_subdomain():
     z = d.point([0.1])
     # both punctures filled at once: the least pseudo-hyperbolic distance,
     # min(0.1, 0.4 / 0.95), to the puncture 0
-    assert puncture_upper_bound(d, z) == pytest.approx(0.1, abs=1e-12)
+    assert upper_bound(d, z) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_upper_pinches_exact_on_catalog():
@@ -220,7 +232,7 @@ def test_upper_pinches_exact_on_catalog():
         coords = rng.uniform(0.05, 0.95, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = PUNCT2.point(list(coords))
         exact = exact_squeeze(PUNCT2, z).exact
-        assert abs(puncture_upper_bound(PUNCT2, z) - exact) <= 1e-12
+        assert abs(upper_bound(PUNCT2, z) - exact) <= 1e-12
 
 
 def test_reduced_modulus_is_the_mobius_double():
@@ -308,10 +320,9 @@ def test_catalog_bracket_and_search_need_no_tolerance(name, data):
     assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
     closed = exact_squeeze(d, z)
     assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
+    assert closed.exact.hex() == rep.exact.hex()
     if d.is_planar():
         assert search_lower_bound(d, z).value <= rep.exact
-    if any(isinstance(f, PuncturedDisk) for f in d.factors):
-        assert puncture_upper_bound(d, z) <= 1
 
 
 def test_edge_puncture_bracket_needs_no_tolerance_on_a_sweep():
@@ -334,7 +345,6 @@ def test_edge_puncture_bracket_needs_no_tolerance_on_a_sweep():
             assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
             closed = exact_squeeze(d, z)
             assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
-            assert puncture_upper_bound(d, z) <= 1
     assert above > 0
 
 
@@ -342,11 +352,11 @@ def test_clearance_is_capped_by_the_value():
     # an ulp above the inner circle the reflected clearance r(1-x)/(x-r^2)
     # rounds an ulp above the closed form r/x, which it never exceeds exactly
     r, x = 0.025458837312664108, 0.02545883731266413
-    assert annulus_clearance_bound(r, x) > single_factor_exact(Annulus(r), x)
+    assert annulus_clearance_bound(r, x) > factor_value(Annulus(r), x)
     d = ProductDomain((Annulus(r), UnitDisk()))
     for search in (False, True):
         rep = squeeze_bounds(d, d.point([x, 0j]), search=search)
-        assert rep.lower == rep.exact == single_factor_exact(Annulus(r), x)
+        assert rep.lower == rep.exact == factor_value(Annulus(r), x)
 
 
 LOWER_DOMAINS = {
@@ -363,13 +373,14 @@ LOWER_DOMAINS = {
 @given(st.sampled_from(sorted(LOWER_DOMAINS)), st.data(), st.booleans())
 def test_lower_is_the_product_of_the_values(name, data, search):
     # the clearance and every family score are capped by the min of the values,
-    # so lower is that min bit for bit, with the search and without it
+    # so lower is the min of the one-factor values bit for bit, with the search
+    # and without it
     d = LOWER_DOMAINS[name]
     coords = [_near(f, data) for f in d.factors]
     assume(all(map(membership, d.factors, coords)))
     z = d.point(coords)
     rep = squeeze_bounds(d, z, search=search)
-    assert rep.lower.hex() == product_lower_bound(d, z).hex()
+    assert rep.lower.hex() == min(map(factor_value, d.factors, coords)).hex()
 
 
 def test_values_that_round_above_1_are_capped_at_1():
@@ -382,7 +393,6 @@ def test_values_that_round_above_1_are_capped_at_1():
     assert _reduced_modulus(EDGE_PUNCTURE.punctures[0], z.coords[0]) > 1.0
     closed = exact_squeeze(d, z)
     assert (closed.lower, closed.upper, closed.exact) == (1.0, 1.0, 1.0)
-    assert puncture_upper_bound(d, z) == 1.0
     rep = squeeze_bounds(d, z)
     assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
 
@@ -390,7 +400,7 @@ def test_values_that_round_above_1_are_capped_at_1():
     assert abs(reflect(r, w)) > 1.0
     d = ProductDomain((Annulus(r),))
     z = d.point([w])
-    assert single_factor_exact(Annulus(r), w) == 1.0
+    assert factor_value(Annulus(r), w) == 1.0
     for search in (False, True):
         rep = squeeze_bounds(d, z, search=search)
         assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
@@ -400,12 +410,12 @@ def test_values_that_round_above_1_are_capped_at_1():
 # ------------------------------------------------------------- product lower
 
 def test_lower_examples():
-    assert product_lower_bound(PUNCT2, PUNCT2.point([0.5, 0.3])) == pytest.approx(0.3, abs=1e-15)
+    assert lower_bound(PUNCT2, PUNCT2.point([0.5, 0.3])) == pytest.approx(0.3, abs=1e-15)
     z = ANNULUS_DISK.point([0.4, 0j])
-    assert product_lower_bound(ANNULUS_DISK, z) == pytest.approx(0.625, abs=1e-15)
+    assert lower_bound(ANNULUS_DISK, z) == pytest.approx(0.625, abs=1e-15)
     balls = ProductDomain((BallFactor(2), BallFactor(2)))
     zb = balls.point([(0j, 0j), (0.1, 0.2j)])
-    assert product_lower_bound(balls, zb) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert lower_bound(balls, zb) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_lower_rejects_unsupported_factor():
@@ -413,10 +423,8 @@ def test_lower_rejects_unsupported_factor():
         pass
 
     d = ProductDomain((Slab(),))
-    with pytest.raises(UnsupportedGeometryError):
-        product_lower_bound(d, ProductPoint((0.3j,)))
     # the factor-kind table has no row for it, so no bound reads one
-    for bound in (squeeze_bounds, puncture_upper_bound):
+    for bound in (squeeze_bounds, exact_squeeze):
         with pytest.raises(UnsupportedGeometryError, match="unknown factor kind Slab"):
             bound(d, ProductPoint((0.3j,)))
 
@@ -428,7 +436,6 @@ def test_lower_multi_puncture_min_modulus():
     want = min(abs((p - z.coords[0]) / (1 - z.coords[0].conjugate() * p))
                for p in (0j, 0.5 + 0j, -0.5j))
     assert want == pytest.approx(math.sqrt(0.05), abs=1e-15)
-    assert product_lower_bound(d, z) == pytest.approx(want, abs=1e-15)
     rep = squeeze_bounds(d, z, search=False)
     assert rep.lower == pytest.approx(want, abs=1e-15)
     assert PRODUCT_LOWER in rep.methods
@@ -439,8 +446,8 @@ def test_sandwich_on_punctured_products():
     for _ in range(50):
         coords = rng.uniform(0.05, 0.95, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = PUNCT2.point(list(coords))
-        lo = product_lower_bound(PUNCT2, z)
-        hi = puncture_upper_bound(PUNCT2, z)
+        rep = squeeze_bounds(PUNCT2, z, search=False)
+        lo, hi = rep.lower, rep.upper
         exact = exact_squeeze(PUNCT2, z).exact
         assert lo <= exact <= hi
 
@@ -498,8 +505,8 @@ def test_bounds_two_puncture_sandwich():
     assert 0 < rep.lower <= rep.upper < 1
     assert PUNCTURE_UPPER in rep.methods and SEARCH in rep.methods
     assert PRODUCT_LOWER in rep.methods
-    # both lower bounds come from the same witness, the automorphism at 0.1
-    assert rep.lower == pytest.approx(product_lower_bound(d, d.point([0.1])), abs=1e-15)
+    # the family value comes from the same witness, the automorphism at 0.1
+    assert rep.lower == pytest.approx(search_lower_bound(d, d.point([0.1])).value, abs=1e-15)
 
 
 def test_bounds_polydisk():
@@ -703,9 +710,9 @@ def test_single_annulus_index():
 # ------------------------------------------------------------ the domain plan
 
 def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
-    # a bare domain gets one plan per squeeze_bounds or search call, a plan
-    # passed in is read as it is, and the value, point and clearance paths
-    # build none
+    # a bare domain gets one plan per squeeze_bounds, exact_squeeze or search
+    # call, a plan passed in is read as it is, and the point and clearance
+    # paths build none
     builds = []
     init = DomainPlan.__init__
 
@@ -716,22 +723,19 @@ def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
     monkeypatch.setattr(DomainPlan, "__init__", counted)
     z = ANNULUS_DISK.point([0.4, 0.2j])
     squeeze_bounds(ANNULUS_DISK, z)
+    exact_squeeze(ANNULUS_DISK, z)
     search_lower_bound(ANNULUS_DISK, z)
-    assert builds == [ANNULUS_DISK, ANNULUS_DISK]
+    assert builds == [ANNULUS_DISK] * 3
     plan = DomainPlan(ANNULUS_DISK)
     assert squeeze_bounds(plan, z) == squeeze_bounds(ANNULUS_DISK, z)
+    assert exact_squeeze(plan, z) == exact_squeeze(ANNULUS_DISK, z)
     assert search_lower_bound(plan, z, "reflection") == search_lower_bound(ANNULUS_DISK, z,
                                                                              "reflection")
-    assert len(builds) == 5
+    assert len(builds) == 7
     assert DomainPlan.of(plan) is plan
     ProductPoint.of(ANNULUS_DISK, [0.4, 0.2j])
-    exact_squeeze(ANNULUS_DISK, z)
     annulus_clearance_bound(0.25, 0.4)
-    product_lower_bound(ANNULUS_DISK, z)
-    w = PUNCT2.point([0.5, 0.3])
-    exact_squeeze(PUNCT2, w)
-    puncture_upper_bound(PUNCT2, w)
-    assert len(builds) == 5
+    assert len(builds) == 7
 
 
 def test_plan_holds_the_domain_facts():
@@ -761,15 +765,12 @@ UNKNOWN_KIND = (UnsupportedGeometryError, "unknown factor kind Slab")
 @pytest.mark.parametrize(("call", "raised"), [
     (lambda: membership(Slab(), 0.5), (DomainError, "unknown factor kind Slab")),
     (lambda: SLAB_DOMAIN.point([0.5, 0.5]), (DomainError, "unknown factor kind Slab")),
-    (lambda: puncture_upper_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
-    (lambda: product_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
-    (lambda: exact_squeeze(SLAB_DOMAIN, SLAB_POINT),
-     (UnsupportedGeometryError, "domain is outside the closed-form catalog")),
+    (lambda: exact_squeeze(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: squeeze_bounds(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: search_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: DomainPlan(SLAB_DOMAIN), UNKNOWN_KIND),
-], ids=["membership", "point", "puncture_upper_bound", "product_lower_bound", "exact_squeeze",
-        "squeeze_bounds", "search_lower_bound", "DomainPlan"])
+], ids=["membership", "point", "exact_squeeze", "squeeze_bounds", "search_lower_bound",
+        "DomainPlan"])
 def test_unknown_factor_kinds_fail_as_they_did(call, raised):
     cls, message = raised
     with pytest.raises(SqueezeError) as e:
@@ -812,7 +813,7 @@ def test_annulus_value_is_within_3u_of_its_50_digit_value(r, s, angle):
     x0 = math.exp((1.0 - s) * math.log(r))
     z = complex(x0 * math.cos(angle), x0 * math.sin(angle))
     assume(r < abs(z) < 1.0 and abs(z) >= sys.float_info.min)
-    value = single_factor_exact(Annulus(r), z)
+    value = factor_value(Annulus(r), z)
     with mpmath.workdps(50):
         m = mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
         exact = max(m, mpmath.mpf(r) / m)
@@ -845,7 +846,7 @@ def test_subnormal_annulus_value_is_within_8u_of_its_50_digit_value(ka, kb, s):
     assume(0.0 < x < sys.float_info.min)
     r = math.floor(s * (x / 2.0 ** -1074)) * 2.0 ** -1074
     assume(0.0 < r < x)
-    value = single_factor_exact(Annulus(r), z)
+    value = factor_value(Annulus(r), z)
     with mpmath.workdps(50):
         m = mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
         exact = mpmath.mpf(r) / m
