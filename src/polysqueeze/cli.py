@@ -311,7 +311,7 @@ def cmd_eval(args, out) -> int:
         _fmt(rep.upper),
         _fmt(rep.exact) if rep.exact is not None else "",
         ";".join(rep.methods),
-        format_product_map(rep.witnesses[0]) if rep.witnesses else "",
+        format_product_map(rep.witness) if rep.witness is not None else "",
     ])
     return EXIT_OK
 

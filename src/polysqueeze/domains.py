@@ -24,17 +24,27 @@ from .errors import DomainError
 class Frozen:
     """Base of the package's immutable value classes; the fields are ``__slots__``.
 
-    A subclass lists its fields in ``__slots__``, in order, and its own
-    ``__init__`` validates the arguments, taken in that order, and then sets
-    each field with ``object.__setattr__``.  Equality holds between
-    instances of one class with equal fields (``NotImplemented`` across
-    classes), the hash is that of the field tuple, and the repr is
-    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
-    :class:`AttributeError`.  Copies and pickles call the class again on the
-    fields.
+    A subclass lists its fields in ``__slots__``, in order.  A class that
+    only holds fields inherits ``__init__``, which takes one value per field,
+    positionally and in that order, and raises :class:`TypeError` on any
+    other count.  A class that validates its arguments defines its own
+    ``__init__``, taking them in the same order, and sets each field with
+    ``object.__setattr__``.  Equality holds between instances of one class
+    with equal fields (``NotImplemented`` across classes), the hash is that
+    of the field tuple, and the repr is ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises :class:`AttributeError`.
+    Copies and pickles call the class again on the fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(names)} "
+                            f"field values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -196,6 +206,8 @@ class ProductPoint(Frozen):
 
     __slots__ = ("coords",)
 
+    # its own setter, not Frozen's loop, which about doubles the cost of
+    # building one: a point is built once per evaluated point
     def __init__(self, coords: tuple[Coordinate, ...]) -> None:
         object.__setattr__(self, "coords", coords)
 

@@ -83,15 +83,16 @@ class BoundReport(Frozen):
     """Certified bracket for the squeezing value at one point.
 
     ``exact`` is set only when the domain lies in the closed-form catalog;
-    witnesses are explicit embeddings realizing lower bounds.  Construction
-    checks 0 <= lower <= exact <= upper <= 1 exactly and repairs nothing: a
-    report out of that order raises :class:`SqueezeError`.
+    ``witness`` is one explicit embedding, a :class:`ProductMap` sending the
+    point to 0, or None where the report has none.  Construction checks
+    0 <= lower <= exact <= upper <= 1 exactly and repairs nothing: a report
+    out of that order raises :class:`SqueezeError`.
     """
 
-    __slots__ = ("lower", "upper", "exact", "witnesses", "methods")
+    __slots__ = ("lower", "upper", "exact", "witness", "methods")
 
     def __init__(self, lower: float, upper: float, exact: Optional[float] = None,
-                 witnesses: tuple[ProductMap, ...] = (), methods: tuple[str, ...] = ()) -> None:
+                 witness: Optional[ProductMap] = None, methods: tuple[str, ...] = ()) -> None:
         if not (0.0 <= lower <= upper <= 1.0):
             raise SqueezeError(f"inconsistent bounds: lower={lower}, upper={upper}")
         if exact is not None and not (lower <= exact <= upper):
@@ -99,7 +100,7 @@ class BoundReport(Frozen):
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "methods", methods)
 
 
@@ -254,7 +255,11 @@ class DomainPlan:
 
 
 def _automorphisms(coords, family=()) -> ProductMap:
-    """Automorphisms sending each z_i to 0, taken from ``family`` where the same map."""
+    """The automorphism witness, each z_i sent to 0 by a disk automorphism.
+
+    A component is taken from ``family``, the family's best maps, where it is
+    the same map (``c != 0``), so no second map is built for a factor.
+    """
     return ProductMap(tuple(
         family[i] if family and c != 0 else MapExpr((MobiusAut(c),))
         for i, c in enumerate(coords)
@@ -265,16 +270,16 @@ def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
     """Closed-form squeezing value on the catalog: the min of the plan's value column.
 
     ``d`` is a domain or its :class:`DomainPlan`, as in :func:`squeeze_bounds`,
-    whose ``exact`` this is, bit for bit.  Disk and punctured-disk products
-    carry the witness that sends each coordinate to 0 by an automorphism.  A
-    domain outside the catalog raises :class:`UnsupportedGeometryError` and
-    callers fall back to bounds.
+    whose ``exact`` this is, bit for bit.  On disk and punctured-disk products
+    ``witness`` sends each coordinate to 0 by an automorphism; elsewhere it
+    is None.  A domain outside the catalog raises
+    :class:`UnsupportedGeometryError` and callers fall back to bounds.
     """
     plan = DomainPlan.of(d)
     if plan.witnessed is None:
         raise UnsupportedGeometryError("domain is outside the closed-form catalog")
     v = min(plan.values(z))
-    return BoundReport(v, v, v, (_automorphisms(z.coords),) if plan.witnessed else (),
+    return BoundReport(v, v, v, _automorphisms(z.coords) if plan.witnessed else None,
                        (CLOSED_FORM,))
 
 
@@ -365,11 +370,6 @@ class SearchResult(Frozen):
 
     __slots__ = ("value", "witness", "evaluations")
 
-    def __init__(self, value: float, witness: ProductMap, evaluations: int) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "evaluations", evaluations)
-
 
 def _require_family(family: str) -> None:
     if family not in FAMILIES:
@@ -405,7 +405,10 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     outside the image of the domain.  With ``search``, the named ``family``
     is scored on planar factors for its witness.  Applicable methods are
     tagged, and FamilyGap when the family stays below ``exact`` by over
-    1e-6.  An unknown family name raises DomainError.
+    1e-6.  An unknown family name raises DomainError.  The one ``witness``
+    is the automorphism witness on disk and punctured-disk products
+    (:func:`_automorphisms`), elsewhere the family's best map, or None where
+    no family was scored.
 
     The order holds by construction, so :class:`BoundReport` has nothing to
     repair: every value lies in [0, 1] (one that rounds above 1 is capped at
@@ -426,11 +429,12 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
         value, found, _ = _family(plan, z, family, values)
         methods += (SEARCH, FAMILY_GAP) if exact is not None and value < exact - 1e-6 else (SEARCH,)
 
-    witnesses = [_automorphisms(z.coords, found)] if plan.witnessed else []
-    if found:
-        witnesses.append(ProductMap(found))
+    if plan.witnessed:
+        witness = _automorphisms(z.coords, found)
+    else:
+        witness = ProductMap(found) if found else None
     upper = min([1.0, *(values[i] for i in plan.punctured)])
-    return BoundReport(product, upper, exact, tuple(witnesses), methods)
+    return BoundReport(product, upper, exact, witness, methods)
 
 
 class BallProductReport(Frozen):
@@ -448,18 +452,6 @@ class BallProductReport(Frozen):
     # scaled_down_margin its shortfall below the proven floor
     __slots__ = ("n", "ball_target_value", "poly_lower", "poly_upper",
                  "scaled_up", "scaled_up_margin", "scaled_down", "scaled_down_margin")
-
-    def __init__(self, n: int, ball_target_value: float, poly_lower: float, poly_upper: float,
-                 scaled_up: float, scaled_up_margin: float, scaled_down: float,
-                 scaled_down_margin: float) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ball_target_value", ball_target_value)
-        object.__setattr__(self, "poly_lower", poly_lower)
-        object.__setattr__(self, "poly_upper", poly_upper)
-        object.__setattr__(self, "scaled_up", scaled_up)
-        object.__setattr__(self, "scaled_up_margin", scaled_up_margin)
-        object.__setattr__(self, "scaled_down", scaled_down)
-        object.__setattr__(self, "scaled_down_margin", scaled_down_margin)
 
     @property
     def contradictions_hold(self) -> bool:
@@ -479,16 +471,7 @@ def ball_product_ratio_check(n: int) -> BallProductReport:
     t_upper = 1.0
     up = n * s
     down = s / n
-    return BallProductReport(
-        n=n,
-        ball_target_value=s,
-        poly_lower=t_lower,
-        poly_upper=t_upper,
-        scaled_up=up,
-        scaled_up_margin=up - t_upper,
-        scaled_down=down,
-        scaled_down_margin=t_lower - down,
-    )
+    return BallProductReport(n, s, t_lower, t_upper, up, up - t_upper, down, t_lower - down)
 
 
 def boundary_limit_profile(r: float, path) -> LimitProfile:

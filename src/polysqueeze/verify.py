@@ -79,11 +79,6 @@ class Check(Frozen):
 
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 def _check(name: str, passed: bool, detail: str) -> Check:
     return Check(name, bool(passed), detail)
@@ -407,7 +402,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         rep = squeeze_bounds(plan, z, search=False)
         worst_exact = max(worst_exact, abs(rep.exact - abs(z2)))
         worst_upper = max(worst_upper, abs(rep.upper - abs(z2)))
-        scored = product_inradius(rep.witnesses[0], d, z, 65536)
+        scored = product_inradius(rep.witness, d, z, 65536)
         worst_witness = max(worst_witness, abs(scored - abs(z2)))
 
     ps = (0j, 0.5 + 0j, -0.5j)
@@ -424,7 +419,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         rep = squeeze_bounds(plan, z)
         exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
         worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
-        scored = product_inradius(rep.witnesses[0], d, z, 65536)
+        scored = product_inradius(rep.witness, d, z, 65536)
         worst_multi_witness = max(worst_multi_witness, abs(scored - want))
     return [
         _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,

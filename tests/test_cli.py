@@ -232,7 +232,7 @@ def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     rep = exact_squeeze(domain, z)
     assert float(row["exact"]) == rep.exact
     pm = parse_witness(row["witness"])
-    assert pm == rep.witnesses[0]  # every number read back exactly
+    assert pm == rep.witness  # every number read back exactly
     assert format_product_map(pm) == row["witness"]
 
 
@@ -483,7 +483,7 @@ def test_eval_reports_what_the_library_reports(spec_files, case, family, search)
     assert type(plan) is DomainPlan and plan.domain is domain
     assert z_cli == z and repr(z_cli) == repr(z)
     library = squeeze_bounds(domain, z, search=search, family=family)
-    for field in ("lower", "upper", "exact", "methods", "witnesses"):
+    for field in ("lower", "upper", "exact", "methods", "witness"):
         assert repr(getattr(report, field)) == repr(getattr(library, field)), field
     assert report == library
 

@@ -279,9 +279,9 @@ def _value_instances():
         (MapExpr((Reflection(0.25), MobiusAut(0.3j))),
          "MapExpr(steps=(Reflection(r=0.25), MobiusAut(a=0.3j, theta=0.0)))"),
         (incl, "ProductMap(components=(MapExpr(steps=(Inclusion(),)),))"),
-        (squeezing.BoundReport(0.25, 0.5, None, (incl,), ("X",)),
-         "BoundReport(lower=0.25, upper=0.5, exact=None, witnesses=(ProductMap(components="
-         "(MapExpr(steps=(Inclusion(),)),)),), methods=('X',))"),
+        (squeezing.BoundReport(0.25, 0.5, None, incl, ("X",)),
+         "BoundReport(lower=0.25, upper=0.5, exact=None, witness=ProductMap(components="
+         "(MapExpr(steps=(Inclusion(),)),)), methods=('X',))"),
         (squeezing.LimitProfile(((0.5, 0.25), (0.6, 0.3)), 1.0),
          "LimitProfile(entries=((0.5, 0.25), (0.6, 0.3)), target=1.0)"),
         (squeezing.SearchResult(0.5, incl, 2),
@@ -360,3 +360,22 @@ def test_value_copies_and_pickles_round_trip(value, text):
                  *(pickle.loads(pickle.dumps(value, protocol))
                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
         assert type(twin) is type(value) and twin == value and repr(twin) == text
+
+
+def test_classes_that_only_hold_fields_inherit_the_frozen_constructor():
+    own = {c.__name__ for c in map(type, (v for v, _ in VALUES)) if "__init__" in vars(c)}
+    assert {"SearchResult", "BallProductReport", "Check"}.isdisjoint(own)
+    assert sorted(set(VALUE_IDS) - own) == [
+        "BallProductReport", "Check", "Inclusion", "SearchResult", "UnitDisk"]
+
+
+@pytest.mark.parametrize("cls", [squeezing.SearchResult, squeezing.BallProductReport, Check,
+                                 UnitDisk, Inclusion], ids=lambda c: c.__name__)
+def test_the_frozen_constructor_takes_one_value_per_field(cls):
+    values = tuple(range(len(cls.__slots__)))
+    made = cls(*values)
+    assert tuple(getattr(made, name) for name in cls.__slots__) == values
+    for wrong in (values[:-1], values + (0,)) if values else ((0,),):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(values)} field "
+                                            f"values, got {len(wrong)}$"):
+            cls(*wrong)
