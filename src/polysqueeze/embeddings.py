@@ -6,10 +6,10 @@ primitive sends boundary circles to circles, so the distance from 0 to the
 complement of an image is the least modulus over the images of the boundary
 circles and the extension values at the punctures.  The witness scores of
 :mod:`polysqueeze.squeezing` take that minimum in closed form, through
-:func:`mobius_circle_min_modulus` for an automorphism.  Maps are evaluated
-here on scalars only; the boundary-sampling oracle that checks the scores,
-and with it the evaluation of a map on an array of samples, is in
-:mod:`polysqueeze.verify`.
+:func:`mobius_circle_min_modulus` on a circle and :func:`mobius_modulus`, the
+one body of |phi_a(z)|, at a puncture.  Maps are evaluated here on scalars
+only; the boundary-sampling oracle that checks the scores, and with it the
+evaluation of a map on an array of samples, is in :mod:`polysqueeze.verify`.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def mobius_eval(m: MobiusAut, zeta):
     return w
 
 
+def mobius_modulus(a: complex, z: complex) -> float:
+    """``|(z - a) / (1 - conj(a) z)|``: :func:`mobius_eval`'s modulus at rotation 0,
+    written out (the same double, without building a map).  It is the
+    punctured column, and the pseudo-hyperbolic distance of ``a`` and ``z``."""
+    return abs((z - a) / (1.0 - a.conjugate() * z))
+
+
 def mobius_circle_min_modulus(a: complex, r: float) -> float:
     """Minimum of ``|mobius_eval((a, theta), zeta)|`` over the circle ``|zeta| = r``.
 
@@ -68,11 +75,12 @@ def mobius_circle_min_modulus(a: complex, r: float) -> float:
     """
     a = complex(a)
     r = float(r)
-    if not abs(a) < 1:
+    m = abs(a)
+    if not m < 1:
         raise DomainError(f"|a| < 1 required, got {a}")
     if not (0.0 < r < 1.0):
         raise DomainError(f"circle radius must lie in (0, 1), got {r}")
-    return abs(abs(a) - r) / (1.0 - r * abs(a))
+    return abs(m - r) / (1.0 - r * m)
 
 
 class Reflection(Frozen):
@@ -132,16 +140,6 @@ def reflect(r: float, z):
     return r / z
 
 
-def _apply(step: Primitive, z):
-    if isinstance(step, MobiusAut):
-        return mobius_eval(step, z)
-    if isinstance(step, Reflection):
-        return reflect(step.r, z)
-    if isinstance(step, Inclusion):
-        return z
-    raise DomainError(f"unknown primitive {type(step).__name__}")
-
-
 def map_eval(e: MapExpr, zeta):
     """Evaluate the composition at the scalar ``zeta``.
 
@@ -151,9 +149,14 @@ def map_eval(e: MapExpr, zeta):
     """
     z = zeta
     for step in e.steps:
-        if isinstance(step, Reflection) and z == 0:
-            raise DomainError("reflection has a pole at 0")
-        z = _apply(step, z)
+        if isinstance(step, MobiusAut):
+            z = mobius_eval(step, z)
+        elif isinstance(step, Reflection):
+            if z == 0:
+                raise DomainError("reflection has a pole at 0")
+            z = reflect(step.r, z)
+        elif not isinstance(step, Inclusion):
+            raise DomainError(f"unknown primitive {type(step).__name__}")
     return z
 
 

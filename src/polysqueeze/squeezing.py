@@ -5,9 +5,11 @@ c such that some injective holomorphic map sending z to 0 fits a polydisk of
 radius c inside its image.  A polydisk fits in a product image iff it fits in
 every factor image, so every bound here comes from one closed form per factor
 kind (``_KINDS``), the factor's boundary (its ``radii`` and ``punctures``; a
-punctured factor's value is also a puncture cap) and one product rule, the
-min over factors.  The catalog, where that min is the value, is products of
-disks and punctured disks, one annulus with disk factors, and a single ball.
+punctured factor's value, the least
+:func:`~polysqueeze.embeddings.mobius_modulus` at its punctures, is also a
+puncture cap) and one product rule, the min over factors.  The catalog, where
+that min is the value, is products of disks and punctured disks, one annulus
+with disk factors, and a single ball.
 Every bound is read through a :class:`DomainPlan`: its factors' closed forms
 and the facts of the domain that no point changes, built once per domain by
 a caller that keeps it and once per call otherwise.  :func:`squeeze_bounds`
@@ -17,13 +19,14 @@ the catalog alone.
 
 The witness family comes from the boundary too: a factor has one branch per
 boundary circle, the circle it makes outermost, and every branch is scored
-by one formula, :func:`_score`.  A family is a name: ``auto`` takes every
-branch of each factor, ``inclusion`` or ``reflection`` that one branch where
-the factor has it and inclusion elsewhere.  :func:`_family` scores the
-family, keeps each factor's best branch and builds its witness from that
-branch's image; it is the one witness builder, behind both
-:func:`search_lower_bound` and :func:`squeeze_bounds`.  Also here: the
-annulus clearance bound and its limit profiles.
+by one formula, :func:`_score`, whose puncture terms read the same
+``mobius_modulus``.  A family is a name: ``auto`` takes every branch of each
+factor, ``inclusion`` or ``reflection`` that one branch where the factor has
+it and inclusion elsewhere.  :func:`_family` scores the family, keeps each
+factor's best branch and builds its witness from that branch's image; it is
+the one witness builder, behind both :func:`search_lower_bound` and
+:func:`squeeze_bounds`.  Also here: the annulus clearance bound and its limit
+profiles.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .embeddings import (
     ProductMap,
     Reflection,
     mobius_circle_min_modulus,
+    mobius_modulus,
     reflect,
     require_base_to_zero,
 )
@@ -129,19 +133,6 @@ class LimitProfile(Frozen):
         return tuple(b for _, b in self.entries)
 
 
-# One formula for every column.  ``exact``, ``lower`` and ``upper`` all use
-# |phi_p(z)| (:func:`_reduced_modulus`).  The equal value sigma_inv(k_D(z, p))
-# rounds differently in the last bit on about 28 % of (z, p) pairs, and an
-# ``upper`` from it could sit below ``exact`` and drag ``lower`` down with it.
-def _reduced_modulus(p: complex, z: complex) -> float:
-    """Modulus of the automorphism image of ``z`` under the map vanishing at ``p``.
-
-    The expression of :func:`~polysqueeze.embeddings.mobius_eval` with
-    rotation 0, written out: the same double, without building a map.
-    """
-    return abs((z - p) / (1.0 - p.conjugate() * z))
-
-
 def _annulus_value(f: Annulus, coord) -> float:
     x = abs(complex(coord))
     if not (f.r < x < 1.0):
@@ -152,11 +143,15 @@ def _annulus_value(f: Annulus, coord) -> float:
     return max(x, f.r / x) if x >= _TINY else min(1.0, abs(reflect(f.r, coord)))
 
 
-# Each factor kind's one-factor closed form ``value(f, coord)``.
+# Each factor kind's one-factor closed form ``value(f, coord)``.  A punctured
+# factor's ``exact``, ``lower`` and ``upper`` all use |phi_p(z)|.  The equal
+# value sigma_inv(k_D(z, p)) rounds differently in the last bit on about 28 %
+# of (z, p) pairs, and an ``upper`` from it could sit below ``exact`` and drag
+# ``lower`` down with it.
 _KINDS = {
     UnitDisk: lambda f, coord: 1.0,
     PuncturedDisk:
-        lambda f, coord: min(1.0, *(_reduced_modulus(p, complex(coord)) for p in f.punctures)),
+        lambda f, coord: min(1.0, *(mobius_modulus(p, complex(coord)) for p in f.punctures)),
     Annulus: _annulus_value,
     BallFactor: lambda f, coord: 1.0 / math.sqrt(f.n),
 }
@@ -177,7 +172,7 @@ def _score(f, w: complex) -> float:
     for rho in f.radii[1:]:
         best = min(best, mobius_circle_min_modulus(w, rho))
     for p in f.punctures:
-        best = min(best, _reduced_modulus(w, p))
+        best = min(best, mobius_modulus(w, p))
     return best
 
 

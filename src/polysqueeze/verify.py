@@ -13,8 +13,9 @@ cache-sized blocks and scored by squared moduli) and its closed-form
 counterpart for radial-then-Mobius maps, both over the data a factor gives
 (``radii``, ``punctures``; a ball gives no ``radii`` and is never sampled),
 and the radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare
-distance.  No reported value depends on any of them.  Suites build points
-with :meth:`ProductDomain.point`, whose one reader converts and tests each
+distance, ``sigma`` of :func:`~polysqueeze.embeddings.mobius_modulus`.  No
+reported value depends on any of them.  Suites build points with
+:meth:`ProductDomain.point`, whose one reader converts and tests each
 coordinate once, and build each domain's
 :class:`~polysqueeze.squeezing.DomainPlan` once, which the bounds, the
 catalog value and the search then read at every point.  The map primitives
@@ -50,6 +51,7 @@ from .embeddings import (
     map_eval,
     mobius_circle_min_modulus,
     mobius_eval,
+    mobius_modulus,
     reflect,
     require_base_to_zero,
 )
@@ -330,18 +332,14 @@ def sigma_inv(t: float) -> float:
     return r
 
 
-def _pseudo_hyperbolic(a: complex, b: complex) -> float:
-    u = abs((b - a) / (1.0 - a.conjugate() * b))
-    # Interior inputs give u < 1 mathematically; guard the last-ulp rounding.
-    return u if u < 1.0 else _ONE_BELOW_1
-
-
 def poincare_distance(a: complex, b: complex) -> float:
     """Poincare distance between two points of the unit disk."""
     a, b = complex(a), complex(b)
     if not (abs(a) < 1 and abs(b) < 1):
         raise DomainError(f"poincare_distance requires both points inside the disk: {a}, {b}")
-    return sigma(_pseudo_hyperbolic(a, b))
+    u = mobius_modulus(a, b)
+    # Interior inputs give u < 1 mathematically; guard the last-ulp rounding.
+    return sigma(u if u < 1.0 else _ONE_BELOW_1)
 
 
 # ------------------------------------------------------------------ suites

@@ -148,6 +148,16 @@ def test_array_eval_rejects_unknown_primitives():
             _array_eval(steps, zs)
 
 
+def test_map_eval_rejects_unknown_primitives():
+    z = 0.5 + 0.25j
+    assert map_eval(mexpr(Inclusion()), z) is z
+    for steps in ((object(),), (MobiusAut(0.3), "reflect")):
+        with pytest.raises(DomainError, match="unknown primitive"):
+            map_eval(mexpr(*steps), z)
+    with pytest.raises(DomainError, match="pole at 0"):
+        map_eval(mexpr(MobiusAut(0.3), Reflection(0.25)), 0.3)
+
+
 def test_map_expr_validation():
     with pytest.raises(DomainError):
         MapExpr(())

@@ -138,11 +138,13 @@ def test_deleted_names_are_gone():
 # Aliases and duplicates of code that stays: poincare_distance (kob_disk),
 # float (HyperbolicValue), map_eval (removable_extension_at), a factor's
 # punctures (domains.punctures), DomainPlan.values (single_factor_exact),
-# squeezing._family (build_factor_witness); punctured_indices and the
-# witness-text parser had no caller outside the tests.
+# squeezing._family (build_factor_witness), embeddings.mobius_modulus
+# (squeezing._reduced_modulus, verify._pseudo_hyperbolic), map_eval (_apply);
+# punctured_indices and the witness-text parser had no caller outside the tests.
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
-           "single_factor_exact", "build_factor_witness"]
+           "single_factor_exact", "build_factor_witness", "_reduced_modulus",
+           "_pseudo_hyperbolic", "_apply"]
 
 
 @pytest.mark.parametrize("name", DELETED)
