@@ -194,11 +194,7 @@ def _spec_plan(text: str) -> DomainPlan:
 
 
 def parse_point(text: str, domain: ProductDomain):
-    """Parse 're,im;re,im;...' into a validated point; ball factors consume n pairs.
-
-    ``domain`` may be a domain's plan, which holds its dimension.
-    """
-    plan = DomainPlan.of(domain)
+    """Parse 're,im;re,im;...' into a validated point of ``domain``; balls consume n pairs."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -213,16 +209,16 @@ def parse_point(text: str, domain: ProductDomain):
         except ValueError as e:
             raise UsageError(f"coordinate {chunk!r}: {e}") from e
         pairs.append(complex(re_part, im_part))
-    if len(pairs) != plan.dim:
+    if len(pairs) != domain.dim:
         raise UsageError(
-            f"point has {len(pairs)} coordinates, domain has complex dimension {plan.dim}"
+            f"point has {len(pairs)} coordinates, domain has complex dimension {domain.dim}"
         )
     coords = []
     k = 0
-    for f in plan.domain.factors:
+    for f in domain.factors:
         coords.append(tuple(pairs[k:k + f.dim]) if isinstance(f, BallFactor) else pairs[k])
         k += f.dim
-    return plan.domain.point(coords)
+    return domain.point(coords)
 
 
 # ------------------------------------------------------------- witness format
@@ -302,7 +298,7 @@ def _writer(out):
 
 def cmd_eval(args, out) -> int:
     plan = _load_plan(args.spec)
-    z = parse_point(args.point, plan)
+    z = parse_point(args.point, plan.domain)
     rep = squeeze_bounds(plan, z, search=not args.no_search, family=args.family)
     w = _writer(out)
     w.writerow(["lower", "upper", "exact", "methods", "witness"])
@@ -319,7 +315,7 @@ def cmd_eval(args, out) -> int:
 def cmd_profile(args, out) -> int:
     plan = _load_plan(args.spec)
     domain = plan.domain
-    base = parse_point(args.point, plan)
+    base = parse_point(args.point, domain)
     if not (0 <= args.axis < domain.arity):
         raise UsageError(f"axis {args.axis} out of range for {domain.arity} factors")
     if isinstance(domain.factors[args.axis], BallFactor):
@@ -400,7 +396,7 @@ def cmd_search(args, out) -> int:
     if args.budget <= 0:
         raise UsageError(f"search budget must be positive, got {args.budget}")
     plan = _load_plan(args.spec)
-    z = parse_point(args.point, plan)
+    z = parse_point(args.point, plan.domain)
     sr = search_lower_bound(plan, z, args.family)
     exact = squeeze_bounds(plan, z, search=False).exact
     w = _writer(out)

@@ -9,7 +9,8 @@ punctured factor's value, the least
 :func:`~polysqueeze.embeddings.mobius_modulus` at its punctures, is also a
 puncture cap) and one product rule, the min over factors.  The catalog, where
 that min is the value, is products of disks and punctured disks, one annulus
-with disk factors, and a single ball.
+with disk factors, and a single ball; a :class:`DomainPlan` reads that class
+from the factors' boundary data, not their classes.
 Every bound is read through a :class:`DomainPlan`: its factors' closed forms
 and the facts of the domain that no point changes, built once per domain by
 a caller that keeps it and once per call otherwise.  :func:`squeeze_bounds`
@@ -176,50 +177,46 @@ def _score(f, w: complex) -> float:
     return best
 
 
-def single_annulus_index(d: ProductDomain) -> Optional[int]:
-    """Index of the annulus factor when d is one annulus with unit-disk cofactors."""
-    idx = None
-    for i, f in enumerate(d.factors):
-        if isinstance(f, Annulus):
-            if idx is not None:
-                return None
-            idx = i
-        elif not isinstance(f, UnitDisk):
-            return None
-    return idx
-
-
 class DomainPlan:
     """What the bounds and the CLI read of one domain, worked out once.
 
-    ``kinds``: each factor's closed form, from the kind table; ``witnessed``:
-    the catalog class, None outside the catalog, else whether the domain is
-    a disk and punctured-disk product, whose value has the automorphism
-    witness (False on one annulus with disks, and on a single ball), read
-    from ``annulus``; ``methods``: the tags that depend on the domain alone
-    (``ClosedForm``, ``PunctureUpper``, ``ProductLower``,
-    ``ClearanceLower``); ``punctured``: the factors with punctures, whose
-    values are puncture caps; ``branches``: each factor's branch names under
-    each family name, from its boundary circles (empty off a planar domain,
-    where no family is scored); ``annulus``: :func:`single_annulus_index`;
-    ``dim`` and ``planar``: the complex dimension and whether every factor is
-    planar, so whether the witness family can be scored.  A plan is never
-    changed after it is built, so callers may share one.  An unknown factor
-    kind raises :class:`UnsupportedGeometryError`.
+    ``kinds``: each factor's closed form, from the kind table; ``witnessed``
+    and ``annulus``: the catalog class, read from the factors' boundary data,
+    not their classes.  ``witnessed`` is True where every factor is planar
+    with one boundary circle (disks and punctured disks, whose value has the
+    automorphism witness); False where exactly one planar factor has more
+    than one circle, the others have one and no factor has punctures (one
+    annulus with disks), and on a lone non-planar factor (a single ball);
+    None elsewhere, outside the catalog.  ``annulus`` is the index of that
+    one factor with more circles, else None.  ``methods``: the tags that
+    depend on the domain alone (``ClosedForm``, ``PunctureUpper``,
+    ``ProductLower``, ``ClearanceLower``); ``punctured``: the factors with
+    punctures, whose values are puncture caps; ``branches``: each factor's
+    branch names under each family name, from its boundary circles (empty
+    off a planar domain, where no family is scored); ``planar``: whether
+    every factor is planar, so whether the witness family can be scored.  A
+    plan is never changed after it is built, so callers may share one.  An
+    unknown factor kind raises :class:`UnsupportedGeometryError`.
     """
 
     __slots__ = ("domain", "kinds", "witnessed", "methods", "punctured", "branches",
-                 "annulus", "dim", "planar")
+                 "annulus", "planar")
 
     def __init__(self, d: ProductDomain) -> None:
         fs = d.factors
         self.domain, self.kinds = d, tuple(_kind(f) for f in fs)
-        self.annulus = single_annulus_index(d)
-        if self.annulus is not None or (len(fs) == 1 and type(fs[0]) is BallFactor):
+        self.planar = d.is_planar()
+        self.punctured = tuple(i for i, f in enumerate(fs) if f.punctures)
+        # the catalog class, from the boundary data: ``holed`` lists the planar
+        # factors with more than one circle, None where a factor is not planar
+        holed = [i for i, f in enumerate(fs) if len(f.radii) > 1] if self.planar else None
+        self.annulus = holed[0] if holed and len(holed) == 1 and not self.punctured else None
+        if holed == []:
+            self.witnessed = True
+        elif self.annulus is not None or (holed is None and len(fs) == 1):
             self.witnessed = False
         else:
-            self.witnessed = all(type(f) in (UnitDisk, PuncturedDisk) for f in fs) or None
-        self.punctured = tuple(i for i, f in enumerate(fs) if f.punctures)
+            self.witnessed = None
         methods = [] if self.witnessed is None else [CLOSED_FORM]
         if self.punctured:
             methods.append(PUNCTURE_UPPER)
@@ -227,8 +224,6 @@ class DomainPlan:
         if self.annulus is not None:
             methods.append(CLEARANCE_LOWER)
         self.methods = tuple(methods)
-        self.dim = d.dim
-        self.planar = d.is_planar()
         auto = tuple(_BRANCHES[:len(f.radii)] for f in fs) if self.planar else ()
         self.branches = {family: tuple(
             names if family == AUTO else (family,) if family in names else (INCLUSION,)

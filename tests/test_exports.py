@@ -139,12 +139,14 @@ def test_deleted_names_are_gone():
 # float (HyperbolicValue), map_eval (removable_extension_at), a factor's
 # punctures (domains.punctures), DomainPlan.values (single_factor_exact),
 # squeezing._family (build_factor_witness), embeddings.mobius_modulus
-# (squeezing._reduced_modulus, verify._pseudo_hyperbolic), map_eval (_apply);
-# punctured_indices and the witness-text parser had no caller outside the tests.
+# (squeezing._reduced_modulus, verify._pseudo_hyperbolic), map_eval (_apply),
+# DomainPlan.annulus, read from the factors' boundary data
+# (single_annulus_index); punctured_indices and the witness-text parser had no
+# caller outside the tests.
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
-           "_pseudo_hyperbolic", "_apply"]
+           "_pseudo_hyperbolic", "_apply", "single_annulus_index"]
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -152,6 +154,22 @@ def test_test_only_aliases_are_gone(name):
     for module in (polysqueeze, cli, domains, embeddings, squeezing, verify):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(polysqueeze.ProductDomain, name)
+
+
+# A test of a factor's class, or of a spec's kind string.  The seven left:
+# the spec reader's four kind strings, and the ball/planar split in
+# cli.parse_point, cli.cmd_profile and domains._coordinate.  Everything else
+# reads a factor's data (dim, radii, punctures).
+KIND_SWITCH = re.compile(
+    r'isinstance\([^)]*\b(UnitDisk|PuncturedDisk|Annulus|BallFactor)\b'
+    r'|type\([^)]*\) (is|in) \(?(UnitDisk|PuncturedDisk|Annulus|BallFactor)'
+    r'|kind == "')
+
+
+def test_kind_switch_count():
+    found = [f"{path.name}:{n}" for path in MODULES
+             for n, line in enumerate(path.read_text().splitlines(), 1) if KIND_SWITCH.search(line)]
+    assert len(found) == 7, found
 
 
 def test_oracle_lives_in_verify():

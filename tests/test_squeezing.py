@@ -29,6 +29,7 @@ from polysqueeze import (
     search_lower_bound,
     squeeze_bounds,
 )
+from polysqueeze.cli import parse_point
 from polysqueeze.domains import membership
 from polysqueeze.embeddings import (
     MapExpr,
@@ -41,11 +42,11 @@ from polysqueeze.embeddings import (
 from polysqueeze.squeezing import (
     CLEARANCE_LOWER,
     CLOSED_FORM,
+    FAMILY_GAP,
     PRODUCT_LOWER,
     PUNCTURE_UPPER,
     SEARCH,
     DomainPlan,
-    single_annulus_index,
 )
 from polysqueeze.verify import product_inradius
 
@@ -744,19 +745,38 @@ def test_hhr_annulus_floor_is_sqrt_r():
     assert float(vals.min()) == pytest.approx(math.sqrt(r), abs=1e-4)
 
 
-def test_single_annulus_index():
-    assert single_annulus_index(ANNULUS_DISK) == 0
-    assert single_annulus_index(ProductDomain((UnitDisk(), Annulus(0.5)))) == 1
-    assert single_annulus_index(ProductDomain((Annulus(0.2), Annulus(0.3)))) is None
-    assert single_annulus_index(PUNCT2) is None
+def test_catalog_class_truth_table():
+    # (witnessed, annulus) of each domain, written out: True on disks and
+    # punctured disks, False with the index on one annulus with disks and on
+    # a single ball, None outside the catalog
+    disk, punctured, ring = UnitDisk(), PuncturedDisk((0.5j,)), Annulus(0.25)
+    table = [
+        ((disk,), (True, None)),
+        ((punctured,), (True, None)),
+        ((disk, punctured), (True, None)),
+        ((PuncturedDisk((0j, 0.3)), punctured, disk), (True, None)),
+        ((ring,), (False, 0)),
+        ((disk, ring), (False, 1)),
+        ((ring, disk, disk), (False, 0)),
+        ((ring, punctured), (None, None)),
+        ((ring, Annulus(0.5)), (None, None)),
+        ((BallFactor(1),), (False, None)),
+        ((BallFactor(2),), (False, None)),
+        ((BallFactor(2), disk), (None, None)),
+        ((ring, BallFactor(1)), (None, None)),
+        ((BallFactor(1), BallFactor(1)), (None, None)),
+    ]
+    for factors, expected in table:
+        plan = DomainPlan(ProductDomain(factors))
+        assert (plan.witnessed, plan.annulus) == expected, factors
 
 
 # ------------------------------------------------------------ the domain plan
 
 def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
     # a bare domain gets one plan per squeeze_bounds, exact_squeeze or search
-    # call, a plan passed in is read as it is, and the point and clearance
-    # paths build none
+    # call, a plan passed in is read as it is, and the point, point-text and
+    # clearance paths build none
     builds = []
     init = DomainPlan.__init__
 
@@ -779,20 +799,22 @@ def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
     assert DomainPlan.of(plan) is plan
     ProductPoint.of(ANNULUS_DISK, [0.4, 0.2j])
     annulus_clearance_bound(0.25, 0.4)
+    parse_point("0.4,0;0,0.2", ANNULUS_DISK)
     assert len(builds) == 7
 
 
 def test_plan_holds_the_domain_facts():
     plan = DomainPlan(ProductDomain((Annulus(0.25), UnitDisk())))
     assert plan.methods == (CLOSED_FORM, PRODUCT_LOWER, CLEARANCE_LOWER)
-    assert (plan.annulus, plan.punctured, plan.dim, plan.planar) == (0, (), 2, True)
+    assert (plan.annulus, plan.punctured, plan.planar) == (0, (), True)
     assert plan.branches == {"auto": (("inclusion", "reflection"), ("inclusion",)),
                              "inclusion": (("inclusion",), ("inclusion",)),
                              "reflection": (("reflection",), ("inclusion",))}
     plan = DomainPlan(ProductDomain((BallFactor(2), PuncturedDisk((0j,)))))
     assert plan.methods == (PUNCTURE_UPPER, PRODUCT_LOWER)
-    assert (plan.witnessed, plan.annulus, plan.punctured, plan.dim, plan.planar) == (
-        None, None, (1,), 3, False)
+    assert (plan.witnessed, plan.annulus, plan.punctured, plan.planar) == (
+        None, None, (1,), False)
+    assert "dim" not in DomainPlan.__slots__  # the domain's own dim is read
     with pytest.raises(UnsupportedGeometryError, match="unknown factor kind str"):
         DomainPlan(ProductDomain(("disk",)))
 
@@ -1000,3 +1022,26 @@ def test_modulus_next_to_the_circle_is_accurate():
         exact = abs(zm - pm) / abs(1 - mpmath.conj(pm) * zm)
         assert mpmath.nstr(exact, 17) == "0.72633729727322157"
         assert abs(mpmath.mpf(mobius_modulus(p, z)) / exact - 1) <= 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1.0, 40.0), st.floats(1.0, 45.0), st.floats(0.0, 2 * math.pi),
+       st.floats(-math.pi / 2, math.pi / 2), st.floats(0.0, 0.99))
+def test_family_meets_the_value_next_to_the_circle(k, j, t, turn, s):
+    """No FamilyGap on a punctured disk times a disk, even next to the unit circle.
+
+    The puncture p lies 2^-k inside the unit circle and z_1 a hop of 2^-j
+    from it, turned up to a right angle from the inward normal.  The factor's
+    score ``mobius_modulus(z_1, p)`` and its value ``mobius_modulus(p, z_1)``
+    have numerators that are exact negatives and denominators that are exact
+    conjugates, so only the division and ``abs`` round them apart: far
+    inside the 1e-6 of the tag, however much the denominator cancels.
+    """
+    p = cmath.rect(1.0 - 2.0 ** -k, t)
+    z1 = p - cmath.rect(2.0 ** -j, t + turn)
+    assume(abs(z1) < 1.0 and z1 != p)
+    plan = DomainPlan(ProductDomain((PuncturedDisk((p,)), UnitDisk())))
+    z = plan.domain.point([z1, cmath.rect(s, t)])
+    rep = squeeze_bounds(plan, z)
+    assert FAMILY_GAP not in rep.methods
+    assert search_lower_bound(plan, z).value >= rep.exact - 1e-6
