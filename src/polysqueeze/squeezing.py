@@ -24,10 +24,10 @@ by one formula, :func:`_score`, whose puncture terms read the same
 ``mobius_modulus``.  A family is a name: ``auto`` takes every branch of each
 factor, ``inclusion`` or ``reflection`` that one branch where the factor has
 it and inclusion elsewhere.  :func:`_family` scores the family, keeps each
-factor's best branch and builds its witness from that branch's image; it is
-the one witness builder, behind both :func:`search_lower_bound` and
-:func:`squeeze_bounds`.  Also here: the annulus clearance bound and its limit
-profiles.
+factor's best branch and builds its witness from that branch's image, for
+:func:`search_lower_bound` and, off disk and punctured-disk products (where
+every family is the automorphism witness), :func:`squeeze_bounds`.  Also
+here: the annulus clearance bound and its limit profiles.
 """
 
 from __future__ import annotations
@@ -244,16 +244,12 @@ class DomainPlan:
         return [value(f, c) for value, f, c in zip(self.kinds, self.domain.factors, z.coords)]
 
 
-def _automorphisms(coords, family=()) -> ProductMap:
-    """The automorphism witness, each z_i sent to 0 by a disk automorphism.
-
-    A component is taken from ``family``, the family's best maps, where it is
-    the same map (``c != 0``), so no second map is built for a factor.
-    """
-    return ProductMap(tuple(
-        family[i] if family and c != 0 else MapExpr((MobiusAut(c),))
-        for i, c in enumerate(coords)
-    ))
+def _automorphisms(coords) -> ProductMap:
+    """The automorphism witness, each z_i sent to 0 by a disk automorphism (checked)."""
+    components = tuple(MapExpr((MobiusAut(c),)) for c in coords)
+    for i, (e, c) in enumerate(zip(components, coords)):
+        require_base_to_zero(e, c, i)
+    return ProductMap(components)
 
 
 def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
@@ -322,7 +318,7 @@ def _family(plan: DomainPlan, z: ProductPoint, family: str,
             values: Iterable[float]) -> tuple[float, tuple[MapExpr, ...], int]:
     """Min of the best branch scores, their witnesses (earlier wins ties), branches scored.
 
-    The one witness builder.  Each factor's branches are the plan's names for
+    The one family witness builder.  Each factor's branches are the plan's names for
     ``family``; their images are computed and scored once, in one pass, and
     the witness is built from the best image by :func:`_witness`.  A branch
     with no normalizer at the point is skipped, and a factor left with none
@@ -392,13 +388,13 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     |phi_p(z_i)|, least over its punctures, is also an upper bound: an
     injective map of the product into the polydisk is bounded, so it
     extends across every puncture at once, and the puncture's image lies
-    outside the image of the domain.  With ``search``, the named ``family``
-    is scored on planar factors for its witness.  Applicable methods are
-    tagged, and FamilyGap when the family stays below ``exact`` by over
-    1e-6.  An unknown family name raises DomainError.  The one ``witness``
-    is the automorphism witness on disk and punctured-disk products
-    (:func:`_automorphisms`), elsewhere the family's best map, or None where
-    no family was scored.
+    outside the image of the domain.  The one ``witness`` is the automorphism
+    witness on disk and punctured-disk products (:func:`_automorphisms`):
+    every family is that map there, scoring the value to a few ulps, so
+    ``search`` adds only its tag.  Elsewhere ``search`` scores the named
+    ``family`` on planar factors for its best map, tagged FamilyGap when it
+    stays below ``exact`` by over 1e-6; the witness is None where no family
+    was scored.  An unknown family name raises DomainError.
 
     The order holds by construction, so :class:`BoundReport` has nothing to
     repair: every value lies in [0, 1] (one that rounds above 1 is capped at
@@ -414,15 +410,15 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     exact = None if plan.witnessed is None else product
     methods = plan.methods
 
-    found: tuple[MapExpr, ...] = ()
-    if search and plan.planar:
+    if plan.witnessed:
+        witness = _automorphisms(z.coords)
+        methods += (SEARCH,) if search else ()
+    elif search and plan.planar:
         value, found, _ = _family(plan, z, family, values)
         methods += (SEARCH, FAMILY_GAP) if exact is not None and value < exact - 1e-6 else (SEARCH,)
-
-    if plan.witnessed:
-        witness = _automorphisms(z.coords, found)
+        witness = ProductMap(found)
     else:
-        witness = ProductMap(found) if found else None
+        witness = None
     upper = min([1.0, *(values[i] for i in plan.punctured)])
     return BoundReport(product, upper, exact, witness, methods)
 

@@ -903,7 +903,8 @@ def test_out_flag_writes_file(tmp_path, annulus):
     target = tmp_path / "row.csv"
     assert main(["eval", "--spec", annulus, "--point", "0.4,0;0,0",
                  "--no-search", "--out", str(target)]) == 0
-    rows = list(csv.reader(target.open()))
+    with target.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "lower"
     assert float(dict(zip(rows[0], rows[1]))["exact"]) == 0.625
 

@@ -29,7 +29,7 @@ from polysqueeze import (
     search_lower_bound,
     squeeze_bounds,
 )
-from polysqueeze.cli import parse_point
+from polysqueeze.cli import format_map_expr, parse_point
 from polysqueeze.domains import membership
 from polysqueeze.embeddings import (
     MapExpr,
@@ -42,6 +42,7 @@ from polysqueeze.embeddings import (
 from polysqueeze.squeezing import (
     CLEARANCE_LOWER,
     CLOSED_FORM,
+    FAMILIES,
     FAMILY_GAP,
     PRODUCT_LOWER,
     PUNCTURE_UPPER,
@@ -1028,14 +1029,18 @@ def test_modulus_next_to_the_circle_is_accurate():
 @given(st.floats(1.0, 40.0), st.floats(1.0, 45.0), st.floats(0.0, 2 * math.pi),
        st.floats(-math.pi / 2, math.pi / 2), st.floats(0.0, 0.99))
 def test_family_meets_the_value_next_to_the_circle(k, j, t, turn, s):
-    """No FamilyGap on a punctured disk times a disk, even next to the unit circle.
+    """The family meets the value on a punctured disk times a disk, even next to
+    the unit circle, so the report may leave it unscored there.
 
     The puncture p lies 2^-k inside the unit circle and z_1 a hop of 2^-j
-    from it, turned up to a right angle from the inward normal.  The factor's
-    score ``mobius_modulus(z_1, p)`` and its value ``mobius_modulus(p, z_1)``
-    have numerators that are exact negatives and denominators that are exact
-    conjugates, so only the division and ``abs`` round them apart: far
-    inside the 1e-6 of the tag, however much the denominator cancels.
+    from it, turned up to a right angle from the inward normal.  The last
+    assertion carries the claim: the factor's score ``mobius_modulus(z_1, p)``
+    and its value ``mobius_modulus(p, z_1)`` have numerators that are exact
+    negatives and denominators that are exact conjugates, so only the
+    division and ``abs`` round them apart: far inside the 1e-6 of the
+    FamilyGap tag, however much the denominator cancels.  The report does not
+    score the family on this product, so its missing tag holds by
+    construction.
     """
     p = cmath.rect(1.0 - 2.0 ** -k, t)
     z1 = p - cmath.rect(2.0 ** -j, t + turn)
@@ -1045,3 +1050,57 @@ def test_family_meets_the_value_next_to_the_circle(k, j, t, turn, s):
     rep = squeeze_bounds(plan, z)
     assert FAMILY_GAP not in rep.methods
     assert search_lower_bound(plan, z).value >= rep.exact - 1e-6
+
+
+# disk and punctured-disk products, one with three punctures; and two domains
+# that score the family, annulus x disk in the catalog and one outside it
+WITNESSED = dict(BRACKET_DOMAINS)
+SCORED = {"annulus_disk": ANNULUS_DISK,
+          "annulus_punctured": ProductDomain((Annulus(0.25), PuncturedDisk((0j,))))}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", [*WITNESSED, *SCORED])
+def test_bounds_score_the_family_only_off_disk_and_punctured_products(monkeypatch, name, family):
+    # on disk and punctured-disk products every family is the automorphism
+    # witness, so the report builds that and adds only the Search tag
+    from polysqueeze import squeezing
+
+    calls = []
+    scored = squeezing._family
+
+    def counted(*args):
+        calls.append(args)
+        return scored(*args)
+
+    monkeypatch.setattr(squeezing, "_family", counted)
+    d = {**WITNESSED, **SCORED}[name]
+    plan = DomainPlan(d)
+    z = d.point([0.4 + 0.1j, 0.2j][:d.arity])
+    rep = squeeze_bounds(plan, z, family=family)
+    assert len(calls) == (0 if name in WITNESSED else 1)
+    assert SEARCH in rep.methods
+    if name in WITNESSED:
+        assert rep.methods[-1] == SEARCH
+
+
+WITNESSED_FACTORS = (UnitDisk(), PuncturedDisk((0j,)), PuncturedDisk((0.3 - 0.2j,)),
+                     PuncturedDisk((0j, 0.5 + 0j, -0.5j)), EDGE_PUNCTURE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(WITNESSED_FACTORS), min_size=1, max_size=3),
+       st.sampled_from(FAMILIES), st.data())
+def test_family_is_the_automorphism_witness_on_disk_and_punctured_products(fs, family, data):
+    # why the report need not score the family there: its value is within
+    # 1e-6 of lower, and its witness prints as the report's one, except that
+    # at a coordinate 0 it writes the inclusion where the report writes mobius(0)
+    d = ProductDomain(tuple(fs))
+    coords = [_near(f, data) for f in d.factors]
+    assume(all(map(membership, d.factors, coords)))
+    plan, z = DomainPlan(d), d.point(coords)
+    rep = squeeze_bounds(plan, z, family=family)
+    sr = search_lower_bound(plan, z, family)
+    assert sr.value >= rep.lower - 1e-6
+    for c, mine, theirs in zip(z.coords, sr.witness.components, rep.witness.components):
+        assert format_map_expr(mine) == ("include" if c == 0 else format_map_expr(theirs))

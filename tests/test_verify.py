@@ -63,7 +63,9 @@ def test_verify_samples_1361_circles_of_65536_points(monkeypatch):
 
 # Every check's detail at seed 0 but ``pinch.runtime``, which is wall time, in
 # suite order.  Read with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux; the
-# oracle and hyperbolic errors follow numpy's and libm's roundings.
+# oracle error follows numpy's roundings, the hyperbolic round trips numpy's
+# and libm's, and the Mobius invariance CPython's complex arithmetic (its
+# triples are Python complex numbers) and libm's.
 SEED_0_DETAILS = [
     ("pinch.upper_matches_min_modulus", "max_err=0.000e+00 tol=1e-12"),
     ("pinch.search_attains_closed_form", "min_margin=0.000e+00 floor=-1e-6"),
