@@ -5,9 +5,9 @@ Exit codes are a stable contract: 0 success, 2 usage or parse error,
 CSV output uses '.' decimals, 17 significant digits (lossless for doubles)
 and always emits a header row.
 
-``--samples`` (and ``SQUEEZE_SAMPLES``) and ``search --budget`` are parsed and
-validated for compatibility but change no value: no reported value depends
-on boundary sampling.  ``--steps`` is capped at ``MAX_STEPS``.
+No option is inert: no reported value depends on boundary sampling, so no
+command takes a sample count, and only ``verify`` draws, so only it takes
+``--seed``.  ``--steps`` is capped at ``MAX_STEPS``.
 
 Each command's options are declared once, in :data:`COMMANDS`.  A command
 line that names a command and then spells out only that command's options,
@@ -17,8 +17,7 @@ required) are built once, at import; the argparse parser reads every other
 command line whole, from the top level, so help, usage and error text come
 from argparse alone.  argparse is imported and the parser built the first
 time such a line needs it, and the parser is then reused by every
-:func:`main` call.  ``SQUEEZE_SAMPLES`` is read and validated on each call,
-before parsing.
+:func:`main` call.
 Each spec file is read as bytes, without the text-file layer, and decoded
 on every call, and its text is looked up in a memo of the last
 ``SPEC_MEMO_SIZE`` texts that parsed: keyed on the content, it never serves
@@ -64,7 +63,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-DEFAULT_SAMPLES = 4096
 MAX_STEPS = 1_000_000
 SPEC_MEMO_SIZE = 16
 
@@ -75,16 +73,6 @@ class UsageError(SqueezeError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _default_samples() -> int:
-    raw = os.environ.get("SQUEEZE_SAMPLES")
-    if raw is None:
-        return DEFAULT_SAMPLES
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise UsageError(f"SQUEEZE_SAMPLES must be an integer, got {raw!r}") from e
 
 
 # ---------------------------------------------------------------- spec files
@@ -393,8 +381,6 @@ def cmd_limit(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
-    if args.budget <= 0:
-        raise UsageError(f"search budget must be positive, got {args.budget}")
     plan = _load_plan(args.spec)
     z = parse_point(args.point, plan.domain)
     sr = search_lower_bound(plan, z, args.family)
@@ -424,13 +410,7 @@ _LOCATED = {
     "--spec": dict(required=True, help="domain spec JSON file"),
     "--point": dict(required=True, help="point as 're,im;re,im;...'"),
 }
-_SHARED = {
-    "--out": dict(default=None, help="output path (default: stdout)"),
-    "--samples": dict(type=int, default=None,
-                      help="accepted and validated (at least 8; env SQUEEZE_SAMPLES overrides "
-                           "the default); no effect on values, which are closed-form"),
-    "--seed": dict(type=int, default=0, help="seed for randomized suites"),
-}
+_OUT = dict(default=None, help="output path (default: stdout)")
 _FAMILY = dict(default="auto", choices=FAMILIES)
 _STEPS = dict(type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
 
@@ -439,32 +419,30 @@ _STEPS = dict(type=int, default=256, help=f"rows, 1 to {MAX_STEPS}")
 # in the verify module, which only verify itself and its help load.
 COMMANDS = {
     "eval": ("bounds and exact value at one point", cmd_eval, {
-        **_LOCATED, **_SHARED,
+        **_LOCATED, "--out": _OUT,
         "--family": _FAMILY,
         "--no-search": dict(action="store_true", help="skip the witness-family search"),
     }),
     "profile": ("sweep one coordinate modulus, CSV table", cmd_profile, {
-        **_LOCATED, **_SHARED,
+        **_LOCATED, "--out": _OUT,
         "--axis": dict(type=int, default=0, help="factor index to sweep"),
         "--range": dict(required=True, help="modulus range 'lo:hi'"),
         "--steps": _STEPS,
     }),
     "verify": ("run a verification suite", cmd_verify, {
-        **_SHARED,
+        "--out": _OUT,
+        "--seed": dict(type=int, default=0, help="seed for randomized suites"),
         "--suite": dict(default="all", help=_suite_help),
     }),
     "limit": ("boundary-limit profile for an annulus product", cmd_limit, {
-        **_SHARED,
+        "--out": _OUT,
         "--r": dict(type=float, required=True, help="annulus inner radius"),
         "--side": dict(default="outer", help="'outer' or 'inner'"),
         "--steps": _STEPS,
     }),
     "search": ("witness-family lower bound at one point", cmd_search, {
-        **_LOCATED, **_SHARED,
+        **_LOCATED, "--out": _OUT,
         "--family": _FAMILY,
-        "--budget": dict(type=int, default=124,
-                         help="accepted and validated (positive); no effect on values, since "
-                              "each branch is scored once in closed form"),
     }),
 }
 
@@ -474,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of :data:`COMMANDS`, built on first use and kept.
 
     Every default is a constant, so parsing leaves the parser unchanged and
-    one instance serves every :func:`main` call.  The ``--samples`` default
-    is None; :func:`main` fills it from ``SQUEEZE_SAMPLES`` on each call.
+    one instance serves every :func:`main` call.
     """
     import argparse
 
@@ -566,29 +543,30 @@ def _read_table(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:
-    """``build_parser().parse_args(argv)``: same ``vars()``, output and exit.
+    """``build_parser().parse_args(argv)``: same ``vars()``, output and exit,
+    but a value written ``--opt=--`` raises :class:`UsageError`.
 
     A well-formed command line (see :func:`_read_table`) is read from
-    :data:`COMMANDS` without argparse; any other goes to the parser.
+    :data:`COMMANDS` without argparse; any other goes to the parser.  Only
+    the parser yields a value ``[]``: it stores ``--opt=--`` so, and raises
+    no error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    return _read_table(argv) or build_parser().parse_args(argv)
+    args = _read_table(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        for dest, value in vars(args).items():
+            if value == []:
+                raise UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        samples = _default_samples()
         try:
             args = _parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code else EXIT_OK
-        for dest, value in vars(args).items():
-            if value == []:  # argparse stores "--opt=--" as [] and raises no error
-                raise UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
-        if args.samples is None:
-            args.samples = samples
-        if args.samples < 8:
-            raise UsageError(f"--samples must be at least 8, got {args.samples}")
         steps = getattr(args, "steps", None)
         if steps is not None and not 1 <= steps <= MAX_STEPS:
             raise UsageError(f"--steps must lie in [1, {MAX_STEPS}], got {steps}")

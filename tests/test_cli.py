@@ -613,11 +613,57 @@ def test_verify_huge_seed_runs(capsys, seed):
     assert code == 0 and "# 3/3 checks passed" in out
 
 
-def test_seed_is_checked_by_verify_only(capsys, punct2):
-    # every command takes --seed; the others draw nothing and ignore it
-    code, _, _ = run(capsys, ["eval", "--spec", punct2, "--point", "0.5,0;0.3,0", "--seed", "-1"])
-    assert code == 0
-    assert main(["limit", "--r", "0.25", "--steps", "4", "--seed", "-1"]) == 0
+# Options that changed no value and are gone: a sample count on every
+# command, a search budget, and a seed outside verify, the one command that
+# draws.  Each is written with a value its old check accepted.
+REMOVED_OPTIONS = [
+    *((name, "--samples", "4096") for name in ("eval", "profile", "verify", "limit", "search")),
+    *((name, "--seed", "0") for name in ("eval", "profile", "limit", "search")),
+    ("search", "--budget", "124"),
+]
+
+
+@pytest.mark.parametrize("form", ["space", "equals"])
+@pytest.mark.parametrize(("command", "option", "value"), REMOVED_OPTIONS,
+                         ids=[f"{name}{option}" for name, option, _ in REMOVED_OPTIONS])
+def test_a_removed_option_is_unrecognized(capsys, annulus, command, option, value, form):
+    # argparse refuses it as any unknown option, with exit 2
+    argv = [command]
+    for other, kw in COMMANDS[command][2].items():
+        if kw.get("required"):
+            argv += [other, annulus if other == "--spec" else _REQUIRED_VALUES[other]]
+    extra = [option, value] if form == "space" else [f"{option}={value}"]
+    assert main([*argv, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: polysqueeze ")
+    assert err.endswith(f"polysqueeze: error: unrecognized arguments: {' '.join(extra)}\n")
+    # verify keeps its seed, and its own check of it
+    assert main(["verify", "--suite", "pinch", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be a non-negative integer, got -1\n")
+
+
+def test_squeeze_samples_is_not_read(capsys, monkeypatch, punct2):
+    # the variable once set a sample count; a malformed one made every call,
+    # help included, exit 2
+    seen = []
+    for env in (None, "abc", "4"):
+        if env is None:
+            monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
+        else:
+            monkeypatch.setenv("SQUEEZE_SAMPLES", env)
+        assert main(["--help"]) == 0
+        for command in COMMANDS:
+            assert main([command, "--help"]) == 0
+        capsys.readouterr()
+        calls = []
+        for argv in (["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"],
+                     ["limit", "--r", "0.25", "--steps", "4"]):
+            code = main(argv)
+            calls.append((code, capsys.readouterr()))
+        assert [code for code, _ in calls] == [0, 0]
+        seen.append(calls)
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 # ---------------------------------------------------------------------- limit
@@ -741,20 +787,6 @@ def test_search_annulus_gap(capsys, annulus):
     assert float(row["gap"]) >= 0.05
     assert row["evaluations"] == "3"  # branches scored: two on the annulus, one on the disk
     assert row["converged"] == "true"
-
-
-def test_search_zero_budget(capsys, annulus):
-    assert main(["search", "--spec", annulus, "--point", "0.5,0;0,0", "--budget", "0"]) == 2
-
-
-def test_search_budget_and_samples_change_no_value(capsys, annulus):
-    base = ["search", "--spec", annulus, "--point", "0.6,0.1;0.2,0"]
-    outs = []
-    for extra in ([], ["--budget", "1"], ["--budget", "5000"], ["--samples", "8"]):
-        code, _, out = run(capsys, base + extra)
-        assert code == 0
-        outs.append(out)
-    assert outs.count(outs[0]) == len(outs)
 
 
 # ------------------------------------------------- points an ulp from a circle
@@ -949,18 +981,6 @@ def test_out_file_mode_as_open_gives(tmp_path, annulus):
     assert kept.read_text().startswith("lower,")
 
 
-def test_samples_env_override(capsys, monkeypatch, punct2):
-    monkeypatch.setenv("SQUEEZE_SAMPLES", "512")
-    assert main(["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SQUEEZE_SAMPLES", "abc")
-    assert main(["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"]) == 2
-
-
-def test_samples_flag_validation(capsys, punct2):
-    assert main(["eval", "--spec", punct2, "--point", "0.5,0;0.3,0", "--samples", "2"]) == 2
-
-
 def test_ball_point_parsing(tmp_path, capsys):
     spec = tmp_path / "b.json"
     spec.write_text(json.dumps({"factors": [{"kind": "ball", "n": 2}, {"kind": "disk"}]}))
@@ -1013,55 +1033,56 @@ print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded}))
     assert result == {"codes": [0] * 11, "numpy_loaded": [False] * 5 + [True]}
 
 
-def test_reused_parser_leaks_no_state(capsys, monkeypatch, tmp_path, annulus):
+def test_reused_parser_leaks_no_state(capsys, tmp_path, annulus):
     from polysqueeze import cli
 
     point = ["--spec", annulus, "--point", "0.6,0.1;0.2,0"]
     out_file = tmp_path / "row.csv"
     calls = [
-        (["eval", *point, "--family", "reflection"], None),
-        (["eval", *point], None),
-        (["search", *point, "--budget", "1"], None),
-        (["eval", *point], None),
-        (["eval", *point, "--out", str(out_file)], None),
-        (["eval", *point], "512"),
-        (["eval", *point], "4"),        # below the floor of 8
-        (["eval", *point], None),       # unset again: no default left behind
-        (["eval", *point], "abc"),
-        (["eval", *point, "--samples", "512"], "abc"),  # the variable is still validated
-        (["eval", *point, "--family", "inclusion"], None),
-        (["eval", *point], None),
-        # forms only argparse reads: an abbreviation, a negative-looking value
-        (["eval", "--spec", annulus, "--po", "0.6,0.1;0.2,0", "--fam", "reflection"], None),
-        (["eval", *point], None),
-        (["eval", *point, "--seed", "-1"], None),
-        (["eval", *point, "--fam", "inclusion"], "64"),
+        ["eval", *point, "--family", "reflection"],
+        ["eval", *point],
+        ["search", *point, "--family", "inclusion"],
+        ["eval", *point],
+        ["eval", *point, "--out", str(out_file)],
+        ["eval", *point],               # no output path left behind
+        ["eval", *point, "--no-search"],
+        ["eval", *point],               # no flag left set
+        ["eval", *point, "--family", "inclusion"],
+        ["eval", *point],
+        # forms only argparse reads: abbreviations, a negative-looking value,
+        # a value its choices reject
+        ["eval", "--spec", annulus, "--po", "0.6,0.1;0.2,0", "--fam", "reflection"],
+        ["eval", *point],
+        ["eval", *point, "--no-s"],
+        ["eval", *point],
+        ["eval", *point, "--fam", "inclusion", "--o", str(out_file)],
+        ["eval", "--spec", annulus, "--point", "-0.6,0.1;0.2,0"],
+        ["eval", *point, "--family", "bogus"],
+        ["eval", *point],
     ]
 
-    def outcome(argv, env):
+    def outcome(argv):
         out_file.unlink(missing_ok=True)
-        if env is None:
-            monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
-        else:
-            monkeypatch.setenv("SQUEEZE_SAMPLES", env)
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err, out_file.read_text() if out_file.exists() else None
 
     alone = []
-    for argv, env in calls:
+    for argv in calls:
         cli.build_parser.cache_clear()  # a fresh parser, as in a new process
-        alone.append(outcome(argv, env))
+        alone.append(outcome(argv))
     cli.build_parser.cache_clear()
-    reused = [outcome(argv, env) for argv, env in calls]
+    reused = [outcome(argv) for argv in calls]
     assert cli.build_parser.cache_info().misses == 1
     assert reused == alone
     codes = [r[0] for r in reused]
-    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+    assert codes == [0] * 15 + [2, 2, 0]
     assert reused[0][1] != reused[1][1]  # the reflection family shows in the witness
-    assert reused[12] == reused[0] and reused[15] == reused[10]
+    assert reused[6][1] != reused[1][1]  # so does the skipped search
+    assert reused[10] == reused[0] and reused[12] == reused[6]
     assert reused[4][1] == "" and reused[4][3] == reused[1][1]
-    assert "SQUEEZE_SAMPLES" in reused[9][2]
+    assert reused[14][1] == "" and reused[14][3] == reused[8][1]
+    assert "expected one argument" in reused[15][2] and "invalid choice" in reused[16][2]
 
 
 @pytest.mark.parametrize("command", ["eval", "profile", "verify", "limit", "search"])
@@ -1073,7 +1094,7 @@ def test_help_unchanged_by_parser_reuse(capsys, monkeypatch, annulus, command):
     assert main([command, "--help"]) == 0
     fresh = capsys.readouterr().out
     assert main(["eval", "--spec", annulus, "--point", "0.6,0.1;0.2,0", "--family", "reflection"]) == 0
-    assert main(["limit", "--r", "0.5", "--steps", "4", "--samples", "64"]) == 0
+    assert main(["limit", "--r", "0.5", "--steps", "4", "--out", os.devnull]) == 0
     capsys.readouterr()
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out == fresh
@@ -1142,13 +1163,12 @@ print(loaded)
 def test_well_formed_calls_build_no_parser(capsys, monkeypatch, annulus):
     from polysqueeze import cli
 
-    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
     point = ["--spec", annulus, "--point=0.6,0.1;0.2,0"]
     cli.build_parser.cache_clear()
     codes = [
-        main(["eval", *point, "--family", "reflection", "--no-search", "--seed", "3"]),
+        main(["eval", *point, "--family", "reflection", "--no-search"]),
         main(["profile", *point, "--range", "0.3:0.9", "--steps=4", "--axis", "1"]),
-        main(["search", *point, "--budget", "9", "--family=inclusion", "--samples", "64"]),
+        main(["search", *point, "--family=inclusion"]),
         main(["limit", "--r=0.5", "--side", "inner", "--steps", "4"]),
         main(["verify", "--suite", "hhr", "--seed", "2", "--seed", "1"]),
     ]

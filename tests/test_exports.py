@@ -142,11 +142,13 @@ def test_deleted_names_are_gone():
 # (squeezing._reduced_modulus, verify._pseudo_hyperbolic), map_eval (_apply),
 # DomainPlan.annulus, read from the factors' boundary data
 # (single_annulus_index); punctured_indices and the witness-text parser had no
-# caller outside the tests.
+# caller outside the tests; the sample count of the CLI changed no value
+# (DEFAULT_SAMPLES, _default_samples).
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
-           "_pseudo_hyperbolic", "_apply", "single_annulus_index"]
+           "_pseudo_hyperbolic", "_apply", "single_annulus_index",
+           "DEFAULT_SAMPLES", "_default_samples"]
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -154,6 +156,19 @@ def test_test_only_aliases_are_gone(name):
     for module in (polysqueeze, cli, domains, embeddings, squeezing, verify):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(polysqueeze.ProductDomain, name)
+
+
+def test_cli_options_all_change_output():
+    # no sample count and no search budget: no value depends on either; a
+    # seed only where a suite draws
+    for name, (_, _, options) in cli.COMMANDS.items():
+        assert not {"--samples", "--budget"} & set(options), name
+        assert ("--seed" in options) == (name == "verify"), name
+    settable = sum(len(options) for _, _, options in cli.COMMANDS.values())
+    assert settable == 22
+    read = [path.relative_to(PACKAGE_DIR.parent.parent) for path in PACKAGE_DIR.parent.rglob("*")
+            if path.is_file() and b"SQUEEZE_SAMPLES" in path.read_bytes()]
+    assert not read
 
 
 # A test of a factor's class, or of a spec's kind string.  The seven left:

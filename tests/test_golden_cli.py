@@ -103,6 +103,9 @@ PARSE_EDGES = [
 ]
 
 
+REFUSED = "refused: a value written --opt=--"
+
+
 def _load():
     with open(FIXTURE, encoding="utf-8") as fh:
         return json.load(fh)
@@ -118,13 +121,24 @@ def _run(argv):
 
 
 def _parse(parse, argv):
-    """(vars of the namespace or the exit code, stdout, stderr) of one parse."""
+    """(vars of the namespace or the exit code, stdout, stderr) of one parse.
+
+    ``cli._parse_args`` refuses a value written ``--opt=--``, which argparse
+    stores as ``[]``, with a UsageError; that error and a namespace holding
+    ``[]`` both read as REFUSED.
+    """
+    from polysqueeze.cli import UsageError
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = vars(parse(argv))
         except SystemExit as e:
             result = e.code
+        except UsageError:
+            result = REFUSED
+    if isinstance(result, dict) and [] in result.values():
+        result = REFUSED
     return result, out.getvalue(), err.getvalue()
 
 
@@ -164,7 +178,6 @@ def test_fixture_covers_every_command_and_domain():
 
 def test_cli_output_matches_fixture_byte_for_byte(golden, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
     cases, paths = golden
     mismatches = []
     for case in cases:
@@ -184,7 +197,6 @@ def test_command_parser_dispatch_matches_top_level_parse(golden, monkeypatch, co
     from polysqueeze import cli
 
     monkeypatch.setenv("COLUMNS", columns)
-    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
     cases, paths = golden
     parser = cli.build_parser()
     mismatches = []
@@ -207,7 +219,6 @@ def test_golden_calls_outside_the_edges_build_no_parser(golden, monkeypatch):
         raise AssertionError("build_parser called")
 
     monkeypatch.setattr(cli, "build_parser", no_parser)
-    monkeypatch.delenv("SQUEEZE_SAMPLES", raising=False)
     cases, paths = golden
     edges = [{"spec": spec, "argv": argv} for spec, argv in PARSE_EDGES]
     plain = [case for case in cases if {"spec": case["spec"], "argv": case["argv"]} not in edges]
@@ -357,7 +368,6 @@ def capture() -> dict:
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    os.environ.pop("SQUEEZE_SAMPLES", None)
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(capture(), fh, indent=0)
         fh.write("\n")
