@@ -3,7 +3,13 @@
 Exit codes are a stable contract: 0 success, 2 usage or parse error,
 3 domain violation (a point outside its domain), 4 verification failure.
 CSV output uses '.' decimals, 17 significant digits (lossless for doubles)
-and always emits a header row.
+and always emits a header row.  The rows are formatted here, without the
+``csv`` module, and each is written as soon as it is formed: fields are
+joined by ',', and a field that holds ',', '"' or a newline is wrapped in
+'"' with each inner '"' doubled, the line ``csv.writer`` writes with
+``lineterminator="\\n"``.  A write that fails (a full device, a closed
+pipe) exits 2 with ``error: cannot write output: ...`` and no traceback.
+A spec factor that holds a key its kind does not read exits 2.
 
 No option is inert: no reported value depends on boundary sampling, so no
 command takes a sample count, and only ``verify`` draws, so only it takes
@@ -32,7 +38,6 @@ when it runs or its help is shown.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -92,7 +97,7 @@ def load_domain_spec(path: str) -> ProductDomain:
     Schema: {"factors": [{"kind": "disk"} | {"kind": "punctured_disk",
     "punctures": [[re, im], ...]} | {"kind": "annulus", "r": x} |
     {"kind": "ball", "n": k}, ...]}, where x, re and im are JSON numbers and
-    k is a JSON integer.
+    k is a JSON integer.  A factor with any other key is refused.
 
     The file is read on every call, as bytes without the text-file layer,
     and decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
@@ -151,7 +156,7 @@ def _spec_plan(text: str) -> DomainPlan:
         kind = item["kind"]
         try:
             if kind == "disk":
-                factors.append(UnitDisk())
+                factor, reads = UnitDisk(), ()
             elif kind == "punctured_disk":
                 ps = item.get("punctures")
                 if not isinstance(ps, list) or not ps:
@@ -162,22 +167,27 @@ def _spec_plan(text: str) -> DomainPlan:
                         raise UsageError(f"{where}.punctures[{j}]: expected [re, im]")
                     pts.append(complex(_spec_real(p[0], f"{where}.punctures[{j}][0]"),
                                        _spec_real(p[1], f"{where}.punctures[{j}][1]")))
-                factors.append(PuncturedDisk(tuple(pts)))
+                factor, reads = PuncturedDisk(tuple(pts)), ("punctures",)
             elif kind == "annulus":
                 if "r" not in item:
                     raise UsageError(f"{where}.r: missing inner radius")
-                factors.append(Annulus(_spec_real(item["r"], f"{where}.r")))
+                factor, reads = Annulus(_spec_real(item["r"], f"{where}.r")), ("r",)
             elif kind == "ball":
                 if "n" not in item:
                     raise UsageError(f"{where}.n: missing dimension")
                 n = item["n"]
                 if isinstance(n, bool) or not isinstance(n, int):
                     raise UsageError(f"{where}.n: expected an integer, got {n!r}")
-                factors.append(BallFactor(n))
+                factor, reads = BallFactor(n), ("n",)
             else:
                 raise UsageError(f"{where}.kind: unknown kind {kind!r}")
         except DomainError as e:
             raise UsageError(f"{where}: {e}") from e
+        # checked after the kind's own reads, so a misspelt key reports what is missing
+        for key in item:
+            if key != "kind" and key not in reads:
+                raise UsageError(f"{where}: unknown key {key!r} for kind {kind!r}")
+        factors.append(factor)
     return DomainPlan(ProductDomain(tuple(factors)))
 
 
@@ -248,10 +258,11 @@ def _open_out(path: str | None):
     the mode ``open(path, "w")`` would leave: that of the file it replaces,
     else 0o666 less the umask.  A target that exists and is not a regular
     file (a device, a pipe, a directory) holds no rows to keep and is opened
-    as given.
+    as given.  Rows sent to stdout are flushed before the command returns.
     """
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()  # a failed write raises here, not at interpreter exit
         return
     target = os.path.realpath(path)
     try:
@@ -280,23 +291,40 @@ def _open_out(path: str | None):
         raise
 
 
-def _writer(out):
-    return csv.writer(out, lineterminator="\n")
+def _csv_row(fields: list[str]) -> str:
+    """One CSV line of ``fields``, ended by ``\\n``.
+
+    Fields are joined by ``,``; a field that holds ``,``, ``"`` or ``\\n``
+    is wrapped in ``"`` with each inner ``"`` doubled, and every other field
+    (one with ``\\r``, leading spaces or nothing in it too) stays bare.  For
+    two or more fields that is the line ``csv.writer(out,
+    lineterminator="\\n")`` writes on Python 3.11.
+    """
+    return ",".join([
+        '"' + f.replace('"', '""') + '"' if "," in f or '"' in f or "\n" in f else f
+        for f in fields
+    ]) + "\n"
+
+
+_EVAL_HEADER = "lower,upper,exact,methods,witness\n"
+_PROFILE_HEADER = "param,lower,upper,exact,clearance_lower\n"
+_VERIFY_HEADER = "status,check,detail\n"
+_LIMIT_HEADER = "param,bound\n"
+_SEARCH_HEADER = "value,evaluations,converged,exact,gap,witness\n"
 
 
 def cmd_eval(args, out) -> int:
     plan = _load_plan(args.spec)
     z = parse_point(args.point, plan.domain)
     rep = squeeze_bounds(plan, z, search=not args.no_search, family=args.family)
-    w = _writer(out)
-    w.writerow(["lower", "upper", "exact", "methods", "witness"])
-    w.writerow([
+    out.write(_EVAL_HEADER)
+    out.write(_csv_row([
         _fmt(rep.lower),
         _fmt(rep.upper),
         _fmt(rep.exact) if rep.exact is not None else "",
         ";".join(rep.methods),
         format_product_map(rep.witness) if rep.witness is not None else "",
-    ])
+    ]))
     return EXIT_OK
 
 
@@ -322,8 +350,7 @@ def cmd_profile(args, out) -> int:
         c0 *= 2.0 ** 600
     direction = c0 / abs(c0) if c0 != 0 else complex(1.0)
     ann = plan.annulus
-    w = _writer(out)
-    w.writerow(["param", "lower", "upper", "exact", "clearance_lower"])
+    out.write(_PROFILE_HEADER)
     for param in params:
         coords = list(base.coords)
         coords[args.axis] = param * direction
@@ -332,13 +359,13 @@ def cmd_profile(args, out) -> int:
         clearance = ""
         if ann is not None:
             clearance = _fmt(annulus_clearance_bound(domain.factors[ann].r, z.planar(ann)))
-        w.writerow([
+        out.write(_csv_row([
             _fmt(param),
             _fmt(rep.lower),
             _fmt(rep.upper),
             _fmt(rep.exact) if rep.exact is not None else "",
             clearance,
-        ])
+        ]))
     return EXIT_OK
 
 
@@ -353,10 +380,9 @@ def cmd_verify(args, out) -> int:
         raise UsageError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}, all"
         ) from None
-    w = _writer(out)
-    w.writerow(["status", "check", "detail"])
+    out.write(_VERIFY_HEADER)
     for c in checks:
-        w.writerow(["PASS" if c.passed else "FAIL", c.name, c.detail])
+        out.write(_csv_row(["PASS" if c.passed else "FAIL", c.name, c.detail]))
     passed = sum(c.passed for c in checks)
     out.write(f"# {passed}/{len(checks)} checks passed\n")
     return EXIT_OK if passed == len(checks) else EXIT_VERIFY
@@ -373,10 +399,9 @@ def cmd_limit(args, out) -> int:
         # r and side are valid here, so the path itself is too short
         raise UsageError(f"--steps {args.steps}: {e}") from None
     profile = boundary_limit_profile(args.r, path)
-    w = _writer(out)
-    w.writerow(["param", "bound"])
+    out.write(_LIMIT_HEADER)
     for param, bound in profile.entries:
-        w.writerow([_fmt(param), _fmt(bound)])
+        out.write(_csv_row([_fmt(param), _fmt(bound)]))
     return EXIT_OK
 
 
@@ -385,16 +410,15 @@ def cmd_search(args, out) -> int:
     z = parse_point(args.point, plan.domain)
     sr = search_lower_bound(plan, z, args.family)
     exact = squeeze_bounds(plan, z, search=False).exact
-    w = _writer(out)
-    w.writerow(["value", "evaluations", "converged", "exact", "gap", "witness"])
-    w.writerow([
+    out.write(_SEARCH_HEADER)
+    out.write(_csv_row([
         _fmt(sr.value),
         str(sr.evaluations),
         "true",  # converged: scoring is closed-form, with nothing to iterate
         _fmt(exact) if exact is not None else "",
         _fmt(exact - sr.value) if exact is not None else "",
         format_product_map(sr.witness),
-    ])
+    ]))
     return EXIT_OK
 
 
@@ -561,16 +585,32 @@ def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:
     return args
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at ``os.devnull``, so that rows left in
+    its buffer after a failed write are flushed nowhere at exit, without
+    error.  A stdout with no descriptor (a capture in process) is left as is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    out_path = None  # stdout, until a command names its --out
     try:
         try:
             args = _parse_args(argv)
         except SystemExit as e:
+            sys.stdout.flush()  # the help argparse printed; a failed write raises here
             return EXIT_USAGE if e.code else EXIT_OK
         steps = getattr(args, "steps", None)
         if steps is not None and not 1 <= steps <= MAX_STEPS:
             raise UsageError(f"--steps must lie in [1, {MAX_STEPS}], got {steps}")
-        with _open_out(args.out) as out:
+        out_path = args.out
+        with _open_out(out_path) as out:
             return args.func(args, out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -578,6 +618,12 @@ def main(argv=None) -> int:
     except (DomainError, UnsupportedGeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as e:
+        # the spec read and the output open raise UsageError, so this is a write
+        if out_path is None:
+            _stdout_to_devnull()
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

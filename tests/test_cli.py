@@ -17,6 +17,7 @@ from polysqueeze import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection, e
 from polysqueeze.cli import (
     COMMANDS,
     MAX_STEPS,
+    _csv_row,
     format_product_map,
     load_domain_spec,
     main,
@@ -236,6 +237,23 @@ def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     assert format_product_map(pm) == row["witness"]
 
 
+@settings(max_examples=300, deadline=None)
+@example(fields=["0.5", "1", "", "ClosedForm;ProductLower", "mobius(0.5,0,0)|include"])
+@example(fields=['say "a,b"', "x\ny", ' "', ""])
+@given(fields=st.lists(st.text(alphabet=',"\n ;|()0123456789', max_size=8), min_size=2, max_size=6))
+def test_csv_row_is_the_line_csv_writer_writes(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    assert _csv_row(fields) == buf.getvalue()
+    assert list(csv.reader(io.StringIO(_csv_row(fields)))) == [fields]
+
+
+def test_csv_row_leaves_cr_spaces_and_empty_fields_bare():
+    # csv.writer under lineterminator "\n" does too on Python 3.11; csv.reader
+    # would end a line at the bare "\r", so no command prints one
+    assert _csv_row(["a\rb", " lead", ""]) == "a\rb, lead,\n"
+
+
 def test_spec_rewritten_in_place_is_read_anew(tmp_path):
     # same size and mtime: only the text tells the two files apart
     spec = tmp_path / "spec.json"
@@ -257,6 +275,29 @@ def test_invalid_spec_fails_alike_on_every_call(capsys, tmp_path):
     for path in (bad, also, bad):
         assert main(["eval", "--spec", str(path), "--point", "0,0"]) == 2
         assert capsys.readouterr().err == f"error: {path}: factors[0].kind: unknown kind 'pretzel'\n"
+
+
+@pytest.mark.parametrize("factor, message", [
+    # the punctures an annulus cannot hold used to be dropped, and the
+    # annulus's exact value printed 0.01 from the intended puncture
+    ({"kind": "annulus", "r": 0.25, "punctures": [[0.5, 0]]},
+     "factors[0]: unknown key 'punctures' for kind 'annulus'"),
+    ({"kind": "annulus", "r": 0.25, "radius": 0.5},
+     "factors[0]: unknown key 'radius' for kind 'annulus'"),
+    ({"kind": "disk", "r": 0.25}, "factors[0]: unknown key 'r' for kind 'disk'"),
+    ({"kind": "ball", "n": 1, "dim": 1}, "factors[0]: unknown key 'dim' for kind 'ball'"),
+    # the kind's own reads come first, so their errors read as they did
+    ({"kind": "punctured_disk", "puncture": [[0.5, 0]]},
+     "factors[0].punctures: need a nonempty list of [re, im] pairs"),
+    ({"kind": "annulus", "r": 2, "radius": 0.5},
+     "factors[0]: annulus inner radius must lie in (0, 1), got 2.0"),
+], ids=["annulus_punctures", "annulus_radius", "disk_r", "ball_dim",
+        "misspelt_punctures", "bad_r_beside_radius"])
+def test_unknown_factor_keys_exit_2(capsys, tmp_path, factor, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [factor]}))
+    assert main(["eval", "--spec", str(spec), "--point", "0.5,0.01"]) == 2
+    assert capsys.readouterr() == ("", f"error: {spec}: {message}\n")
 
 
 def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):
@@ -306,7 +347,7 @@ SPEC_BYTES = {
     "latin1": '{"factors": [{"kind": "d\xe9sk"}]}'.encode("latin-1"),
     "truncated_multibyte": _DISKS + " \u20ac".encode()[:-1],
     "non_utf8_past_8k": _DISKS[:-1] + b" " * 10000 + b"\x80}",
-    "utf8_text": '{"factors": [{"kind": "disk", "note": "\u00e9\u20ac"}]}'.encode(),
+    "utf8_text": '{"factors": [{"kind": "disk"}], "note": "\u00e9\u20ac"}'.encode(),
     "empty": b"",
 }
 
@@ -979,6 +1020,75 @@ def test_out_file_mode_as_open_gives(tmp_path, annulus):
     assert main(argv + [str(kept)]) == 0
     assert kept.stat().st_mode & 0o777 == 0o600
     assert kept.read_text().startswith("lower,")
+
+
+def _cli_env(unbuffered: bool) -> dict:
+    src = os.path.dirname(os.path.dirname(polysqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _assert_one_write_error(code, err: bytes):
+    # exit 2 with one line, and nothing left for the flush at interpreter exit
+    text = err.decode()
+    assert code == 2, text
+    assert text.startswith("error: cannot write output: ") and text.count("\n") == 1, text
+    assert "Traceback" not in text and "Exception ignored" not in text
+
+
+_CLI = [sys.executable, "-m", "polysqueeze.cli"]
+_BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+_needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@_needs_dev_full
+@_BUFFERING
+@pytest.mark.parametrize("target", ["stdout", "out"])
+@pytest.mark.parametrize("steps", ["3", "256"])  # rows left in stdout's buffer, or past it
+def test_a_full_device_exits_2(unbuffered, target, steps):
+    argv = [*_CLI, "limit", "--r", "0.25", "--steps", steps]
+    with open("/dev/full", "wb") as full:
+        if target == "stdout":
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  env=_cli_env(unbuffered), timeout=120)
+        else:
+            proc = subprocess.run([*argv, "--out", "/dev/full"], capture_output=True,
+                                  env=_cli_env(unbuffered), timeout=120)
+            assert proc.stdout == b""
+    _assert_one_write_error(proc.returncode, proc.stderr)
+
+
+@_BUFFERING
+def test_a_closed_pipe_exits_2(unbuffered):
+    # as "polysqueeze limit ... | head -1": the reader leaves after one line
+    proc = subprocess.Popen([*_CLI, "limit", "--r", "0.25", "--steps", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(unbuffered))
+    try:
+        assert proc.stdout.readline() == b"param,bound\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    _assert_one_write_error(code, err)
+
+
+@_needs_dev_full
+@_BUFFERING
+def test_help_to_a_full_device_keeps_the_exit_contract(unbuffered):
+    # argparse drops its own write errors; a buffered stdout fails at the flush
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([*_CLI, "--help"], stdout=full, stderr=subprocess.PIPE,
+                              env=_cli_env(unbuffered), timeout=120)
+    if unbuffered:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    else:
+        _assert_one_write_error(proc.returncode, proc.stderr)
 
 
 def test_ball_point_parsing(tmp_path, capsys):
