@@ -12,7 +12,7 @@ verification suites that build arrays import numpy, when they are called.
 """
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
-from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
+from .embeddings import MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
     BallProductReport,
@@ -37,7 +37,6 @@ __all__ = [
     "BallProductReport",
     "BoundReport",
     "DomainError",
-    "Inclusion",
     "LimitProfile",
     "MapExpr",
     "MobiusAut",

@@ -48,7 +48,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk
-from .embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
+from .embeddings import MapExpr, MobiusAut, ProductMap
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
     FAMILIES,
@@ -226,12 +226,8 @@ def format_map_expr(e: MapExpr) -> str:
     for step in e.steps:
         if isinstance(step, MobiusAut):
             out.append("mobius(%.17g,%.17g,%.17g)" % (step.a.real, step.a.imag, step.theta))
-        elif isinstance(step, Reflection):
-            out.append("reflect(%.17g)" % step.r)
-        elif isinstance(step, Inclusion):
-            out.append("include")
         else:
-            raise SqueezeError(f"unknown primitive {type(step).__name__}")
+            out.append("reflect(%.17g)" % step.r)
     return "|".join(out)
 
 
@@ -476,11 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of :data:`COMMANDS`, built on first use and kept.
 
     Every default is a constant, so parsing leaves the parser unchanged and
-    one instance serves every :func:`main` call.
+    one instance serves every :func:`main` call.  Its class, which
+    ``add_subparsers`` reuses, writes help without argparse's guard, so a
+    failed write reaches :func:`main`.
     """
     import argparse
 
-    p = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            (file or sys.stdout).write(self.format_help())
+
+    p = Parser(
         prog="polysqueeze",
         description="Squeezing values of product domains relative to the polydisk.",
     )
@@ -604,7 +606,7 @@ def main(argv=None) -> int:
         try:
             args = _parse_args(argv)
         except SystemExit as e:
-            sys.stdout.flush()  # the help argparse printed; a failed write raises here
+            sys.stdout.flush()  # help left in stdout's buffer; a failed flush raises here
             return EXIT_USAGE if e.code else EXIT_OK
         steps = getattr(args, "steps", None)
         if steps is not None and not 1 <= steps <= MAX_STEPS:

@@ -1,10 +1,11 @@
 """Explicit injective holomorphic maps into the disk.
 
-A map is a left-to-right composition of three primitives: a disk automorphism,
-the annulus reflection ``zeta -> r / zeta`` and the identity inclusion.  Every
-primitive sends boundary circles to circles, so the distance from 0 to the
-complement of an image is the least modulus over the images of the boundary
-circles and the extension values at the punctures.  The witness scores of
+A map is a left-to-right composition of two primitives: a disk automorphism
+and the annulus reflection ``zeta -> r / zeta``; the identity is the
+automorphism with zero 0.  Every primitive sends boundary circles to
+circles, so the distance from 0 to the complement of an image is the least
+modulus over the images of the boundary circles and the extension values at
+the punctures.  The witness scores of
 :mod:`polysqueeze.squeezing` take that minimum in closed form, through
 :func:`mobius_circle_min_modulus` on a circle and :func:`mobius_modulus`, the
 one body of |phi_a(z)|, at a puncture.  Maps are evaluated here on scalars
@@ -94,24 +95,23 @@ class Reflection(Frozen):
         object.__setattr__(self, "r", r)
 
 
-class Inclusion(Frozen):
-    """Identity inclusion into the disk."""
-
-    __slots__ = ()
-
-
-Primitive = Union[MobiusAut, Reflection, Inclusion]
+Primitive = Union[MobiusAut, Reflection]
+_PRIMITIVES = (MobiusAut, Reflection)
 
 
 class MapExpr(Frozen):
-    """Composition of primitives, applied left to right."""
+    """Composition of primitives, applied left to right.  Construction is the
+    one check of the steps: any step but the two primitives raises here."""
 
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[Primitive, ...]) -> None:
         steps = tuple(steps)
         if not steps:
-            raise DomainError("a map needs at least one step (use Inclusion for the identity)")
+            raise DomainError("a map needs at least one step (use MobiusAut(0) for the identity)")
+        for step in steps:
+            if not isinstance(step, _PRIMITIVES):
+                raise DomainError(f"unknown primitive {type(step).__name__}")
         object.__setattr__(self, "steps", steps)
 
 
@@ -151,12 +151,10 @@ def map_eval(e: MapExpr, zeta):
     for step in e.steps:
         if isinstance(step, MobiusAut):
             z = mobius_eval(step, z)
-        elif isinstance(step, Reflection):
+        else:
             if z == 0:
                 raise DomainError("reflection has a pole at 0")
             z = reflect(step.r, z)
-        elif not isinstance(step, Inclusion):
-            raise DomainError(f"unknown primitive {type(step).__name__}")
     return z
 
 

@@ -47,7 +47,6 @@ from .domains import (
     UnitDisk,
 )
 from .embeddings import (
-    Inclusion,
     MapExpr,
     MobiusAut,
     ProductMap,
@@ -239,16 +238,24 @@ class DomainPlan:
 
         Disk: 1.  Punctured disk: min over its punctures p of |phi_p(z)|.
         Annulus with inner radius r: max(|z|, r/|z|).  Ball of dimension n:
-        1/sqrt(n).  A value that rounds above 1 is capped at 1.
+        1/sqrt(n).  A value that rounds above 1 is capped at 1.  A point with
+        another number of coordinates than the domain has factors raises
+        :class:`DomainError`, as :meth:`ProductPoint.of` does.
         """
-        return [value(f, c) for value, f, c in zip(self.kinds, self.domain.factors, z.coords)]
+        coords = z.coords
+        if len(coords) != len(self.kinds):
+            raise DomainError(
+                f"point has {len(coords)} coordinates, domain has {len(self.kinds)} factors")
+        return [value(f, c) for value, f, c in zip(self.kinds, self.domain.factors, coords)]
 
 
-def _automorphisms(coords) -> ProductMap:
-    """The automorphism witness, each z_i sent to 0 by a disk automorphism (checked)."""
-    components = tuple(MapExpr((MobiusAut(c),)) for c in coords)
-    for i, (e, c) in enumerate(zip(components, coords)):
-        require_base_to_zero(e, c, i)
+def _automorphisms(plan: DomainPlan, coords) -> ProductMap:
+    """The automorphism witness, each z_i sent to 0 by phi_{z_i}, the inclusion
+    branch's :func:`_witness` (checked)."""
+    components = []
+    for i, (f, c) in enumerate(zip(plan.domain.factors, coords)):
+        components.append(_witness(f, INCLUSION, c))
+        require_base_to_zero(components[-1], c, i)
     return ProductMap(components)
 
 
@@ -265,7 +272,7 @@ def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
     if plan.witnessed is None:
         raise UnsupportedGeometryError("domain is outside the closed-form catalog")
     v = min(plan.values(z))
-    return BoundReport(v, v, v, _automorphisms(z.coords) if plan.witnessed else None,
+    return BoundReport(v, v, v, _automorphisms(plan, z.coords) if plan.witnessed else None,
                        (CLOSED_FORM,))
 
 
@@ -303,15 +310,10 @@ def _branch_image(f, z: complex, branch: str) -> Optional[complex]:
 
 
 def _witness(f, branch: str, w: complex) -> MapExpr:
-    """The branch's steps, then the automorphism sending ``w``, the branch image, to 0.
-
-    The automorphism is dropped where ``w`` is already 0, so witnesses
-    serialize in their simplest form.
-    """
-    steps: list = [Reflection(f.r)] if branch == REFLECTION else []
-    if w != 0:
-        steps.append(MobiusAut(w))
-    return MapExpr(tuple(steps) or (Inclusion(),))
+    """The branch's steps, then the automorphism sending ``w``, the branch image, to 0:
+    ``mobius(w)`` or ``reflect(r)|mobius(w)``, phi_0 included, the one form of
+    every witness component."""
+    return MapExpr((Reflection(f.r), MobiusAut(w)) if branch == REFLECTION else (MobiusAut(w),))
 
 
 def _family(plan: DomainPlan, z: ProductPoint, family: str,
@@ -411,7 +413,7 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     methods = plan.methods
 
     if plan.witnessed:
-        witness = _automorphisms(z.coords)
+        witness = _automorphisms(plan, z.coords)
         methods += (SEARCH,) if search else ()
     elif search and plan.planar:
         value, found, _ = _family(plan, z, family, values)

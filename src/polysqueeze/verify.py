@@ -42,12 +42,10 @@ from .domains import (
     UnitDisk,
 )
 from .embeddings import (
-    Inclusion,
     MapExpr,
     MobiusAut,
     Primitive,
     ProductMap,
-    Reflection,
     map_eval,
     mobius_circle_min_modulus,
     mobius_eval,
@@ -146,10 +144,8 @@ def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
             z /= den
             if step.theta != 0.0:
                 np.multiply(complex(math.cos(step.theta), math.sin(step.theta)), z, out=z)
-        elif isinstance(step, Reflection):
+        else:
             z = reflect(step.r, z)
-        elif not isinstance(step, Inclusion):
-            raise DomainError(f"unknown primitive {type(step).__name__}")
     return z
 
 
@@ -219,12 +215,12 @@ def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int = 4096) -> float:
 def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     """Closed-form image inradius, or None when the map shape does not admit one.
 
-    Applies when the composition is a prefix of radius-preserving steps
-    (inclusions and reflections, which send circles centered at 0 to circles
-    centered at 0) followed by automorphisms only.  The automorphism suffix
-    composes to a single automorphism whose zero is recovered by pulling 0
-    back through the inverses, and the per-circle minimum is the radial
-    formula of :func:`mobius_circle_min_modulus`.
+    Applies when the composition is a prefix of reflections, which send
+    circles centered at 0 to circles centered at 0, followed by
+    automorphisms only.  The automorphism suffix composes to a single
+    automorphism whose zero is recovered by pulling 0 back through the
+    inverses, and the per-circle minimum is the radial formula of
+    :func:`mobius_circle_min_modulus`.
     """
     steps = e.steps
     split = 0
@@ -241,8 +237,7 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     best = math.inf
     for rho in f.radii:
         for s in radial:
-            if isinstance(s, Reflection):
-                rho = s.r / rho
+            rho = s.r / rho
         if not mobius or rho >= 1.0:
             # a radius-1 circle maps to the unit circle under any automorphism
             best = min(best, rho if not mobius else 1.0)

@@ -17,7 +17,7 @@ from polysqueeze import (
 )
 from polysqueeze import cli, squeezing
 from polysqueeze.domains import Frozen, ProductPoint, membership
-from polysqueeze.embeddings import Inclusion, MapExpr, MobiusAut, ProductMap, Reflection
+from polysqueeze.embeddings import MapExpr, MobiusAut, ProductMap, Reflection
 from polysqueeze.verify import Check, _sample_radii, _unit_circle
 from test_golden_cli import SPECS
 
@@ -263,7 +263,7 @@ def test_product_helpers():
 def _value_instances():
     """One instance of every value class, with the repr dataclasses gave it."""
     d = ProductDomain((Annulus(0.25), UnitDisk(), PuncturedDisk((0j, 0.5 + 0.25j)), BallFactor(2)))
-    incl = ProductMap((MapExpr((Inclusion(),)),))
+    identity = ProductMap((MapExpr((MobiusAut(0),)),))
     return [
         (UnitDisk(), "UnitDisk()"),
         (PuncturedDisk((0j, 0.5 + 0.25j)), "PuncturedDisk(punctures=(0j, (0.5+0.25j)))"),
@@ -275,18 +275,17 @@ def _value_instances():
          "ProductPoint(coords=((0.5+0j), 0.1j, (0.2+0j), ((0.1+0j), 0.2j)))"),
         (MobiusAut(0.5 - 0.25j, 0.75), "MobiusAut(a=(0.5-0.25j), theta=0.75)"),
         (Reflection(0.25), "Reflection(r=0.25)"),
-        (Inclusion(), "Inclusion()"),
         (MapExpr((Reflection(0.25), MobiusAut(0.3j))),
          "MapExpr(steps=(Reflection(r=0.25), MobiusAut(a=0.3j, theta=0.0)))"),
-        (incl, "ProductMap(components=(MapExpr(steps=(Inclusion(),)),))"),
-        (squeezing.BoundReport(0.25, 0.5, None, incl, ("X",)),
+        (identity, "ProductMap(components=(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),))"),
+        (squeezing.BoundReport(0.25, 0.5, None, identity, ("X",)),
          "BoundReport(lower=0.25, upper=0.5, exact=None, witness=ProductMap(components="
-         "(MapExpr(steps=(Inclusion(),)),)), methods=('X',))"),
+         "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), methods=('X',))"),
         (squeezing.LimitProfile(((0.5, 0.25), (0.6, 0.3)), 1.0),
          "LimitProfile(entries=((0.5, 0.25), (0.6, 0.3)), target=1.0)"),
-        (squeezing.SearchResult(0.5, incl, 2),
-         "SearchResult(value=0.5, witness=ProductMap(components=(MapExpr(steps=(Inclusion(),)),)), "
-         "evaluations=2)"),
+        (squeezing.SearchResult(0.5, identity, 2),
+         "SearchResult(value=0.5, witness=ProductMap(components="
+         "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), evaluations=2)"),
         (squeezing.ball_product_ratio_check(2),
          "BallProductReport(n=2, ball_target_value=0.7071067811865476, "
          "poly_lower=0.7071067811865475, poly_upper=1.0, scaled_up=1.4142135623730951, "
@@ -308,7 +307,7 @@ def test_every_value_class_is_pinned():
 
     classes = {c for c in subclasses(Frozen) if c.__module__.startswith("polysqueeze.")}
     assert sorted(VALUE_IDS) == sorted(c.__name__ for c in classes)
-    assert len(classes) == 16
+    assert len(classes) == 15
 
 
 @pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
@@ -340,8 +339,9 @@ def test_value_equality_reads_every_field_and_never_crosses_classes():
     assert PuncturedDisk((0j, 0.5)) != PuncturedDisk((0.5, 0j))
     assert Annulus(0.25).__eq__(Reflection(0.25)) is NotImplemented
     assert Annulus(0.25) != Reflection(0.25)
-    assert UnitDisk() != Inclusion() and UnitDisk() == UnitDisk()
-    assert len({Annulus(0.25), Annulus(0.25), Reflection(0.25), UnitDisk(), Inclusion()}) == 4
+    # two field-less values of different classes, each of field tuple ()
+    assert UnitDisk() != Frozen() and UnitDisk() == UnitDisk()
+    assert len({Annulus(0.25), Annulus(0.25), Reflection(0.25), UnitDisk(), Frozen()}) == 4
 
 
 @pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
@@ -366,11 +366,11 @@ def test_classes_that_only_hold_fields_inherit_the_frozen_constructor():
     own = {c.__name__ for c in map(type, (v for v, _ in VALUES)) if "__init__" in vars(c)}
     assert {"SearchResult", "BallProductReport", "Check"}.isdisjoint(own)
     assert sorted(set(VALUE_IDS) - own) == [
-        "BallProductReport", "Check", "Inclusion", "SearchResult", "UnitDisk"]
+        "BallProductReport", "Check", "SearchResult", "UnitDisk"]
 
 
 @pytest.mark.parametrize("cls", [squeezing.SearchResult, squeezing.BallProductReport, Check,
-                                 UnitDisk, Inclusion], ids=lambda c: c.__name__)
+                                 UnitDisk], ids=lambda c: c.__name__)
 def test_the_frozen_constructor_takes_one_value_per_field(cls):
     values = tuple(range(len(cls.__slots__)))
     made = cls(*values)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polysqueeze import (
     Annulus,
     DomainError,
-    Inclusion,
     MapExpr,
     MobiusAut,
     ProductDomain,
@@ -72,7 +71,10 @@ def rotated_witness(f, z, branch, a):
 # ------------------------------------------------------------------- map_eval
 
 def test_map_eval_inclusion():
-    assert map_eval(mexpr(Inclusion()), 0.3) == 0.3
+    # the inclusion branch's witness at a zero image is phi_0, the identity
+    assert map_eval(mexpr(MobiusAut(0)), 0.3) == 0.3
+    zs = np.array([0.5, 0.25j, -0.3 + 0.4j])
+    assert np.array_equal(_array_eval((MobiusAut(0),), zs), zs)
 
 
 def test_map_eval_reflection_fixed_circle():
@@ -140,17 +142,9 @@ def test_scalar_and_array_dispatch_bitwise():
             map_eval(mexpr(Reflection(0.25)), zero)
 
 
-def test_array_eval_rejects_unknown_primitives():
-    zs = np.array([0.5, 0.25j])
-    assert _array_eval((Inclusion(),), zs) is zs
-    for steps in ((object(),), (MobiusAut(0.3), "reflect")):
-        with pytest.raises(DomainError, match="unknown primitive"):
-            _array_eval(steps, zs)
-
-
 def test_map_eval_rejects_unknown_primitives():
+    # MapExpr refuses them at construction, so no evaluator meets one
     z = 0.5 + 0.25j
-    assert map_eval(mexpr(Inclusion()), z) is z
     for steps in ((object(),), (MobiusAut(0.3), "reflect")):
         with pytest.raises(DomainError, match="unknown primitive"):
             map_eval(mexpr(*steps), z)
@@ -161,6 +155,11 @@ def test_map_eval_rejects_unknown_primitives():
 def test_map_expr_validation():
     with pytest.raises(DomainError):
         MapExpr(())
+    # the one check of the steps: map_eval, verify's _array_eval and the CLI's
+    # witness text read a reflection wherever a step is not an automorphism
+    for steps in ((object(),), (MobiusAut(0.3), "reflect"), (Reflection(0.25), None)):
+        with pytest.raises(DomainError, match="unknown primitive"):
+            MapExpr(steps)
     with pytest.raises(DomainError):
         Reflection(1.5)
 
@@ -174,7 +173,7 @@ def test_extension_mobius():
 
 
 def test_extension_inclusion():
-    assert map_eval(mexpr(Inclusion()), 0j) == 0
+    assert map_eval(mexpr(MobiusAut(0)), 0j) == 0
 
 
 # ------------------------------------------------------------- image inradius
@@ -203,12 +202,12 @@ def test_inradius_annulus_mobius():
 
 
 def test_inradius_identity_on_disk():
-    assert image_inradius_at_zero(mexpr(Inclusion()), UnitDisk(), 64) == pytest.approx(1.0, abs=1e-12)
+    assert image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk(), 64) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inradius_sample_count_validation():
     with pytest.raises(DomainError):
-        image_inradius_at_zero(mexpr(Inclusion()), UnitDisk(), 4)
+        image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk(), 4)
 
 
 def test_inradius_monotone_under_sample_doubling():
@@ -377,7 +376,7 @@ def test_analytic_matches_sampled():
         (mexpr(MobiusAut(0.5)), Annulus(0.25)),
         (mexpr(Reflection(0.25), MobiusAut(0.5)), Annulus(0.25)),
         (mexpr(MobiusAut(0.3 + 0.2j), MobiusAut(-0.1j, 1.2)), PuncturedDisk((0.2 + 0j,))),
-        (mexpr(Inclusion()), UnitDisk()),
+        (mexpr(Reflection(0.25)), Annulus(0.25)),  # no automorphism: the radii alone
         (mexpr(MobiusAut(0.7j)), UnitDisk()),
     ]
     for e, f in cases:

@@ -14,13 +14,15 @@ from polysqueeze import (
     ProductDomain,
     ProductMap,
     PuncturedDisk,
+    Reflection,
     UnitDisk,
     exact_squeeze,
     search_lower_bound,
     squeeze_bounds,
 )
 from polysqueeze.domains import membership
-from polysqueeze.squeezing import DomainPlan, _branch_image, _score, _witness
+from polysqueeze.embeddings import map_eval
+from polysqueeze.squeezing import FAMILIES, DomainPlan, _branch_image, _score, _witness
 from polysqueeze.verify import image_inradius_analytic, product_inradius
 
 PUNCT = ProductDomain((PuncturedDisk((0j,)),))
@@ -219,3 +221,29 @@ def test_table_score_is_the_analytic_inradius(f, modulus, angle, branch):
     assume(w is not None)  # no witness where the image rounds onto the unit circle
     score = _score(f, w)
     assert score == image_inradius_analytic(_witness(f, branch, w), f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SCORED_FACTORS), min_size=1, max_size=3), st.data())
+def test_every_witness_component_is_one_form(fs, data):
+    # mobius(w) or reflect(r)|mobius(w), phi_0 at a coordinate 0 included, in
+    # every report and under every family, each sending its coordinate to 0 exactly
+    coords = []
+    for f in fs:
+        if len(f.radii) == 1 and data.draw(st.booleans()):
+            coords.append(0j)
+        else:
+            coords.append(cmath.rect(data.draw(st.floats(0.0, 1.0)),
+                                     data.draw(st.floats(0.0, 2 * math.pi))))
+    assume(all(map(membership, fs, coords)))
+    d = ProductDomain(tuple(fs))
+    plan, z = DomainPlan(d), d.point(coords)
+    maps = [exact_squeeze(plan, z).witness] if plan.witnessed else []
+    for family in FAMILIES:
+        maps += [squeeze_bounds(plan, z, family=family).witness,
+                 search_lower_bound(plan, z, family).witness]
+    for pm in maps:
+        for f, e, c in zip(fs, pm.components, z.coords, strict=True):
+            *head, last = e.steps
+            assert isinstance(last, MobiusAut) and (head == [] or head == [Reflection(f.r)])
+            assert map_eval(e, c) == 0j

@@ -29,7 +29,7 @@ from polysqueeze import (
     search_lower_bound,
     squeeze_bounds,
 )
-from polysqueeze.cli import format_map_expr, parse_point
+from polysqueeze.cli import parse_point
 from polysqueeze.domains import membership
 from polysqueeze.embeddings import (
     MapExpr,
@@ -1093,8 +1093,8 @@ WITNESSED_FACTORS = (UnitDisk(), PuncturedDisk((0j,)), PuncturedDisk((0.3 - 0.2j
        st.sampled_from(FAMILIES), st.data())
 def test_family_is_the_automorphism_witness_on_disk_and_punctured_products(fs, family, data):
     # why the report need not score the family there: its value is within
-    # 1e-6 of lower, and its witness prints as the report's one, except that
-    # at a coordinate 0 it writes the inclusion where the report writes mobius(0)
+    # 1e-6 of lower, and its witness is the report's one, map for map, at a
+    # coordinate 0 too
     d = ProductDomain(tuple(fs))
     coords = [_near(f, data) for f in d.factors]
     assume(all(map(membership, d.factors, coords)))
@@ -1102,5 +1102,18 @@ def test_family_is_the_automorphism_witness_on_disk_and_punctured_products(fs, f
     rep = squeeze_bounds(plan, z, family=family)
     sr = search_lower_bound(plan, z, family)
     assert sr.value >= rep.lower - 1e-6
-    for c, mine, theirs in zip(z.coords, sr.witness.components, rep.witness.components):
-        assert format_map_expr(mine) == ("include" if c == 0 else format_map_expr(theirs))
+    assert sr.witness == rep.witness == exact_squeeze(plan, z).witness
+
+
+@pytest.mark.parametrize("bound", [exact_squeeze, search_lower_bound, squeeze_bounds],
+                         ids=lambda f: f.__name__)
+def test_a_point_of_another_domain_is_refused(bound):
+    # every bound reads the plan's values, which check the point's arity once
+    one = ProductDomain((UnitDisk(),))
+    three = ProductDomain((UnitDisk(), UnitDisk(), PuncturedDisk((0j,))))
+    cases = [(MIXED, one.point([0.5]), 1, 2), (one, three.point([0.5, 0.1, 0.2]), 3, 1)]
+    for d, z, n, m in cases:
+        for domain_or_plan in (d, DomainPlan(d)):
+            with pytest.raises(DomainError,
+                               match=f"^point has {n} coordinates, domain has {m} factors$"):
+                bound(domain_or_plan, z)
