@@ -15,12 +15,10 @@ from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, Punctured
 from .embeddings import MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
-    BallProductReport,
     BoundReport,
     LimitProfile,
     SearchResult,
     annulus_clearance_bound,
-    ball_product_ratio_check,
     boundary_limit_profile,
     default_limit_path,
     exact_squeeze,
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Annulus",
     "BallFactor",
-    "BallProductReport",
     "BoundReport",
     "DomainError",
     "LimitProfile",
@@ -50,7 +47,6 @@ __all__ = [
     "UnitDisk",
     "UnsupportedGeometryError",
     "annulus_clearance_bound",
-    "ball_product_ratio_check",
     "boundary_limit_profile",
     "default_limit_path",
     "exact_squeeze",

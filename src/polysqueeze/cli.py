@@ -587,17 +587,32 @@ def _parse_args(argv) -> argparse.Namespace | SimpleNamespace:
     return args
 
 
-def _stdout_to_devnull() -> None:
-    """Point stdout's file descriptor at ``os.devnull``, so that rows left in
-    its buffer after a failed write are flushed nowhere at exit, without
-    error.  A stdout with no descriptor (a capture in process) is left as is."""
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at ``os.devnull``, so that what is
+    left in its buffer after a failed write is flushed nowhere at exit,
+    without error.  A stream with no descriptor (a capture in process) is
+    left as is."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _error(code: int, message: str | None = None) -> int:
+    """Write the line ``error: <message>`` to stderr (none where argparse has
+    written its own), flush it and return ``code``.  A failed write points
+    stderr at ``os.devnull``: the line is lost, but the exit code stays
+    ``code``."""
+    try:
+        if message is not None:
+            sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -606,8 +621,10 @@ def main(argv=None) -> int:
         try:
             args = _parse_args(argv)
         except SystemExit as e:
+            if e.code:
+                return _error(EXIT_USAGE)  # argparse wrote the usage error
             sys.stdout.flush()  # help left in stdout's buffer; a failed flush raises here
-            return EXIT_USAGE if e.code else EXIT_OK
+            return EXIT_OK
         steps = getattr(args, "steps", None)
         if steps is not None and not 1 <= steps <= MAX_STEPS:
             raise UsageError(f"--steps must lie in [1, {MAX_STEPS}], got {steps}")
@@ -615,17 +632,14 @@ def main(argv=None) -> int:
         with _open_out(out_path) as out:
             return args.func(args, out)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(EXIT_USAGE, str(e))
     except (DomainError, UnsupportedGeometryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, str(e))
     except OSError as e:
         # the spec read and the output open raise UsageError, so this is a write
         if out_path is None:
-            _stdout_to_devnull()
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return EXIT_USAGE
+            _to_devnull(sys.stdout)
+        return _error(EXIT_USAGE, f"cannot write output: {e}")
 
 
 def entrypoint() -> None:

@@ -280,15 +280,16 @@ def annulus_clearance_bound(r: float, z1: complex) -> float:
     """Lower bound for an annulus coordinate from boundary clearance.
 
     Two explicit embeddings give certified values: keeping the outer circle
-    outer yields (|z|-r)/(1-r|z|); reflecting first yields r(1-|z|)/(|z|-r^2).
-    Both tend to 1 at their respective boundary, and the max is returned.
+    outer yields (|z|-r)/(1-r|z|), the least modulus of phi_|z| on the inner
+    circle; reflecting first yields r(1-|z|)/(|z|-r^2).  Both tend to 1 at
+    their respective boundary, and the max is returned.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"inner radius must lie in (0, 1), got {r}")
     x = abs(complex(z1))
     if not (r < x < 1.0):
         raise DomainError(f"|z1| = {x} outside the annulus ({r}, 1)")
-    outer = (x - r) / (1.0 - r * x)
+    outer = mobius_circle_min_modulus(x, r)
     # at a subnormal |z| the reflected bound is r/|z|, as in the closed form
     reflected = r * (1.0 - x) / (x - r * r) if x >= _TINY else abs(reflect(r, z1))
     return max(outer, reflected)
@@ -423,43 +424,6 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
         witness = None
     upper = min([1.0, *(values[i] for i in plan.punctured)])
     return BoundReport(product, upper, exact, witness, methods)
-
-
-class BallProductReport(Frozen):
-    """Evidence that no fixed 1/dim ratio ties the ball-target and polydisk-target values.
-
-    For the n-fold product of n-dimensional balls (total dimension n^2), the
-    ball-target squeezing value is 1/sqrt(n) and the polydisk-target value
-    sits in [1/sqrt(n), 1].  Scaling by the total-dimension factor n in either
-    direction leaves that bracket, with the margins recorded below.
-    """
-
-    # scaled_up: the hypothetical polydisk value n * ball value, and
-    # scaled_up_margin the amount by which it exceeds the ceiling 1;
-    # scaled_down: the hypothetical value ball value / n, and
-    # scaled_down_margin its shortfall below the proven floor
-    __slots__ = ("n", "ball_target_value", "poly_lower", "poly_upper",
-                 "scaled_up", "scaled_up_margin", "scaled_down", "scaled_down_margin")
-
-    @property
-    def contradictions_hold(self) -> bool:
-        return self.scaled_up_margin > 0.0 and self.scaled_down_margin > 0.0
-
-
-def ball_product_ratio_check(n: int) -> BallProductReport:
-    """Check both fixed-ratio hypotheses on the n-fold product of n-balls."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"the check needs an integer n >= 2, got {n}")
-    domain = ProductDomain((BallFactor(n),) * n)
-    origin = domain.point([(0j,) * n] * n)
-    # Each ball factor has ball-target value 1, combined through the
-    # inverse-square-sum rule for the n-fold product.
-    s = (n * 1.0 ** -2) ** -0.5
-    t_lower = squeeze_bounds(domain, origin, search=False).lower
-    t_upper = 1.0
-    up = n * s
-    down = s / n
-    return BallProductReport(n, s, t_lower, t_upper, up, up - t_upper, down, t_lower - down)
 
 
 def boundary_limit_profile(r: float, path) -> LimitProfile:

@@ -1088,6 +1088,27 @@ def test_help_to_a_full_device_keeps_the_exit_contract(unbuffered):
         _assert_one_write_error(proc.returncode, proc.stderr)
 
 
+@_needs_dev_full
+@_BUFFERING
+@pytest.mark.parametrize(("argv", "code"), [
+    (["limit", "--r", "2"], 2),
+    (["limit", "--r", "0.25", "--side", "up"], 2),  # argparse's choice error
+    (["eval", "--spec", "missing.json", "--point", "0.5"], 2),
+    (["eval", "--spec", "annulus", "--point", "2,0;0"], 3),
+    (["limit", "--r", "0.25", "--steps", "3"], 2),  # stdout full too: the write error
+    (["evl"], 2),  # argparse's command error
+], ids=["usage", "choice", "missing-spec", "domain", "write", "command"])
+def test_a_failing_stderr_keeps_the_exit_contract(unbuffered, argv, code, annulus, tmp_path):
+    # the error line is lost, but the code is the contract's, not the 1 of an
+    # uncaught OSError or the 120 of a failed flush at exit
+    argv = [annulus if a == "annulus" else a for a in argv]
+    with open("/dev/full", "wb") as full:
+        stdout = full if "--steps" in argv else subprocess.DEVNULL
+        proc = subprocess.run([*_CLI, *argv], stdout=stdout, stderr=full, cwd=tmp_path,
+                              env=_cli_env(unbuffered), timeout=120)
+    assert proc.returncode == code
+
+
 def test_ball_point_parsing(tmp_path, capsys):
     spec = tmp_path / "b.json"
     spec.write_text(json.dumps({"factors": [{"kind": "ball", "n": 2}, {"kind": "disk"}]}))

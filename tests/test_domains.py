@@ -286,11 +286,6 @@ def _value_instances():
         (squeezing.SearchResult(0.5, identity, 2),
          "SearchResult(value=0.5, witness=ProductMap(components="
          "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), evaluations=2)"),
-        (squeezing.ball_product_ratio_check(2),
-         "BallProductReport(n=2, ball_target_value=0.7071067811865476, "
-         "poly_lower=0.7071067811865475, poly_upper=1.0, scaled_up=1.4142135623730951, "
-         "scaled_up_margin=0.41421356237309515, scaled_down=0.3535533905932738, "
-         "scaled_down_margin=0.3535533905932737)"),
         (Check("a", True, "ok"), "Check(name='a', passed=True, detail='ok')"),
     ]
 
@@ -307,7 +302,7 @@ def test_every_value_class_is_pinned():
 
     classes = {c for c in subclasses(Frozen) if c.__module__.startswith("polysqueeze.")}
     assert sorted(VALUE_IDS) == sorted(c.__name__ for c in classes)
-    assert len(classes) == 15
+    assert len(classes) == 14
 
 
 @pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)
@@ -364,13 +359,12 @@ def test_value_copies_and_pickles_round_trip(value, text):
 
 def test_classes_that_only_hold_fields_inherit_the_frozen_constructor():
     own = {c.__name__ for c in map(type, (v for v, _ in VALUES)) if "__init__" in vars(c)}
-    assert {"SearchResult", "BallProductReport", "Check"}.isdisjoint(own)
-    assert sorted(set(VALUE_IDS) - own) == [
-        "BallProductReport", "Check", "SearchResult", "UnitDisk"]
+    assert {"SearchResult", "Check"}.isdisjoint(own)
+    assert sorted(set(VALUE_IDS) - own) == ["Check", "SearchResult", "UnitDisk"]
 
 
-@pytest.mark.parametrize("cls", [squeezing.SearchResult, squeezing.BallProductReport, Check,
-                                 UnitDisk], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [squeezing.SearchResult, Check, UnitDisk],
+                         ids=lambda c: c.__name__)
 def test_the_frozen_constructor_takes_one_value_per_field(cls):
     values = tuple(range(len(cls.__slots__)))
     made = cls(*values)

@@ -42,7 +42,7 @@ def readme_public_api():
 
 def test_all_is_the_documented_api():
     documented = readme_public_api()
-    assert len(documented) == len(set(documented)) == 25
+    assert len(documented) == len(set(documented)) == 23
     assert sorted(polysqueeze.__all__) == sorted(documented)
     # the package imports only what it exports (and its own submodules)
     public = {n for n in vars(polysqueeze) if not n.startswith("_")}
@@ -143,12 +143,14 @@ def test_deleted_names_are_gone():
 # DomainPlan.annulus, read from the factors' boundary data
 # (single_annulus_index); punctured_indices and the witness-text parser had no
 # caller outside the tests; the sample count of the CLI changed no value
-# (DEFAULT_SAMPLES, _default_samples).
+# (DEFAULT_SAMPLES, _default_samples); the ball-ratio arithmetic is done by
+# the verify suite that checks it (BallProductReport, ball_product_ratio_check).
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
            "_pseudo_hyperbolic", "_apply", "single_annulus_index",
-           "DEFAULT_SAMPLES", "_default_samples", "Inclusion"]
+           "DEFAULT_SAMPLES", "_default_samples", "Inclusion", "BallProductReport",
+           "ball_product_ratio_check"]
 
 
 @pytest.mark.parametrize("name", DELETED)

@@ -21,7 +21,6 @@ from polysqueeze import (
     UnitDisk,
     UnsupportedGeometryError,
     annulus_clearance_bound,
-    ball_product_ratio_check,
     boundary_limit_profile,
     default_limit_path,
     exact_squeeze,
@@ -609,22 +608,32 @@ def test_bound_report_validation():
     assert (rep.lower, rep.upper, rep.exact) == (0.0, 1.0, 1.0)
 
 
-# ---------------------------------------------------------------- ball ratios
+# ---------------------------------------------------------------- ball value
 
-def test_ball_ratio_values():
-    rep = ball_product_ratio_check(2)
-    assert rep.ball_target_value == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    assert rep.scaled_up == pytest.approx(math.sqrt(2), abs=1e-15)
-    assert rep.scaled_down == pytest.approx(2 ** -1.5, abs=1e-15)
-    assert rep.contradictions_hold
-    rep4 = ball_product_ratio_check(4)
-    assert rep4.ball_target_value == pytest.approx(0.5, abs=1e-15)
-    assert rep4.scaled_down == pytest.approx(0.125, abs=1e-15)
-
-
-def test_ball_ratio_rejects_n1():
-    with pytest.raises(DomainError):
-        ball_product_ratio_check(1)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ball_value_is_the_largest_polydisk_in_the_ball(n):
+    # B^n is a complete Reinhardt domain, so cD^n lies in B^n exactly when the
+    # torus point (c, ..., c) lies in the closed ball: the value of a single
+    # ball at its origin is the radius 1/sqrt(n) of the largest such c, here
+    # found by bisection on the membership test alone, not the kind table.
+    f = BallFactor(n)
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if membership(f, (mid,) * n) else (lo, mid)
+    assert membership(f, (lo,) * n) and not membership(f, (hi,) * n)
+    assert hi == math.nextafter(lo, 1.0)
+    d = ProductDomain((f,))
+    exact = squeeze_bounds(d, d.point([(0j,) * n]), search=False).exact
+    # The bound, with rho = 1/sqrt(n), u = 2^-53 and g = n u / (1 - n u).
+    # membership sums n rounded squares, so it reads n c^2 (1 + t), |t| <= g,
+    # and rounding is monotone: c <= rho (1 - g/2) is inside, and
+    # c >= rho (1 + g/2 + g^2), above rho / sqrt(1 - g), is outside.  So the
+    # largest double inside is within rho (g/2 + g^2) + ulp(rho) of rho.  exact is
+    # 1.0 / math.sqrt(n), two roundings: within rho 2u / (1 - u).  With
+    # rho < ulp(rho) / u that is under n/2 + 3 + 1e-14 ulps, and a gap of two
+    # doubles near rho is a multiple of ulp(rho) / 2, as n/2 + 3 is; exact
+    # sits in rho's binade (1/sqrt(n) is a power of 2 or far from one).
+    assert abs(exact - lo) <= (n / 2 + 3) * math.ulp(exact)
 
 
 # ---------------------------------------------------------------- limit profile
