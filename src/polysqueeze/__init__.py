@@ -16,12 +16,9 @@ from .embeddings import MapExpr, MobiusAut, ProductMap, Reflection
 from .errors import DomainError, SqueezeError, UnsupportedGeometryError
 from .squeezing import (
     BoundReport,
-    LimitProfile,
     SearchResult,
     annulus_clearance_bound,
-    boundary_limit_profile,
     default_limit_path,
-    exact_squeeze,
     hhr_flag,
     search_lower_bound,
     squeeze_bounds,
@@ -34,7 +31,6 @@ __all__ = [
     "BallFactor",
     "BoundReport",
     "DomainError",
-    "LimitProfile",
     "MapExpr",
     "MobiusAut",
     "ProductDomain",
@@ -47,9 +43,7 @@ __all__ = [
     "UnitDisk",
     "UnsupportedGeometryError",
     "annulus_clearance_bound",
-    "boundary_limit_profile",
     "default_limit_path",
-    "exact_squeeze",
     "hhr_flag",
     "search_lower_bound",
     "squeeze_bounds",

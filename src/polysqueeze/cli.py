@@ -54,7 +54,6 @@ from .squeezing import (
     FAMILIES,
     DomainPlan,
     annulus_clearance_bound,
-    boundary_limit_profile,
     default_limit_path,
     search_lower_bound,
     squeeze_bounds,
@@ -91,8 +90,8 @@ def _spec_real(value, where: str) -> float:
         raise UsageError(f"{where}: {e}") from e
 
 
-def load_domain_spec(path: str) -> ProductDomain:
-    """Parse a JSON domain-spec file into a ProductDomain.
+def _load_plan(path: str) -> DomainPlan:
+    """The domain of the JSON domain-spec file at ``path``, in its plan.
 
     Schema: {"factors": [{"kind": "disk"} | {"kind": "punctured_disk",
     "punctures": [[re, im], ...]} | {"kind": "annulus", "r": x} |
@@ -103,15 +102,8 @@ def load_domain_spec(path: str) -> ProductDomain:
     and decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
     ``open(path, encoding="utf-8").read()`` gives, with the same errors.  That
     text is parsed once while it stays among the last ``SPEC_MEMO_SIZE``
-    distinct texts that parsed, and the memo entry holds the domain together
-    with its :class:`~polysqueeze.squeezing.DomainPlan`, which the commands
-    read; this returns the entry's domain.
+    distinct texts that parsed; the plan returned is that memo entry.
     """
-    return _load_plan(path).domain
-
-
-def _load_plan(path: str) -> DomainPlan:
-    """The memo entry of the spec file at ``path``, read as :func:`load_domain_spec` reads it."""
     try:
         with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
@@ -394,10 +386,9 @@ def cmd_limit(args, out) -> int:
     except DomainError as e:
         # r and side are valid here, so the path itself is too short
         raise UsageError(f"--steps {args.steps}: {e}") from None
-    profile = boundary_limit_profile(args.r, path)
     out.write(_LIMIT_HEADER)
-    for param, bound in profile.entries:
-        out.write(_csv_row([_fmt(param), _fmt(bound)]))
+    for x in path:
+        out.write(_csv_row([_fmt(x), _fmt(annulus_clearance_bound(args.r, x))]))
     return EXIT_OK
 
 

@@ -74,8 +74,6 @@ def mobius_circle_min_modulus(a: complex, r: float) -> float:
     The circle is a hyperbolic circle centered at 0, so the minimum is attained
     radially and equals ``||a| - r| / (1 - r |a|)``, independent of ``theta``.
     """
-    a = complex(a)
-    r = float(r)
     m = abs(a)
     if not m < 1:
         raise DomainError(f"|a| < 1 required, got {a}")

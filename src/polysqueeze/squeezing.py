@@ -14,9 +14,8 @@ from the factors' boundary data, not their classes.
 Every bound is read through a :class:`DomainPlan`: its factors' closed forms
 and the facts of the domain that no point changes, built once per domain by
 a caller that keeps it and once per call otherwise.  :func:`squeeze_bounds`
-gives all of them: ``lower`` is the min of the values and ``upper`` the min
-of 1 and the puncture caps.  :func:`exact_squeeze` reads the same values on
-the catalog alone.
+gives all of them: ``lower`` is the min of the values, ``upper`` the min
+of 1 and the puncture caps, and ``exact``, on the catalog alone, the same min.
 
 The witness family comes from the boundary too: a factor has one branch per
 boundary circle, the circle it makes outermost, and every branch is scored
@@ -27,7 +26,7 @@ it and inclusion elsewhere.  :func:`_family` scores the family, keeps each
 factor's best branch and builds its witness from that branch's image, for
 :func:`search_lower_bound` and, off disk and punctured-disk products (where
 every family is the automorphism witness), :func:`squeeze_bounds`.  Also
-here: the annulus clearance bound and its limit profiles.
+here: the annulus clearance bound and the default limit path it is read along.
 """
 
 from __future__ import annotations
@@ -106,31 +105,6 @@ class BoundReport(Frozen):
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "methods", methods)
-
-
-class LimitProfile(Frozen):
-    """Bound values along a strictly monotone parameter path, with its limit target."""
-
-    __slots__ = ("entries", "target")
-
-    def __init__(self, entries: tuple[tuple[float, float], ...], target: float) -> None:
-        params = [p for p, _ in entries]
-        if len(params) < 1:
-            raise DomainError("profile needs at least one entry")
-        if len(params) >= 2:
-            diffs = [b - a for a, b in zip(params, params[1:])]
-            if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-                raise DomainError("profile parameters must be strictly monotone")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "target", target)
-
-    @property
-    def params(self) -> tuple[float, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    @property
-    def bounds(self) -> tuple[float, ...]:
-        return tuple(b for _, b in self.entries)
 
 
 def _annulus_value(f: Annulus, coord) -> float:
@@ -259,23 +233,6 @@ def _automorphisms(plan: DomainPlan, coords) -> ProductMap:
     return ProductMap(components)
 
 
-def exact_squeeze(d: ProductDomain, z: ProductPoint) -> BoundReport:
-    """Closed-form squeezing value on the catalog: the min of the plan's value column.
-
-    ``d`` is a domain or its :class:`DomainPlan`, as in :func:`squeeze_bounds`,
-    whose ``exact`` this is, bit for bit.  On disk and punctured-disk products
-    ``witness`` sends each coordinate to 0 by an automorphism; elsewhere it
-    is None.  A domain outside the catalog raises
-    :class:`UnsupportedGeometryError` and callers fall back to bounds.
-    """
-    plan = DomainPlan.of(d)
-    if plan.witnessed is None:
-        raise UnsupportedGeometryError("domain is outside the closed-form catalog")
-    v = min(plan.values(z))
-    return BoundReport(v, v, v, _automorphisms(plan, z.coords) if plan.witnessed else None,
-                       (CLOSED_FORM,))
-
-
 def annulus_clearance_bound(r: float, z1: complex) -> float:
     """Lower bound for an annulus coordinate from boundary clearance.
 
@@ -384,8 +341,8 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
     ``d`` is a domain or its :class:`DomainPlan`; a bare domain gets a plan
     built for this call, and a caller that evaluates one domain at many
     points builds the plan once and passes it.  ``exact`` is the min of the
-    values on the catalog, as :func:`exact_squeeze` gives it, and lower is
-    that min on every domain; upper = min of 1 and the puncture caps.  A
+    values on the catalog and None elsewhere, and lower is that min on
+    every domain; upper = min of 1 and the puncture caps.  A
     factor's value is a lower bound, since a polydisk fits in a product
     image iff it fits in every factor image.  A punctured factor's value
     |phi_p(z_i)|, least over its punctures, is also an upper bound: an
@@ -422,19 +379,10 @@ def squeeze_bounds(d: ProductDomain, z: ProductPoint, *, search: bool = True,
         witness = ProductMap(found)
     else:
         witness = None
-    upper = min([1.0, *(values[i] for i in plan.punctured)])
+    upper = 1.0
+    for i in plan.punctured:
+        upper = min(upper, values[i])
     return BoundReport(product, upper, exact, witness, methods)
-
-
-def boundary_limit_profile(r: float, path) -> LimitProfile:
-    """Clearance-bound profile along a monotone path of annulus moduli.
-
-    Each |z1| is paired with :func:`annulus_clearance_bound`, which tends to 1
-    toward either boundary circle.  The clearance bound rejects a radius or
-    modulus outside the annulus, and :class:`LimitProfile` an empty or
-    non-monotone path.
-    """
-    return LimitProfile(tuple((x, annulus_clearance_bound(r, x)) for x in map(float, path)), 1.0)
 
 
 def default_limit_path(r: float, side: str, steps: int = 256):

@@ -62,9 +62,7 @@ from .squeezing import (
     SEARCH,
     DomainPlan,
     annulus_clearance_bound,
-    boundary_limit_profile,
     default_limit_path,
-    exact_squeeze,
     hhr_flag,
     search_lower_bound,
     squeeze_bounds,
@@ -449,7 +447,7 @@ def suite_annulus(seed: int = 0) -> list[Check]:
         values = []
         for x in grid.tolist():
             z = d.point([complex(x), 0j])
-            got = exact_squeeze(plan, z).exact
+            got = squeeze_bounds(plan, z, search=False).exact
             want = r / x if x <= s else x  # independent branch evaluation
             worst_piece = max(worst_piece, abs(got - want))
             worst_dom = max(worst_dom, annulus_clearance_bound(r, complex(x)) - got)
@@ -476,9 +474,7 @@ def suite_limit(seed: int = 0) -> list[Check]:
     r = 0.25
     checks = []
     for side in ("outer", "inner"):
-        path = default_limit_path(r, side, steps=256)
-        profile = boundary_limit_profile(r, path)
-        bounds = profile.bounds
+        bounds = [annulus_clearance_bound(r, x) for x in default_limit_path(r, side, steps=256)]
         final = bounds[-1]
         k = min(range(len(bounds)), key=lambda i: (bounds[i], i))
         tail = [bounds[i + 1] - bounds[i] for i in range(k, len(bounds) - 1)]
@@ -607,7 +603,7 @@ def suite_hhr(seed: int = 0) -> list[Check]:
     annuli keep positive floors."""
     punctured = ProductDomain((PuncturedDisk((0j,)), PuncturedDisk((0j,))))
     z = punctured.point([1e-4, 0.5])
-    got = exact_squeeze(punctured, z).exact
+    got = squeeze_bounds(punctured, z, search=False).exact
     polydisk = ProductDomain((UnitDisk(), UnitDisk()))
     ann = ProductDomain((Annulus(0.25), UnitDisk()))
     return [
@@ -661,8 +657,8 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
     got_incl = search_lower_bound(plan, z, INCLUSION).value
     got_refl = search_lower_bound(plan, z, REFLECTION).value
     sr = search_lower_bound(plan, z)
-    exact = exact_squeeze(plan, z).exact
     rep = squeeze_bounds(plan, z)
+    exact = rep.exact
     gap = exact - sr.value
     worst_err, worst_below, count = _witness_oracle_errors(np.random.default_rng(seed))
     return [

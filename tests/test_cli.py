@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polysqueeze
-from polysqueeze import MapExpr, MobiusAut, ProductMap, Reflection, exact_squeeze, verify
+from polysqueeze import MapExpr, MobiusAut, ProductMap, Reflection, squeeze_bounds, verify
 from polysqueeze.cli import (
     COMMANDS,
     MAX_STEPS,
     _csv_row,
+    _load_plan,
     format_product_map,
-    load_domain_spec,
     main,
     parse_point,
 )
@@ -226,9 +226,9 @@ def test_eval_csv_roundtrip_bit_exact(capsys, punct2):
     code, rows, _ = run(capsys, ["eval", "--spec", punct2, "--point", "0.5,0;0.3,0"])
     assert code == 0
     row = dict(zip(rows[0], rows[1]))
-    domain = load_domain_spec(punct2)
+    domain = _load_plan(punct2).domain
     z = parse_point("0.5,0;0.3,0", domain)
-    rep = exact_squeeze(domain, z)
+    rep = squeeze_bounds(domain, z, search=False)
     assert float(row["exact"]) == rep.exact
     pm = parse_witness(row["witness"])
     assert pm == rep.witness  # every number read back exactly
@@ -257,12 +257,12 @@ def test_spec_rewritten_in_place_is_read_anew(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(ANNULUS_SPEC))
     before = os.stat(spec)
-    assert load_domain_spec(str(spec)).factors[0].r == 0.25
+    assert _load_plan(str(spec)).domain.factors[0].r == 0.25
     spec.write_text(json.dumps(ANNULUS_SPEC).replace("0.25", "0.35"))
     os.utime(spec, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert os.stat(spec).st_size == before.st_size
     assert os.stat(spec).st_mtime_ns == before.st_mtime_ns
-    assert load_domain_spec(str(spec)).factors[0].r == 0.35
+    assert _load_plan(str(spec)).domain.factors[0].r == 0.35
 
 
 def test_invalid_spec_fails_alike_on_every_call(capsys, tmp_path):
@@ -307,7 +307,7 @@ def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):
         for copy in ("a", "b"):  # the same text at two paths
             path = tmp_path / f"{copy}{k}.json"
             path.write_text(text)
-            assert load_domain_spec(str(path)).factors[0].r == (k + 1) / 100
+            assert _load_plan(str(path)).domain.factors[0].r == (k + 1) / 100
         assert cli._spec_plan.cache_info().currsize <= cli.SPEC_MEMO_SIZE
     assert cli._spec_plan.cache_info().maxsize == cli.SPEC_MEMO_SIZE
 
@@ -363,10 +363,10 @@ def test_spec_bytes_read_as_the_text_layer_read_them(capsys, monkeypatch, tmp_pa
         path = tmp_path / "sp\0ec.json"
     outcomes = []
     for load in (cli._load_plan, _text_mode_load):
-        # load_domain_spec and every command read a spec through _load_plan
+        # every command reads a spec through _load_plan
         monkeypatch.setattr(cli, "_load_plan", load)
         try:
-            outcomes.append(("domain", cli.load_domain_spec(str(path))))
+            outcomes.append(("domain", cli._load_plan(str(path)).domain))
         except cli.UsageError as e:
             outcomes.append(("error", str(e)))
         code = main(["eval", "--spec", str(path), "--point", "0.5,0;0.1,0", "--no-search"])
@@ -491,7 +491,7 @@ def _spec_points(draw):
        search=st.booleans())
 def test_eval_reports_what_the_library_reports(spec_files, case, family, search):
     # the report behind eval's row, read through the memoized plan, is the
-    # report squeeze_bounds gives on the domain load_domain_spec returns,
+    # report squeeze_bounds gives on the domain of the spec file,
     # field for field and bit for bit (repr round-trips every double)
     from unittest import mock
 
@@ -511,7 +511,7 @@ def test_eval_reports_what_the_library_reports(spec_files, case, family, search)
     with mock.patch.object(cli, "squeeze_bounds", kept), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ([] if search else ["--no-search"]))
-    domain = load_domain_spec(path)
+    domain = _load_plan(path).domain
     try:
         z = parse_point(point, domain)
     except polysqueeze.DomainError:
@@ -795,7 +795,7 @@ def test_steps_cap_fails_before_any_work(capsys, monkeypatch, annulus):
     def no_work(*args, **kwargs):
         raise AssertionError("ran past argument validation")
 
-    for name in ("load_domain_spec", "_load_plan", "default_limit_path", "boundary_limit_profile"):
+    for name in ("_load_plan", "default_limit_path", "annulus_clearance_bound"):
         monkeypatch.setattr(cli, name, no_work)
     over = str(MAX_STEPS + 1)
     assert main(["limit", "--r", "0.25", "--steps", over]) == 2

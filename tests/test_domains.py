@@ -281,8 +281,6 @@ def _value_instances():
         (squeezing.BoundReport(0.25, 0.5, None, identity, ("X",)),
          "BoundReport(lower=0.25, upper=0.5, exact=None, witness=ProductMap(components="
          "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), methods=('X',))"),
-        (squeezing.LimitProfile(((0.5, 0.25), (0.6, 0.3)), 1.0),
-         "LimitProfile(entries=((0.5, 0.25), (0.6, 0.3)), target=1.0)"),
         (squeezing.SearchResult(0.5, identity, 2),
          "SearchResult(value=0.5, witness=ProductMap(components="
          "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), evaluations=2)"),
@@ -302,7 +300,7 @@ def test_every_value_class_is_pinned():
 
     classes = {c for c in subclasses(Frozen) if c.__module__.startswith("polysqueeze.")}
     assert sorted(VALUE_IDS) == sorted(c.__name__ for c in classes)
-    assert len(classes) == 14
+    assert len(classes) == 13
 
 
 @pytest.mark.parametrize(("value", "text"), VALUES, ids=VALUE_IDS)

@@ -18,8 +18,8 @@ from polysqueeze import (
     PuncturedDisk,
     Reflection,
     UnitDisk,
-    exact_squeeze,
     search_lower_bound,
+    squeeze_bounds,
 )
 from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
 from polysqueeze.squeezing import INCLUSION, REFLECTION
@@ -53,7 +53,7 @@ def factor_witness(f, z, branch):
 
 def factor_value(f, z):
     """The closed form of ``f`` at ``z``: the catalog value of its one-factor domain."""
-    return exact_squeeze(*one_factor(f, z)).exact
+    return squeeze_bounds(*one_factor(f, z), search=False).exact
 
 
 def rotated_witness(f, z, branch, a):

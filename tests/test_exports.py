@@ -42,7 +42,7 @@ def readme_public_api():
 
 def test_all_is_the_documented_api():
     documented = readme_public_api()
-    assert len(documented) == len(set(documented)) == 23
+    assert len(documented) == len(set(documented)) == 20
     assert sorted(polysqueeze.__all__) == sorted(documented)
     # the package imports only what it exports (and its own submodules)
     public = {n for n in vars(polysqueeze) if not n.startswith("_")}
@@ -144,13 +144,18 @@ def test_deleted_names_are_gone():
 # (single_annulus_index); punctured_indices and the witness-text parser had no
 # caller outside the tests; the sample count of the CLI changed no value
 # (DEFAULT_SAMPLES, _default_samples); the ball-ratio arithmetic is done by
-# the verify suite that checks it (BallProductReport, ball_product_ratio_check).
+# the verify suite that checks it (BallProductReport, ball_product_ratio_check);
+# squeeze_bounds(d, z, search=False).exact is the catalog value
+# (exact_squeeze); the limit path is read through annulus_clearance_bound
+# (boundary_limit_profile, LimitProfile); cli._load_plan reads a spec
+# (load_domain_spec).
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
            "_pseudo_hyperbolic", "_apply", "single_annulus_index",
            "DEFAULT_SAMPLES", "_default_samples", "Inclusion", "BallProductReport",
-           "ball_product_ratio_check"]
+           "ball_product_ratio_check", "exact_squeeze", "boundary_limit_profile",
+           "LimitProfile", "load_domain_spec"]
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -204,7 +209,6 @@ def test_oracle_lives_in_verify():
 
 KEPT_PARAMETERS = {
     "squeeze_bounds": ["d", "z", "search", "family"],
-    "boundary_limit_profile": ["r", "path"],
     "default_limit_path": ["r", "side", "steps"],
 }
 

@@ -16,7 +16,6 @@ from polysqueeze import (
     PuncturedDisk,
     Reflection,
     UnitDisk,
-    exact_squeeze,
     search_lower_bound,
     squeeze_bounds,
 )
@@ -70,7 +69,7 @@ def test_search_annulus_gap_matches_analytic_branches():
     assert incl.value == pytest.approx(outer, abs=1e-6)
     assert refl.value == pytest.approx(reflected, abs=1e-6)
     assert both.value == pytest.approx(max(outer, reflected), abs=1e-6)
-    assert both.value < exact_squeeze(ANNULUS_DISK, z).exact - 0.05
+    assert both.value < squeeze_bounds(ANNULUS_DISK, z, search=False).exact - 0.05
 
 
 def test_search_polydisk_reaches_one():
@@ -86,7 +85,7 @@ def test_search_never_beats_exact():
         coords = rng.uniform(0.1, 0.9, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = d.point(list(coords))
         sr = search_lower_bound(d, z)
-        exact = exact_squeeze(d, z).exact
+        exact = squeeze_bounds(d, z, search=False).exact
         assert sr.value <= exact + 1e-6
         assert sr.value >= exact - 1e-6  # family suffices on punctured products
 
@@ -238,7 +237,7 @@ def test_every_witness_component_is_one_form(fs, data):
     assume(all(map(membership, fs, coords)))
     d = ProductDomain(tuple(fs))
     plan, z = DomainPlan(d), d.point(coords)
-    maps = [exact_squeeze(plan, z).witness] if plan.witnessed else []
+    maps = [squeeze_bounds(plan, z, search=False).witness] if plan.witnessed else []
     for family in FAMILIES:
         maps += [squeeze_bounds(plan, z, family=family).witness,
                  search_lower_bound(plan, z, family).witness]

@@ -13,7 +13,6 @@ from polysqueeze import (
     BallFactor,
     BoundReport,
     DomainError,
-    LimitProfile,
     ProductDomain,
     ProductPoint,
     PuncturedDisk,
@@ -21,9 +20,7 @@ from polysqueeze import (
     UnitDisk,
     UnsupportedGeometryError,
     annulus_clearance_bound,
-    boundary_limit_profile,
     default_limit_path,
-    exact_squeeze,
     hhr_flag,
     search_lower_bound,
     squeeze_bounds,
@@ -60,7 +57,12 @@ ANNULUS_DISK = ProductDomain((Annulus(0.25), UnitDisk()))
 def factor_value(f, coord):
     """The closed form of ``f`` at ``coord``: the catalog value of the one-factor domain."""
     d = ProductDomain((f,))
-    return exact_squeeze(d, d.point([coord])).exact
+    return exact_value(d, d.point([coord]))
+
+
+def exact_value(d, z):
+    """The catalog value at ``z``, or None outside the catalog."""
+    return squeeze_bounds(d, z, search=False).exact
 
 
 def upper_bound(d, z):
@@ -106,21 +108,20 @@ def test_single_factor_multi_puncture_unsupported():
 
 def test_exact_punctured_product():
     z = PUNCT2.point([0.5, 0.3])
-    rep = exact_squeeze(PUNCT2, z)
+    rep = squeeze_bounds(PUNCT2, z, search=False)
     assert rep.exact == pytest.approx(0.3, abs=1e-15)
     assert rep.lower == rep.upper == rep.exact
-    assert rep.methods == (CLOSED_FORM,)
 
 
 def test_exact_mixed_product():
     z = MIXED.point([0.9, 0.4])
-    assert exact_squeeze(MIXED, z).exact == pytest.approx(0.4, abs=1e-15)
+    assert exact_value(MIXED, z) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_exact_annulus_disk_branches():
     for x, want in ((0.4, 0.625), (0.5, 0.5), (0.8, 0.8)):
         z = ANNULUS_DISK.point([x, 0j])
-        assert exact_squeeze(ANNULUS_DISK, z).exact == pytest.approx(want, abs=1e-15)
+        assert exact_value(ANNULUS_DISK, z) == pytest.approx(want, abs=1e-15)
 
 
 def test_exact_annulus_branch_agreement_at_sqrt_r():
@@ -128,37 +129,38 @@ def test_exact_annulus_branch_agreement_at_sqrt_r():
     s = math.sqrt(r)
     assert abs(r / s - s) <= 1e-12
     z = ANNULUS_DISK.point([s, 0j])
-    assert exact_squeeze(ANNULUS_DISK, z).exact == pytest.approx(s, abs=1e-12)
+    assert exact_value(ANNULUS_DISK, z) == pytest.approx(s, abs=1e-12)
 
 
 def test_exact_polydisk():
     d = ProductDomain((UnitDisk(), UnitDisk(), UnitDisk()))
     z = d.point([0.1, 0.9j, -0.5])
-    rep = exact_squeeze(d, z)
+    rep = squeeze_bounds(d, z, search=False)
     assert rep.exact == 1.0 and rep.lower == 1.0 and rep.upper == 1.0
 
 
 def test_exact_single_ball():
     d = ProductDomain((BallFactor(3),))
     z = d.point([(0.1, 0.2j, 0j)])
-    assert exact_squeeze(d, z).exact == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+    assert exact_value(d, z) == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
 
 def test_exact_outside_catalog():
-    z2 = ProductDomain((Annulus(0.2), Annulus(0.3))).point([0.5, 0.6])
-    with pytest.raises(UnsupportedGeometryError):
-        exact_squeeze(ProductDomain((Annulus(0.2), Annulus(0.3))), z2)
-    d = ProductDomain((BallFactor(2), PuncturedDisk((0j,))))
-    with pytest.raises(UnsupportedGeometryError):
-        exact_squeeze(d, d.point([(0.1, 0j), 0.3]))
-    mixed = ProductDomain((Annulus(0.2), PuncturedDisk((0j,))))
-    with pytest.raises(UnsupportedGeometryError):
-        exact_squeeze(mixed, mixed.point([0.5, 0.5]))
+    # no exact value off the catalog, and the bracket still holds
+    outside = [
+        (ProductDomain((Annulus(0.2), Annulus(0.3))), [0.5, 0.6]),
+        (ProductDomain((BallFactor(2), PuncturedDisk((0j,)))), [(0.1, 0j), 0.3]),
+        (ProductDomain((Annulus(0.2), PuncturedDisk((0j,)))), [0.5, 0.5]),
+    ]
+    for d, coords in outside:
+        rep = squeeze_bounds(d, d.point(coords), search=False)
+        assert rep.exact is None
+        assert rep.lower <= rep.upper
 
 
 def test_exact_witness_achieves_value():
     z = PUNCT2.point([0.5, 0.3])
-    rep = exact_squeeze(PUNCT2, z)
+    rep = squeeze_bounds(PUNCT2, z, search=False)
     assert rep.witness is not None
     scored = product_inradius(rep.witness, PUNCT2, z, 4096)
     assert scored == pytest.approx(rep.exact, abs=1e-12)
@@ -173,12 +175,12 @@ def test_exact_rotation_invariance():
         z1 = 0.75 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         z2 = 0.35 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         base = ProductDomain((PuncturedDisk((p,)), PuncturedDisk((0j,))))
-        v0 = exact_squeeze(base, base.point([z1, z2])).exact
+        v0 = exact_value(base, base.point([z1, z2]))
         for _ in range(4):
             w1 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             w2 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             rot = ProductDomain((PuncturedDisk((w1 * p,)), PuncturedDisk((0j,))))
-            v1 = exact_squeeze(rot, rot.point([w1 * z1, w2 * z2])).exact
+            v1 = exact_value(rot, rot.point([w1 * z1, w2 * z2]))
             assert abs(v0 - v1) <= 1e-12
 
 
@@ -238,7 +240,7 @@ def test_upper_pinches_exact_on_catalog():
     for _ in range(50):
         coords = rng.uniform(0.05, 0.95, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = PUNCT2.point(list(coords))
-        exact = exact_squeeze(PUNCT2, z).exact
+        exact = exact_value(PUNCT2, z)
         assert abs(upper_bound(PUNCT2, z) - exact) <= 1e-12
 
 
@@ -325,7 +327,7 @@ def test_catalog_bracket_and_search_need_no_tolerance(name, data):
     z = d.point(coords)
     rep = squeeze_bounds(d, z)
     assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
-    closed = exact_squeeze(d, z)
+    closed = squeeze_bounds(d, z, search=False)
     assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
     assert closed.exact.hex() == rep.exact.hex()
     if d.is_planar():
@@ -350,7 +352,7 @@ def test_edge_puncture_bracket_needs_no_tolerance_on_a_sweep():
             z = d.point([c])
             rep = squeeze_bounds(d, z)
             assert 0 <= rep.lower <= rep.exact <= rep.upper <= 1
-            closed = exact_squeeze(d, z)
+            closed = squeeze_bounds(d, z, search=False)
             assert 0 <= closed.lower <= closed.exact <= closed.upper <= 1
     assert above > 0
 
@@ -398,7 +400,7 @@ def test_values_that_round_above_1_are_capped_at_1():
     d = ProductDomain((EDGE_PUNCTURE,))
     z = d.point([complex(0.9995500337489874, 0.029995500202495657)])
     assert mobius_modulus(EDGE_PUNCTURE.punctures[0], z.coords[0]) > 1.0
-    closed = exact_squeeze(d, z)
+    closed = squeeze_bounds(d, z, search=False)
     assert (closed.lower, closed.upper, closed.exact) == (1.0, 1.0, 1.0)
     rep = squeeze_bounds(d, z)
     assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
@@ -411,7 +413,6 @@ def test_values_that_round_above_1_are_capped_at_1():
     for search in (False, True):
         rep = squeeze_bounds(d, z, search=search)
         assert (rep.lower, rep.upper, rep.exact) == (1.0, 1.0, 1.0)
-    assert exact_squeeze(d, z).exact == 1.0
 
 
 # ------------------------------------------------------------- product lower
@@ -431,7 +432,7 @@ def test_lower_rejects_unsupported_factor():
 
     d = ProductDomain((Slab(),))
     # the factor-kind table has no row for it, so no bound reads one
-    for bound in (squeeze_bounds, exact_squeeze):
+    for bound in (squeeze_bounds, search_lower_bound):
         with pytest.raises(UnsupportedGeometryError, match="unknown factor kind Slab"):
             bound(d, ProductPoint((0.3j,)))
 
@@ -454,9 +455,7 @@ def test_sandwich_on_punctured_products():
         coords = rng.uniform(0.05, 0.95, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         z = PUNCT2.point(list(coords))
         rep = squeeze_bounds(PUNCT2, z, search=False)
-        lo, hi = rep.lower, rep.upper
-        exact = exact_squeeze(PUNCT2, z).exact
-        assert lo <= exact <= hi
+        assert rep.lower <= rep.exact <= rep.upper
 
 
 # ------------------------------------------------------- annulus clearance
@@ -582,7 +581,7 @@ def test_bounds_build_one_product_map_the_witness(monkeypatch, name, search):
     assert len(builds) == (0 if rep.witness is None else 1)
     if plan.witnessed:
         automorphisms = ProductMap(tuple(MapExpr((MobiusAut(c),)) for c in z.coords))
-        assert rep.witness == exact_squeeze(plan, z).witness == automorphisms
+        assert rep.witness == automorphisms
     elif search and plan.planar:
         assert rep.witness == search_lower_bound(plan, z).witness
     else:
@@ -638,42 +637,29 @@ def test_ball_value_is_the_largest_polydisk_in_the_ball(n):
 
 # ---------------------------------------------------------------- limit profile
 
+# the clearance along a path toward a boundary circle, as `limit` writes it
+
 def test_profile_values_dominate_clearances():
-    xs = [0.9, 0.99, 0.999]
-    profile = boundary_limit_profile(0.25, xs)
-    assert profile.target == 1.0
-    # the profile is the clearance column itself, with no closed form mixed in
-    assert profile.bounds == tuple(annulus_clearance_bound(0.25, x) for x in xs)
-    for bound, floor in zip(profile.bounds, (0.8387, 0.9833, 0.99833)):
+    bounds = [annulus_clearance_bound(0.25, x) for x in (0.9, 0.99, 0.999)]
+    for bound, floor in zip(bounds, (0.8387, 0.9833, 0.99833)):
         assert bound >= floor
 
 
 def test_profile_clearance_only_column():
-    profile = boundary_limit_profile(0.25, [0.9])
-    assert profile.bounds[0] == pytest.approx(0.65 / 0.775, abs=1e-15)
+    assert annulus_clearance_bound(0.25, 0.9) == pytest.approx(0.65 / 0.775, abs=1e-15)
 
 
 def test_profile_inner_side_limit():
-    xs = [0.26, 0.2501, 0.250001]
-    profile = boundary_limit_profile(0.25, xs)
-    assert profile.bounds[-1] >= 1 - 1e-4
-    assert profile.params == tuple(xs)
+    bounds = [annulus_clearance_bound(0.25, x) for x in (0.26, 0.2501, 0.250001)]
+    assert bounds[-1] >= 1 - 1e-4
 
 
 def test_profile_rejects_bad_paths():
-    with pytest.raises(DomainError):
-        boundary_limit_profile(0.25, [0.5, 0.5, 0.6])  # constant step
-    with pytest.raises(DomainError):
-        boundary_limit_profile(0.25, [0.5, 0.7, 0.6])  # not monotone
-    with pytest.raises(DomainError):
-        boundary_limit_profile(0.25, [0.2, 0.3])  # outside annulus
-    with pytest.raises(DomainError):
-        boundary_limit_profile(0.25, [])
-
-
-def test_limit_profile_type_validation():
-    with pytest.raises(DomainError):
-        LimitProfile(((0.5, 0.1), (0.5, 0.2)), 1.0)
+    # default_limit_path checks the path it builds; the clearance itself
+    # refuses a modulus outside the annulus
+    for x in (0.2, 0.25, 1.0):  # inside the hole, and on either circle
+        with pytest.raises(DomainError):
+            annulus_clearance_bound(0.25, x)
 
 
 def test_default_limit_path_endpoints():
@@ -784,9 +770,9 @@ def test_catalog_class_truth_table():
 # ------------------------------------------------------------ the domain plan
 
 def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
-    # a bare domain gets one plan per squeeze_bounds, exact_squeeze or search
-    # call, a plan passed in is read as it is, and the point, point-text and
-    # clearance paths build none
+    # a bare domain gets one plan per squeeze_bounds or search call, a plan
+    # passed in is read as it is, and the point, point-text and clearance
+    # paths build none
     builds = []
     init = DomainPlan.__init__
 
@@ -797,20 +783,18 @@ def test_plans_are_built_per_bounds_call_and_never_per_value(monkeypatch):
     monkeypatch.setattr(DomainPlan, "__init__", counted)
     z = ANNULUS_DISK.point([0.4, 0.2j])
     squeeze_bounds(ANNULUS_DISK, z)
-    exact_squeeze(ANNULUS_DISK, z)
     search_lower_bound(ANNULUS_DISK, z)
-    assert builds == [ANNULUS_DISK] * 3
+    assert builds == [ANNULUS_DISK] * 2
     plan = DomainPlan(ANNULUS_DISK)
     assert squeeze_bounds(plan, z) == squeeze_bounds(ANNULUS_DISK, z)
-    assert exact_squeeze(plan, z) == exact_squeeze(ANNULUS_DISK, z)
     assert search_lower_bound(plan, z, "reflection") == search_lower_bound(ANNULUS_DISK, z,
                                                                              "reflection")
-    assert len(builds) == 7
+    assert len(builds) == 5
     assert DomainPlan.of(plan) is plan
     ProductPoint.of(ANNULUS_DISK, [0.4, 0.2j])
     annulus_clearance_bound(0.25, 0.4)
     parse_point("0.4,0;0,0.2", ANNULUS_DISK)
-    assert len(builds) == 7
+    assert len(builds) == 5
 
 
 def test_plan_holds_the_domain_facts():
@@ -841,12 +825,10 @@ UNKNOWN_KIND = (UnsupportedGeometryError, "unknown factor kind Slab")
 @pytest.mark.parametrize(("call", "raised"), [
     (lambda: membership(Slab(), 0.5), (DomainError, "unknown factor kind Slab")),
     (lambda: SLAB_DOMAIN.point([0.5, 0.5]), (DomainError, "unknown factor kind Slab")),
-    (lambda: exact_squeeze(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: squeeze_bounds(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: search_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
     (lambda: DomainPlan(SLAB_DOMAIN), UNKNOWN_KIND),
-], ids=["membership", "point", "exact_squeeze", "squeeze_bounds", "search_lower_bound",
-        "DomainPlan"])
+], ids=["membership", "point", "squeeze_bounds", "search_lower_bound", "DomainPlan"])
 def test_unknown_factor_kinds_fail_as_they_did(call, raised):
     cls, message = raised
     with pytest.raises(SqueezeError) as e:
@@ -1111,10 +1093,10 @@ def test_family_is_the_automorphism_witness_on_disk_and_punctured_products(fs, f
     rep = squeeze_bounds(plan, z, family=family)
     sr = search_lower_bound(plan, z, family)
     assert sr.value >= rep.lower - 1e-6
-    assert sr.witness == rep.witness == exact_squeeze(plan, z).witness
+    assert sr.witness == rep.witness == squeeze_bounds(plan, z, search=False).witness
 
 
-@pytest.mark.parametrize("bound", [exact_squeeze, search_lower_bound, squeeze_bounds],
+@pytest.mark.parametrize("bound", [search_lower_bound, squeeze_bounds],
                          ids=lambda f: f.__name__)
 def test_a_point_of_another_domain_is_refused(bound):
     # every bound reads the plan's values, which check the point's arity once
