@@ -13,7 +13,7 @@ verification suites that build arrays import numpy, when they are called.
 
 from .domains import Annulus, BallFactor, ProductDomain, ProductPoint, PuncturedDisk, UnitDisk
 from .embeddings import MapExpr, MobiusAut, ProductMap, Reflection
-from .errors import DomainError, SqueezeError, UnsupportedGeometryError
+from .errors import DomainError, SqueezeError
 from .squeezing import (
     BoundReport,
     SearchResult,
@@ -41,7 +41,6 @@ __all__ = [
     "SearchResult",
     "SqueezeError",
     "UnitDisk",
-    "UnsupportedGeometryError",
     "annulus_clearance_bound",
     "default_limit_path",
     "hhr_flag",

@@ -1,7 +1,9 @@
 """Command-line surface: domain-spec ingestion, CSV emission, verification runner.
 
 Exit codes are a stable contract: 0 success, 2 usage or parse error,
-3 domain violation (a point outside its domain), 4 verification failure.
+3 domain violation (a point outside its domain, or ``search`` on a domain
+with a ball factor, where no witness family is scored), 4 verification
+failure.
 CSV output uses '.' decimals, 17 significant digits (lossless for doubles)
 and always emits a header row.  The rows are formatted here, without the
 ``csv`` module, and each is written as soon as it is formed: fields are
@@ -49,7 +51,7 @@ from typing import TYPE_CHECKING
 
 from .domains import Annulus, BallFactor, ProductDomain, PuncturedDisk, UnitDisk
 from .embeddings import MapExpr, MobiusAut, ProductMap
-from .errors import DomainError, SqueezeError, UnsupportedGeometryError
+from .errors import DomainError, SqueezeError
 from .squeezing import (
     FAMILIES,
     DomainPlan,
@@ -624,7 +626,7 @@ def main(argv=None) -> int:
             return args.func(args, out)
     except UsageError as e:
         return _error(EXIT_USAGE, str(e))
-    except (DomainError, UnsupportedGeometryError) as e:
+    except DomainError as e:
         return _error(EXIT_DOMAIN, str(e))
     except OSError as e:
         # the spec read and the output open raise UsageError, so this is a write

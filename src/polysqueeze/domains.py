@@ -7,16 +7,18 @@ witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
 A factor gives its facts as data, read in place of its class: ``dim``, its
 complex dimension, ``radii``, a planar factor's boundary circles (centred at
 0, the unit circle first) and ``punctures``, the points it removes (``()`` on
-a ball too).  One reader converts and tests each coordinate, for both
-:func:`membership` and :meth:`ProductPoint.of`.  Boundary samples belong to
-the oracle in :mod:`polysqueeze.verify`.  Every value class of the package
-derives from :class:`Frozen`.
+a ball too).  A product takes only the kinds of :data:`Factor`, checked when
+it is built, so no reader has a fallback for another kind.  One reader
+converts and tests each coordinate, for :func:`membership` and
+:meth:`ProductPoint.of`.  Boundary samples belong to the oracle in
+:mod:`polysqueeze.verify`.  Every value class of the package derives from
+:class:`Frozen`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Union, get_args
 
 from .errors import DomainError
 
@@ -121,13 +123,15 @@ class BallFactor(Frozen):
     punctures = ()
 
     def __init__(self, n: int) -> None:
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DomainError(f"ball dimension must be a positive integer, got {n}")
         object.__setattr__(self, "n", n)
 
 
 PlanarFactor = Union[UnitDisk, PuncturedDisk, Annulus]
 Factor = Union[PlanarFactor, BallFactor]
+# The factor kinds a product takes, each a row of the closed-form table.
+_FACTOR_KINDS = frozenset(get_args(Factor))
 
 # A factor's coordinate: complex on a planar factor, n complex numbers on a ball.
 Coordinate = Union[complex, tuple[complex, ...]]
@@ -155,17 +159,13 @@ def _coordinate(f: Factor, coord) -> Coordinate | None:
         # m * m rather than m ** 2, which raises OverflowError on huge moduli
         return z if sum(m * m for m in map(_modulus, z)) < 1.0 else None
     z = complex(coord)
-    try:
-        radii, punctures = f.radii, f.punctures
-    except AttributeError:
-        raise DomainError(f"unknown factor kind {type(f).__name__}") from None
-    x = _modulus(z)
+    radii, x = f.radii, _modulus(z)
     if not x < radii[0]:
         return None
     for rho in radii[1:]:
         if not rho < x:
             return None
-    return None if z in punctures else z
+    return None if z in f.punctures else z
 
 
 def membership(f: Factor, coord) -> bool:
@@ -174,7 +174,11 @@ def membership(f: Factor, coord) -> bool:
 
 
 class ProductDomain(Frozen):
-    """Ordered product of factor domains."""
+    """Ordered product of factors, each of exactly a type in :data:`Factor`.
+
+    Any other factor, a subclass of a kind too, raises :class:`DomainError`;
+    copies and pickles pass this check again.
+    """
 
     __slots__ = ("factors",)
 
@@ -182,6 +186,9 @@ class ProductDomain(Frozen):
         fs = tuple(factors)
         if not fs:
             raise DomainError("a product domain needs at least one factor")
+        for f in fs:
+            if type(f) not in _FACTOR_KINDS:
+                raise DomainError(f"unknown factor kind {type(f).__name__}")
         object.__setattr__(self, "factors", fs)
 
     @property

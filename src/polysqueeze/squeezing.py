@@ -4,13 +4,14 @@ For a point z of a bounded product domain, the squeezing value is the largest
 c such that some injective holomorphic map sending z to 0 fits a polydisk of
 radius c inside its image.  A polydisk fits in a product image iff it fits in
 every factor image, so every bound here comes from one closed form per factor
-kind (``_KINDS``), the factor's boundary (its ``radii`` and ``punctures``; a
-punctured factor's value, the least
-:func:`~polysqueeze.embeddings.mobius_modulus` at its punctures, is also a
-puncture cap) and one product rule, the min over factors.  The catalog, where
-that min is the value, is products of disks and punctured disks, one annulus
-with disk factors, and a single ball; a :class:`DomainPlan` reads that class
-from the factors' boundary data, not their classes.
+kind (``_KINDS``, a row for each kind a product takes), the factor's
+boundary (its ``radii`` and ``punctures``; a punctured factor's value, the
+least :func:`~polysqueeze.embeddings.mobius_modulus` at its punctures, is
+also a puncture cap) and one product rule, the min over factors.  The
+catalog, where that min is the value, is products of disks and punctured
+disks, one annulus with disk factors, and a single ball; a
+:class:`DomainPlan` reads that class from the factors' boundary data, not
+their classes.
 Every bound is read through a :class:`DomainPlan`: its factors' closed forms
 and the facts of the domain that no point changes, built once per domain by
 a caller that keeps it and once per call otherwise.  :func:`squeeze_bounds`
@@ -55,7 +56,7 @@ from .embeddings import (
     reflect,
     require_base_to_zero,
 )
-from .errors import DomainError, SqueezeError, UnsupportedGeometryError
+from .errors import DomainError, SqueezeError
 
 # Method tags carried by reports.
 CLOSED_FORM = "ClosedForm"
@@ -131,13 +132,6 @@ _KINDS = {
 }
 
 
-def _kind(f):
-    try:
-        return _KINDS[type(f)]
-    except KeyError:
-        raise UnsupportedGeometryError(f"unknown factor kind {type(f).__name__}") from None
-
-
 def _score(f, w: complex) -> float:
     """Inradius of the witness whose branch sends the point to ``w``: 1, lowered to
     the least |phi_w| over the inner circles and the punctures of ``f`` (a branch
@@ -168,8 +162,9 @@ class DomainPlan:
     branch names under each family name, from its boundary circles (empty
     off a planar domain, where no family is scored); ``planar``: whether
     every factor is planar, so whether the witness family can be scored.  A
-    plan is never changed after it is built, so callers may share one.  An
-    unknown factor kind raises :class:`UnsupportedGeometryError`.
+    plan is never changed after it is built, so callers may share one.
+    Every factor has a row of the kind table: :class:`ProductDomain` takes
+    no other kind.
     """
 
     __slots__ = ("domain", "kinds", "witnessed", "methods", "punctured", "branches",
@@ -177,7 +172,7 @@ class DomainPlan:
 
     def __init__(self, d: ProductDomain) -> None:
         fs = d.factors
-        self.domain, self.kinds = d, tuple(_kind(f) for f in fs)
+        self.domain, self.kinds = d, tuple(_KINDS[type(f)] for f in fs)
         self.planar = d.is_planar()
         self.punctured = tuple(i for i, f in enumerate(fs) if f.punctures)
         # the catalog class, from the boundary data: ``holed`` lists the planar
@@ -436,6 +431,6 @@ def hhr_flag(d: ProductDomain) -> bool:
     approaches the puncture, so the product cannot be holomorphic homogeneous
     regular.  Disk, annulus and ball factors all have positive single-factor
     floors (1, sqrt(r), 1/sqrt(n)), so puncture presence is exactly the
-    evidence available in this catalog; a factor of unknown kind has none.
+    evidence available in this catalog.
     """
-    return any(getattr(f, "punctures", ()) for f in d.factors)
+    return any(f.punctures for f in d.factors)

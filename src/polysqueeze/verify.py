@@ -188,7 +188,7 @@ def _sampled_circle_min(sq, radius: float, m: int) -> float:
     ]))
 
 
-def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int = 4096) -> float:
+def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int) -> float:
     """Sampled distance from 0 to the complement of the image of ``f`` under ``e``.
 
     Minimum modulus over the images of ``m`` samples per boundary circle and
@@ -246,7 +246,7 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     return best
 
 
-def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int = 4096) -> float:
+def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int) -> float:
     """Image inradius of a product map: the factorwise minimum.
 
     A polydisk of radius c fits in the image iff a disk of radius c fits in

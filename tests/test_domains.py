@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import struct
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from polysqueeze import (
     PuncturedDisk,
     UnitDisk,
 )
-from polysqueeze import cli, squeezing
+from polysqueeze import cli, domains, squeezing
 from polysqueeze.domains import Frozen, ProductPoint, membership
 from polysqueeze.embeddings import MapExpr, MobiusAut, ProductMap, Reflection
 from polysqueeze.verify import Check, _sample_radii, _unit_circle
@@ -213,6 +214,10 @@ def test_factor_validation():
         PuncturedDisk((0.5 + 0j, 0.5 + 0j))
     with pytest.raises(DomainError):
         BallFactor(0)
+    for n in (True, False):  # a bool is an int to isinstance, not a dimension
+        with pytest.raises(DomainError, match=f"^ball dimension must be a positive integer, "
+                                              f"got {n}$"):
+            BallFactor(n)
 
 
 def test_factor_dim():
@@ -249,6 +254,34 @@ def test_product_point_ball_coordinates():
         d.point([(0.9, 0.9j), 0.5])
     with pytest.raises(DomainError):
         z.planar(0)
+
+
+class Slab:
+    """A factor kind the package does not know."""
+
+
+class WideAnnulus(Annulus):
+    """A subclass of a known kind, which is not that kind."""
+
+
+@pytest.mark.parametrize("factor", [Slab(), "disk", object(), WideAnnulus(0.25)],
+                         ids=["Slab", "str", "object", "Annulus_subclass"])
+def test_product_refuses_an_unknown_factor_kind(factor):
+    name = type(factor).__name__
+    for factors in ((factor,), (UnitDisk(), factor)):
+        with pytest.raises(DomainError) as e:
+            ProductDomain(factors)
+        assert (type(e.value), str(e.value)) == (DomainError, f"unknown factor kind {name}")
+    # a copy or a pickle calls the constructor again, so it is checked too
+    forged = object.__new__(ProductDomain)
+    object.__setattr__(forged, "factors", (UnitDisk(), factor))
+    for clone in (copy.copy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(DomainError, match=f"^unknown factor kind {name}$"):
+            clone(forged)
+
+
+def test_every_factor_kind_has_a_closed_form():
+    assert set(squeezing._KINDS) == set(get_args(domains.Factor))
 
 
 def test_product_helpers():

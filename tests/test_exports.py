@@ -42,7 +42,7 @@ def readme_public_api():
 
 def test_all_is_the_documented_api():
     documented = readme_public_api()
-    assert len(documented) == len(set(documented)) == 20
+    assert len(documented) == len(set(documented)) == 19
     assert sorted(polysqueeze.__all__) == sorted(documented)
     # the package imports only what it exports (and its own submodules)
     public = {n for n in vars(polysqueeze) if not n.startswith("_")}
@@ -148,14 +148,15 @@ def test_deleted_names_are_gone():
 # squeeze_bounds(d, z, search=False).exact is the catalog value
 # (exact_squeeze); the limit path is read through annulus_clearance_bound
 # (boundary_limit_profile, LimitProfile); cli._load_plan reads a spec
-# (load_domain_spec).
+# (load_domain_spec); ProductDomain refuses a factor of unknown kind, so no
+# reader of the kind table meets one (UnsupportedGeometryError, _kind).
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
            "_pseudo_hyperbolic", "_apply", "single_annulus_index",
            "DEFAULT_SAMPLES", "_default_samples", "Inclusion", "BallProductReport",
            "ball_product_ratio_check", "exact_squeeze", "boundary_limit_profile",
-           "LimitProfile", "load_domain_spec"]
+           "LimitProfile", "load_domain_spec", "UnsupportedGeometryError", "_kind"]
 
 
 @pytest.mark.parametrize("name", DELETED)

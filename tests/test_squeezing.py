@@ -18,7 +18,6 @@ from polysqueeze import (
     PuncturedDisk,
     SqueezeError,
     UnitDisk,
-    UnsupportedGeometryError,
     annulus_clearance_bound,
     default_limit_path,
     hhr_flag,
@@ -426,17 +425,6 @@ def test_lower_examples():
     assert lower_bound(balls, zb) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
-def test_lower_rejects_unsupported_factor():
-    class Slab:  # a factor kind the library does not know
-        pass
-
-    d = ProductDomain((Slab(),))
-    # the factor-kind table has no row for it, so no bound reads one
-    for bound in (squeeze_bounds, search_lower_bound):
-        with pytest.raises(UnsupportedGeometryError, match="unknown factor kind Slab"):
-            bound(d, ProductPoint((0.3j,)))
-
-
 def test_lower_multi_puncture_min_modulus():
     # the witness sending z to 0 certifies min_p |phi_z(p)| on a multi-puncture factor
     d = ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)), UnitDisk()))
@@ -809,40 +797,6 @@ def test_plan_holds_the_domain_facts():
     assert (plan.witnessed, plan.annulus, plan.punctured, plan.planar) == (
         None, None, (1,), False)
     assert "dim" not in DomainPlan.__slots__  # the domain's own dim is read
-    with pytest.raises(UnsupportedGeometryError, match="unknown factor kind str"):
-        DomainPlan(ProductDomain(("disk",)))
-
-
-class Slab:
-    """A factor kind the package does not know."""
-
-
-SLAB_DOMAIN = ProductDomain((UnitDisk(), Slab()))
-SLAB_POINT = ProductPoint((0.5 + 0j, 0.5 + 0j))
-UNKNOWN_KIND = (UnsupportedGeometryError, "unknown factor kind Slab")
-
-
-@pytest.mark.parametrize(("call", "raised"), [
-    (lambda: membership(Slab(), 0.5), (DomainError, "unknown factor kind Slab")),
-    (lambda: SLAB_DOMAIN.point([0.5, 0.5]), (DomainError, "unknown factor kind Slab")),
-    (lambda: squeeze_bounds(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
-    (lambda: search_lower_bound(SLAB_DOMAIN, SLAB_POINT), UNKNOWN_KIND),
-    (lambda: DomainPlan(SLAB_DOMAIN), UNKNOWN_KIND),
-], ids=["membership", "point", "squeeze_bounds", "search_lower_bound", "DomainPlan"])
-def test_unknown_factor_kinds_fail_as_they_did(call, raised):
-    cls, message = raised
-    with pytest.raises(SqueezeError) as e:
-        call()
-    assert (type(e.value), str(e.value)) == (cls, message)
-
-
-def test_unknown_factor_kind_has_no_punctures():
-    assert hhr_flag(SLAB_DOMAIN) is False
-
-
-def test_unknown_factor_kind_is_not_planar():
-    # is_planar asks whether every factor gives boundary circles
-    assert SLAB_DOMAIN.is_planar() is False
 
 
 # ------------------------------------------- mpmath audit of the annulus value
