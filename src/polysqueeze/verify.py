@@ -8,12 +8,13 @@ build arrays import numpy when they run, so importing this module does not
 load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
-boundary-sampling image inradius of an explicit witness (sampled in
-cache-sized blocks and scored by squared moduli) and its closed-form
-counterpart for radial-then-Mobius maps, both over the data a factor gives
-(``radii``, ``punctures``; a ball gives no ``radii`` and is never sampled),
-and the radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare
-distance, ``sigma`` of :func:`~polysqueeze.embeddings.mobius_modulus`.  No
+boundary-sampling image inradius of an explicit witness (each circle's least
+squared modulus found on a coarse grid, then refined toward its minimizer)
+and its closed-form counterpart for radial-then-Mobius maps, both over the
+data a factor gives (``radii``, ``punctures``; a ball gives no ``radii`` and
+is never sampled), and the radial distance pair ``sigma`` / ``sigma_inv``
+with the Poincare distance, ``sigma`` of
+:func:`~polysqueeze.embeddings.mobius_modulus`.  No
 reported value depends on any of them.  Suites build points with
 :meth:`ProductDomain.point`, whose one reader converts and tests each
 coordinate once, and build each domain's
@@ -101,20 +102,15 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
 
     ``1 + 4 eps`` times the unit circle's, then ``(1 - 4 eps) r`` for each
     inner circle r of ``f.radii``, so that no sample passes membership.  A
-    circle's samples are this radius times ``_unit_circle(m)``, ``m`` points
-    at equal angles from 0 counterclockwise; punctures are not sampled.
+    circle's samples are this radius times ``_unit_circle(_COARSE)``, points
+    at equal angles from 0 counterclockwise, and this radius times
+    ``exp(i t)`` at the angles ``t`` that :func:`_sampled_circle_min` refines;
+    punctures are not sampled.
     """
     if not hasattr(f, "radii"):
         raise DomainError("boundary sampling is defined for planar factors only")
     outer, *inner = f.radii
     return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))
-
-
-# Points a block of the sampled minimum evaluates at once.  Whole 65536-point
-# circles made 1-2 MB temporaries per operation.  Blocks of 2048 to 65536
-# points were timed on the three sampling suites; 16384 (256 kB of complex
-# samples) was fastest, 8192 within 4 %, and whole circles 2.7 times slower.
-_SAMPLE_BLOCK = 16384
 
 
 def _mobius_parts(m: MobiusAut, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,44 +163,71 @@ def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
     return num.real / den.real
 
 
-def _sampled_circle_min(sq, radius: float, m: int) -> float:
-    """Least modulus of a map over the ``m`` points ``radius * _unit_circle(m)``.
+# The search for a circle's least modulus: a coarse grid of _COARSE equally
+# spaced samples, then _PASSES passes of _PASS_POINTS points each across the
+# two gaps beside the previous stage's best point, so each pass narrows the
+# spacing by (_PASS_POINTS - 1) / 2 = 31.5.  The spacing falls from
+# 2 pi / 256 = 2.5e-2 to 7.9e-10.
+_COARSE = 256
+_PASSES = 5
+_PASS_POINTS = 64
+
+
+def _sampled_circle_min(sq, radius: float) -> float:
+    """Least modulus of a map over the circle of ``radius``, found by refining a coarse grid.
 
     ``sq`` takes an ndarray of samples and returns their squared moduli under
-    the map, as :func:`_squared_moduli` does.  The circle goes through ``sq``
-    ``_SAMPLE_BLOCK`` points at a time, so the temporaries stay cache-sized
-    whatever ``m`` is, and the one square root is taken of the circle's least
-    squared modulus.  Each point goes through the same operations as in one
-    whole-array call, and the block minima are reduced with numpy, so the
-    result equals ``sqrt(sq(radius * circle).min())`` bit for bit, a NaN
-    included.
+    the map, as :func:`_squared_moduli` does.  The coarse grid is
+    ``radius * _unit_circle(_COARSE)``.  Each refinement pass evaluates
+    ``radius * exp(i t)`` at ``_PASS_POINTS`` equally spaced angles ``t``
+    spanning one gap of the previous stage on either side of that stage's
+    best point.  The result is the square root of the least squared modulus
+    of all stages, reduced with numpy, so a NaN at any sample gives NaN.
+
+    Every value returned is the computed modulus at a point of the circle.
+    So, like a scan of any grid, the result can only overshoot the true
+    minimum, up to the rounding of ``sq``, and it is never above the
+    minimum of its own coarse grid.  The refinement converges because each
+    witness step is a Mobius map or ``zeta -> r / zeta``: the image of a
+    circle is a circle, traced monotonically in ``t``, and the modulus along
+    a circle has one minimum and one maximum.  On such a unimodal function
+    the true minimizer lies within one gap of a stage's best point, which is
+    the bracket the next pass samples.  A map that breaks unimodality can
+    only make the search miss the basin, and then the result is too high:
+    a check against a closed form fails rather than passes.
     """
     import numpy as np
 
-    circle = _unit_circle(m)
-    return math.sqrt(np.min([
-        sq(radius * circle[k:k + _SAMPLE_BLOCK]).min()
-        for k in range(0, m, _SAMPLE_BLOCK)
-    ]))
+    step = 2.0 * math.pi / _COARSE
+    s = sq(radius * _unit_circle(_COARSE))
+    k = int(np.argmin(s))  # a NaN's index, if there is one
+    best, minima = step * k, [s[k]]
+    offsets = np.linspace(-step, step, _PASS_POINTS)
+    for _ in range(_PASSES):
+        angles = best + offsets
+        s = sq(radius * np.exp(1j * angles))
+        k = int(np.argmin(s))
+        best = angles[k]
+        minima.append(s[k])
+        offsets *= 2.0 / (_PASS_POINTS - 1)
+    return math.sqrt(np.min(minima))
 
 
-def image_inradius_at_zero(e: MapExpr, f: PlanarFactor, m: int) -> float:
+def image_inradius_at_zero(e: MapExpr, f: PlanarFactor) -> float:
     """Sampled distance from 0 to the complement of the image of ``f`` under ``e``.
 
-    Minimum modulus over the images of ``m`` samples per boundary circle and
+    Minimum modulus over each boundary circle of :func:`_sample_radii` and
     over the extension values ``map_eval(e, p)`` at the punctures ``p`` of
-    ``f``.  The samples of :func:`_sample_radii` are scored by their squared
-    moduli (:func:`_squared_moduli`) in cache-sized blocks with one square
-    root per circle (:func:`_sampled_circle_min`).  Each sampled modulus
-    agrees with ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit
-    for bit.  The caller is responsible for the base point mapping to 0.
+    ``f``.  Each circle's minimum is searched on its squared moduli
+    (:func:`_squared_moduli`) by :func:`_sampled_circle_min`, with one
+    square root per circle.  Each sampled modulus agrees with
+    ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit for bit.
+    The caller is responsible for the base point mapping to 0.
     """
-    if not isinstance(m, int) or m < 8:
-        raise DomainError(f"sample count must be an integer >= 8, got {m}")
     import numpy as np
 
     sq = partial(_squared_moduli, e)
-    best = float(np.min([_sampled_circle_min(sq, rho, m) for rho in _sample_radii(f)]))
+    best = float(np.min([_sampled_circle_min(sq, rho) for rho in _sample_radii(f)]))
     for p in f.punctures:
         best = min(best, abs(map_eval(e, p)))
     return best
@@ -246,7 +269,7 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     return best
 
 
-def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int) -> float:
+def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint) -> float:
     """Image inradius of a product map: the factorwise minimum.
 
     A polydisk of radius c fits in the image iff a disk of radius c fits in
@@ -260,7 +283,7 @@ def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint, m: int) 
     for i, e in enumerate(pm.components):
         require_base_to_zero(e, z.planar(i), i)
     return min(
-        image_inradius_at_zero(e, f, m) for e, f in zip(pm.components, d.factors)
+        image_inradius_at_zero(e, f) for e, f in zip(pm.components, d.factors)
     )
 
 
@@ -377,7 +400,7 @@ def suite_pinch(seed: int = 0) -> list[Check]:
 
 def suite_mixed(seed: int = 0) -> list[Check]:
     """Disk-times-punctured-disk products: exact value |z2|, matching upper
-    bound, and the witness re-scored at 65536 samples.  The same three
+    bound, and the witness re-scored by the sampled oracle.  The same three
     quantities on the disk punctured at {0, 0.5, -0.5i} times a disk, at 20
     points kept 0.05 from every puncture: lower, upper and exact all equal
     min_p |phi_z(p)|, which is evaluated here on its own."""
@@ -393,7 +416,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         rep = squeeze_bounds(plan, z, search=False)
         worst_exact = max(worst_exact, abs(rep.exact - abs(z2)))
         worst_upper = max(worst_upper, abs(rep.upper - abs(z2)))
-        scored = product_inradius(rep.witness, d, z, 65536)
+        scored = product_inradius(rep.witness, d, z)
         worst_witness = max(worst_witness, abs(scored - abs(z2)))
 
     ps = (0j, 0.5 + 0j, -0.5j)
@@ -410,7 +433,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         rep = squeeze_bounds(plan, z)
         exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
         worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
-        scored = product_inradius(rep.witness, d, z, 65536)
+        scored = product_inradius(rep.witness, d, z)
         worst_multi_witness = max(worst_multi_witness, abs(scored - want))
     return [
         _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,
@@ -418,11 +441,11 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         _check("mixed.upper_matches_exact", worst_upper <= 1e-12,
                f"max_err={worst_upper:.3e} tol=1e-12"),
         _check("mixed.witness_inradius", worst_witness <= 1e-4,
-               f"max_err={worst_witness:.3e} tol=1e-4 samples=65536"),
+               f"max_err={worst_witness:.3e} tol=1e-4"),
         _check("mixed.multi_puncture_exact", worst_multi <= 1e-12,
                f"max_err={worst_multi:.3e} tol=1e-12 points=20"),
         _check("mixed.multi_puncture_witness", worst_multi_witness <= 1e-4,
-               f"max_err={worst_multi_witness:.3e} tol=1e-4 samples=65536 points=20"),
+               f"max_err={worst_multi_witness:.3e} tol=1e-4 points=20"),
     ]
 
 
@@ -518,31 +541,38 @@ def suite_ball_ratios(seed: int = 0) -> list[Check]:
 
 
 def suite_oracle(seed: int = 0) -> list[Check]:
-    """Radial circle-minimum formula against a 65536-sample brute-force minimum.
+    """Radial circle-minimum formula against the sampled oracle's circle minimum.
 
-    The brute force is the sampler of the witness oracle: the least squared
-    modulus |zeta - a|^2 / |1 - conj(a) zeta|^2 over the circle, taken in
-    blocks, then one square root.  Pairs are drawn with moduli in [0, 0.95],
-    radii in [0.02, 0.95] and ||a| - r| >= 0.01: closer pairs push the true
-    minimum toward a conical 0 where the brute-force sampler itself exceeds
-    the tolerance, so they test the sampler, not the formula.
+    The sampled side is the witness oracle's search,
+    :func:`_sampled_circle_min`, on the squared modulus
+    |zeta - a|^2 / |1 - conj(a) zeta|^2.  1000 pairs are drawn with moduli
+    in [0, 0.95], radii in [0.02, 0.95] and ||a| - r| >= 0.01, then 100 close
+    pairs with |a| within 0.01 of r.  There the true minimum is near a
+    conical 0 that a fixed grid of samples can overshoot by the slope times
+    half its spacing; the refined search brackets it, so the close pairs are
+    checked at the same tolerance.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    pairs = []
     for _ in range(1000):
         while True:
             amod = rng.uniform(0.0, 0.95)
             r = rng.uniform(0.02, 0.95)
             if abs(amod - r) >= 0.01:
                 break
-        a = amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
+    for _ in range(100):
+        r = rng.uniform(0.02, 0.95)
+        amod = rng.uniform(r - 0.01, min(r + 0.01, 0.95))
+        pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
+    worst = 0.0
+    for a, r in pairs:
         sq = partial(_squared_moduli, MapExpr((MobiusAut(a),)))
-        brute = _sampled_circle_min(sq, r, 65536)
-        worst = max(worst, abs(brute - mobius_circle_min_modulus(a, r)))
+        worst = max(worst, abs(_sampled_circle_min(sq, r) - mobius_circle_min_modulus(a, r)))
     return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
-                   f"max_err={worst:.3e} tol=1e-4 pairs=1000 samples=65536")]
+                   f"max_err={worst:.3e} tol=1e-4 pairs=1000 close_pairs=100")]
 
 
 def _hyperbolic_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -615,7 +645,7 @@ def suite_hhr(seed: int = 0) -> list[Check]:
 
 
 def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]:
-    """Sampled inradius (65536 points a circle) of family witnesses against their search score.
+    """Sampled inradius of family witnesses against their search score.
 
     Ten seeded points per annulus r in {0.04, 0.25, 0.64}, moduli 2 % of the
     width off either circle, each on both branches, plus the witness at
@@ -635,7 +665,7 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
         d = plan.domain
         z = d.point([zc])
         sr = search_lower_bound(plan, z, branch)
-        sampled = product_inradius(sr.witness, d, z, 65536)
+        sampled = product_inradius(sr.witness, d, z)
         worst_err = max(worst_err, abs(sampled - sr.value))
         worst_below = max(worst_below, sr.value - sampled)
     return worst_err, worst_below, len(cases)
@@ -672,7 +702,7 @@ def suite_family_gap(seed: int = 0) -> list[Check]:
                f"methods={','.join(rep.methods)}"),
         _check("family_gap.witness_sampled_vs_analytic", worst_err <= 1e-4 and worst_below <= 1e-12,
                f"max_err={worst_err:.3e} tol=1e-4 max_below={worst_below:.3e} floor=1e-12 "
-               f"witnesses={count} samples=65536"),
+               f"witnesses={count}"),
     ]
 
 

@@ -25,7 +25,7 @@ CRITERIA = [
     ("annulus", "annulus x disk piecewise closed form on 1000-point grids"),
     ("limit", "boundary limit: clearance profile climbs to 1 on both sides"),
     ("ball_ratios", "ball products: both fixed-ratio hypotheses fail with margin"),
-    ("oracle", "circle-minimum formula vs 65536-sample brute force, 1000 pairs"),
+    ("oracle", "circle-minimum formula vs the refined sampled minimum, 1000 pairs and 100 close ones"),
     ("hyperbolic", "radial distance identities and Mobius invariance"),
     ("hhr", "regularity evidence: punctures force the value under any epsilon"),
     ("family_gap", "annulus family honesty: search stays below the closed form"),

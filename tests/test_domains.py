@@ -149,8 +149,8 @@ def test_a_misshapen_ball_coordinate_fails_alike(c):
 
 
 # ------------------------------------------------------------------- sampling
-# The oracle samples each circle as rho * _unit_circle(m), for each rho of
-# _sample_radii, outer circle first.
+# The oracle's coarse grid on each circle is rho * _unit_circle(m), for each
+# rho of _sample_radii, outer circle first.
 
 NUDGE = 4.0 * np.finfo(float).eps
 
@@ -179,7 +179,6 @@ def test_boundary_samples_skip_punctures():
 
 
 def test_boundary_samples_validation():
-    # the sample count is checked by image_inradius_at_zero, which takes it
     with pytest.raises(DomainError):
         _sample_radii(BallFactor(1))
 

@@ -24,7 +24,8 @@ from polysqueeze import (
 from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
 from polysqueeze.squeezing import INCLUSION, REFLECTION
 from polysqueeze.verify import (
-    _SAMPLE_BLOCK,
+    _COARSE,
+    _PASSES,
     _array_eval,
     _sample_radii,
     _sampled_circle_min,
@@ -181,8 +182,7 @@ def test_extension_inclusion():
 def test_inradius_punctured_disk_mobius():
     f = PuncturedDisk((0j,))
     e = mexpr(MobiusAut(0.3))
-    for m in (8, 64, 4096):
-        assert image_inradius_at_zero(e, f, m) == pytest.approx(0.3, abs=1e-12)
+    assert image_inradius_at_zero(e, f) == pytest.approx(0.3, abs=1e-12)
     # matches the closed-form single-factor value at z = 0.3
     assert factor_value(f, 0.3) == pytest.approx(0.3, abs=1e-15)
 
@@ -195,27 +195,14 @@ def brute_circle_min(a: complex, r: float, m: int) -> float:
 def test_inradius_annulus_mobius():
     f = Annulus(0.25)
     e = mexpr(MobiusAut(0.5))
-    got = image_inradius_at_zero(e, f, 65536)
+    got = image_inradius_at_zero(e, f)
     assert got == pytest.approx(0.25 / 0.875, abs=1e-7)
     assert got == pytest.approx(brute_circle_min(0.5, 0.25, 65536), abs=1e-12)
     assert got == pytest.approx(mobius_circle_min_modulus(0.5, 0.25), abs=1e-7)
 
 
 def test_inradius_identity_on_disk():
-    assert image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk(), 64) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inradius_sample_count_validation():
-    with pytest.raises(DomainError):
-        image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk(), 4)
-
-
-def test_inradius_monotone_under_sample_doubling():
-    # doubling keeps the old angles, so the min can only go down
-    f = Annulus(0.3)
-    e = mexpr(Reflection(0.3), MobiusAut(0.41 + 0.2j))
-    vals = [image_inradius_at_zero(e, f, m) for m in (64, 128, 256, 512)]
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    assert image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inradius_capped_by_puncture_images():
@@ -223,16 +210,16 @@ def test_inradius_capped_by_puncture_images():
     for a in (0.0, 0.3, 0.5 + 0.1j):
         e = mexpr(MobiusAut(a))
         cap = min(abs(map_eval(e, p)) for p in f.punctures)
-        assert image_inradius_at_zero(e, f, 512) <= cap + 1e-15
+        assert image_inradius_at_zero(e, f) <= cap + 1e-15
 
 
 @given(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
 def test_inradius_mobius_only_on_disk_is_one(amod, ang, theta):
     e = mexpr(MobiusAut(amod * cmath.exp(1j * ang), theta))
-    assert image_inradius_at_zero(e, UnitDisk(), 256) == pytest.approx(1.0, abs=1e-12)
+    assert image_inradius_at_zero(e, UnitDisk()) == pytest.approx(1.0, abs=1e-12)
 
 
-# ------------------------------------------------------------ blocked sampling
+# ------------------------------------------------------------ refined sampling
 
 # Witnesses of each factor kind on each branch that applies to it (the
 # reflection branch exists on annulus factors only), with and without an
@@ -246,8 +233,6 @@ BLOCK_CASES = {
     "annulus-reflection": (Annulus(0.25), 0.3 - 0.1j, REFLECTION, 0j),
     "annulus-reflection-mobius": (Annulus(0.64), -0.85j, REFLECTION, 0.5),
 }
-BLOCK_SIZES = (8, 4096, 16384, 16385, 65536, 100000)
-NUDGE = 4.0 * np.finfo(float).eps  # radial offset of the samples off the open set
 
 
 def boundary_array(f, m):
@@ -256,40 +241,11 @@ def boundary_array(f, m):
 
 
 def whole_array_inradius(e, f, m):
-    """The sampled inradius as one array over every boundary sample."""
+    """The least modulus over ``m`` equally spaced samples a circle, as one array, and the punctures."""
     best = math.sqrt(_squared_moduli(e, boundary_array(f, m)).min())
     for p in f.punctures if isinstance(f, PuncturedDisk) else ():
         best = min(best, abs(map_eval(e, p)))
     return best
-
-
-@pytest.mark.parametrize("m", BLOCK_SIZES)
-@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-def test_blocked_sampling_bitwise_equals_whole_array(case, m):
-    f, z, branch, a = BLOCK_CASES[case]
-    e = rotated_witness(f, z, branch, a)
-    samples = boundary_array(f, m)
-    sq = partial(_squared_moduli, e)
-    # each circle on its own, then the whole inradius with its punctures
-    radii = (1.0 + NUDGE, (1.0 - NUDGE) * f.r) if isinstance(f, Annulus) else (1.0 + NUDGE,)
-    for k, rho in enumerate(radii):
-        whole = math.sqrt(sq(samples[k * m:(k + 1) * m]).min())
-        assert _sampled_circle_min(sq, rho, m) == whole
-    assert image_inradius_at_zero(e, f, m) == whole_array_inradius(e, f, m)
-
-
-def test_blocked_sampling_propagates_nan():
-    # one NaN, in the third block of four: numpy's min over the block minima
-    # keeps it, as .min() over the whole array does
-    m = 4 * _SAMPLE_BLOCK
-    nan_at = 2 * _SAMPLE_BLOCK + 5
-    point = _unit_circle(m)[nan_at]
-
-    def sq(w):
-        return np.where(w == point, np.nan, (w * w.conj()).real)
-
-    assert math.isnan(float(sq(_unit_circle(m)).min()))
-    assert math.isnan(_sampled_circle_min(sq, 1.0, m))
 
 
 # The map's array value and its modulus, abs(_array_eval(e.steps, samples)): a
@@ -298,6 +254,45 @@ def test_blocked_sampling_propagates_nan():
 # the bound set for it.  The scalar map_eval is no reference here: it rounds
 # up to about 1800 eps away from numpy's array arithmetic on such witnesses.
 REFERENCE_RTOL = 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_refined_min_between_analytic_and_coarse_grid(case):
+    # Every refined value is the computed modulus at a sample outside the
+    # open set, so in exact arithmetic it cannot fall below the analytic
+    # inradius; the computed values can, by the kernel's rounding (within
+    # REFERENCE_RTOL of the reference) and as much again for the reference's
+    # and the closed form's own roundings.  The coarse grid's least squared
+    # modulus is one of the values the search reduces, so it bounds the
+    # result bit for bit.
+    f, z, branch, a = BLOCK_CASES[case]
+    e = rotated_witness(f, z, branch, a)
+    sq = partial(_squared_moduli, e)
+    refined = [_sampled_circle_min(sq, rho) for rho in _sample_radii(f)]
+    for rho, got in zip(_sample_radii(f), refined):
+        assert got <= math.sqrt(sq(rho * _unit_circle(_COARSE)).min())
+    got = image_inradius_at_zero(e, f)
+    assert got == min(refined + [abs(map_eval(e, p)) for p in f.punctures])
+    assert got >= image_inradius_analytic(e, f) * (1.0 - 2.0 * REFERENCE_RTOL)
+
+
+@pytest.mark.parametrize("stage", range(_PASSES + 1))
+def test_refined_sampling_propagates_nan(stage):
+    # one NaN, in the coarse grid (stage 0) or in one refinement pass, away
+    # from that stage's least value: numpy's min over the stage minima keeps
+    # it, where Python's min would drop it unless it came first
+    inner = partial(_squared_moduli, mexpr(MobiusAut(0.5)))
+    calls = []
+
+    def sq(w):
+        out = inner(w)
+        if len(calls) == stage:
+            out[len(out) // 2 + 3] = np.nan
+        calls.append(len(w))
+        return out
+
+    assert math.isnan(_sampled_circle_min(sq, 0.25))
+    assert calls == [_COARSE] + [calls[1]] * _PASSES
 
 
 def assert_moduli_match_map_eval(e, f, m):
@@ -345,29 +340,31 @@ def test_squared_moduli_match_map_eval(r, t, ang, branch, amod, aang, theta):
 )
 def test_sampled_never_below_analytic(m, kind, amod, aang, theta, reflected):
     # the samples lie on the boundary circles, so their least modulus can only
-    # overshoot the analytic inradius, whatever the sample count
+    # overshoot the analytic inradius; the refined search ends closer to each
+    # circle's minimizer than a scan of m equally spaced samples gets, so it
+    # reads no higher than that scan, up to the kernel's rounding
     f = {"disk": UnitDisk(), "punctured": PuncturedDisk((0.3 - 0.2j,)), "annulus": Annulus(0.25)}[kind]
     head = (Reflection(0.25),) if reflected and kind == "annulus" else ()
     e = mexpr(*head, MobiusAut(amod * cmath.exp(1j * aang), theta))
-    analytic = image_inradius_analytic(e, f)
-    assert image_inradius_at_zero(e, f, m) >= analytic - 1e-12
+    got = image_inradius_at_zero(e, f)
+    assert got >= image_inradius_analytic(e, f) - 1e-12
+    assert got <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
 
 
-def test_blocked_sampling_memory_stays_within_blocks():
-    # 2**20 points a circle: every whole-circle temporary would be 8-16 MB
-    m = 2 ** 20
+def test_refined_sampling_memory_is_a_few_coarse_grids():
+    # the largest temporaries are the coarse stage's: a 256-point complex
+    # array is 4 kB, and the kernel holds its samples, two factors and their
+    # real parts at once; 32 kB is eight such arrays
     f = Annulus(0.25)
     e = factor_witness(f, 0.3 - 0.1j, REFLECTION)
-    _unit_circle(m)  # the cached circle is shared, so it is not counted
+    _unit_circle(_COARSE)  # the cached circle is shared, so it is not counted
     tracemalloc.start()
     try:
-        image_inradius_at_zero(e, f, m)
+        image_inradius_at_zero(e, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _unit_circle.cache_clear()
-    assert peak <= 2 * 2 ** 20, f"peak {peak} bytes above the cached circle"
-
+    assert peak <= 8 * 16 * _COARSE, f"peak {peak} bytes above the cached circle"
 
 # ------------------------------------------------------------- analytic oracle
 
@@ -382,7 +379,7 @@ def test_analytic_matches_sampled():
     for e, f in cases:
         analytic = image_inradius_analytic(e, f)
         assert analytic is not None
-        assert analytic == pytest.approx(image_inradius_at_zero(e, f, 65536), abs=1e-4)
+        assert analytic == pytest.approx(image_inradius_at_zero(e, f), abs=1e-4)
 
 
 def test_analytic_rejects_mobius_before_reflection():
@@ -397,12 +394,12 @@ def test_witness_never_beats_closed_form():
     z = 0.5
     for a in np.linspace(0.0, 0.9, 10):
         e = rotated_witness(f, z, INCLUSION, complex(a))
-        assert image_inradius_at_zero(e, f, 2048) <= factor_value(f, z) + 1e-6
+        assert image_inradius_at_zero(e, f) <= factor_value(f, z) + 1e-6
     fa = Annulus(0.25)
     for branch in (INCLUSION, REFLECTION):
         for a in np.linspace(0.0, 0.9, 10):
             e = rotated_witness(fa, 0.5, branch, complex(a))
-            assert image_inradius_at_zero(e, fa, 2048) <= factor_value(fa, 0.5) + 1e-6
+            assert image_inradius_at_zero(e, fa) <= factor_value(fa, 0.5) + 1e-6
 
 
 def test_witness_always_sends_base_to_zero():
@@ -426,7 +423,7 @@ def test_rotational_reduction_soundness():
         vals = []
         for k in range(8):
             a = 0.37 * cmath.exp(2j * math.pi * k / 8)
-            vals.append(image_inradius_at_zero(rotated_witness(f, z, branch, a), f, 1024))
+            vals.append(image_inradius_at_zero(rotated_witness(f, z, branch, a), f))
         assert max(vals) - min(vals) <= 1e-10
 
 
@@ -436,23 +433,21 @@ def test_product_inradius_punctured_pair():
     d = ProductDomain((PuncturedDisk((0j,)), PuncturedDisk((0j,))))
     z = d.point([0.5, 0.3])
     pm = ProductMap((mexpr(MobiusAut(0.5)), mexpr(MobiusAut(0.3))))
-    assert product_inradius(pm, d, z, 4096) == pytest.approx(0.3, abs=1e-12)
+    assert product_inradius(pm, d, z) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_product_inradius_mixed_pair():
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
     z = d.point([0.2, 0.6])
     pm = ProductMap((mexpr(MobiusAut(0.2)), mexpr(MobiusAut(0.6))))
-    assert product_inradius(pm, d, z, 4096) == pytest.approx(0.6, abs=1e-12)
+    assert product_inradius(pm, d, z) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_product_inradius_single_factor_reduces():
     d = ProductDomain((PuncturedDisk((0j,)),))
     z = d.point([0.4])
     pm = ProductMap((mexpr(MobiusAut(0.4)),))
-    assert product_inradius(pm, d, z, 512) == image_inradius_at_zero(
-        mexpr(MobiusAut(0.4)), d.factors[0], 512
-    )
+    assert product_inradius(pm, d, z) == image_inradius_at_zero(mexpr(MobiusAut(0.4)), d.factors[0])
 
 
 def test_product_inradius_base_point_violation():
@@ -460,11 +455,11 @@ def test_product_inradius_base_point_violation():
     z = d.point([0.2])
     pm = ProductMap((mexpr(MobiusAut(0.5)),))  # sends 0.5, not 0.2, to 0
     with pytest.raises(DomainError):
-        product_inradius(pm, d, z, 512)
+        product_inradius(pm, d, z)
 
 
 def test_product_inradius_arity_mismatch():
     d = ProductDomain((UnitDisk(), UnitDisk()))
     z = d.point([0.2, 0.1])
     with pytest.raises(DomainError):
-        product_inradius(ProductMap((mexpr(MobiusAut(0.2)),)), d, z, 512)
+        product_inradius(ProductMap((mexpr(MobiusAut(0.2)),)), d, z)

@@ -156,7 +156,8 @@ DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "_pseudo_hyperbolic", "_apply", "single_annulus_index",
            "DEFAULT_SAMPLES", "_default_samples", "Inclusion", "BallProductReport",
            "ball_product_ratio_check", "exact_squeeze", "boundary_limit_profile",
-           "LimitProfile", "load_domain_spec", "UnsupportedGeometryError", "_kind"]
+           "LimitProfile", "load_domain_spec", "UnsupportedGeometryError", "_kind",
+           "_SAMPLE_BLOCK"]
 
 
 @pytest.mark.parametrize("name", DELETED)

@@ -2,11 +2,13 @@
 
 The bulk draw of the hyperbolic suite must reproduce the per-triple draws it
 replaced, value for value and with the generator left in the same state.  The
-sampled oracle must keep its workload, circle for circle, so that a faster
-pass cannot come from sampling less.  Each check's numbers are pinned at
+sampled oracle must keep its workload, circle for circle, and read no higher
+on any circle than the 65536-point scan it replaced, so that a faster pass
+cannot come from sampling less.  Each check's numbers are pinned at
 seed 0, and each suite domain gets one plan.
 """
 
+import inspect
 import math
 from collections import Counter
 
@@ -37,28 +39,68 @@ def test_hyperbolic_draws_reproduce_per_triple_stream(seed):
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-def test_verify_samples_1361_circles_of_65536_points(monkeypatch):
-    circles = Counter()
-    suite = [None]
+# Each circle the suites sample at seed 0: its suite, its squared-modulus
+# kernel, its radius and the refined minimum the oracle read.
+@pytest.fixture(scope="module")
+def sampled_circles():
+    circles = []
     sampler = verify._sampled_circle_min
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in SUITES.items():
+            def recording(sq, radius, name=name):
+                got = sampler(sq, radius)
+                circles.append((name, sq, radius, got))
+                return got
 
-    def counting(sq, radius, m):
-        circles[suite[0], m] += 1
-        return sampler(sq, radius, m)
+            mp.setattr(verify, "_sampled_circle_min", recording)
+            assert all(c.passed for c in fn(0))
+    return circles
 
-    def tagged(name, fn):
-        def run(seed):
-            suite[0] = name
-            return fn(seed)
-        return run
 
-    monkeypatch.setattr(verify, "_sampled_circle_min", counting)
-    for name, fn in list(SUITES.items()):
-        monkeypatch.setitem(SUITES, name, tagged(name, fn))
-    checks = run_suite("all")
-    assert all(c.passed for c in checks)
-    assert circles == {("oracle", 65536): 1000, ("mixed", 65536): 240,
-                       ("family_gap", 65536): 121}
+def test_verify_samples_the_same_circles(sampled_circles):
+    assert Counter(name for name, *_ in sampled_circles) == {
+        "oracle": 1100, "mixed": 240, "family_gap": 121}
+    # the oracle's first 1000 pairs are the draws it has always made, bit for
+    # bit, and the 100 close pairs come after them
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(1000):
+        while True:
+            amod = rng.uniform(0.0, 0.95)
+            r = rng.uniform(0.02, 0.95)
+            if abs(amod - r) >= 0.01:
+                break
+        pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
+    oracle = [(sq.args[0].steps[0].a, radius) for name, sq, radius, _ in sampled_circles
+              if name == "oracle"]
+    assert oracle[:1000] == pairs
+    assert all(abs(abs(a) - r) <= 0.01 for a, r in oracle[1000:])
+
+
+# The kernel's stated rounding bound, REFERENCE_RTOL in tests/test_embeddings.py.
+REFERENCE_RTOL = 8.0 * np.finfo(float).eps
+
+
+def test_refined_min_never_above_the_65536_point_scan(sampled_circles):
+    # The minimum the sampled checks read before the search was refined: one
+    # whole-array scan of 65536 equally spaced samples.  The refined search
+    # ends within 7.9e-10 of each circle's minimizer, the scan's best sample
+    # within 4.8e-5.  Near its minimum the modulus on these unimodal circles
+    # grows with the distance from the minimizer, so the refined value can
+    # read higher only where the two points are about equally near, and then
+    # by the kernel's rounding.
+    circle = verify._unit_circle(65536)
+    for name, sq, radius, got in sampled_circles:
+        scan = math.sqrt(sq(radius * circle).min())
+        assert got <= scan * (1.0 + REFERENCE_RTOL), (name, radius, got, scan)
+
+
+def test_the_sampler_takes_no_sample_count():
+    params = {fn: list(inspect.signature(fn).parameters) for fn in (
+        verify._sampled_circle_min, verify.image_inradius_at_zero, verify.product_inradius)}
+    assert params == {verify._sampled_circle_min: ["sq", "radius"],
+                      verify.image_inradius_at_zero: ["e", "f"],
+                      verify.product_inradius: ["pm", "d", "z"]}
 
 
 # Every check's detail at seed 0 but ``pinch.runtime``, which is wall time, in
@@ -71,9 +113,9 @@ SEED_0_DETAILS = [
     ("pinch.search_attains_closed_form", "min_margin=0.000e+00 floor=-1e-6"),
     ("mixed.exact_equals_second_modulus", "max_err=0.000e+00 tol=1e-12"),
     ("mixed.upper_matches_exact", "max_err=0.000e+00 tol=1e-12"),
-    ("mixed.witness_inradius", "max_err=0.000e+00 tol=1e-4 samples=65536"),
+    ("mixed.witness_inradius", "max_err=0.000e+00 tol=1e-4"),
     ("mixed.multi_puncture_exact", "max_err=0.000e+00 tol=1e-12 points=20"),
-    ("mixed.multi_puncture_witness", "max_err=1.110e-16 tol=1e-4 samples=65536 points=20"),
+    ("mixed.multi_puncture_witness", "max_err=1.110e-16 tol=1e-4 points=20"),
     ("annulus[r=0.04].piecewise_formula", "max_err=2.776e-17 tol=1e-12 grid=1000"),
     ("annulus[r=0.04].branches_agree_at_sqrt_r", "gap=2.776e-17 tol=1e-12"),
     ("annulus[r=0.04].clearance_below_exact", "max_excess=0.000e+00 tol=1e-12"),
@@ -99,7 +141,7 @@ SEED_0_DETAILS = [
     ("ball_ratios[n=5].value", "err=0.000e+00 tol=1e-15"),
     ("ball_ratios[n=5].both_ratios_fail", "up_margin=1.2361 down_margin=0.3578"),
     ("ball_ratios[n=2].margins", "up=0.4142>=0.41 down=0.3536>=0.35"),
-    ("oracle.circle_min_vs_brute", "max_err=4.516e-08 tol=1e-4 pairs=1000 samples=65536"),
+    ("oracle.circle_min_vs_brute", "max_err=6.106e-16 tol=1e-4 pairs=1000 close_pairs=100"),
     ("hyperbolic.roundtrip_t_direction", "max_err=4.441e-16 tol=1e-12 range=[0,20]"),
     ("hyperbolic.roundtrip_x_direction", "max_err=1.110e-16 tol=1e-12 range=[0,0.999999]"),
     ("hyperbolic.mobius_invariance", "max_err=1.865e-14 tol=1e-12 triples=10000"),
@@ -114,7 +156,7 @@ SEED_0_DETAILS = [
     ("family_gap.report_tagged",
      "methods=ClosedForm,ProductLower,ClearanceLower,Search,FamilyGap"),
     ("family_gap.witness_sampled_vs_analytic",
-     "max_err=1.304e-08 tol=1e-4 max_below=0.000e+00 floor=1e-12 witnesses=61 samples=65536"),
+     "max_err=9.437e-16 tol=1e-4 max_below=2.220e-16 floor=1e-12 witnesses=61"),
 ]
 
 
