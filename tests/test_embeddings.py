@@ -25,6 +25,7 @@ from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_e
 from polysqueeze.squeezing import INCLUSION, REFLECTION
 from polysqueeze.verify import (
     _COARSE,
+    _PASS_POINTS,
     _PASSES,
     _array_eval,
     _sample_radii,
@@ -274,6 +275,33 @@ def test_refined_min_between_analytic_and_coarse_grid(case):
     got = image_inradius_at_zero(e, f)
     assert got == min(refined + [abs(map_eval(e, p)) for p in f.punctures])
     assert got >= image_inradius_analytic(e, f) * (1.0 - 2.0 * REFERENCE_RTOL)
+
+
+BLOCK_SIZES = (8, 4096, 16384, 16385, 65536, 100000)
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_sampling_bitwise_equals_whole_array(case, m):
+    # The search scores a circle in blocks: the coarse grid, then one pass at
+    # a time.  The kernel is elementwise, so a sample's squared modulus does
+    # not depend on the block it is scored in: m samples a circle scored in
+    # blocks of either size give the whole array's values bit for bit.  And
+    # the refined minimum, being closer to each circle's minimizer than any
+    # grid, reads no higher than the whole-array scan of m points, up to the
+    # kernel's rounding.
+    f, z, branch, a = BLOCK_CASES[case]
+    e = rotated_witness(f, z, branch, a)
+    sq = partial(_squared_moduli, e)
+    samples = boundary_array(f, m)
+    whole = sq(samples)
+    for size in (_COARSE, _PASS_POINTS):
+        blocked = np.concatenate([sq(samples[i:i + size]) for i in range(0, len(samples), size)])
+        assert blocked.tobytes() == whole.tobytes()
+    for k, rho in enumerate(_sample_radii(f)):
+        scan = math.sqrt(whole[k * m:(k + 1) * m].min())
+        assert _sampled_circle_min(sq, rho) <= scan * (1.0 + REFERENCE_RTOL)
+    assert image_inradius_at_zero(e, f) <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
 
 
 @pytest.mark.parametrize("stage", range(_PASSES + 1))
