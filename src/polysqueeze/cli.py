@@ -11,7 +11,8 @@ joined by ',', and a field that holds ',', '"' or a newline is wrapped in
 '"' with each inner '"' doubled, the line ``csv.writer`` writes with
 ``lineterminator="\\n"``.  A write that fails (a full device, a closed
 pipe) exits 2 with ``error: cannot write output: ...`` and no traceback.
-A spec factor that holds a key its kind does not read exits 2.
+A spec file longer than ``MAX_SPEC_BYTES`` exits 2, and so does a spec
+factor that holds a key its kind does not read.
 
 No option is inert: no reported value depends on boundary sampling, so no
 command takes a sample count, and only ``verify`` draws, so only it takes
@@ -71,6 +72,7 @@ EXIT_VERIFY = 4
 
 MAX_STEPS = 1_000_000
 SPEC_MEMO_SIZE = 16
+MAX_SPEC_BYTES = 1 << 20  # far past any real spec: the golden fixture's largest is 178 bytes
 
 
 class UsageError(SqueezeError):
@@ -92,23 +94,55 @@ def _spec_real(value, where: str) -> float:
         raise UsageError(f"{where}: {e}") from e
 
 
+def _spec_punctures(value, where: str) -> tuple[complex, ...]:
+    if not isinstance(value, list) or not value:
+        raise UsageError(f"{where}: {_PAIRS}")
+    pts = []
+    for j, p in enumerate(value):
+        if not (isinstance(p, list) and len(p) == 2):
+            raise UsageError(f"{where}[{j}]: expected [re, im]")
+        pts.append(complex(_spec_real(p[0], f"{where}[{j}][0]"),
+                           _spec_real(p[1], f"{where}[{j}][1]")))
+    return tuple(pts)
+
+
+_PAIRS = "need a nonempty list of [re, im] pairs"
+# spec kind -> (factor class, {key: (reader(value, where), text when missing)}), keys in the
+# class's argument order; the class checks what the readers give it, a ball's n as it stands
+_SPEC_KINDS = {
+    "disk": (UnitDisk, {}),
+    "punctured_disk": (PuncturedDisk, {"punctures": (_spec_punctures, _PAIRS)}),
+    "annulus": (Annulus, {"r": (_spec_real, "missing inner radius")}),
+    "ball": (BallFactor, {"n": (lambda value, where: value, "missing dimension")}),
+}
+
+
 def _load_plan(path: str) -> DomainPlan:
     """The domain of the JSON domain-spec file at ``path``, in its plan.
 
     Schema: {"factors": [{"kind": "disk"} | {"kind": "punctured_disk",
     "punctures": [[re, im], ...]} | {"kind": "annulus", "r": x} |
     {"kind": "ball", "n": k}, ...]}, where x, re and im are JSON numbers and
-    k is a JSON integer.  A factor with any other key is refused.
+    k is a JSON integer.  Each kind is one row of ``_SPEC_KINDS``, which also
+    names the only keys it takes: a factor with any other key is refused.
 
     The file is read on every call, as bytes without the text-file layer,
-    and decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
+    at most ``MAX_SPEC_BYTES`` of them (a longer file is refused), and
+    decoded as UTF-8 with CR LF and a lone CR read as LF: the text that
     ``open(path, encoding="utf-8").read()`` gives, with the same errors.  That
     text is parsed once while it stays among the last ``SPEC_MEMO_SIZE``
     distinct texts that parsed; the plan returned is that memo entry.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode("utf-8")
+            # read(n) on an unbuffered file is one system call, and a pipe
+            # may return fewer than n bytes
+            data = b""
+            while len(data) <= MAX_SPEC_BYTES and (chunk := fh.read(MAX_SPEC_BYTES + 1 - len(data))):
+                data += chunk
+        if len(data) > MAX_SPEC_BYTES:
+            raise UsageError(f"{path}: spec file is longer than {MAX_SPEC_BYTES} bytes")
+        text = data.decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read spec file {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -148,38 +182,19 @@ def _spec_plan(text: str) -> DomainPlan:
         if not isinstance(item, dict) or "kind" not in item:
             raise UsageError(f"{where}: each factor needs a 'kind'")
         kind = item["kind"]
+        if not isinstance(kind, str) or kind not in _SPEC_KINDS:  # a list cannot be looked up
+            raise UsageError(f"{where}.kind: unknown kind {kind!r}")
+        cls, keys = _SPEC_KINDS[kind]
+        for key, (_, missing) in keys.items():
+            if key not in item:
+                raise UsageError(f"{where}.{key}: {missing}")
         try:
-            if kind == "disk":
-                factor, reads = UnitDisk(), ()
-            elif kind == "punctured_disk":
-                ps = item.get("punctures")
-                if not isinstance(ps, list) or not ps:
-                    raise UsageError(f"{where}.punctures: need a nonempty list of [re, im] pairs")
-                pts = []
-                for j, p in enumerate(ps):
-                    if not (isinstance(p, list) and len(p) == 2):
-                        raise UsageError(f"{where}.punctures[{j}]: expected [re, im]")
-                    pts.append(complex(_spec_real(p[0], f"{where}.punctures[{j}][0]"),
-                                       _spec_real(p[1], f"{where}.punctures[{j}][1]")))
-                factor, reads = PuncturedDisk(tuple(pts)), ("punctures",)
-            elif kind == "annulus":
-                if "r" not in item:
-                    raise UsageError(f"{where}.r: missing inner radius")
-                factor, reads = Annulus(_spec_real(item["r"], f"{where}.r")), ("r",)
-            elif kind == "ball":
-                if "n" not in item:
-                    raise UsageError(f"{where}.n: missing dimension")
-                n = item["n"]
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise UsageError(f"{where}.n: expected an integer, got {n!r}")
-                factor, reads = BallFactor(n), ("n",)
-            else:
-                raise UsageError(f"{where}.kind: unknown kind {kind!r}")
+            factor = cls(*[read(item[key], f"{where}.{key}") for key, (read, _) in keys.items()])
         except DomainError as e:
             raise UsageError(f"{where}: {e}") from e
         # checked after the kind's own reads, so a misspelt key reports what is missing
         for key in item:
-            if key != "kind" and key not in reads:
+            if key != "kind" and key not in keys:
                 raise UsageError(f"{where}: unknown key {key!r} for kind {kind!r}")
         factors.append(factor)
     return DomainPlan(ProductDomain(tuple(factors)))
@@ -208,7 +223,7 @@ def parse_point(text: str, domain: ProductDomain):
     coords = []
     k = 0
     for f in domain.factors:
-        coords.append(tuple(pairs[k:k + f.dim]) if isinstance(f, BallFactor) else pairs[k])
+        coords.append(pairs[k] if hasattr(f, "radii") else tuple(pairs[k:k + f.dim]))
         k += f.dim
     return domain.point(coords)
 
@@ -324,7 +339,7 @@ def cmd_profile(args, out) -> int:
     base = parse_point(args.point, domain)
     if not (0 <= args.axis < domain.arity):
         raise UsageError(f"axis {args.axis} out of range for {domain.arity} factors")
-    if isinstance(domain.factors[args.axis], BallFactor):
+    if not hasattr(domain.factors[args.axis], "radii"):
         raise UsageError("profiles sweep planar factors only")
     try:
         lo, hi = (float(v) for v in args.range.split(":"))

@@ -7,8 +7,12 @@ witnesses in :mod:`polysqueeze.embeddings`, never stored as factor kinds.
 A factor gives its facts as data, read in place of its class: ``dim``, its
 complex dimension, ``radii``, a planar factor's boundary circles (centred at
 0, the unit circle first) and ``punctures``, the points it removes (``()`` on
-a ball too).  A product takes only the kinds of :data:`Factor`, checked when
-it is built, so no reader has a fallback for another kind.  One reader
+a ball too).  No reader tests a factor's class: a factor without ``radii`` is
+a ball, whose coordinate is ``dim`` complex numbers.  A product takes only
+the kinds of :data:`Factor`, checked when it is built, so no reader has a
+fallback for another kind.  A new kind is a class here, a row of the kind
+table in :mod:`polysqueeze.squeezing` and a row of the spec table in
+:mod:`polysqueeze.cli`.  One reader
 converts and tests each coordinate, for :func:`membership` and
 :meth:`ProductPoint.of`.  Boundary samples belong to the oracle in
 :mod:`polysqueeze.verify`.  Every value class of the package derives from
@@ -124,7 +128,7 @@ class BallFactor(Frozen):
 
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"ball dimension must be a positive integer, got {n}")
+            raise DomainError(f"ball dimension must be a positive integer, got {n!r}")
         object.__setattr__(self, "n", n)
 
 
@@ -148,18 +152,20 @@ def _modulus(z: complex) -> float:
 def _coordinate(f: Factor, coord) -> Coordinate | None:
     """``coord`` as ``f`` holds it, or None where it lies outside the open set ``f``.
 
-    A ball holds a tuple of ``f.n`` complex numbers, given as a tuple or a list.
+    A ball (no ``radii``) holds a tuple of ``f.dim`` complex numbers, given as a
+    tuple or a list.
     A planar coordinate lies inside the first circle of ``f.radii``, outside
     the others and off the punctures, by exact complex equality.
     """
-    if isinstance(f, BallFactor):
-        if not isinstance(coord, (tuple, list)) or len(coord) != f.n:
-            raise DomainError(f"ball coordinate must be a tuple of {f.n} complex numbers")
+    radii = getattr(f, "radii", None)
+    if radii is None:
+        if not isinstance(coord, (tuple, list)) or len(coord) != f.dim:
+            raise DomainError(f"ball coordinate must be a tuple of {f.dim} complex numbers")
         z = tuple(complex(c) for c in coord)
         # m * m rather than m ** 2, which raises OverflowError on huge moduli
         return z if sum(m * m for m in map(_modulus, z)) < 1.0 else None
     z = complex(coord)
-    radii, x = f.radii, _modulus(z)
+    x = _modulus(z)
     if not x < radii[0]:
         return None
     for rho in radii[1:]:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import suppress
 
 import mpmath
 import pytest
@@ -289,13 +290,86 @@ def test_invalid_spec_fails_alike_on_every_call(capsys, tmp_path):
      "factors[0].punctures: need a nonempty list of [re, im] pairs"),
     ({"kind": "annulus", "r": 2, "radius": 0.5},
      "factors[0]: annulus inner radius must lie in (0, 1), got 2.0"),
+    # a missing key, and a malformed puncture, name the key
+    ({"kind": "annulus"}, "factors[0].r: missing inner radius"),
+    ({"kind": "ball"}, "factors[0].n: missing dimension"),
+    ({"kind": "punctured_disk"}, "factors[0].punctures: need a nonempty list of [re, im] pairs"),
+    ({"kind": "punctured_disk", "punctures": [[0.5]]},
+     "factors[0].punctures[0]: expected [re, im]"),
+    # a kind that is not a string, hashable or not, is an unknown kind
+    ({"kind": ["disk"]}, "factors[0].kind: unknown kind ['disk']"),
+    ({"kind": {}}, "factors[0].kind: unknown kind {}"),
+    ({"kind": None}, "factors[0].kind: unknown kind None"),
+    ({"kind": 1}, "factors[0].kind: unknown kind 1"),
+    # n is checked by BallFactor alone, in its own words
+    ({"kind": "ball", "n": True}, "factors[0]: ball dimension must be a positive integer, got True"),
+    ({"kind": "ball", "n": 2.7}, "factors[0]: ball dimension must be a positive integer, got 2.7"),
+    ({"kind": "ball", "n": "2"}, "factors[0]: ball dimension must be a positive integer, got '2'"),
+    # of several unknown keys, the first in the file is named
+    ({"kind": "disk", "b": 1, "a": 2}, "factors[0]: unknown key 'b' for kind 'disk'"),
+    ({"kind": "annulus", "z": 1, "r": 0.25, "a": 2},
+     "factors[0]: unknown key 'z' for kind 'annulus'"),
 ], ids=["annulus_punctures", "annulus_radius", "disk_r", "ball_dim",
-        "misspelt_punctures", "bad_r_beside_radius"])
+        "misspelt_punctures", "bad_r_beside_radius", "missing_r", "missing_n",
+        "missing_punctures", "short_puncture", "list_kind", "dict_kind", "null_kind",
+        "int_kind", "bool_n", "float_n", "string_n", "first_unknown_key",
+        "first_unknown_key_around_r"])
 def test_unknown_factor_keys_exit_2(capsys, tmp_path, factor, message):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"factors": [factor]}))
     assert main(["eval", "--spec", str(spec), "--point", "0.5,0.01"]) == 2
     assert capsys.readouterr() == ("", f"error: {spec}: {message}\n")
+
+
+def _padded_disk_spec(size: int) -> bytes:
+    """A one-disk spec after spaces, ``size`` bytes in all: any head of it is invalid JSON."""
+    spec = _one_factor({"kind": "disk"})
+    return b" " * (size - len(spec)) + spec
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_cap", "past_cap"])
+def test_spec_size_is_capped(capsys, tmp_path, extra, code):
+    from polysqueeze import cli
+
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(_padded_disk_spec(cli.MAX_SPEC_BYTES + extra))
+    assert main(["eval", "--spec", str(spec), "--point", "0.5,0"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", f"error: {spec}: spec file is longer than "
+                                  f"{cli.MAX_SPEC_BYTES} bytes\n")
+    else:
+        assert out.startswith("lower,") and err == ""
+
+
+def test_spec_read_from_a_pipe_in_chunks(capsys, tmp_path):
+    import threading
+
+    # larger than a pipe's buffer, so each read returns only a part of it
+    spec = _padded_disk_spec(300_000)
+    path = tmp_path / "spec.json"
+    path.write_bytes(spec)
+    argv = ["eval", "--point", "0.5,0", "--no-search", "--spec"]
+    assert main([*argv, str(path)]) == 0
+    expected = capsys.readouterr()
+    r, w = os.pipe()
+
+    def write():
+        # a reader that stops early closes the pipe, and the write fails
+        with suppress(BrokenPipeError), open(w, "wb") as fh:
+            for k in range(0, len(spec), 70_000):
+                fh.write(spec[k:k + 70_000])
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        code = main([*argv, f"/dev/fd/{r}"])
+    finally:
+        os.close(r)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert code == 0
+    assert capsys.readouterr() == expected
 
 
 def test_spec_memo_is_bounded_and_shared_across_paths(tmp_path):

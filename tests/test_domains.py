@@ -283,6 +283,17 @@ def test_every_factor_kind_has_a_closed_form():
     assert set(squeezing._KINDS) == set(get_args(domains.Factor))
 
 
+def test_every_factor_kind_has_one_spec_row():
+    # each kind once: a missing row fails here, and so does a second row for a kind
+    def by_name(classes):
+        return sorted(classes, key=lambda cls: cls.__name__)
+
+    assert by_name(cls for cls, _ in cli._SPEC_KINDS.values()) == by_name(get_args(domains.Factor))
+    # a row's keys are its class's fields, in the order its constructor takes them
+    for cls, keys in cli._SPEC_KINDS.values():
+        assert tuple(keys) == cls.__slots__, cls
+
+
 def test_product_helpers():
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,)), Annulus(0.5)))
     assert d.arity == 3

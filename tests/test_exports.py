@@ -180,20 +180,33 @@ def test_cli_options_all_change_output():
     assert not read
 
 
-# A test of a factor's class, or of a spec's kind string.  The seven left:
-# the spec reader's four kind strings, and the ball/planar split in
-# cli.parse_point, cli.cmd_profile and domains._coordinate.  Everything else
-# reads a factor's data (dim, radii, punctures).
+# A test of a factor's class, or of a spec's kind string, in any form:
+# isinstance, type(f) is/in/==, a match-case class or string pattern, or
+# kind == "...".  None is left: the spec reader looks a kind up in one table,
+# and everything else reads a factor's data (dim, radii, punctures).
+_KIND_NAMES = r"(UnitDisk|PuncturedDisk|Annulus|BallFactor)"
 KIND_SWITCH = re.compile(
-    r'isinstance\([^)]*\b(UnitDisk|PuncturedDisk|Annulus|BallFactor)\b'
-    r'|type\([^)]*\) (is|in) \(?(UnitDisk|PuncturedDisk|Annulus|BallFactor)'
-    r'|kind == "')
+    rf'isinstance\([^)]*\b{_KIND_NAMES}\b'
+    rf'|type\([^)]*\) (is|in|==) \(?{_KIND_NAMES}'
+    rf'|\bcase (\w+\.)?{_KIND_NAMES}\('
+    r'|\bcase ["\']'
+    r'|kind == ["\']')
+
+
+def test_kind_switch_regex_flags_each_form():
+    for line in ['isinstance(f, BallFactor)', 'type(f) is Annulus', 'type(f) in (UnitDisk,',
+                 'type(f) == PuncturedDisk', 'case UnitDisk():', 'case domains.Annulus(r=r):',
+                 'case "disk":', 'if kind == "ball":']:
+        assert KIND_SWITCH.search(line), line
+    for line in ['if type(f) not in _FACTOR_KINDS:', 'hasattr(f, "radii")',
+                 '_KINDS[type(f)]', 'isinstance(kind, str)']:
+        assert not KIND_SWITCH.search(line), line
 
 
 def test_kind_switch_count():
     found = [f"{path.name}:{n}" for path in MODULES
              for n, line in enumerate(path.read_text().splitlines(), 1) if KIND_SWITCH.search(line)]
-    assert len(found) == 7, found
+    assert found == []
 
 
 def test_oracle_lives_in_verify():
