@@ -9,7 +9,9 @@ load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
 boundary-sampling image inradius of an explicit witness (each circle's least
-squared modulus found on a coarse grid, then refined toward its minimizer)
+squared modulus found on a coarse grid, then refined toward its minimizer,
+with the circles of many witnesses searched as the rows of one array, so
+the search's bracket argument and its NaN propagation hold row by row)
 and its closed-form counterpart for radial-then-Mobius maps, both over the
 data a factor gives (``radii``, ``punctures``; a ball gives no ``radii`` and
 is never sampled), and the radial distance pair ``sigma`` / ``sigma_inv``
@@ -113,13 +115,16 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))
 
 
-def _mobius_parts(m: MobiusAut, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``zeta - a`` and ``1 - conj(a) zeta``, the second formed in place; ``zeta`` is kept."""
+def _mobius_parts(a, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``zeta - a`` and ``1 - conj(a) zeta``, the second formed in place; ``zeta`` is kept.
+
+    ``a`` is a complex, or a (C, 1) column of one zero per row of ``zeta``.
+    """
     import numpy as np
 
-    den = m.a.conjugate() * zeta
+    den = a.conjugate() * zeta
     np.subtract(1.0, den, out=den)
-    return zeta - m.a, den
+    return zeta - a, den
 
 
 def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
@@ -134,7 +139,7 @@ def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
     z = zeta
     for step in steps:
         if isinstance(step, MobiusAut):
-            z, den = _mobius_parts(step, z)
+            z, den = _mobius_parts(step.a, z)
             z /= den
             if step.theta != 0.0:
                 np.multiply(complex(math.cos(step.theta), math.sin(step.theta)), z, out=z)
@@ -157,7 +162,17 @@ def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
     if not isinstance(last, MobiusAut):
         v = _array_eval(e.steps, zeta)
         return (v * v.conj()).real
-    num, den = _mobius_parts(last, _array_eval(e.steps[:-1], zeta))
+    return _mobius_squared_moduli(e.steps[:-1], last.a, zeta)
+
+
+def _mobius_squared_moduli(head: tuple[Primitive, ...], a, zeta: np.ndarray) -> np.ndarray:
+    """``|v - a|**2 / |1 - conj(a) v|**2`` at ``v = _array_eval(head, zeta)``.
+
+    The body of :func:`_squared_moduli` for a last Mobius step with zero
+    ``a``, a complex, or a (C, 1) column that gives each row of ``zeta`` its
+    own zero.  Each element is the same double either way.
+    """
+    num, den = _mobius_parts(a, _array_eval(head, zeta))
     num *= num.conj()
     den *= den.conj()
     return num.real / den.real
@@ -167,24 +182,31 @@ def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
 # spaced samples, then _PASSES passes of _PASS_POINTS points each across the
 # two gaps beside the previous stage's best point, so each pass narrows the
 # spacing by (_PASS_POINTS - 1) / 2 = 31.5.  The spacing falls from
-# 2 pi / 256 = 2.5e-2 to 7.9e-10.
+# 2 pi / 256 = 2.5e-2 to 7.9e-10.  Circles are searched in stacks of at most
+# _CHUNK rows, so a stage is a (_CHUNK x _COARSE) array at most.
 _COARSE = 256
 _PASSES = 5
 _PASS_POINTS = 64
+_CHUNK = 32
 
 
-def _sampled_circle_min(sq, radius: float) -> float:
-    """Least modulus of a map over the circle of ``radius``, found by refining a coarse grid.
+def _sampled_circle_min(sq, radius):
+    """Least modulus of a map over a circle, or over each circle of a stack, by refining a grid.
 
-    ``sq`` takes an ndarray of samples and returns their squared moduli under
-    the map, as :func:`_squared_moduli` does.  The coarse grid is
+    ``radius`` is one circle's radius, or a (C, 1) column of C radii, one
+    row per circle.  ``sq`` takes the samples, a 1-D array or a (C, n) array
+    of rows, and returns their squared moduli under the map element by
+    element, as :func:`_squared_moduli` does.  The coarse grid is
     ``radius * _unit_circle(_COARSE)``.  Each refinement pass evaluates
     ``radius * exp(i t)`` at ``_PASS_POINTS`` equally spaced angles ``t``
     spanning one gap of the previous stage on either side of that stage's
-    best point.  The result is the square root of the least squared modulus
-    of all stages, reduced with numpy, so a NaN at any sample gives NaN.
+    best point, which is each row's own ``argmin``.  The result, a float or a
+    (C,) array, is the square root of each row's least squared modulus over
+    all stages, reduced with numpy, so a NaN at any sample of a row gives
+    that row NaN.  No value crosses rows: a circle's minimum is the same
+    double in a stack of any size as alone.
 
-    Every value returned is the computed modulus at a point of the circle.
+    Every value returned is the computed modulus at a point of its circle.
     So, like a scan of any grid, the result can only overshoot the true
     minimum, up to the rounding of ``sq``, and it is never above the
     minimum of its own coarse grid.  The refinement converges because each
@@ -192,25 +214,67 @@ def _sampled_circle_min(sq, radius: float) -> float:
     circle is a circle, traced monotonically in ``t``, and the modulus along
     a circle has one minimum and one maximum.  On such a unimodal function
     the true minimizer lies within one gap of a stage's best point, which is
-    the bracket the next pass samples.  A map that breaks unimodality can
-    only make the search miss the basin, and then the result is too high:
-    a check against a closed form fails rather than passes.
+    the bracket the next pass samples.  The argument holds row by row.  A
+    map that breaks unimodality can only make the search miss the basin,
+    and then the result is too high: a check against a closed form fails
+    rather than passes.
     """
     import numpy as np
 
     step = 2.0 * math.pi / _COARSE
     s = sq(radius * _unit_circle(_COARSE))
-    k = int(np.argmin(s))  # a NaN's index, if there is one
-    best, minima = step * k, [s[k]]
+    k = np.argmin(s, axis=-1, keepdims=True)  # a NaN's index, if the row has one
+    best, minima = step * k, [np.take_along_axis(s, k, -1)]
     offsets = np.linspace(-step, step, _PASS_POINTS)
     for _ in range(_PASSES):
         angles = best + offsets
         s = sq(radius * np.exp(1j * angles))
-        k = int(np.argmin(s))
-        best = angles[k]
-        minima.append(s[k])
+        k = np.argmin(s, axis=-1, keepdims=True)
+        best = np.take_along_axis(angles, k, -1)
+        minima.append(np.take_along_axis(s, k, -1))
         offsets *= 2.0 / (_PASS_POINTS - 1)
-    return math.sqrt(np.min(minima))
+    return np.sqrt(np.min(minima, axis=0)[..., 0])
+
+
+def _circle_minima(rows: list[tuple[MapExpr, float]]) -> list[float]:
+    """The :func:`_sampled_circle_min` of each row ``(e, radius)``, searched in stacks.
+
+    Rows whose maps end in a Mobius step and share the steps before it form
+    one stack: the kernel is :func:`_mobius_squared_moduli` with the last
+    step's zero as a (C, 1) column, and that step's rotation, of modulus 1,
+    drops out.  A row whose map ends otherwise is a stack of one, scored by
+    :func:`_squared_moduli`.  Each stack is searched ``_CHUNK`` rows at a
+    time, and each row's minimum is the double its circle gives alone.
+    """
+    import numpy as np
+
+    stacks: dict[object, list[int]] = {}
+    for i, (e, _) in enumerate(rows):
+        key = e.steps[:-1] if isinstance(e.steps[-1], MobiusAut) else i
+        stacks.setdefault(key, []).append(i)
+    out = [0.0] * len(rows)
+    for key, members in stacks.items():
+        for lo in range(0, len(members), _CHUNK):
+            chunk = members[lo:lo + _CHUNK]
+            if isinstance(key, int):
+                sq = partial(_squared_moduli, rows[key][0])
+            else:
+                zeros = np.array([[rows[i][0].steps[-1].a] for i in chunk])
+                sq = partial(_mobius_squared_moduli, key, zeros)
+            found = _sampled_circle_min(sq, np.array([[rows[i][1]] for i in chunk]))
+            for i, m in zip(chunk, found.tolist()):
+                out[i] = m
+    return out
+
+
+def _least_modulus(e: MapExpr, f: PlanarFactor, minima: list[float]) -> float:
+    """The least of a factor's circle ``minima`` under ``e`` and its puncture values."""
+    import numpy as np
+
+    best = float(np.min(minima))
+    for p in f.punctures:
+        best = min(best, abs(map_eval(e, p)))
+    return best
 
 
 def image_inradius_at_zero(e: MapExpr, f: PlanarFactor) -> float:
@@ -218,19 +282,14 @@ def image_inradius_at_zero(e: MapExpr, f: PlanarFactor) -> float:
 
     Minimum modulus over each boundary circle of :func:`_sample_radii` and
     over the extension values ``map_eval(e, p)`` at the punctures ``p`` of
-    ``f``.  Each circle's minimum is searched on its squared moduli
-    (:func:`_squared_moduli`) by :func:`_sampled_circle_min`, with one
-    square root per circle.  Each sampled modulus agrees with
+    ``f``.  Each circle's minimum is searched alone, a stack of one, on its
+    squared moduli (:func:`_squared_moduli`) by :func:`_sampled_circle_min`,
+    with one square root per circle.  Each sampled modulus agrees with
     ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit for bit.
     The caller is responsible for the base point mapping to 0.
     """
-    import numpy as np
-
     sq = partial(_squared_moduli, e)
-    best = float(np.min([_sampled_circle_min(sq, rho) for rho in _sample_radii(f)]))
-    for p in f.punctures:
-        best = min(best, abs(map_eval(e, p)))
-    return best
+    return _least_modulus(e, f, [_sampled_circle_min(sq, rho) for rho in _sample_radii(f)])
 
 
 def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
@@ -269,22 +328,33 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     return best
 
 
-def product_inradius(pm: ProductMap, d: ProductDomain, z: ProductPoint) -> float:
-    """Image inradius of a product map: the factorwise minimum.
+def product_inradius(
+    witnesses: list[tuple[ProductMap, ProductDomain, ProductPoint]],
+) -> list[float]:
+    """Image inradius of each product map ``pm`` of ``(pm, d, z)``: the factorwise minimum.
 
     A polydisk of radius c fits in the image iff a disk of radius c fits in
     every factor image, so the product value is the min over factors.  Every
-    component must send its base coordinate to 0 (tolerance 1e-12).
+    component must send its base coordinate to 0 (tolerance 1e-12), which
+    is checked for every witness before any is sampled.  Each factor's value
+    is :func:`image_inradius_at_zero`'s double, with the circles of all the
+    witnesses searched together by :func:`_circle_minima`.
     """
-    if not d.is_planar():
-        raise DomainError("product maps are defined for planar factors only")
-    if len(pm.components) != d.arity:
-        raise DomainError(f"{len(pm.components)} component maps for {d.arity} factors")
-    for i, e in enumerate(pm.components):
-        require_base_to_zero(e, z.planar(i), i)
-    return min(
-        image_inradius_at_zero(e, f) for e, f in zip(pm.components, d.factors)
-    )
+    per_witness = []
+    for pm, d, z in witnesses:
+        if not d.is_planar():
+            raise DomainError("product maps are defined for planar factors only")
+        if len(pm.components) != d.arity:
+            raise DomainError(f"{len(pm.components)} component maps for {d.arity} factors")
+        for i, e in enumerate(pm.components):
+            require_base_to_zero(e, z.planar(i), i)
+        per_witness.append([(e, f, _sample_radii(f)) for e, f in zip(pm.components, d.factors)])
+    minima = iter(_circle_minima(
+        [(e, rho) for factors in per_witness for e, _, radii in factors for rho in radii]))
+    return [
+        min(_least_modulus(e, f, [next(minima) for _ in radii]) for e, f, radii in factors)
+        for factors in per_witness
+    ]
 
 
 # ------------------------------------------------ radial distance on the disk
@@ -410,19 +480,23 @@ def suite_mixed(seed: int = 0) -> list[Check]:
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
     plan = DomainPlan(d)
     worst_exact = worst_upper = worst_witness = 0.0
+    witnesses, wants = [], []
     for _ in range(100):
         z1, z2 = _random_disk_points(rng, 2, 0.05, 0.95)
         z = d.point([z1, z2])
         rep = squeeze_bounds(plan, z, search=False)
         worst_exact = max(worst_exact, abs(rep.exact - abs(z2)))
         worst_upper = max(worst_upper, abs(rep.upper - abs(z2)))
-        scored = product_inradius(rep.witness, d, z)
-        worst_witness = max(worst_witness, abs(scored - abs(z2)))
+        witnesses.append((rep.witness, d, z))
+        wants.append(abs(z2))
+    for scored, want in zip(product_inradius(witnesses), wants):
+        worst_witness = max(worst_witness, abs(scored - want))
 
     ps = (0j, 0.5 + 0j, -0.5j)
     d = ProductDomain((PuncturedDisk(ps), UnitDisk()))
     plan = DomainPlan(d)
     worst_multi = worst_multi_witness = 0.0
+    witnesses, wants = [], []
     for _ in range(20):
         while True:
             z1, z2 = (complex(c) for c in _random_disk_points(rng, 2, 0.0, 0.95))
@@ -433,7 +507,9 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         rep = squeeze_bounds(plan, z)
         exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
         worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
-        scored = product_inradius(rep.witness, d, z)
+        witnesses.append((rep.witness, d, z))
+        wants.append(want)
+    for scored, want in zip(product_inradius(witnesses), wants):
         worst_multi_witness = max(worst_multi_witness, abs(scored - want))
     return [
         _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,
@@ -568,9 +644,9 @@ def suite_oracle(seed: int = 0) -> list[Check]:
         amod = rng.uniform(r - 0.01, min(r + 0.01, 0.95))
         pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
     worst = 0.0
-    for a, r in pairs:
-        sq = partial(_squared_moduli, MapExpr((MobiusAut(a),)))
-        worst = max(worst, abs(_sampled_circle_min(sq, r) - mobius_circle_min_modulus(a, r)))
+    minima = _circle_minima([(MapExpr((MobiusAut(a),)), r) for a, r in pairs])
+    for (a, r), got in zip(pairs, minima):
+        worst = max(worst, abs(got - mobius_circle_min_modulus(a, r)))
     return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
                    f"max_err={worst:.3e} tol=1e-4 pairs=1000 close_pairs=100")]
 
@@ -660,14 +736,17 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
             cases += [(plan, complex(zc), INCLUSION), (plan, complex(zc), REFLECTION)]
     cases.append((DomainPlan(ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)),))),
                   0.1 + 0.2j, INCLUSION))
-    worst_err, worst_below = 0.0, -math.inf
+    witnesses, scores = [], []
     for plan, zc, branch in cases:
         d = plan.domain
         z = d.point([zc])
         sr = search_lower_bound(plan, z, branch)
-        sampled = product_inradius(sr.witness, d, z)
-        worst_err = max(worst_err, abs(sampled - sr.value))
-        worst_below = max(worst_below, sr.value - sampled)
+        witnesses.append((sr.witness, d, z))
+        scores.append(sr.value)
+    worst_err, worst_below = 0.0, -math.inf
+    for sampled, score in zip(product_inradius(witnesses), scores):
+        worst_err = max(worst_err, abs(sampled - score))
+        worst_below = max(worst_below, score - sampled)
     return worst_err, worst_below, len(cases)
 
 

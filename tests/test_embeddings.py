@@ -24,10 +24,12 @@ from polysqueeze import (
 from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
 from polysqueeze.squeezing import INCLUSION, REFLECTION
 from polysqueeze.verify import (
+    _CHUNK,
     _COARSE,
     _PASS_POINTS,
     _PASSES,
     _array_eval,
+    _circle_minima,
     _sample_radii,
     _sampled_circle_min,
     _squared_moduli,
@@ -394,6 +396,46 @@ def test_refined_sampling_memory_is_a_few_coarse_grids():
         tracemalloc.stop()
     assert peak <= 8 * 16 * _COARSE, f"peak {peak} bytes above the cached circle"
 
+
+@pytest.mark.parametrize("chunks", (1, 2))
+def test_stacked_sampling_memory_is_a_few_coarse_grids_a_row(chunks):
+    # A stack of circles holds one circle's temporaries with a row per
+    # circle: a full chunk of _CHUNK rows, 256 complex samples each, is
+    # 4 kB a row per array, and eight such arrays are _CHUNK * 32 kB, 1 MiB.
+    # The rows here all share the reflection before the last step, the
+    # largest head a family witness has, and two chunks' worth of rows peak
+    # no higher than one, since they are searched a chunk at a time.
+    f = Annulus(0.25)
+    rows = [(factor_witness(f, 0.6 * cmath.exp(2j * math.pi * k / _CHUNK), REFLECTION), rho)
+            for k in range(_CHUNK * chunks // 2) for rho in _sample_radii(f)]
+    assert len(rows) == _CHUNK * chunks and len({e.steps[:-1] for e, _ in rows}) == 1
+    _unit_circle(_COARSE)
+    tracemalloc.start()
+    try:
+        _circle_minima(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CHUNK * 8 * 16 * _COARSE, f"peak {peak} bytes above the cached circle"
+
+
+def test_stacked_rows_are_each_circle_alone():
+    # more rows than a chunk share one head, interleaved with rows of other
+    # heads, two Mobius steps, and maps that end in a reflection, each its
+    # own stack of one; every row reads its circle's lone minimum
+    f = Annulus(0.25)
+    rows = []
+    for k in range(_CHUNK + 3):
+        w = 0.6 * cmath.exp(2j * math.pi * k / (_CHUNK + 3))
+        rows += [(mexpr(MobiusAut(w, 0.5 * k)), 0.3 + 0.01 * k),
+                 (factor_witness(f, w, REFLECTION), 0.25)]
+        if k % 8 == 0:
+            rows += [(mexpr(MobiusAut(0.1j), MobiusAut(w)), 1.0),
+                     (mexpr(MobiusAut(w), Reflection(0.25)), 0.5 + 0.01 * k)]
+    alone = [_sampled_circle_min(partial(_squared_moduli, e), rho) for e, rho in rows]
+    assert np.array(_circle_minima(rows)).tobytes() == np.array(alone).tobytes()
+    assert _circle_minima([]) == []
+
 # ------------------------------------------------------------- analytic oracle
 
 def test_analytic_matches_sampled():
@@ -461,21 +503,21 @@ def test_product_inradius_punctured_pair():
     d = ProductDomain((PuncturedDisk((0j,)), PuncturedDisk((0j,))))
     z = d.point([0.5, 0.3])
     pm = ProductMap((mexpr(MobiusAut(0.5)), mexpr(MobiusAut(0.3))))
-    assert product_inradius(pm, d, z) == pytest.approx(0.3, abs=1e-12)
+    assert product_inradius([(pm, d, z)]) == [pytest.approx(0.3, abs=1e-12)]
 
 
 def test_product_inradius_mixed_pair():
     d = ProductDomain((UnitDisk(), PuncturedDisk((0j,))))
     z = d.point([0.2, 0.6])
     pm = ProductMap((mexpr(MobiusAut(0.2)), mexpr(MobiusAut(0.6))))
-    assert product_inradius(pm, d, z) == pytest.approx(0.6, abs=1e-12)
+    assert product_inradius([(pm, d, z)]) == [pytest.approx(0.6, abs=1e-12)]
 
 
 def test_product_inradius_single_factor_reduces():
     d = ProductDomain((PuncturedDisk((0j,)),))
     z = d.point([0.4])
-    pm = ProductMap((mexpr(MobiusAut(0.4)),))
-    assert product_inradius(pm, d, z) == image_inradius_at_zero(mexpr(MobiusAut(0.4)), d.factors[0])
+    e = mexpr(MobiusAut(0.4))
+    assert product_inradius([(ProductMap((e,)), d, z)]) == [image_inradius_at_zero(e, d.factors[0])]
 
 
 def test_product_inradius_base_point_violation():
@@ -483,11 +525,31 @@ def test_product_inradius_base_point_violation():
     z = d.point([0.2])
     pm = ProductMap((mexpr(MobiusAut(0.5)),))  # sends 0.5, not 0.2, to 0
     with pytest.raises(DomainError):
-        product_inradius(pm, d, z)
+        product_inradius([(pm, d, z)])
 
 
 def test_product_inradius_arity_mismatch():
     d = ProductDomain((UnitDisk(), UnitDisk()))
     z = d.point([0.2, 0.1])
     with pytest.raises(DomainError):
-        product_inradius(ProductMap((mexpr(MobiusAut(0.2)),)), d, z)
+        product_inradius([(ProductMap((mexpr(MobiusAut(0.2)),)), d, z)])
+
+
+def test_product_inradius_of_many_witnesses_is_each_alone():
+    # witnesses of several domains and step shapes, their circles searched
+    # together, give each factor the double it gets circle by circle; one
+    # bad witness anywhere refuses them all
+    witnesses = []
+    for f, z, branch, a in BLOCK_CASES.values():
+        d, pz = one_factor(f, z)
+        witnesses.append((ProductMap((rotated_witness(f, z, branch, a),)), d, pz))
+    d = ProductDomain((Annulus(0.25), PuncturedDisk((0j,))))
+    z = d.point([0.3 - 0.1j, 0.6])
+    witnesses.append((search_lower_bound(d, z).witness, d, z))
+    assert product_inradius(witnesses) == [
+        min(image_inradius_at_zero(e, f) for e, f in zip(pm.components, d.factors))
+        for pm, d, _ in witnesses]
+    assert product_inradius([]) == []
+    d = ProductDomain((UnitDisk(),))
+    with pytest.raises(DomainError):
+        product_inradius(witnesses + [(ProductMap((mexpr(MobiusAut(0.5)),)), d, d.point([0.2]))])

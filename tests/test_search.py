@@ -195,11 +195,12 @@ def test_witness_sampled_matches_analytic():
         moduli = rng.uniform(r + 0.02 * (1 - r), 1 - 0.02 * (1 - r), 4)
         for zc in moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)):
             cases += [(Annulus(r), complex(zc), b) for b in ("inclusion", "reflection")]
+    witnesses = []
     for f, zc, branch in cases:
         d = ProductDomain((f,))
-        e = factor_witness(f, zc, branch)
-        analytic = image_inradius_analytic(e, f)
-        sampled = product_inradius(ProductMap((e,)), d, d.point([zc]))
+        witnesses.append((ProductMap((factor_witness(f, zc, branch),)), d, d.point([zc])))
+    for (pm, d, _), sampled in zip(witnesses, product_inradius(witnesses)):
+        analytic = image_inradius_analytic(pm.components[0], d.factors[0])
         assert abs(sampled - analytic) <= 1e-4
         assert sampled >= analytic - 1e-12
 

@@ -161,8 +161,7 @@ def test_exact_witness_achieves_value():
     z = PUNCT2.point([0.5, 0.3])
     rep = squeeze_bounds(PUNCT2, z, search=False)
     assert rep.witness is not None
-    scored = product_inradius(rep.witness, PUNCT2, z)
-    assert scored == pytest.approx(rep.exact, abs=1e-12)
+    assert product_inradius([(rep.witness, PUNCT2, z)]) == [pytest.approx(rep.exact, abs=1e-12)]
 
 
 def test_exact_rotation_invariance():

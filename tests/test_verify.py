@@ -2,15 +2,17 @@
 
 The bulk draw of the hyperbolic suite must reproduce the per-triple draws it
 replaced, value for value and with the generator left in the same state.  The
-sampled oracle must keep its workload, circle for circle, and read no higher
-on any circle than the 65536-point scan it replaced, so that a faster pass
-cannot come from sampling less.  Each check's numbers are pinned at
-seed 0, and each suite domain gets one plan.
+sampled oracle must keep its workload, circle for circle, read no higher on
+any circle than the 65536-point scan it replaced, so that a faster pass cannot
+come from sampling less, and give each circle it searches in a stack the
+double that circle gets searched alone.  Each check's numbers are pinned at
+seeds 0, 1 and 2, and each suite domain gets one plan.
 """
 
 import inspect
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,22 +41,27 @@ def test_hyperbolic_draws_reproduce_per_triple_stream(seed):
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-# Each circle the suites sample at seed 0: its suite, its squared-modulus
-# kernel, its radius and the refined minimum the oracle read.
-@pytest.fixture(scope="module")
-def sampled_circles():
-    circles = []
-    sampler = verify._sampled_circle_min
+def record_rows(seed):
+    """Each circle the suites sample at ``seed``, in the order they ask for
+    them: its suite, its map, its radius and the refined minimum the oracle
+    read in its stack."""
+    rows = []
+    minima = verify._circle_minima
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in SUITES.items():
-            def recording(sq, radius, name=name):
-                got = sampler(sq, radius)
-                circles.append((name, sq, radius, got))
+            def recording(batch, name=name):
+                got = minima(batch)
+                rows.extend((name, e, radius, m) for (e, radius), m in zip(batch, got))
                 return got
 
-            mp.setattr(verify, "_sampled_circle_min", recording)
-            assert all(c.passed for c in fn(0))
-    return circles
+            mp.setattr(verify, "_circle_minima", recording)
+            assert all(c.passed for c in fn(seed))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def sampled_circles():
+    return record_rows(0)
 
 
 def test_verify_samples_the_same_circles(sampled_circles):
@@ -71,7 +78,7 @@ def test_verify_samples_the_same_circles(sampled_circles):
             if abs(amod - r) >= 0.01:
                 break
         pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
-    oracle = [(sq.args[0].steps[0].a, radius) for name, sq, radius, _ in sampled_circles
+    oracle = [(e.steps[0].a, radius) for name, e, radius, _ in sampled_circles
               if name == "oracle"]
     assert oracle[:1000] == pairs
     assert all(abs(abs(a) - r) <= 0.01 for a, r in oracle[1000:])
@@ -90,17 +97,34 @@ def test_refined_min_never_above_the_65536_point_scan(sampled_circles):
     # read higher only where the two points are about equally near, and then
     # by the kernel's rounding.
     circle = verify._unit_circle(65536)
-    for name, sq, radius, got in sampled_circles:
-        scan = math.sqrt(sq(radius * circle).min())
-        assert got <= scan * (1.0 + REFERENCE_RTOL), (name, radius, got, scan)
+    for name, e, radius, got in sampled_circles:
+        scan = math.sqrt(verify._squared_moduli(e, radius * circle).min())
+        assert got <= scan * (1.0 + REFERENCE_RTOL), (name, e, radius, got, scan)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_search_is_the_per_circle_search_bit_for_bit(seed, sampled_circles):
+    # Every circle the suites sample, searched in its stack of up to 32 rows
+    # that share the steps before the last, against the same circle searched
+    # alone on 1-D arrays, the shape of the search before circles were
+    # stacked.  The stacks hold rows of several suites' maps: the oracle's
+    # lone automorphisms, and family witnesses with or without a reflection.
+    rows = sampled_circles if seed == 0 else record_rows(seed)
+    assert Counter(name for name, *_ in rows) == {"oracle": 1100, "mixed": 240, "family_gap": 121}
+    assert {len(e.steps) for _, e, _, _ in rows} == {1, 2}
+    alone = [verify._sampled_circle_min(partial(verify._squared_moduli, e), radius)
+             for _, e, radius, _ in rows]
+    assert np.array(alone).tobytes() == np.array([got for *_, got in rows]).tobytes()
 
 
 def test_the_sampler_takes_no_sample_count():
     params = {fn: list(inspect.signature(fn).parameters) for fn in (
-        verify._sampled_circle_min, verify.image_inradius_at_zero, verify.product_inradius)}
+        verify._sampled_circle_min, verify._circle_minima, verify.image_inradius_at_zero,
+        verify.product_inradius)}
     assert params == {verify._sampled_circle_min: ["sq", "radius"],
+                      verify._circle_minima: ["rows"],
                       verify.image_inradius_at_zero: ["e", "f"],
-                      verify.product_inradius: ["pm", "d", "z"]}
+                      verify.product_inradius: ["witnesses"]}
 
 
 # Every check's detail at seed 0 but ``pinch.runtime``, which is wall time, in
@@ -160,10 +184,40 @@ SEED_0_DETAILS = [
 ]
 
 
+# The details that read otherwise at seeds 1 and 2, read with the same
+# versions before the sampled circles were stacked; every other check reads
+# as at seed 0.
+SEED_DETAILS_OFF_SEED_0 = {
+    1: {
+        "oracle.circle_min_vs_brute": "max_err=7.130e-16 tol=1e-4 pairs=1000 close_pairs=100",
+        "hyperbolic.mobius_invariance": "max_err=2.132e-14 tol=1e-12 triples=10000",
+        "family_gap.witness_sampled_vs_analytic":
+            "max_err=1.055e-15 tol=1e-4 max_below=1.110e-16 floor=1e-12 witnesses=61",
+    },
+    2: {
+        "oracle.circle_min_vs_brute": "max_err=1.069e-15 tol=1e-4 pairs=1000 close_pairs=100",
+        "hyperbolic.mobius_invariance": "max_err=1.332e-14 tol=1e-12 triples=10000",
+        "family_gap.witness_sampled_vs_analytic":
+            "max_err=9.298e-16 tol=1e-4 max_below=1.110e-16 floor=1e-12 witnesses=61",
+    },
+}
+
+
 def test_seed_0_details_are_pinned():
     checks = run_suite("all", 0)
     assert all(c.passed for c in checks)
     assert [(c.name, c.detail) for c in checks if c.name != "pinch.runtime"] == SEED_0_DETAILS
+    assert len(checks) == 46
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_DETAILS_OFF_SEED_0))
+def test_seed_1_and_2_details_are_pinned(seed):
+    changed = SEED_DETAILS_OFF_SEED_0[seed]
+    assert set(changed) <= {name for name, _ in SEED_0_DETAILS}
+    checks = run_suite("all", seed)
+    assert all(c.passed for c in checks)
+    assert [(c.name, c.detail) for c in checks if c.name != "pinch.runtime"] == [
+        (name, changed.get(name, detail)) for name, detail in SEED_0_DETAILS]
     assert len(checks) == 46
 
 
