@@ -8,18 +8,19 @@ build arrays import numpy when they run, so importing this module does not
 load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
-boundary-sampling image inradius of an explicit witness (each circle's least
-squared modulus found on a coarse grid, then refined toward its minimizer,
-with the circles of many witnesses searched as the rows of one array, so
-the search's bracket argument and its NaN propagation hold row by row)
-and its closed-form counterpart for radial-then-Mobius maps, both over the
-data a factor gives (``radii``, ``punctures``; a ball gives no ``radii`` and
-is never sampled), and the radial distance pair ``sigma`` / ``sigma_inv``
-with the Poincare distance, ``sigma`` of
-:func:`~polysqueeze.embeddings.mobius_modulus`.  No
-reported value depends on any of them.  Suites build points with
-:meth:`ProductDomain.point`, whose one reader converts and tests each
-coordinate once, and build each domain's
+boundary-sampling image inradius of explicit witnesses whose maps end in a
+Mobius step, :func:`product_inradius` (each circle's least squared modulus
+found on a coarse grid, then refined toward its minimizer, with the circles
+of many witnesses searched as the rows of one array, so the search's bracket
+argument and its NaN propagation hold row by row), and its closed-form
+counterpart for radial-then-Mobius maps, both over the data a factor gives
+(``radii``, ``punctures``; a ball is refused before any sampling), and the
+radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare distance,
+``sigma`` of :func:`~polysqueeze.embeddings.mobius_modulus`.  No reported
+value depends on any of them.  Every worst-error fold in the suites keeps a
+NaN (:func:`_max`, :func:`_min`), so a NaN from the oracle fails its check.
+Suites build points with :meth:`ProductDomain.point`, whose one reader
+converts and tests each coordinate once, and build each domain's
 :class:`~polysqueeze.squeezing.DomainPlan` once, which the bounds, the
 catalog value and the search then read at every point.  The map primitives
 come from :mod:`polysqueeze.embeddings`, which evaluates them on scalars;
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import TYPE_CHECKING
 
 from .domains import (
@@ -85,6 +86,16 @@ def _check(name: str, passed: bool, detail: str) -> Check:
     return Check(name, bool(passed), detail)
 
 
+def _max(a: float, b: float) -> float:
+    """``max(a, b)``, or NaN if either is NaN: the builtin keeps a NaN only as ``a``."""
+    return b if b > a or b != b else a
+
+
+def _min(a: float, b: float) -> float:
+    """``min(a, b)``, or NaN if either is NaN: the builtin keeps a NaN only as ``a``."""
+    return b if b < a or b != b else a
+
+
 # ------------------------------------------------------ boundary sampling
 
 @lru_cache(maxsize=8)
@@ -109,8 +120,6 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     ``exp(i t)`` at the angles ``t`` that :func:`_sampled_circle_min` refines;
     punctures are not sampled.
     """
-    if not hasattr(f, "radii"):
-        raise DomainError("boundary sampling is defined for planar factors only")
     outer, *inner = f.radii
     return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))
 
@@ -148,29 +157,16 @@ def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
     return z
 
 
-def _squared_moduli(e: MapExpr, zeta: np.ndarray) -> np.ndarray:
-    """``|_array_eval(e.steps, zeta)|**2`` at every point of the ndarray ``zeta``.
-
-    The steps before the last go through :func:`_array_eval`.  A last step
-    ``e^{i theta} (v - a) / (1 - conj(a) v)`` gives
-    ``|v - a|**2 / |1 - conj(a) v|**2``: the rotation has modulus 1, and each
-    of :func:`_mobius_parts` is multiplied by its conjugate in place, so no
-    complex quotient and no hypot is formed.  Any other last step gives
-    ``(v * conj(v)).real`` of the map's value.  ``zeta`` is not written to.
-    """
-    last = e.steps[-1]
-    if not isinstance(last, MobiusAut):
-        v = _array_eval(e.steps, zeta)
-        return (v * v.conj()).real
-    return _mobius_squared_moduli(e.steps[:-1], last.a, zeta)
-
-
-def _mobius_squared_moduli(head: tuple[Primitive, ...], a, zeta: np.ndarray) -> np.ndarray:
+def _squared_moduli(head: tuple[Primitive, ...], a, zeta: np.ndarray) -> np.ndarray:
     """``|v - a|**2 / |1 - conj(a) v|**2`` at ``v = _array_eval(head, zeta)``.
 
-    The body of :func:`_squared_moduli` for a last Mobius step with zero
-    ``a``, a complex, or a (C, 1) column that gives each row of ``zeta`` its
-    own zero.  Each element is the same double either way.
+    The squared modulus of a map ``head`` then ``e^{i theta} (v - a) /
+    (1 - conj(a) v)`` at every point of the ndarray ``zeta``: the rotation
+    has modulus 1, and each of :func:`_mobius_parts` is multiplied by its
+    conjugate in place, so no complex quotient and no hypot is formed.
+    ``a`` is a complex, or a (C, 1) column that gives each row of ``zeta``
+    its own zero; each element is the same double either way.  ``zeta`` is
+    not written to.
     """
     num, den = _mobius_parts(a, _array_eval(head, zeta))
     num *= num.conj()
@@ -239,28 +235,24 @@ def _sampled_circle_min(sq, radius):
 def _circle_minima(rows: list[tuple[MapExpr, float]]) -> list[float]:
     """The :func:`_sampled_circle_min` of each row ``(e, radius)``, searched in stacks.
 
-    Rows whose maps end in a Mobius step and share the steps before it form
-    one stack: the kernel is :func:`_mobius_squared_moduli` with the last
-    step's zero as a (C, 1) column, and that step's rotation, of modulus 1,
-    drops out.  A row whose map ends otherwise is a stack of one, scored by
-    :func:`_squared_moduli`.  Each stack is searched ``_CHUNK`` rows at a
-    time, and each row's minimum is the double its circle gives alone.
+    Every map ends in a Mobius step.  Rows whose maps share the steps before
+    it, ``e.steps[:-1]``, form one stack: the kernel is
+    :func:`_squared_moduli` with the last step's zero as a (C, 1) column, and
+    that step's rotation, of modulus 1, drops out.  Each stack is searched
+    ``_CHUNK`` rows at a time, and each row's minimum is the double its
+    circle gives alone.
     """
     import numpy as np
 
-    stacks: dict[object, list[int]] = {}
+    stacks: dict[tuple[Primitive, ...], list[int]] = {}
     for i, (e, _) in enumerate(rows):
-        key = e.steps[:-1] if isinstance(e.steps[-1], MobiusAut) else i
-        stacks.setdefault(key, []).append(i)
+        stacks.setdefault(e.steps[:-1], []).append(i)
     out = [0.0] * len(rows)
-    for key, members in stacks.items():
+    for head, members in stacks.items():
         for lo in range(0, len(members), _CHUNK):
             chunk = members[lo:lo + _CHUNK]
-            if isinstance(key, int):
-                sq = partial(_squared_moduli, rows[key][0])
-            else:
-                zeros = np.array([[rows[i][0].steps[-1].a] for i in chunk])
-                sq = partial(_mobius_squared_moduli, key, zeros)
+            zeros = np.array([[rows[i][0].steps[-1].a] for i in chunk])
+            sq = partial(_squared_moduli, head, zeros)
             found = _sampled_circle_min(sq, np.array([[rows[i][1]] for i in chunk]))
             for i, m in zip(chunk, found.tolist()):
                 out[i] = m
@@ -273,31 +265,17 @@ def _least_modulus(e: MapExpr, f: PlanarFactor, minima: list[float]) -> float:
 
     best = float(np.min(minima))
     for p in f.punctures:
-        best = min(best, abs(map_eval(e, p)))
+        best = _min(best, abs(map_eval(e, p)))
     return best
-
-
-def image_inradius_at_zero(e: MapExpr, f: PlanarFactor) -> float:
-    """Sampled distance from 0 to the complement of the image of ``f`` under ``e``.
-
-    Minimum modulus over each boundary circle of :func:`_sample_radii` and
-    over the extension values ``map_eval(e, p)`` at the punctures ``p`` of
-    ``f``.  Each circle's minimum is searched alone, a stack of one, on its
-    squared moduli (:func:`_squared_moduli`) by :func:`_sampled_circle_min`,
-    with one square root per circle.  Each sampled modulus agrees with
-    ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit for bit.
-    The caller is responsible for the base point mapping to 0.
-    """
-    sq = partial(_squared_moduli, e)
-    return _least_modulus(e, f, [_sampled_circle_min(sq, rho) for rho in _sample_radii(f)])
 
 
 def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     """Closed-form image inradius, or None when the map shape does not admit one.
 
     Applies when the composition is a prefix of reflections, which send
-    circles centered at 0 to circles centered at 0, followed by
-    automorphisms only.  The automorphism suffix composes to a single
+    circles centered at 0 to circles centered at 0, followed by one or more
+    automorphisms and nothing else, the maps :func:`product_inradius`
+    samples.  The automorphism suffix composes to a single
     automorphism whose zero is recovered by pulling 0 back through the
     inverses, and the per-circle minimum is the radial formula of
     :func:`mobius_circle_min_modulus`.
@@ -306,9 +284,9 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     split = 0
     while split < len(steps) and not isinstance(steps[split], MobiusAut):
         split += 1
-    if any(not isinstance(s, MobiusAut) for s in steps[split:]):
-        return None
     radial, mobius = steps[:split], steps[split:]
+    if not mobius or any(not isinstance(s, MobiusAut) for s in mobius):
+        return None
 
     w = 0j
     for mstep in reversed(mobius):
@@ -318,9 +296,9 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
     for rho in f.radii:
         for s in radial:
             rho = s.r / rho
-        if not mobius or rho >= 1.0:
+        if rho >= 1.0:
             # a radius-1 circle maps to the unit circle under any automorphism
-            best = min(best, rho if not mobius else 1.0)
+            best = min(best, 1.0)
         else:
             best = min(best, mobius_circle_min_modulus(w, rho))
     for p in f.punctures:
@@ -331,14 +309,19 @@ def image_inradius_analytic(e: MapExpr, f: PlanarFactor) -> float | None:
 def product_inradius(
     witnesses: list[tuple[ProductMap, ProductDomain, ProductPoint]],
 ) -> list[float]:
-    """Image inradius of each product map ``pm`` of ``(pm, d, z)``: the factorwise minimum.
+    """Sampled image inradius of each product map ``pm`` of ``(pm, d, z)``: the factorwise minimum.
 
-    A polydisk of radius c fits in the image iff a disk of radius c fits in
-    every factor image, so the product value is the min over factors.  Every
-    component must send its base coordinate to 0 (tolerance 1e-12), which
-    is checked for every witness before any is sampled.  Each factor's value
-    is :func:`image_inradius_at_zero`'s double, with the circles of all the
-    witnesses searched together by :func:`_circle_minima`.
+    The oracle's one entry point.  A polydisk of radius c fits in the image
+    iff a disk of radius c fits in every factor image, so the product value
+    is the min over factors, a NaN kept.  A factor's value is the least
+    modulus over each boundary circle of :func:`_sample_radii` and over the
+    extension values ``map_eval(e, p)`` at its punctures ``p``.  The circles
+    of all the witnesses are searched together by :func:`_circle_minima`,
+    with one square root per circle; each sampled modulus agrees with
+    ``abs(_array_eval(e.steps, samples))`` to a few ulps, not bit for bit.
+    Every factor must be planar, every component must end in a Mobius step
+    and send its base coordinate to 0 (tolerance 1e-12); all of this is
+    checked for every witness before any is sampled.
     """
     per_witness = []
     for pm, d, z in witnesses:
@@ -347,12 +330,16 @@ def product_inradius(
         if len(pm.components) != d.arity:
             raise DomainError(f"{len(pm.components)} component maps for {d.arity} factors")
         for i, e in enumerate(pm.components):
+            last = e.steps[-1]
+            if not isinstance(last, MobiusAut):
+                raise DomainError(f"component {i} ends in {type(last).__name__}, not a Mobius step")
             require_base_to_zero(e, z.planar(i), i)
         per_witness.append([(e, f, _sample_radii(f)) for e, f in zip(pm.components, d.factors)])
     minima = iter(_circle_minima(
         [(e, rho) for factors in per_witness for e, _, radii in factors for rho in radii]))
     return [
-        min(_least_modulus(e, f, [next(minima) for _ in radii]) for e, f, radii in factors)
+        reduce(_min, [_least_modulus(e, f, [next(minima) for _ in radii])
+                      for e, f, radii in factors])
         for factors in per_witness
     ]
 
@@ -455,9 +442,9 @@ def suite_pinch(seed: int = 0) -> list[Check]:
             z = d.point(list(coords))
             expected = min(abs(c) for c in coords)
             upper = squeeze_bounds(plan, z, search=False).upper
-            worst_upper = max(worst_upper, abs(upper - expected))
+            worst_upper = _max(worst_upper, abs(upper - expected))
             sr = search_lower_bound(plan, z)
-            worst_gap = min(worst_gap, sr.value - expected)
+            worst_gap = _min(worst_gap, sr.value - expected)
     elapsed = time.perf_counter() - t0
     return [
         _check("pinch.upper_matches_min_modulus", worst_upper <= 1e-12,
@@ -485,12 +472,12 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         z1, z2 = _random_disk_points(rng, 2, 0.05, 0.95)
         z = d.point([z1, z2])
         rep = squeeze_bounds(plan, z, search=False)
-        worst_exact = max(worst_exact, abs(rep.exact - abs(z2)))
-        worst_upper = max(worst_upper, abs(rep.upper - abs(z2)))
+        worst_exact = _max(worst_exact, abs(rep.exact - abs(z2)))
+        worst_upper = _max(worst_upper, abs(rep.upper - abs(z2)))
         witnesses.append((rep.witness, d, z))
         wants.append(abs(z2))
     for scored, want in zip(product_inradius(witnesses), wants):
-        worst_witness = max(worst_witness, abs(scored - want))
+        worst_witness = _max(worst_witness, abs(scored - want))
 
     ps = (0j, 0.5 + 0j, -0.5j)
     d = ProductDomain((PuncturedDisk(ps), UnitDisk()))
@@ -506,11 +493,12 @@ def suite_mixed(seed: int = 0) -> list[Check]:
         want = min(abs((z1 - p) / (1.0 - p.conjugate() * z1)) for p in ps)
         rep = squeeze_bounds(plan, z)
         exact = math.inf if rep.exact is None else rep.exact  # a missing closed form fails the check
-        worst_multi = max(worst_multi, *(abs(v - want) for v in (rep.lower, rep.upper, exact)))
+        for v in (rep.lower, rep.upper, exact):
+            worst_multi = _max(worst_multi, abs(v - want))
         witnesses.append((rep.witness, d, z))
         wants.append(want)
     for scored, want in zip(product_inradius(witnesses), wants):
-        worst_multi_witness = max(worst_multi_witness, abs(scored - want))
+        worst_multi_witness = _max(worst_multi_witness, abs(scored - want))
     return [
         _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,
                f"max_err={worst_exact:.3e} tol=1e-12"),
@@ -548,11 +536,11 @@ def suite_annulus(seed: int = 0) -> list[Check]:
             z = d.point([complex(x), 0j])
             got = squeeze_bounds(plan, z, search=False).exact
             want = r / x if x <= s else x  # independent branch evaluation
-            worst_piece = max(worst_piece, abs(got - want))
-            worst_dom = max(worst_dom, annulus_clearance_bound(r, complex(x)) - got)
+            worst_piece = _max(worst_piece, abs(got - want))
+            worst_dom = _max(worst_dom, annulus_clearance_bound(r, complex(x)) - got)
             values.append(got)
         branch_gap = abs(r / s - s)
-        min_err = abs(min(values) - s)
+        min_err = abs(reduce(_min, values) - s)
         tag = f"annulus[r={r}]"
         checks += [
             _check(f"{tag}.piecewise_formula", worst_piece <= 1e-12,
@@ -646,7 +634,7 @@ def suite_oracle(seed: int = 0) -> list[Check]:
     worst = 0.0
     minima = _circle_minima([(MapExpr((MobiusAut(a),)), r) for a, r in pairs])
     for (a, r), got in zip(pairs, minima):
-        worst = max(worst, abs(got - mobius_circle_min_modulus(a, r)))
+        worst = _max(worst, abs(got - mobius_circle_min_modulus(a, r)))
     return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
                    f"max_err={worst:.3e} tol=1e-4 pairs=1000 close_pairs=100")]
 
@@ -682,9 +670,9 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
     import numpy as np
 
     ts = np.linspace(0.0, 20.0, 2001)
-    worst_t = max(abs(sigma(sigma_inv(t)) - t) for t in ts)
+    worst_t = reduce(_max, (abs(sigma(sigma_inv(t)) - t) for t in ts))
     xs = np.linspace(0.0, 0.999999, 2001)
-    worst_x = max(abs(sigma_inv(sigma(x)) - x) for x in xs)
+    worst_x = reduce(_max, (abs(sigma_inv(sigma(x)) - x) for x in xs))
 
     points, thetas = _hyperbolic_draws(np.random.default_rng(seed), 10000)
     worst_inv = 0.0
@@ -693,7 +681,7 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
         m = MobiusAut(c, theta)
         d1 = poincare_distance(a, b)
         d2 = poincare_distance(mobius_eval(m, a), mobius_eval(m, b))
-        worst_inv = max(worst_inv, abs(d1 - d2))
+        worst_inv = _max(worst_inv, abs(d1 - d2))
     return [
         _check("hyperbolic.roundtrip_t_direction", worst_t <= 1e-12,
                f"max_err={worst_t:.3e} tol=1e-12 range=[0,20]"),
@@ -745,8 +733,8 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
         scores.append(sr.value)
     worst_err, worst_below = 0.0, -math.inf
     for sampled, score in zip(product_inradius(witnesses), scores):
-        worst_err = max(worst_err, abs(sampled - score))
-        worst_below = max(worst_below, score - sampled)
+        worst_err = _max(worst_err, abs(sampled - score))
+        worst_below = _max(worst_below, score - sampled)
     return worst_err, worst_below, len(cases)
 
 

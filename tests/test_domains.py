@@ -19,7 +19,7 @@ from polysqueeze import (
 from polysqueeze import cli, domains, squeezing
 from polysqueeze.domains import Frozen, ProductPoint, membership
 from polysqueeze.embeddings import MapExpr, MobiusAut, ProductMap, Reflection
-from polysqueeze.verify import Check, _sample_radii, _unit_circle
+from polysqueeze.verify import Check, _sample_radii, _unit_circle, product_inradius
 from test_golden_cli import SPECS
 
 
@@ -179,8 +179,11 @@ def test_boundary_samples_skip_punctures():
 
 
 def test_boundary_samples_validation():
-    with pytest.raises(DomainError):
-        _sample_radii(BallFactor(1))
+    # a ball has no boundary circles: the oracle refuses it before sampling
+    d = ProductDomain((BallFactor(1),))
+    witness = ProductMap((MapExpr((MobiusAut(0),)),))
+    with pytest.raises(DomainError, match="planar factors only"):
+        product_inradius([(witness, d, d.point([(0j,)]))])
 
 
 def test_boundary_samples_never_members():

@@ -21,7 +21,13 @@ from polysqueeze import (
     search_lower_bound,
     squeeze_bounds,
 )
-from polysqueeze.embeddings import map_eval, mobius_circle_min_modulus, mobius_eval, reflect
+from polysqueeze.embeddings import (
+    map_eval,
+    mobius_circle_min_modulus,
+    mobius_eval,
+    reflect,
+    require_base_to_zero,
+)
 from polysqueeze.squeezing import INCLUSION, REFLECTION
 from polysqueeze.verify import (
     _CHUNK,
@@ -30,18 +36,28 @@ from polysqueeze.verify import (
     _PASSES,
     _array_eval,
     _circle_minima,
+    _least_modulus,
     _sample_radii,
     _sampled_circle_min,
     _squared_moduli,
     _unit_circle,
     image_inradius_analytic,
-    image_inradius_at_zero,
     product_inradius,
 )
 
 
 def mexpr(*steps):
     return MapExpr(tuple(steps))
+
+
+def kernel(e):
+    """The squared-modulus kernel of a map ``e`` that ends in a Mobius step."""
+    return partial(_squared_moduli, e.steps[:-1], e.steps[-1].a)
+
+
+def sampled_inradius(e, f):
+    """The oracle's value for one map on one factor, every circle through the one stacked path."""
+    return _least_modulus(e, f, _circle_minima([(e, rho) for rho in _sample_radii(f)]))
 
 
 def one_factor(f, z):
@@ -185,7 +201,7 @@ def test_extension_inclusion():
 def test_inradius_punctured_disk_mobius():
     f = PuncturedDisk((0j,))
     e = mexpr(MobiusAut(0.3))
-    assert image_inradius_at_zero(e, f) == pytest.approx(0.3, abs=1e-12)
+    assert sampled_inradius(e, f) == pytest.approx(0.3, abs=1e-12)
     # matches the closed-form single-factor value at z = 0.3
     assert factor_value(f, 0.3) == pytest.approx(0.3, abs=1e-15)
 
@@ -198,14 +214,14 @@ def brute_circle_min(a: complex, r: float, m: int) -> float:
 def test_inradius_annulus_mobius():
     f = Annulus(0.25)
     e = mexpr(MobiusAut(0.5))
-    got = image_inradius_at_zero(e, f)
+    got = sampled_inradius(e, f)
     assert got == pytest.approx(0.25 / 0.875, abs=1e-7)
     assert got == pytest.approx(brute_circle_min(0.5, 0.25, 65536), abs=1e-12)
     assert got == pytest.approx(mobius_circle_min_modulus(0.5, 0.25), abs=1e-7)
 
 
 def test_inradius_identity_on_disk():
-    assert image_inradius_at_zero(mexpr(MobiusAut(0)), UnitDisk()) == pytest.approx(1.0, abs=1e-12)
+    assert sampled_inradius(mexpr(MobiusAut(0)), UnitDisk()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inradius_capped_by_puncture_images():
@@ -213,13 +229,13 @@ def test_inradius_capped_by_puncture_images():
     for a in (0.0, 0.3, 0.5 + 0.1j):
         e = mexpr(MobiusAut(a))
         cap = min(abs(map_eval(e, p)) for p in f.punctures)
-        assert image_inradius_at_zero(e, f) <= cap + 1e-15
+        assert sampled_inradius(e, f) <= cap + 1e-15
 
 
 @given(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
 def test_inradius_mobius_only_on_disk_is_one(amod, ang, theta):
     e = mexpr(MobiusAut(amod * cmath.exp(1j * ang), theta))
-    assert image_inradius_at_zero(e, UnitDisk()) == pytest.approx(1.0, abs=1e-12)
+    assert sampled_inradius(e, UnitDisk()) == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ refined sampling
@@ -245,7 +261,7 @@ def boundary_array(f, m):
 
 def whole_array_inradius(e, f, m):
     """The least modulus over ``m`` equally spaced samples a circle, as one array, and the punctures."""
-    best = math.sqrt(_squared_moduli(e, boundary_array(f, m)).min())
+    best = math.sqrt(kernel(e)(boundary_array(f, m)).min())
     for p in f.punctures if isinstance(f, PuncturedDisk) else ():
         best = min(best, abs(map_eval(e, p)))
     return best
@@ -270,11 +286,11 @@ def test_refined_min_between_analytic_and_coarse_grid(case):
     # result bit for bit.
     f, z, branch, a = BLOCK_CASES[case]
     e = rotated_witness(f, z, branch, a)
-    sq = partial(_squared_moduli, e)
+    sq = kernel(e)
     refined = [_sampled_circle_min(sq, rho) for rho in _sample_radii(f)]
     for rho, got in zip(_sample_radii(f), refined):
         assert got <= math.sqrt(sq(rho * _unit_circle(_COARSE)).min())
-    got = image_inradius_at_zero(e, f)
+    got = sampled_inradius(e, f)
     assert got == min(refined + [abs(map_eval(e, p)) for p in f.punctures])
     assert got >= image_inradius_analytic(e, f) * (1.0 - 2.0 * REFERENCE_RTOL)
 
@@ -294,7 +310,7 @@ def test_blocked_sampling_bitwise_equals_whole_array(case, m):
     # kernel's rounding.
     f, z, branch, a = BLOCK_CASES[case]
     e = rotated_witness(f, z, branch, a)
-    sq = partial(_squared_moduli, e)
+    sq = kernel(e)
     samples = boundary_array(f, m)
     whole = sq(samples)
     for size in (_COARSE, _PASS_POINTS):
@@ -303,7 +319,7 @@ def test_blocked_sampling_bitwise_equals_whole_array(case, m):
     for k, rho in enumerate(_sample_radii(f)):
         scan = math.sqrt(whole[k * m:(k + 1) * m].min())
         assert _sampled_circle_min(sq, rho) <= scan * (1.0 + REFERENCE_RTOL)
-    assert image_inradius_at_zero(e, f) <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
+    assert sampled_inradius(e, f) <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
 
 
 @pytest.mark.parametrize("stage", range(_PASSES + 1))
@@ -311,7 +327,7 @@ def test_refined_sampling_propagates_nan(stage):
     # one NaN, in the coarse grid (stage 0) or in one refinement pass, away
     # from that stage's least value: numpy's min over the stage minima keeps
     # it, where Python's min would drop it unless it came first
-    inner = partial(_squared_moduli, mexpr(MobiusAut(0.5)))
+    inner = kernel(mexpr(MobiusAut(0.5)))
     calls = []
 
     def sq(w):
@@ -328,7 +344,7 @@ def test_refined_sampling_propagates_nan(stage):
 def assert_moduli_match_map_eval(e, f, m):
     samples = boundary_array(f, m)
     reference = np.abs(_array_eval(e.steps, samples))
-    moduli = np.sqrt(_squared_moduli(e, samples))
+    moduli = np.sqrt(kernel(e)(samples))
     assert np.all(np.abs(moduli - reference) <= REFERENCE_RTOL * reference)
 
 
@@ -376,21 +392,23 @@ def test_sampled_never_below_analytic(m, kind, amod, aang, theta, reflected):
     f = {"disk": UnitDisk(), "punctured": PuncturedDisk((0.3 - 0.2j,)), "annulus": Annulus(0.25)}[kind]
     head = (Reflection(0.25),) if reflected and kind == "annulus" else ()
     e = mexpr(*head, MobiusAut(amod * cmath.exp(1j * aang), theta))
-    got = image_inradius_at_zero(e, f)
+    got = sampled_inradius(e, f)
     assert got >= image_inradius_analytic(e, f) - 1e-12
     assert got <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
 
 
 def test_refined_sampling_memory_is_a_few_coarse_grids():
-    # the largest temporaries are the coarse stage's: a 256-point complex
-    # array is 4 kB, and the kernel holds its samples, two factors and their
-    # real parts at once; 32 kB is eight such arrays
+    # one circle, a stack of one row: the largest temporaries are the coarse
+    # stage's, a 256-point complex array is 4 kB, and the kernel holds its
+    # samples, two factors and their real parts at once; 32 kB is eight such
+    # arrays
     f = Annulus(0.25)
     e = factor_witness(f, 0.3 - 0.1j, REFLECTION)
+    rows = [(e, _sample_radii(f)[0])]
     _unit_circle(_COARSE)  # the cached circle is shared, so it is not counted
     tracemalloc.start()
     try:
-        image_inradius_at_zero(e, f)
+        _circle_minima(rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -421,8 +439,9 @@ def test_stacked_sampling_memory_is_a_few_coarse_grids_a_row(chunks):
 
 def test_stacked_rows_are_each_circle_alone():
     # more rows than a chunk share one head, interleaved with rows of other
-    # heads, two Mobius steps, and maps that end in a reflection, each its
-    # own stack of one; every row reads its circle's lone minimum
+    # heads: a reflection, two Mobius steps, and a Mobius step then a
+    # reflection before the last, each such head a stack of its own; every
+    # row reads its circle's lone minimum
     f = Annulus(0.25)
     rows = []
     for k in range(_CHUNK + 3):
@@ -431,8 +450,8 @@ def test_stacked_rows_are_each_circle_alone():
                  (factor_witness(f, w, REFLECTION), 0.25)]
         if k % 8 == 0:
             rows += [(mexpr(MobiusAut(0.1j), MobiusAut(w)), 1.0),
-                     (mexpr(MobiusAut(w), Reflection(0.25)), 0.5 + 0.01 * k)]
-    alone = [_sampled_circle_min(partial(_squared_moduli, e), rho) for e, rho in rows]
+                     (mexpr(MobiusAut(w), Reflection(0.25), MobiusAut(0.25 / w)), 0.5 + 0.01 * k)]
+    alone = [_sampled_circle_min(kernel(e), rho) for e, rho in rows]
     assert np.array(_circle_minima(rows)).tobytes() == np.array(alone).tobytes()
     assert _circle_minima([]) == []
 
@@ -443,18 +462,18 @@ def test_analytic_matches_sampled():
         (mexpr(MobiusAut(0.5)), Annulus(0.25)),
         (mexpr(Reflection(0.25), MobiusAut(0.5)), Annulus(0.25)),
         (mexpr(MobiusAut(0.3 + 0.2j), MobiusAut(-0.1j, 1.2)), PuncturedDisk((0.2 + 0j,))),
-        (mexpr(Reflection(0.25)), Annulus(0.25)),  # no automorphism: the radii alone
         (mexpr(MobiusAut(0.7j)), UnitDisk()),
     ]
     for e, f in cases:
         analytic = image_inradius_analytic(e, f)
         assert analytic is not None
-        assert analytic == pytest.approx(image_inradius_at_zero(e, f), abs=1e-4)
+        assert analytic == pytest.approx(sampled_inradius(e, f), abs=1e-4)
 
 
 def test_analytic_rejects_mobius_before_reflection():
-    e = mexpr(MobiusAut(0.2), Reflection(0.25))
-    assert image_inradius_analytic(e, Annulus(0.25)) is None
+    # and a map with no Mobius step: the sampled oracle refuses both shapes
+    for e in (mexpr(MobiusAut(0.2), Reflection(0.25)), mexpr(Reflection(0.25))):
+        assert image_inradius_analytic(e, Annulus(0.25)) is None
 
 
 def test_witness_never_beats_closed_form():
@@ -464,12 +483,12 @@ def test_witness_never_beats_closed_form():
     z = 0.5
     for a in np.linspace(0.0, 0.9, 10):
         e = rotated_witness(f, z, INCLUSION, complex(a))
-        assert image_inradius_at_zero(e, f) <= factor_value(f, z) + 1e-6
+        assert sampled_inradius(e, f) <= factor_value(f, z) + 1e-6
     fa = Annulus(0.25)
     for branch in (INCLUSION, REFLECTION):
         for a in np.linspace(0.0, 0.9, 10):
             e = rotated_witness(fa, 0.5, branch, complex(a))
-            assert image_inradius_at_zero(e, fa) <= factor_value(fa, 0.5) + 1e-6
+            assert sampled_inradius(e, fa) <= factor_value(fa, 0.5) + 1e-6
 
 
 def test_witness_always_sends_base_to_zero():
@@ -493,7 +512,7 @@ def test_rotational_reduction_soundness():
         vals = []
         for k in range(8):
             a = 0.37 * cmath.exp(2j * math.pi * k / 8)
-            vals.append(image_inradius_at_zero(rotated_witness(f, z, branch, a), f))
+            vals.append(sampled_inradius(rotated_witness(f, z, branch, a), f))
         assert max(vals) - min(vals) <= 1e-10
 
 
@@ -517,7 +536,7 @@ def test_product_inradius_single_factor_reduces():
     d = ProductDomain((PuncturedDisk((0j,)),))
     z = d.point([0.4])
     e = mexpr(MobiusAut(0.4))
-    assert product_inradius([(ProductMap((e,)), d, z)]) == [image_inradius_at_zero(e, d.factors[0])]
+    assert product_inradius([(ProductMap((e,)), d, z)]) == [sampled_inradius(e, d.factors[0])]
 
 
 def test_product_inradius_base_point_violation():
@@ -526,6 +545,17 @@ def test_product_inradius_base_point_violation():
     pm = ProductMap((mexpr(MobiusAut(0.5)),))  # sends 0.5, not 0.2, to 0
     with pytest.raises(DomainError):
         product_inradius([(pm, d, z)])
+
+
+def test_product_inradius_refuses_a_last_reflection():
+    # mobius(0)|reflect(1e-13) sends the base point 0.5 to 2e-13, inside the
+    # base-point tolerance, so only the last-step check refuses it
+    d = ProductDomain((UnitDisk(),))
+    z = d.point([0.5])
+    e = mexpr(MobiusAut(0), Reflection(1e-13))
+    require_base_to_zero(e, 0.5)
+    with pytest.raises(DomainError, match="ends in Reflection"):
+        product_inradius([(ProductMap((e,)), d, z)])
 
 
 def test_product_inradius_arity_mismatch():
@@ -547,7 +577,7 @@ def test_product_inradius_of_many_witnesses_is_each_alone():
     z = d.point([0.3 - 0.1j, 0.6])
     witnesses.append((search_lower_bound(d, z).witness, d, z))
     assert product_inradius(witnesses) == [
-        min(image_inradius_at_zero(e, f) for e, f in zip(pm.components, d.factors))
+        min(sampled_inradius(e, f) for e, f in zip(pm.components, d.factors))
         for pm, d, _ in witnesses]
     assert product_inradius([]) == []
     d = ProductDomain((UnitDisk(),))

@@ -3,7 +3,8 @@
 Each export resolves and appears once, ``__all__`` is the README's "Public
 API" list, the README's "Layout" lists every module, the boundary-sampling
 oracle stays out of the production modules, no module reaches into
-another's private names, and every name a module imports is used there.
+another's private names, every name a module imports is used there, and
+every function, class and method the package defines has a caller in it.
 """
 
 import ast
@@ -149,7 +150,9 @@ def test_deleted_names_are_gone():
 # (exact_squeeze); the limit path is read through annulus_clearance_bound
 # (boundary_limit_profile, LimitProfile); cli._load_plan reads a spec
 # (load_domain_spec); ProductDomain refuses a factor of unknown kind, so no
-# reader of the kind table meets one (UnsupportedGeometryError, _kind).
+# reader of the kind table meets one (UnsupportedGeometryError, _kind); the
+# sampled oracle has one entry point, product_inradius, and one kernel, for
+# maps that end in a Mobius step (image_inradius_at_zero, _mobius_squared_moduli).
 DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "punctured_indices", "parse_map_expr", "parse_product_map",
            "single_factor_exact", "build_factor_witness", "_reduced_modulus",
@@ -157,7 +160,7 @@ DELETED = ["kob_disk", "HyperbolicValue", "removable_extension_at", "punctures",
            "DEFAULT_SAMPLES", "_default_samples", "Inclusion", "BallProductReport",
            "ball_product_ratio_check", "exact_squeeze", "boundary_limit_profile",
            "LimitProfile", "load_domain_spec", "UnsupportedGeometryError", "_kind",
-           "_SAMPLE_BLOCK"]
+           "_SAMPLE_BLOCK", "image_inradius_at_zero", "_mobius_squared_moduli"]
 
 
 @pytest.mark.parametrize("name", DELETED)
@@ -212,7 +215,7 @@ def test_kind_switch_count():
 def test_oracle_lives_in_verify():
     moved = {
         domains: ["_unit_circle", "_sample_radii"],
-        embeddings: ["image_inradius_at_zero", "image_inradius_analytic", "product_inradius",
+        embeddings: ["image_inradius_analytic", "product_inradius",
                      "_sampled_circle_min", "_squared_moduli", "_array_eval", "_mobius_parts",
                      "sigma", "sigma_inv", "poincare_distance", "_Radius"],
     }
@@ -234,3 +237,42 @@ def test_one_value_parameters_are_gone(name):
     assert list(params) == KEPT_PARAMETERS[name]
     if name == "squeeze_bounds":
         assert all(params[p].kind is inspect.Parameter.KEYWORD_ONLY for p in ("search", "family"))
+
+
+# Functions, classes and methods that no module of the package names and
+# __all__ does not export, each with the reason it stays.
+UNCALLED = {
+    "verify.image_inradius_analytic":
+        "the closed-form reference that tests hold squeezing._score to",
+    "domains.membership": "the membership predicate tests draw points with",
+}
+
+
+def uncalled_definitions():
+    """``module.name`` of each module-level function or class, and each
+    method but a dunder, that no module of the package names, as a ``Name``
+    or an attribute, and that ``__all__`` does not export."""
+    trees = {path.stem: parsed(path) for path in MODULES}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *(m for m in methods if isinstance(m, kinds))]:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and d.name not in named and d.name not in polysqueeze.__all__:
+                    found.append(f"{stem}.{d.name}")
+    return found
+
+
+def test_every_function_has_a_caller():
+    assert sorted(uncalled_definitions()) == sorted(UNCALLED)

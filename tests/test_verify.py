@@ -6,13 +6,13 @@ sampled oracle must keep its workload, circle for circle, read no higher on
 any circle than the 65536-point scan it replaced, so that a faster pass cannot
 come from sampling less, and give each circle it searches in a stack the
 double that circle gets searched alone.  Each check's numbers are pinned at
-seeds 0, 1 and 2, and each suite domain gets one plan.
+seeds 0, 1 and 2, a NaN from the oracle or the distance fails its check, and
+each suite domain gets one plan.
 """
 
 import inspect
 import math
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ import pytest
 from polysqueeze import verify
 from polysqueeze.squeezing import DomainPlan
 from polysqueeze.verify import SUITES, _hyperbolic_draws, _random_disk_points, run_suite
+from test_embeddings import kernel
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -98,7 +99,7 @@ def test_refined_min_never_above_the_65536_point_scan(sampled_circles):
     # by the kernel's rounding.
     circle = verify._unit_circle(65536)
     for name, e, radius, got in sampled_circles:
-        scan = math.sqrt(verify._squared_moduli(e, radius * circle).min())
+        scan = math.sqrt(kernel(e)(radius * circle).min())
         assert got <= scan * (1.0 + REFERENCE_RTOL), (name, e, radius, got, scan)
 
 
@@ -112,19 +113,54 @@ def test_stacked_search_is_the_per_circle_search_bit_for_bit(seed, sampled_circl
     rows = sampled_circles if seed == 0 else record_rows(seed)
     assert Counter(name for name, *_ in rows) == {"oracle": 1100, "mixed": 240, "family_gap": 121}
     assert {len(e.steps) for _, e, _, _ in rows} == {1, 2}
-    alone = [verify._sampled_circle_min(partial(verify._squared_moduli, e), radius)
-             for _, e, radius, _ in rows]
+    alone = [verify._sampled_circle_min(kernel(e), radius) for _, e, radius, _ in rows]
     assert np.array(alone).tobytes() == np.array([got for *_, got in rows]).tobytes()
 
 
 def test_the_sampler_takes_no_sample_count():
     params = {fn: list(inspect.signature(fn).parameters) for fn in (
-        verify._sampled_circle_min, verify._circle_minima, verify.image_inradius_at_zero,
-        verify.product_inradius)}
+        verify._sampled_circle_min, verify._circle_minima, verify.product_inradius)}
     assert params == {verify._sampled_circle_min: ["sq", "radius"],
                       verify._circle_minima: ["rows"],
-                      verify.image_inradius_at_zero: ["e", "f"],
                       verify.product_inradius: ["witnesses"]}
+
+
+# The checks that read the sampled oracle.
+SAMPLED_CHECKS = {"oracle.circle_min_vs_brute", "mixed.witness_inradius",
+                  "mixed.multi_puncture_witness", "family_gap.witness_sampled_vs_analytic"}
+
+
+def test_a_nan_from_the_oracle_fails_its_check(monkeypatch):
+    # The last row of each batch reads NaN.  In mixed's witnesses that row is
+    # a second factor's circle, so the min over factors must keep the NaN,
+    # and in every sampled check the worst-error fold must keep it too:
+    # Python's max and min drop a NaN that is not their first argument.
+    minima = verify._circle_minima
+
+    def last_row_nan(rows):
+        got = minima(rows)
+        got[-1] = math.nan
+        return got
+
+    monkeypatch.setattr(verify, "_circle_minima", last_row_nan)
+    checks = [c for name in ("mixed", "oracle", "family_gap") for c in SUITES[name](0)]
+    assert {c.name for c in checks if not c.passed} == SAMPLED_CHECKS
+    assert all("max_err=nan" in c.detail for c in checks if c.name in SAMPLED_CHECKS)
+
+
+def test_a_nan_distance_fails_the_invariance_check(monkeypatch):
+    # one NaN distance, on a triple after the first, makes the worst
+    # invariance error NaN
+    distance, calls = verify.poincare_distance, []
+
+    def nan_once(a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 101 else distance(a, b)
+
+    monkeypatch.setattr(verify, "poincare_distance", nan_once)
+    checks = {c.name: c for c in verify.suite_hyperbolic(0)}
+    assert [name for name, c in checks.items() if not c.passed] == ["hyperbolic.mobius_invariance"]
+    assert checks["hyperbolic.mobius_invariance"].detail.startswith("max_err=nan ")
 
 
 # Every check's detail at seed 0 but ``pinch.runtime``, which is wall time, in
