@@ -234,7 +234,8 @@ def format_map_expr(e: MapExpr) -> str:
     out = []
     for step in e.steps:
         if isinstance(step, MobiusAut):
-            out.append("mobius(%.17g,%.17g,%.17g)" % (step.a.real, step.a.imag, step.theta))
+            # the third field is always 0, kept so that readers of the text parse it unchanged
+            out.append("mobius(%.17g,%.17g,0)" % (step.a.real, step.a.imag))
         else:
             out.append("reflect(%.17g)" % step.r)
     return "|".join(out)

@@ -1,11 +1,11 @@
 """Explicit injective holomorphic maps into the disk.
 
-A map is a left-to-right composition of two primitives: a disk automorphism
-and the annulus reflection ``zeta -> r / zeta``; the identity is the
-automorphism with zero 0.  Every primitive sends boundary circles to
-circles, so the distance from 0 to the complement of an image is the least
-modulus over the images of the boundary circles and the extension values at
-the punctures.  The witness scores of
+A map is a left-to-right composition of two primitives: a disk automorphism,
+given by its zero, and the annulus reflection ``zeta -> r / zeta``; the
+identity is the automorphism with zero 0.  Every primitive sends boundary
+circles to circles, so the distance from 0 to the complement of an image is
+the least modulus over the images of the boundary circles and the extension
+values at the punctures.  The witness scores of
 :mod:`polysqueeze.squeezing` take that minimum in closed form, through
 :func:`mobius_circle_min_modulus` on a circle and :func:`mobius_modulus`, the
 one body of |phi_a(z)|, at a puncture.  Maps are evaluated here on scalars
@@ -15,7 +15,6 @@ evaluation of a map on an array of samples, is in :mod:`polysqueeze.verify`.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Union
 
@@ -24,28 +23,23 @@ from .errors import DomainError
 
 
 class MobiusAut(Frozen):
-    """Disk automorphism ``zeta -> e^{i theta} (zeta - a) / (1 - conj(a) zeta)``.
+    """Disk automorphism ``zeta -> (zeta - a) / (1 - conj(a) zeta)``, its zero ``a``.
 
-    ``a`` is the zero of the map.  Radial quantities are independent of
-    ``theta``; it is carried so that witnesses are fully specified maps.
+    Two automorphisms with one zero differ by a rotation, which no image
+    inradius reads, so the zero is the whole map.
     """
 
-    __slots__ = ("a", "theta")
+    __slots__ = ("a",)
 
-    def __init__(self, a: complex, theta: float = 0.0) -> None:
+    def __init__(self, a: complex) -> None:
         a = complex(a)
-        theta = float(theta)
         if not abs(a) < 1:
             raise DomainError(f"Mobius parameter must satisfy |a| < 1, got {a}")
-        if not math.isfinite(theta):
-            raise DomainError("rotation angle must be finite")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "theta", theta)
 
     def inverse(self) -> "MobiusAut":
-        """Exact inverse automorphism: zero at ``-e^{i theta} a``, rotation ``-theta``."""
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        return MobiusAut(-phase * self.a, -self.theta)
+        """Exact inverse automorphism, the one with zero ``-a``."""
+        return MobiusAut(-self.a)
 
 
 def mobius_eval(m: MobiusAut, zeta):
@@ -55,24 +49,21 @@ def mobius_eval(m: MobiusAut, zeta):
         # the map's own zero, also where 1 - |a|^2 rounds to 0 and the
         # quotient would be 0/0
         return w
-    w = w / (1.0 - m.a.conjugate() * zeta)
-    if m.theta != 0.0:
-        w = complex(math.cos(m.theta), math.sin(m.theta)) * w
-    return w
+    return w / (1.0 - m.a.conjugate() * zeta)
 
 
 def mobius_modulus(a: complex, z: complex) -> float:
-    """``|(z - a) / (1 - conj(a) z)|``: :func:`mobius_eval`'s modulus at rotation 0,
-    written out (the same double, without building a map).  It is the
+    """``|(z - a) / (1 - conj(a) z)|``: :func:`mobius_eval`'s modulus, written
+    out (the same double, without building a map).  It is the
     punctured column, and the pseudo-hyperbolic distance of ``a`` and ``z``."""
     return abs((z - a) / (1.0 - a.conjugate() * z))
 
 
 def mobius_circle_min_modulus(a: complex, r: float) -> float:
-    """Minimum of ``|mobius_eval((a, theta), zeta)|`` over the circle ``|zeta| = r``.
+    """Minimum of ``|mobius_eval(MobiusAut(a), zeta)|`` over the circle ``|zeta| = r``.
 
     The circle is a hyperbolic circle centered at 0, so the minimum is attained
-    radially and equals ``||a| - r| / (1 - r |a|)``, independent of ``theta``.
+    radially and equals ``||a| - r| / (1 - r |a|)``.
     """
     m = abs(a)
     if not m < 1:

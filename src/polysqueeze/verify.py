@@ -86,6 +86,11 @@ def _check(name: str, passed: bool, detail: str) -> Check:
     return Check(name, bool(passed), detail)
 
 
+def _within(name: str, err: float, tol: str, label: str = "max_err", more: str = "") -> Check:
+    """Pass iff ``err <= tol`` (a NaN fails); ``tol`` is the bound as the detail prints it."""
+    return _check(name, err <= float(tol), f"{label}={err:.3e} tol={tol}{more}")
+
+
 def _max(a: float, b: float) -> float:
     """``max(a, b)``, or NaN if either is NaN: the builtin keeps a NaN only as ``a``."""
     return b if b > a or b != b else a
@@ -143,15 +148,11 @@ def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
     it, by over a thousand ulps on some samples.  A reflection has no pole
     check here, and ``zeta`` is not written to.
     """
-    import numpy as np
-
     z = zeta
     for step in steps:
         if isinstance(step, MobiusAut):
             z, den = _mobius_parts(step.a, z)
             z /= den
-            if step.theta != 0.0:
-                np.multiply(complex(math.cos(step.theta), math.sin(step.theta)), z, out=z)
         else:
             z = reflect(step.r, z)
     return z
@@ -160,10 +161,10 @@ def _array_eval(steps: tuple[Primitive, ...], zeta: np.ndarray) -> np.ndarray:
 def _squared_moduli(head: tuple[Primitive, ...], a, zeta: np.ndarray) -> np.ndarray:
     """``|v - a|**2 / |1 - conj(a) v|**2`` at ``v = _array_eval(head, zeta)``.
 
-    The squared modulus of a map ``head`` then ``e^{i theta} (v - a) /
-    (1 - conj(a) v)`` at every point of the ndarray ``zeta``: the rotation
-    has modulus 1, and each of :func:`_mobius_parts` is multiplied by its
-    conjugate in place, so no complex quotient and no hypot is formed.
+    The squared modulus of a map ``head`` then ``(v - a) / (1 - conj(a) v)``
+    at every point of the ndarray ``zeta``: each of :func:`_mobius_parts` is
+    multiplied by its conjugate in place, so no complex quotient and no
+    hypot is formed.
     ``a`` is a complex, or a (C, 1) column that gives each row of ``zeta``
     its own zero; each element is the same double either way.  ``zeta`` is
     not written to.
@@ -237,10 +238,9 @@ def _circle_minima(rows: list[tuple[MapExpr, float]]) -> list[float]:
 
     Every map ends in a Mobius step.  Rows whose maps share the steps before
     it, ``e.steps[:-1]``, form one stack: the kernel is
-    :func:`_squared_moduli` with the last step's zero as a (C, 1) column, and
-    that step's rotation, of modulus 1, drops out.  Each stack is searched
-    ``_CHUNK`` rows at a time, and each row's minimum is the double its
-    circle gives alone.
+    :func:`_squared_moduli` with the last step's zero as a (C, 1) column.
+    Each stack is searched ``_CHUNK`` rows at a time, and each row's minimum
+    is the double its circle gives alone.
     """
     import numpy as np
 
@@ -447,8 +447,7 @@ def suite_pinch(seed: int = 0) -> list[Check]:
             worst_gap = _min(worst_gap, sr.value - expected)
     elapsed = time.perf_counter() - t0
     return [
-        _check("pinch.upper_matches_min_modulus", worst_upper <= 1e-12,
-               f"max_err={worst_upper:.3e} tol=1e-12"),
+        _within("pinch.upper_matches_min_modulus", worst_upper, "1e-12"),
         _check("pinch.search_attains_closed_form", worst_gap >= -1e-6,
                f"min_margin={worst_gap:.3e} floor=-1e-6"),
         _check("pinch.runtime", elapsed <= 10.0, f"elapsed={elapsed:.2f}s budget=10s"),
@@ -500,16 +499,11 @@ def suite_mixed(seed: int = 0) -> list[Check]:
     for scored, want in zip(product_inradius(witnesses), wants):
         worst_multi_witness = _max(worst_multi_witness, abs(scored - want))
     return [
-        _check("mixed.exact_equals_second_modulus", worst_exact <= 1e-12,
-               f"max_err={worst_exact:.3e} tol=1e-12"),
-        _check("mixed.upper_matches_exact", worst_upper <= 1e-12,
-               f"max_err={worst_upper:.3e} tol=1e-12"),
-        _check("mixed.witness_inradius", worst_witness <= 1e-4,
-               f"max_err={worst_witness:.3e} tol=1e-4"),
-        _check("mixed.multi_puncture_exact", worst_multi <= 1e-12,
-               f"max_err={worst_multi:.3e} tol=1e-12 points=20"),
-        _check("mixed.multi_puncture_witness", worst_multi_witness <= 1e-4,
-               f"max_err={worst_multi_witness:.3e} tol=1e-4 points=20"),
+        _within("mixed.exact_equals_second_modulus", worst_exact, "1e-12"),
+        _within("mixed.upper_matches_exact", worst_upper, "1e-12"),
+        _within("mixed.witness_inradius", worst_witness, "1e-4"),
+        _within("mixed.multi_puncture_exact", worst_multi, "1e-12", more=" points=20"),
+        _within("mixed.multi_puncture_witness", worst_multi_witness, "1e-4", more=" points=20"),
     ]
 
 
@@ -543,14 +537,10 @@ def suite_annulus(seed: int = 0) -> list[Check]:
         min_err = abs(reduce(_min, values) - s)
         tag = f"annulus[r={r}]"
         checks += [
-            _check(f"{tag}.piecewise_formula", worst_piece <= 1e-12,
-                   f"max_err={worst_piece:.3e} tol=1e-12 grid={len(grid)}"),
-            _check(f"{tag}.branches_agree_at_sqrt_r", branch_gap <= 1e-12,
-                   f"gap={branch_gap:.3e} tol=1e-12"),
-            _check(f"{tag}.clearance_below_exact", worst_dom <= 1e-12,
-                   f"max_excess={worst_dom:.3e} tol=1e-12"),
-            _check(f"{tag}.grid_min_is_sqrt_r", min_err <= 1e-6,
-                   f"err={min_err:.3e} tol=1e-6"),
+            _within(f"{tag}.piecewise_formula", worst_piece, "1e-12", more=f" grid={len(grid)}"),
+            _within(f"{tag}.branches_agree_at_sqrt_r", branch_gap, "1e-12", label="gap"),
+            _within(f"{tag}.clearance_below_exact", worst_dom, "1e-12", label="max_excess"),
+            _within(f"{tag}.grid_min_is_sqrt_r", min_err, "1e-6", label="err"),
         ]
     return checks
 
@@ -594,8 +584,7 @@ def suite_ball_ratios(seed: int = 0) -> list[Check]:
         lower = squeeze_bounds(domain, domain.point([(0j,) * n] * n), search=False).lower
         up, down = n * s - 1.0, lower - s / n
         s_err = abs(s - 1.0 / math.sqrt(n))
-        checks.append(_check(f"ball_ratios[n={n}].value", s_err <= 1e-15,
-                             f"err={s_err:.3e} tol=1e-15"))
+        checks.append(_within(f"ball_ratios[n={n}].value", s_err, "1e-15", label="err"))
         checks.append(_check(f"ball_ratios[n={n}].both_ratios_fail", up > 0.0 and down > 0.0,
                              f"up_margin={up:.4f} down_margin={down:.4f}"))
         if n == 2:
@@ -635,8 +624,8 @@ def suite_oracle(seed: int = 0) -> list[Check]:
     minima = _circle_minima([(MapExpr((MobiusAut(a),)), r) for a, r in pairs])
     for (a, r), got in zip(pairs, minima):
         worst = _max(worst, abs(got - mobius_circle_min_modulus(a, r)))
-    return [_check("oracle.circle_min_vs_brute", worst <= 1e-4,
-                   f"max_err={worst:.3e} tol=1e-4 pairs=1000 close_pairs=100")]
+    return [_within("oracle.circle_min_vs_brute", worst, "1e-4",
+                    more=" pairs=1000 close_pairs=100")]
 
 
 def _hyperbolic_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -663,9 +652,12 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
     Both compositions hold near machine precision.  Over t in [0, 20] the
     inverse-then-forward identity relies on the complement 1 - x that
     ``sigma_inv`` carries: the rounded double tanh(t/2) alone would cost about
-    cosh(t/2)^2 * 2^-52 in t (about 2e-8 at t = 20).  The invariance triples
-    are Python complex numbers, so :func:`mobius_eval` runs the scalar
-    arithmetic that ``eval`` runs, not numpy's complex division.
+    cosh(t/2)^2 * 2^-52 in t (about 2e-8 at t = 20).  Each invariance
+    triple (a, b, c) compares the distance of a and b with that of their
+    images under the automorphism with zero c, each image then rotated by
+    the triple's angle.  The triples are Python complex numbers, so
+    :func:`mobius_eval` runs the scalar arithmetic that ``eval`` runs, not
+    numpy's complex division.
     """
     import numpy as np
 
@@ -678,17 +670,15 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
     worst_inv = 0.0
     for row, theta in zip(points, thetas):
         a, b, c = row.tolist()  # a row at a time: the whole list read +2 MB of peak RSS
-        m = MobiusAut(c, theta)
+        m = MobiusAut(c)
+        rot = complex(math.cos(theta), math.sin(theta))
         d1 = poincare_distance(a, b)
-        d2 = poincare_distance(mobius_eval(m, a), mobius_eval(m, b))
+        d2 = poincare_distance(rot * mobius_eval(m, a), rot * mobius_eval(m, b))
         worst_inv = _max(worst_inv, abs(d1 - d2))
     return [
-        _check("hyperbolic.roundtrip_t_direction", worst_t <= 1e-12,
-               f"max_err={worst_t:.3e} tol=1e-12 range=[0,20]"),
-        _check("hyperbolic.roundtrip_x_direction", worst_x <= 1e-12,
-               f"max_err={worst_x:.3e} tol=1e-12 range=[0,0.999999]"),
-        _check("hyperbolic.mobius_invariance", worst_inv <= 1e-12,
-               f"max_err={worst_inv:.3e} tol=1e-12 triples=10000"),
+        _within("hyperbolic.roundtrip_t_direction", worst_t, "1e-12", more=" range=[0,20]"),
+        _within("hyperbolic.roundtrip_x_direction", worst_x, "1e-12", more=" range=[0,0.999999]"),
+        _within("hyperbolic.mobius_invariance", worst_inv, "1e-12", more=" triples=10000"),
     ]
 
 

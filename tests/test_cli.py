@@ -212,12 +212,24 @@ def test_eval_exit_codes(capsys, tmp_path, punct2):
     assert main(["eval", "--spec", punct2]) == 2
 
 
+def test_a_coordinate_of_three_numbers_exits_2(capsys, punct2):
+    assert main(["eval", "--spec", punct2, "--point=1,2,3"]) == 2
+    assert capsys.readouterr() == ("", "error: coordinate '1,2,3' is not 're' or 're,im'\n")
+
+
 def parse_witness(text):
-    """The witness column read back into maps: ``;`` between factors, ``|`` between steps."""
+    """The witness column read back into maps: ``;`` between factors, ``|`` between steps.
+
+    A ``mobius`` step's third field is always ``0``: an automorphism is its zero.
+    """
     def step(token):
         name, args = token.removesuffix(")").split("(")
-        nums = [float(v) for v in args.split(",")]
-        return MobiusAut(complex(nums[0], nums[1]), nums[2]) if name == "mobius" else Reflection(*nums)
+        fields = args.split(",")
+        if name != "mobius":
+            return Reflection(*map(float, fields))
+        real, imag, third = fields
+        assert third == "0"
+        return MobiusAut(complex(float(real), float(imag)))
 
     return ProductMap(tuple(MapExpr(tuple(step(t) for t in part.split("|")))
                             for part in text.split(";")))
@@ -501,7 +513,8 @@ def test_a_spec_text_builds_one_plan(capsys, tmp_path, plan_builds):
     ('{"factors": [{"kind": "annulus", "r": 1.5}]}',
      "factors[0]: annulus inner radius must lie in (0, 1), got 1.5"),
     ('{"factors": [', "invalid JSON: Expecting value: line 1 column 14 (char 13)"),
-], ids=["bad_radius", "truncated_json"])
+    ('{"factors": []}', "'factors' must be a nonempty list"),
+], ids=["bad_radius", "truncated_json", "no_factors"])
 def test_a_failing_spec_builds_no_plan_and_fails_alike(capsys, tmp_path, plan_builds,
                                                        content, message):
     bad = tmp_path / "bad.json"

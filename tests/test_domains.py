@@ -319,17 +319,17 @@ def _value_instances():
             "PuncturedDisk(punctures=(0j, (0.5+0.25j))), BallFactor(n=2)))"),
         (d.point([0.5, 0.1j, 0.2, (0.1, 0.2j)]),
          "ProductPoint(coords=((0.5+0j), 0.1j, (0.2+0j), ((0.1+0j), 0.2j)))"),
-        (MobiusAut(0.5 - 0.25j, 0.75), "MobiusAut(a=(0.5-0.25j), theta=0.75)"),
+        (MobiusAut(0.5 - 0.25j), "MobiusAut(a=(0.5-0.25j))"),
         (Reflection(0.25), "Reflection(r=0.25)"),
         (MapExpr((Reflection(0.25), MobiusAut(0.3j))),
-         "MapExpr(steps=(Reflection(r=0.25), MobiusAut(a=0.3j, theta=0.0)))"),
-        (identity, "ProductMap(components=(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),))"),
+         "MapExpr(steps=(Reflection(r=0.25), MobiusAut(a=0.3j)))"),
+        (identity, "ProductMap(components=(MapExpr(steps=(MobiusAut(a=0j),)),))"),
         (squeezing.BoundReport(0.25, 0.5, None, identity, ("X",)),
          "BoundReport(lower=0.25, upper=0.5, exact=None, witness=ProductMap(components="
-         "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), methods=('X',))"),
+         "(MapExpr(steps=(MobiusAut(a=0j),)),)), methods=('X',))"),
         (squeezing.SearchResult(0.5, identity, 2),
          "SearchResult(value=0.5, witness=ProductMap(components="
-         "(MapExpr(steps=(MobiusAut(a=0j, theta=0.0),)),)), evaluations=2)"),
+         "(MapExpr(steps=(MobiusAut(a=0j),)),)), evaluations=2)"),
         (Check("a", True, "ok"), "Check(name='a', passed=True, detail='ok')"),
     ]
 
@@ -374,7 +374,9 @@ def test_value_equality_and_hash_are_by_field(value, text):
 
 
 def test_value_equality_reads_every_field_and_never_crosses_classes():
-    assert MobiusAut(0.5, 0.25) != MobiusAut(0.5, 0.5) != MobiusAut(0.25, 0.5)
+    assert Check("a", True, "ok") != Check("a", False, "ok") != Check("b", False, "ok")
+    assert Check("a", True, "ok") != Check("a", True, "no")
+    assert MobiusAut(0.5) != MobiusAut(0.25)
     assert PuncturedDisk((0j, 0.5)) != PuncturedDisk((0.5, 0j))
     assert Annulus(0.25).__eq__(Reflection(0.25)) is NotImplemented
     assert Annulus(0.25) != Reflection(0.25)

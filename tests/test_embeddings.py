@@ -127,7 +127,7 @@ def test_reflection_of_subnormal_operands_keeps_its_bits():
 
 
 def test_map_eval_vectorized_matches_scalar():
-    e = mexpr(Reflection(0.25), MobiusAut(0.2 + 0.1j, 0.7))
+    e = mexpr(Reflection(0.25), MobiusAut(0.2 + 0.1j))
     zs = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
     vec = _array_eval(e.steps, zs)
     assert np.allclose(vec, [map_eval(e, complex(z)) for z in zs], atol=1e-15)
@@ -139,14 +139,12 @@ def test_scalar_and_array_dispatch_bitwise():
     # each must match the expression evaluated in its own type.
     rng = np.random.default_rng(11)
     zs = 0.9 * rng.uniform(0.3, 1, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
-    for a, theta in ((0.3 - 0.4j, 0.0), (-0.6j, 2.1), (0.45 + 0.2j, -0.8)):
-        m = MobiusAut(a, theta)
+    for a in (0.3 - 0.4j, -0.6j, 0.45 + 0.2j):
+        m = MobiusAut(a)
         e = mexpr(Reflection(0.25), m)
-        phase = complex(math.cos(theta), math.sin(theta))
 
         def mobius(w):
-            w = (w - a) / (1.0 - a.conjugate() * w)
-            return phase * w if theta != 0.0 else w
+            return (w - a) / (1.0 - a.conjugate() * w)
 
         assert np.array_equal(_array_eval((m,), zs), mobius(zs))
         assert np.array_equal(_array_eval(e.steps, zs), mobius(0.25 / zs))
@@ -175,6 +173,8 @@ def test_map_eval_rejects_unknown_primitives():
 def test_map_expr_validation():
     with pytest.raises(DomainError):
         MapExpr(())
+    with pytest.raises(DomainError, match="^a product map needs at least one component$"):
+        ProductMap(())
     # the one check of the steps: map_eval, verify's _array_eval and the CLI's
     # witness text read a reflection wherever a step is not an automorphism
     for steps in ((object(),), (MobiusAut(0.3), "reflect"), (Reflection(0.25), None)):
@@ -232,9 +232,9 @@ def test_inradius_capped_by_puncture_images():
         assert sampled_inradius(e, f) <= cap + 1e-15
 
 
-@given(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
-def test_inradius_mobius_only_on_disk_is_one(amod, ang, theta):
-    e = mexpr(MobiusAut(amod * cmath.exp(1j * ang), theta))
+@given(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi))
+def test_inradius_mobius_only_on_disk_is_one(amod, ang):
+    e = mexpr(MobiusAut(amod * cmath.exp(1j * ang)))
     assert sampled_inradius(e, UnitDisk()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -362,17 +362,16 @@ def test_squared_moduli_match_map_eval_on_block_cases(case):
     st.sampled_from((INCLUSION, REFLECTION)),
     st.floats(0.0, 0.9),
     st.floats(0.0, 2 * math.pi),
-    st.floats(0.0, 2 * math.pi),
 )
-def test_squared_moduli_match_map_eval(r, t, ang, branch, amod, aang, theta):
+def test_squared_moduli_match_map_eval(r, t, ang, branch, amod, aang):
     # an annulus point, a branch, and an extra automorphism vanishing at a
-    # before the normalizer, both with rotation theta
+    # before the normalizer
     f = Annulus(r)
     z = (r + (0.02 + 0.96 * t) * (1.0 - r)) * cmath.exp(1j * ang)
     head = (Reflection(r),) if branch == REFLECTION else ()
-    extra = MobiusAut(amod * cmath.exp(1j * aang), theta)
+    extra = MobiusAut(amod * cmath.exp(1j * aang))
     w = complex(map_eval(mexpr(*head, extra), z))
-    assert_moduli_match_map_eval(mexpr(*head, extra, MobiusAut(w, theta)), f, 1024)
+    assert_moduli_match_map_eval(mexpr(*head, extra, MobiusAut(w)), f, 1024)
 
 
 @pytest.mark.parametrize("m", (64, 1024, 65536))
@@ -381,17 +380,16 @@ def test_squared_moduli_match_map_eval(r, t, ang, branch, amod, aang, theta):
     st.sampled_from(("disk", "punctured", "annulus")),
     st.floats(0.0, 0.9),
     st.floats(0.0, 2 * math.pi),
-    st.floats(0.0, 2 * math.pi),
     st.booleans(),
 )
-def test_sampled_never_below_analytic(m, kind, amod, aang, theta, reflected):
+def test_sampled_never_below_analytic(m, kind, amod, aang, reflected):
     # the samples lie on the boundary circles, so their least modulus can only
     # overshoot the analytic inradius; the refined search ends closer to each
     # circle's minimizer than a scan of m equally spaced samples gets, so it
     # reads no higher than that scan, up to the kernel's rounding
     f = {"disk": UnitDisk(), "punctured": PuncturedDisk((0.3 - 0.2j,)), "annulus": Annulus(0.25)}[kind]
     head = (Reflection(0.25),) if reflected and kind == "annulus" else ()
-    e = mexpr(*head, MobiusAut(amod * cmath.exp(1j * aang), theta))
+    e = mexpr(*head, MobiusAut(amod * cmath.exp(1j * aang)))
     got = sampled_inradius(e, f)
     assert got >= image_inradius_analytic(e, f) - 1e-12
     assert got <= whole_array_inradius(e, f, m) * (1.0 + REFERENCE_RTOL)
@@ -446,7 +444,7 @@ def test_stacked_rows_are_each_circle_alone():
     rows = []
     for k in range(_CHUNK + 3):
         w = 0.6 * cmath.exp(2j * math.pi * k / (_CHUNK + 3))
-        rows += [(mexpr(MobiusAut(w, 0.5 * k)), 0.3 + 0.01 * k),
+        rows += [(mexpr(MobiusAut(w)), 0.3 + 0.01 * k),
                  (factor_witness(f, w, REFLECTION), 0.25)]
         if k % 8 == 0:
             rows += [(mexpr(MobiusAut(0.1j), MobiusAut(w)), 1.0),
@@ -461,7 +459,7 @@ def test_analytic_matches_sampled():
     cases = [
         (mexpr(MobiusAut(0.5)), Annulus(0.25)),
         (mexpr(Reflection(0.25), MobiusAut(0.5)), Annulus(0.25)),
-        (mexpr(MobiusAut(0.3 + 0.2j), MobiusAut(-0.1j, 1.2)), PuncturedDisk((0.2 + 0j,))),
+        (mexpr(MobiusAut(0.3 + 0.2j), MobiusAut(-0.1j)), PuncturedDisk((0.2 + 0j,))),
         (mexpr(MobiusAut(0.7j)), UnitDisk()),
     ]
     for e, f in cases:

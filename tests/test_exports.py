@@ -225,15 +225,18 @@ def test_oracle_lives_in_verify():
             assert hasattr(verify, name), name
 
 
+# The parameters of each public callable: none that one value always fills.
+# MobiusAut is its zero alone, since a rotation changes no image inradius.
 KEPT_PARAMETERS = {
     "squeeze_bounds": ["d", "z", "search", "family"],
     "default_limit_path": ["r", "side", "steps"],
+    "MobiusAut": ["a"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_PARAMETERS))
 def test_one_value_parameters_are_gone(name):
-    params = inspect.signature(getattr(squeezing, name)).parameters
+    params = inspect.signature(getattr(polysqueeze, name)).parameters
     assert list(params) == KEPT_PARAMETERS[name]
     if name == "squeeze_bounds":
         assert all(params[p].kind is inspect.Parameter.KEYWORD_ONLY for p in ("search", "family"))

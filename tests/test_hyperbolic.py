@@ -99,7 +99,7 @@ def test_mobius_zero_where_the_denominator_rounds_to_0():
     # an ulp inside the unit circle 1 - |a|^2 rounds to 0; the map is still 0 at a
     a = complex(-0.6381610240979042, 0.769902920712939)
     assert abs(a) < 1 and 1 - (a.conjugate() * a).real == 0
-    assert mobius_eval(MobiusAut(a, 0.4), a) == 0
+    assert mobius_eval(MobiusAut(a), a) == 0
 
 
 def test_mobius_identity():
@@ -119,17 +119,17 @@ def test_mobius_parameter_validation():
         MobiusAut(0.8 + 0.7j)
 
 
-@given(disk_points(), st.floats(0.0, 2 * math.pi))
-def test_mobius_maps_circle_to_circle(a, theta):
-    m = MobiusAut(a, theta)
+@given(disk_points())
+def test_mobius_maps_circle_to_circle(a):
+    m = MobiusAut(a)
     for k in range(16):
         z = cmath.exp(2j * math.pi * k / 16)
         assert abs(abs(complex(mobius_eval(m, z))) - 1.0) < 1e-12
 
 
-@given(disk_points(), disk_points(), st.floats(0.0, 2 * math.pi))
-def test_mobius_inverse_roundtrip(a, z, theta):
-    m = MobiusAut(a, theta)
+@given(disk_points(), disk_points())
+def test_mobius_inverse_roundtrip(a, z):
+    m = MobiusAut(a)
     back = complex(mobius_eval(m.inverse(), complex(mobius_eval(m, z))))
     assert abs(back - z) < 1e-12
 
@@ -139,10 +139,8 @@ def test_mobius_array_in_place_matches_expression_bitwise():
     rng = np.random.default_rng(4)
     zs = 0.99 * rng.uniform(0, 1, 257) * np.exp(2j * np.pi * rng.uniform(0, 1, 257))
     zs.setflags(write=False)  # the input is never written
-    for m in (MobiusAut(0.3 - 0.4j), MobiusAut(-0.7j, 2.1), MobiusAut(0.0)):
+    for m in (MobiusAut(0.3 - 0.4j), MobiusAut(-0.7j), MobiusAut(0.0)):
         want = (zs - m.a) / (1.0 - m.a.conjugate() * zs)
-        if m.theta != 0.0:
-            want = complex(math.cos(m.theta), math.sin(m.theta)) * want
         assert np.array_equal(_array_eval((m,), zs), want)
 
 
@@ -180,9 +178,12 @@ def test_poincare_symmetric(a, b):
 @settings(max_examples=200)
 @given(disk_points(), disk_points(), disk_points(), st.floats(0.0, 2 * math.pi))
 def test_poincare_mobius_invariance(a, b, c, theta):
-    m = MobiusAut(c, theta)
+    # the automorphism with zero c, each image then rotated by theta, as
+    # verify's hyperbolic suite applies it
+    m = MobiusAut(c)
+    rot = complex(math.cos(theta), math.sin(theta))
     d1 = poincare_distance(a, b)
-    d2 = poincare_distance(complex(mobius_eval(m, a)), complex(mobius_eval(m, b)))
+    d2 = poincare_distance(rot * mobius_eval(m, a), rot * mobius_eval(m, b))
     assert abs(d1 - d2) <= 1e-12
 
 
@@ -214,17 +215,6 @@ def test_circle_min_closed_case():
 
 def test_circle_min_point_on_circle():
     assert mobius_circle_min_modulus(0.25, 0.25) == 0.0
-
-
-def test_circle_min_theta_independent():
-    vals = {
-        round(
-            float(np.abs(_array_eval((MobiusAut(0.3, th),), 0.2 * np.exp(2j * np.pi * np.arange(64) / 64))).min()),
-            10,
-        )
-        for th in (0.0, 1.0, 2.5)
-    }
-    assert len(vals) == 1
 
 
 @settings(max_examples=60, deadline=None)

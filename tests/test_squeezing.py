@@ -94,6 +94,10 @@ def test_single_factor_annulus_branches():
     assert factor_value(f, 0.8) == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(DomainError):
         factor_value(f, 0.1)
+    # a point built without the membership check reaches the closed form,
+    # which refuses it itself
+    with pytest.raises(DomainError, match=r"^\|z\| = 0\.1 outside the annulus \(0\.25, 1\)$"):
+        squeeze_bounds(ProductDomain((f,)), ProductPoint((0.1 + 0j,)))
 
 
 def test_single_factor_multi_puncture_unsupported():
@@ -660,6 +664,11 @@ def test_default_limit_path_endpoints():
     assert default_limit_path(0.25, "outer", 1) == [1 - 1e-4]
     with pytest.raises(DomainError):
         default_limit_path(0.25, "sideways", 8)
+    # public API, so it checks its own arguments; the CLI checks them first
+    with pytest.raises(DomainError, match=r"^inner radius must lie in \(0, 1\), got 1\.5$"):
+        default_limit_path(1.5, "outer")
+    with pytest.raises(DomainError, match="^steps must be positive$"):
+        default_limit_path(0.25, "outer", 0)
 
 
 # Each library log10 and pow is taken as accurate to LIBM_ULPS ulp; both the
