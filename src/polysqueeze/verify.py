@@ -3,16 +3,16 @@
 Each suite exercises one quantitative claim of the library at a pinned
 tolerance and returns :class:`Check` records; the CLI ``verify`` command and
 the acceptance tests both run these.  All randomness flows through one seeded
-generator per suite, so results are reproducible bit for bit.  Suites that
+generator per suite, drawn in bulk in the order of one draw per point, so
+results are reproducible bit for bit.  Suites that
 build arrays import numpy when they run, so importing this module does not
 load it; the CLI imports this module only for ``verify`` and its help.
 
 The oracle lives here, since the suites are its only caller: the
 boundary-sampling image inradius of explicit witnesses whose maps end in a
 Mobius step, :func:`product_inradius` (each circle's least squared modulus
-found on a coarse grid, then refined toward its minimizer, with the circles
-of many witnesses searched as the rows of one array, so the search's bracket
-argument and its NaN propagation hold row by row), and its closed-form
+on a coarse grid, then refined by passes of one exp per circle and a table
+of rotations, many circles as the rows of one array), and its closed-form
 counterpart for radial-then-Mobius maps, both over the data a factor gives
 (``radii``, ``punctures``; a ball is refused before any sampling), and the
 radial distance pair ``sigma`` / ``sigma_inv`` with the Poincare distance,
@@ -30,6 +30,7 @@ maps on arrays are evaluated here alone, by :func:`_array_eval`.  The
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -122,8 +123,8 @@ def _sample_radii(f: PlanarFactor) -> tuple[float, ...]:
     inner circle r of ``f.radii``, so that no sample passes membership.  A
     circle's samples are this radius times ``_unit_circle(_COARSE)``, points
     at equal angles from 0 counterclockwise, and this radius times
-    ``exp(i t)`` at the angles ``t`` that :func:`_sampled_circle_min` refines;
-    punctures are not sampled.
+    ``exp(i t)`` times each pass's rotations, as :func:`_sampled_circle_min`
+    refines; punctures are not sampled.
     """
     outer, *inner = f.radii
     return ((1.0 + _NUDGE) * outer, *((1.0 - _NUDGE) * rho for rho in inner))
@@ -187,6 +188,21 @@ _PASS_POINTS = 64
 _CHUNK = 32
 
 
+@lru_cache(maxsize=1)
+def _pass_rotations() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each pass's angle offsets, spanning the gaps beside 0, and ``exp(i offsets)``; read-only."""
+    import numpy as np
+
+    step = 2.0 * math.pi / _COARSE
+    offsets = [np.linspace(-step, step, _PASS_POINTS)]
+    while len(offsets) < _PASSES:
+        offsets.append(offsets[-1] * (2.0 / (_PASS_POINTS - 1)))
+    tables = np.array(offsets), np.exp(1j * np.array(offsets))
+    for t in tables:
+        t.setflags(write=False)
+    return tuple(zip(*tables))
+
+
 def _sampled_circle_min(sq, radius):
     """Least modulus of a map over a circle, or over each circle of a stack, by refining a grid.
 
@@ -194,14 +210,13 @@ def _sampled_circle_min(sq, radius):
     row per circle.  ``sq`` takes the samples, a 1-D array or a (C, n) array
     of rows, and returns their squared moduli under the map element by
     element, as :func:`_squared_moduli` does.  The coarse grid is
-    ``radius * _unit_circle(_COARSE)``.  Each refinement pass evaluates
-    ``radius * exp(i t)`` at ``_PASS_POINTS`` equally spaced angles ``t``
-    spanning one gap of the previous stage on either side of that stage's
-    best point, which is each row's own ``argmin``.  The result, a float or a
-    (C,) array, is the square root of each row's least squared modulus over
-    all stages, reduced with numpy, so a NaN at any sample of a row gives
-    that row NaN.  No value crosses rows: a circle's minimum is the same
-    double in a stack of any size as alone.
+    ``radius * _unit_circle(_COARSE)``.  A pass samples the angles ``best +
+    offsets`` of :func:`_pass_rotations` around each row's own ``argmin``
+    angle ``best``, as ``radius * exp(i best)`` times the pass's rotations.
+    The result, a float or a (C,) array, is the square root of each row's
+    least squared modulus over all stages, reduced with numpy, so a NaN at
+    any sample of a row gives that row NaN.  No value crosses rows: a
+    circle's minimum is the same double in a stack of any size as alone.
 
     Every value returned is the computed modulus at a point of its circle.
     So, like a scan of any grid, the result can only overshoot the true
@@ -215,6 +230,13 @@ def _sampled_circle_min(sq, radius):
     map that breaks unimodality can only make the search miss the basin,
     and then the result is too high: a check against a closed form fails
     rather than passes.
+
+    A rotated sample's modulus is R of :func:`_sample_radii` within 3.6 eps:
+    two exps within 1 eps of modulus 1, a real product rounding by eps / 2
+    and a complex one by sqrt(5) eps / 2.  So the 4 eps nudge keeps 0.4 eps
+    outside the unit circle, and inside an inner one, whose R is itself
+    rounded by eps / 2, falls 0.1 eps short only if all five roundings peak
+    together.  Samples read -2.5 to +2.0 eps against R.
     """
     import numpy as np
 
@@ -222,14 +244,11 @@ def _sampled_circle_min(sq, radius):
     s = sq(radius * _unit_circle(_COARSE))
     k = np.argmin(s, axis=-1, keepdims=True)  # a NaN's index, if the row has one
     best, minima = step * k, [np.take_along_axis(s, k, -1)]
-    offsets = np.linspace(-step, step, _PASS_POINTS)
-    for _ in range(_PASSES):
-        angles = best + offsets
-        s = sq(radius * np.exp(1j * angles))
+    for offsets, rotations in _pass_rotations():
+        s = sq(radius * np.exp(1j * best) * rotations)
         k = np.argmin(s, axis=-1, keepdims=True)
-        best = np.take_along_axis(angles, k, -1)
+        best = best + offsets[k]
         minima.append(np.take_along_axis(s, k, -1))
-        offsets *= 2.0 / (_PASS_POINTS - 1)
     return np.sqrt(np.min(minima, axis=0)[..., 0])
 
 
@@ -417,12 +436,17 @@ def poincare_distance(a: complex, b: complex) -> float:
 
 # ------------------------------------------------------------------ suites
 
-def _random_disk_points(rng: np.random.Generator, count: int, lo: float, hi: float) -> np.ndarray:
+def _uniform(lo, hi, u):
+    """``Generator.uniform(lo, hi)`` at the ``rng.random`` draws ``u``, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+def _disk_points(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The points of rows of ``rng.random`` draws: n moduli in [lo, hi), then n angles each."""
     import numpy as np
 
-    moduli = rng.uniform(lo, hi, count)
-    angles = rng.uniform(0.0, 2.0 * np.pi, count)
-    return moduli * np.exp(1j * angles)
+    n = u.shape[-1] // 2
+    return _uniform(lo, hi, u[..., :n]) * np.exp(1j * _uniform(0.0, 2.0 * math.pi, u[..., n:]))
 
 
 def suite_pinch(seed: int = 0) -> list[Check]:
@@ -437,9 +461,8 @@ def suite_pinch(seed: int = 0) -> list[Check]:
     for arity in (2, 3):
         d = ProductDomain((PuncturedDisk((0j,)),) * arity)
         plan = DomainPlan(d)
-        for _ in range(100):
-            coords = _random_disk_points(rng, arity, 0.05, 0.95)
-            z = d.point(list(coords))
+        for coords in _disk_points(rng.random((100, 2 * arity)), 0.05, 0.95).tolist():
+            z = d.point(coords)
             expected = min(abs(c) for c in coords)
             upper = squeeze_bounds(plan, z, search=False).upper
             worst_upper = _max(worst_upper, abs(upper - expected))
@@ -467,8 +490,7 @@ def suite_mixed(seed: int = 0) -> list[Check]:
     plan = DomainPlan(d)
     worst_exact = worst_upper = worst_witness = 0.0
     witnesses, wants = [], []
-    for _ in range(100):
-        z1, z2 = _random_disk_points(rng, 2, 0.05, 0.95)
+    for z1, z2 in _disk_points(rng.random((100, 4)), 0.05, 0.95).tolist():
         z = d.point([z1, z2])
         rep = squeeze_bounds(plan, z, search=False)
         worst_exact = _max(worst_exact, abs(rep.exact - abs(z2)))
@@ -482,12 +504,12 @@ def suite_mixed(seed: int = 0) -> list[Check]:
     d = ProductDomain((PuncturedDisk(ps), UnitDisk()))
     plan = DomainPlan(d)
     worst_multi = worst_multi_witness = 0.0
+    points = []
+    while len(points) < 20:  # 32 attempts at a time; about one in 17 is refused
+        points += [(z1, z2) for z1, z2 in _disk_points(rng.random((32, 4)), 0.0, 0.95).tolist()
+                   if min(abs(z1 - p) for p in ps) >= 0.05]
     witnesses, wants = [], []
-    for _ in range(20):
-        while True:
-            z1, z2 = (complex(c) for c in _random_disk_points(rng, 2, 0.0, 0.95))
-            if min(abs(z1 - p) for p in ps) >= 0.05:
-                break
+    for z1, z2 in points[:20]:
         z = d.point([z1, z2])
         want = min(abs((z1 - p) / (1.0 - p.conjugate() * z1)) for p in ps)
         rep = squeeze_bounds(plan, z)
@@ -608,18 +630,20 @@ def suite_oracle(seed: int = 0) -> list[Check]:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    pairs = []
+    u = (x for _ in itertools.count() for x in rng.random(4096).tolist())  # the pairs read ~3350
+    drawn = []  # |a|, r and the angle of a, in the order of the draws
     for _ in range(1000):
         while True:
-            amod = rng.uniform(0.0, 0.95)
-            r = rng.uniform(0.02, 0.95)
+            amod, r = _uniform(0.0, 0.95, next(u)), _uniform(0.02, 0.95, next(u))
             if abs(amod - r) >= 0.01:
                 break
-        pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
+        drawn.append((amod, r, _uniform(0.0, 2.0 * math.pi, next(u))))
     for _ in range(100):
-        r = rng.uniform(0.02, 0.95)
-        amod = rng.uniform(r - 0.01, min(r + 0.01, 0.95))
-        pairs.append((amod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), r))
+        r = _uniform(0.02, 0.95, next(u))
+        drawn.append((_uniform(r - 0.01, min(r + 0.01, 0.95), next(u)), r,
+                      _uniform(0.0, 2.0 * math.pi, next(u))))
+    moduli, radii, angles = np.array(drawn).T
+    pairs = list(zip((moduli * np.exp(1j * angles)).tolist(), radii.tolist()))
     worst = 0.0
     minima = _circle_minima([(MapExpr((MobiusAut(a),)), r) for a, r in pairs])
     for (a, r), got in zip(pairs, minima):
@@ -631,19 +655,12 @@ def suite_oracle(seed: int = 0) -> list[Check]:
 def _hyperbolic_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` triples of points with moduli in [0, 0.85), and ``count`` angles in [0, 2 pi).
 
-    One ``rng.random`` call draws every uniform.  Each row maps its seven as
-    ``Generator.uniform`` maps one draw, lo + (hi - lo) u with lo = 0, in the
-    order of the per-triple draws it replaces: three moduli, three angles,
-    then the rotation angle.  The values are those of
-    ``_random_disk_points(rng, 3, 0.0, 0.85)`` followed by
-    ``rng.uniform(0.0, 2 pi)`` per triple, bit for bit.
+    One ``rng.random`` call draws them all, each row in the order of the
+    per-triple ``Generator.uniform`` draws it replaces, bit for bit: three
+    moduli, three angles, then the rotation angle.
     """
-    import numpy as np
-
     u = rng.random((count, 7))
-    moduli = 0.85 * u[:, :3]
-    angles = 2.0 * np.pi * u[:, 3:]
-    return moduli * np.exp(1j * angles[:, :3]), angles[:, 3]
+    return _disk_points(u[:, :6], 0.0, 0.85), _uniform(0.0, 2.0 * math.pi, u[:, 6])
 
 
 def suite_hyperbolic(seed: int = 0) -> list[Check]:
@@ -668,13 +685,14 @@ def suite_hyperbolic(seed: int = 0) -> list[Check]:
 
     points, thetas = _hyperbolic_draws(np.random.default_rng(seed), 10000)
     worst_inv = 0.0
-    for row, theta in zip(points, thetas):
-        a, b, c = row.tolist()  # a row at a time: the whole list read +2 MB of peak RSS
-        m = MobiusAut(c)
-        rot = complex(math.cos(theta), math.sin(theta))
-        d1 = poincare_distance(a, b)
-        d2 = poincare_distance(rot * mobius_eval(m, a), rot * mobius_eval(m, b))
-        worst_inv = _max(worst_inv, abs(d1 - d2))
+    # 1000 rows at a time: their Python numbers stay under the draw's 1.8 MB peak
+    for lo in range(0, len(thetas), 1000):
+        for (a, b, c), theta in zip(points[lo:lo + 1000].tolist(), thetas[lo:lo + 1000].tolist()):
+            m = MobiusAut(c)
+            rot = complex(math.cos(theta), math.sin(theta))
+            d1 = poincare_distance(a, b)
+            d2 = poincare_distance(rot * mobius_eval(m, a), rot * mobius_eval(m, b))
+            worst_inv = _max(worst_inv, abs(d1 - d2))
     return [
         _within("hyperbolic.roundtrip_t_direction", worst_t, "1e-12", more=" range=[0,20]"),
         _within("hyperbolic.roundtrip_x_direction", worst_x, "1e-12", more=" range=[0,0.999999]"),
@@ -707,11 +725,11 @@ def _witness_oracle_errors(rng: np.random.Generator) -> tuple[float, float, int]
     |sampled - score|, the worst score - sampled, and the witness count.
     """
     cases = []
-    for r in (0.04, 0.25, 0.64):
+    for r, u in zip((0.04, 0.25, 0.64), rng.random((3, 20))):
         plan = DomainPlan(ProductDomain((Annulus(r),)))
         margin = 0.02 * (1.0 - r)
-        for zc in _random_disk_points(rng, 10, r + margin, 1.0 - margin):
-            cases += [(plan, complex(zc), INCLUSION), (plan, complex(zc), REFLECTION)]
+        for zc in _disk_points(u, r + margin, 1.0 - margin).tolist():
+            cases += [(plan, zc, INCLUSION), (plan, zc, REFLECTION)]
     cases.append((DomainPlan(ProductDomain((PuncturedDisk((0j, 0.5 + 0j, -0.5j)),))),
                   0.1 + 0.2j, INCLUSION))
     witnesses, scores = [], []
